@@ -113,10 +113,19 @@ class Dataset:
             header = fh.readline()
             if not header.startswith("sample_id\t"):
                 raise DataError(f"unrecognized manifest header in {manifest}")
-            for line in fh:
-                sid, label, subject, view, sk_name, vd_name, k = line.rstrip("\n").split("\t")
-                label, subject, view = int(label), int(subject), int(view)
-                n_classes = int(k)
+            for lineno, line in enumerate(fh, start=2):
+                fields = line.rstrip("\n").split("\t")
+                if len(fields) != 7:
+                    raise DataError(
+                        f"{manifest}:{lineno}: expected 7 tab-separated fields, got {len(fields)}"
+                    )
+                sid, label, subject, view, sk_name, vd_name, k = fields
+                try:
+                    label, subject, view, n_classes = int(label), int(subject), int(view), int(k)
+                except ValueError:
+                    raise DataError(
+                        f"{manifest}:{lineno}: label, subject, view and n_classes must be integers"
+                    ) from None
                 coords = read_tensor(os.path.join(directory, sk_name))
                 pixels = read_tensor(os.path.join(directory, vd_name))
                 samples.append(

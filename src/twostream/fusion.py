@@ -24,6 +24,8 @@ class Prediction:
         probs = np.asarray(probs, dtype=default_dtype())
         if probs.ndim != 1:
             raise DimensionError(f"probs must be a vector, got shape {probs.shape}")
+        if not np.isfinite(probs).all():
+            raise DataError(f"probabilities must be finite, got {probs}")
         total = float(probs.sum())
         if abs(total - 1.0) > 1e-9:
             raise DataError(f"probabilities sum to {total}, not 1")

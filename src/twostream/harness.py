@@ -13,6 +13,7 @@ import numpy as np
 from .errors import ConfigError, ContractError, DataError, DivergenceError
 from .tensor import Rng
 from .recurrent import (
+    BidirectionalLayer,
     GruCell,
     LstmCell,
     RecurrentLayer,
@@ -23,8 +24,6 @@ from .recurrent import (
     init_rnn_cell,
     stack,
     stack_backward,
-    unroll,
-    unroll_backward,
 )
 from .normreg import DropoutConfig, batchnorm_backward, batchnorm_forward, dropout, init_batchnorm
 from .conv3d import (
@@ -361,49 +360,21 @@ def _weighted_sum_loss(out, weights):
     return float((out * weights).sum())
 
 
-def _check_unroll(name, cell, rng, n=2, t=4, i=3):
-    d = cell[0].hidden_dim if isinstance(cell, tuple) else cell.hidden_dim
+def _check_unroll(name, layer, rng, n=2, t=4, i=3):
+    """Gradcheck a RecurrentLayer or BidirectionalLayer over a full unroll."""
     x = rng.normal(0.0, 0.8, size=(n, t, i))
     lengths = [t, t - 1]
-    r_out = rng.normal(size=(n, t, 2 * d if isinstance(cell, tuple) else d))
-    if isinstance(cell, tuple):  # bidirectional pair
-        cf, cb = cell
+    r_out = rng.normal(size=(n, t, layer.out_dim))
+    r_last = rng.normal(size=(n, layer.out_dim))
+    arrays = [a for _, a in layer.param_items()] + [x]
 
-        def run():
-            batch = SequenceBatch(x, lengths)
-            out_f, last_f, _ = unroll(cf, batch, "forward")
-            out_b, last_b, _ = unroll(cb, batch, "backward")
-            out = np.concatenate([out_f, out_b], axis=2)
-            last = np.concatenate([last_f, last_b], axis=1)
-            return out, last
+    def loss_fn():
+        out, last, _ = layer.forward(SequenceBatch(x, lengths))
+        return _weighted_sum_loss(out, r_out) + _weighted_sum_loss(last, r_last)
 
-        r_last = rng.normal(size=(n, 2 * d))
-        arrays = cf.param_arrays() + cb.param_arrays() + [x]
-
-        def loss_fn():
-            out, last = run()
-            return _weighted_sum_loss(out, r_out) + _weighted_sum_loss(last, r_last)
-
-        batch = SequenceBatch(x, lengths)
-        _, _, cache_f = unroll(cf, batch, "forward")
-        _, _, cache_b = unroll(cb, batch, "backward")
-        grads_f, gx_f = unroll_backward(cf, cache_f, r_out[:, :, :d], r_last[:, :d])
-        grads_b, gx_b = unroll_backward(cb, cache_b, r_out[:, :, d:], r_last[:, d:])
-        analytic = grads_f + grads_b + [gx_f + gx_b]
-    else:
-        r_last = rng.normal(size=(n, d))
-        arrays = cell.param_arrays() + [x]
-
-        def loss_fn():
-            batch = SequenceBatch(x, lengths)
-            out, last, _ = unroll(cell, batch, "forward")
-            return _weighted_sum_loss(out, r_out) + _weighted_sum_loss(last, r_last)
-
-        batch = SequenceBatch(x, lengths)
-        _, _, cache = unroll(cell, batch, "forward")
-        pgrads, gx = unroll_backward(cell, cache, r_out, r_last)
-        analytic = pgrads + [gx]
-    return check_gradients(name, loss_fn, arrays, analytic)
+    _, _, cache = layer.forward(SequenceBatch(x, lengths))
+    grad_x, pgrads = layer.backward(cache, r_out, r_last)
+    return check_gradients(name, loss_fn, arrays, pgrads + [grad_x])
 
 
 def gradcheck_all(rng=None) -> GradcheckReport:
@@ -465,16 +436,11 @@ def gradcheck_all(rng=None) -> GradcheckReport:
     add(check_gradients("dropout_off", drop_loss, [xd], [rd.copy()]))
 
     # recurrent cells through full unrolls (masked lengths included)
-    add(_check_unroll("rnn_tanh", RnnCell(init_rnn_cell(3, 4, rng)), rng))
-    add(_check_unroll("lstm", LstmCell(init_lstm_cell(3, 4, rng)), rng))
-    add(_check_unroll("gru", GruCell(init_gru_cell(3, 4, rng)), rng))
-    add(
-        _check_unroll(
-            "bidirectional_gru",
-            (GruCell(init_gru_cell(3, 3, rng)), GruCell(init_gru_cell(3, 3, rng))),
-            rng,
-        )
-    )
+    add(_check_unroll("rnn_tanh", RecurrentLayer(RnnCell(init_rnn_cell(3, 4, rng))), rng))
+    add(_check_unroll("lstm", RecurrentLayer(LstmCell(init_lstm_cell(3, 4, rng))), rng))
+    add(_check_unroll("gru", RecurrentLayer(GruCell(init_gru_cell(3, 4, rng))), rng))
+    bigru = BidirectionalLayer(GruCell(init_gru_cell(3, 3, rng)), GruCell(init_gru_cell(3, 3, rng)))
+    add(_check_unroll("bidirectional_gru", bigru, rng))
 
     # two-layer stack feeding a classifier-style loss on the last state
     layers = [

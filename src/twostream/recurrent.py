@@ -12,6 +12,22 @@ Conventions shared by every cell:
 * Time steps at or past a sample's true length never update state: the state
   is frozen, the emitted output row is zero, and no gradient flows to the
   padded inputs. Appending more padding therefore changes nothing.
+
+The `*_cell_forward` / `*_cell_backward` functions are the single-step
+reference. `unroll` computes the same recurrence in a time-major loop
+(Appleyard et al., arXiv:1604.01946): the input half of every fused matmul,
+x_t W_x^T + b, is taken out of the loop as one GEMM over all valid (t, row)
+pairs, so each step only adds h_prev W_h^T. `unroll_backward` keeps each
+step's pre-activation gradients and forms dW, db and the input gradient with
+one GEMM each over the same valid pairs after the loop; the step-local
+derivative factors (gate slopes and the like) are computed for all steps at
+once before it, so the backward loop holds only what the recurrence needs.
+
+The hoisted GEMMs run over the valid pairs only, never over all T*n padded
+rows: OpenBLAS can round a row differently when a GEMM's row count changes,
+so projecting padded rows too would let extra padding change the bits of
+real outputs. Restricted to valid pairs, extra padding adds no rows, and
+outputs and gradients stay bit-identical however far a batch is padded.
 """
 
 from __future__ import annotations
@@ -234,12 +250,27 @@ def gru_cell_backward(p: GruCellParams, cache, dh):
     return dx, dh_prev, [dW_gates, dW_cand, db_gates, db_cand]
 
 
-class RnnCell:
-    """Uniform step interface over RnnCellParams. State is the 1-tuple (h,)."""
+class _Cell:
+    """The step protocol that `unroll` drives, shared by the three cell kinds.
 
-    param_names = ("W", "b")
+    A cell's weights are one or more fused blocks (W, b). Each W acts on
+    [x_t ; hin_t], input columns first, where hin_t is the block's recurrent
+    input: h_prev, or r * h_prev for the GRU candidate.
 
-    def __init__(self, params: RnnCellParams):
+    * `recur(xp_t, wh, state)` runs one step from the projected input row
+      xp_t = x_t W_x^T + b (blocks side by side) and the transposed recurrent
+      halves wh = [W_h^T per block]. It returns (h_t, new_state, saved).
+    * `local_grads(*saved)` takes each saved array stacked over time and
+      returns every block's recurrent inputs and the step-local derivative
+      factors, all computed in one pass over [T, n, .] arrays.
+    * `recur_backward(factors, t, dstate, wh, dpre)` writes step t's
+      pre-activation gradients into `dpre` (blocks side by side) and returns
+      the gradient of the previous state.
+    """
+
+    n_state = 1
+
+    def __init__(self, params):
         self.params = params
 
     @property
@@ -251,81 +282,127 @@ class RnnCell:
         return self.params.input_dim
 
     def zero_state(self, n):
-        return (np.zeros((n, self.hidden_dim), dtype=default_dtype()),)
+        shape = (n, self.hidden_dim)
+        return tuple(np.zeros(shape, dtype=default_dtype()) for _ in range(self.n_state))
 
     def param_arrays(self):
-        return [self.params.W, self.params.b]
-
-    def step(self, x_t, state):
-        h_t, cache = rnn_cell_forward(self.params, x_t, state[0])
-        return h_t, (h_t,), cache
-
-    def step_backward(self, cache, dstate):
-        dx, dh_prev, grads = rnn_cell_backward(self.params, cache, dstate[0])
-        return dx, (dh_prev,), grads
+        """Every block's W, then every block's b: the order of `param_names`."""
+        blocks = self.blocks()
+        return [W for W, _ in blocks] + [b for _, b in blocks]
 
 
-class LstmCell:
-    """Step interface over LstmCellParams. State is (h, c)."""
+class RnnCell(_Cell):
+    """Vanilla cell over RnnCellParams. State is the 1-tuple (h,)."""
 
     param_names = ("W", "b")
 
-    def __init__(self, params: LstmCellParams):
-        self.params = params
+    def blocks(self):
+        return [(self.params.W, self.params.b)]
 
-    @property
-    def hidden_dim(self):
-        return self.params.hidden_dim
+    def recur(self, xp_t, wh, state):
+        h_prev = state[0]
+        pre = xp_t + h_prev @ wh[0]
+        h_t = np.tanh(pre) if self.params.activation == "tanh" else sigmoid(pre)
+        return h_t, (h_t,), (h_prev, h_t)
 
-    @property
-    def input_dim(self):
-        return self.params.input_dim
+    def local_grads(self, h_prev, h):
+        dact = 1.0 - h * h if self.params.activation == "tanh" else h * (1.0 - h)
+        return (h_prev,), (dact,)
 
-    def zero_state(self, n):
-        z = np.zeros((n, self.hidden_dim), dtype=default_dtype())
-        return (z, z.copy())
-
-    def param_arrays(self):
-        return [self.params.W, self.params.b]
-
-    def step(self, x_t, state):
-        h_t, c_t, cache = lstm_cell_forward(self.params, x_t, state[0], state[1])
-        return h_t, (h_t, c_t), cache
-
-    def step_backward(self, cache, dstate):
-        dx, dh_prev, dc_prev, grads = lstm_cell_backward(self.params, cache, dstate[0], dstate[1])
-        return dx, (dh_prev, dc_prev), grads
+    def recur_backward(self, factors, t, dstate, wh, dpre):
+        np.multiply(dstate[0], factors[0][t], out=dpre)
+        return (dpre @ wh[0].T,)
 
 
-class GruCell:
-    """Step interface over GruCellParams. State is the 1-tuple (h,)."""
+class LstmCell(_Cell):
+    """LSTM cell over LstmCellParams. State is (h, c)."""
+
+    param_names = ("W", "b")
+    n_state = 2
+
+    def blocks(self):
+        return [(self.params.W, self.params.b)]
+
+    def recur(self, xp_t, wh, state):
+        h_prev, c_prev = state
+        d = self.hidden_dim
+        pre = xp_t + h_prev @ wh[0]
+        gates = sigmoid(pre[:, : 3 * d])  # (input, forget, output)
+        gi, gf, go = gates[:, :d], gates[:, d : 2 * d], gates[:, 2 * d :]
+        cand = np.tanh(pre[:, 3 * d :])
+        c_t = gf * c_prev + gi * cand
+        tc = np.tanh(c_t)
+        h_t = go * tc
+        return h_t, (h_t, c_t), (h_prev, c_prev, gates, cand, tc)
+
+    def local_grads(self, h_prev, c_prev, gates, cand, tc):
+        d = self.hidden_dim
+        gi, gf, go = gates[..., :d], gates[..., d : 2 * d], gates[..., 2 * d :]
+        dgates = gates * (1.0 - gates)
+        # d pre = [dc_t, dc_t, dh, dc_t] * dpre_scale
+        dpre_scale = np.concatenate(
+            [
+                cand * dgates[..., :d],
+                c_prev * dgates[..., d : 2 * d],
+                tc * dgates[..., 2 * d :],
+                gi * (1.0 - cand * cand),
+            ],
+            axis=-1,
+        )
+        return (h_prev,), (go * (1.0 - tc * tc), gf, dpre_scale)
+
+    def recur_backward(self, factors, t, dstate, wh, dpre):
+        dc_scale, gf, dpre_scale = factors
+        dh, dc = dstate
+        d = self.hidden_dim
+        dct = dc + dh * dc_scale[t]
+        s = dpre_scale[t]
+        np.multiply(dct, s[:, :d], out=dpre[:, :d])
+        np.multiply(dct, s[:, d : 2 * d], out=dpre[:, d : 2 * d])
+        np.multiply(dh, s[:, 2 * d : 3 * d], out=dpre[:, 2 * d : 3 * d])
+        np.multiply(dct, s[:, 3 * d :], out=dpre[:, 3 * d :])
+        return dpre @ wh[0].T, dct * gf[t]
+
+
+class GruCell(_Cell):
+    """GRU cell over GruCellParams. State is the 1-tuple (h,); the blocks are
+    (W_gates, b_gates) on [x ; h_prev] and (W_cand, b_cand) on [x ; r*h_prev]."""
 
     param_names = ("W_gates", "W_cand", "b_gates", "b_cand")
 
-    def __init__(self, params: GruCellParams):
-        self.params = params
+    def blocks(self):
+        p = self.params
+        return [(p.W_gates, p.b_gates), (p.W_cand, p.b_cand)]
 
-    @property
-    def hidden_dim(self):
-        return self.params.hidden_dim
+    def recur(self, xp_t, wh, state):
+        h_prev = state[0]
+        d = self.hidden_dim
+        gates = sigmoid(xp_t[:, : 2 * d] + h_prev @ wh[0])
+        z, r = gates[:, :d], gates[:, d:]
+        hr = r * h_prev
+        cand = np.tanh(xp_t[:, 2 * d :] + hr @ wh[1])
+        h_t = z * h_prev + (1.0 - z) * cand
+        return h_t, (h_t,), (h_prev, hr, gates, cand)
 
-    @property
-    def input_dim(self):
-        return self.params.input_dim
+    def local_grads(self, h_prev, hr, gates, cand):
+        d = self.hidden_dim
+        z, r = gates[..., :d], gates[..., d:]
+        dgates = gates * (1.0 - gates)
+        dcand_scale = (1.0 - z) * (1.0 - cand * cand)
+        dz_scale = (h_prev - cand) * dgates[..., :d]
+        dr_scale = h_prev * dgates[..., d:]
+        return (h_prev, hr), (dcand_scale, dz_scale, dr_scale, z, r)
 
-    def zero_state(self, n):
-        return (np.zeros((n, self.hidden_dim), dtype=default_dtype()),)
-
-    def param_arrays(self):
-        return [self.params.W_gates, self.params.W_cand, self.params.b_gates, self.params.b_cand]
-
-    def step(self, x_t, state):
-        h_t, cache = gru_cell_forward(self.params, x_t, state[0])
-        return h_t, (h_t,), cache
-
-    def step_backward(self, cache, dstate):
-        dx, dh_prev, grads = gru_cell_backward(self.params, cache, dstate[0])
-        return dx, (dh_prev,), grads
+    def recur_backward(self, factors, t, dstate, wh, dpre):
+        dcand_scale, dz_scale, dr_scale, z, r = factors
+        dh = dstate[0]
+        d = self.hidden_dim
+        dpre_c = dpre[:, 2 * d :]
+        np.multiply(dh, dcand_scale[t], out=dpre_c)
+        dhr = dpre_c @ wh[1].T
+        np.multiply(dh, dz_scale[t], out=dpre[:, :d])
+        np.multiply(dhr, dr_scale[t], out=dpre[:, d : 2 * d])
+        return (dh * z[t] + dhr * r[t] + dpre[:, : 2 * d] @ wh[0].T,)
 
 
 @dataclass
@@ -368,20 +445,32 @@ def unroll(cell, batch: SequenceBatch, direction="forward"):
     if direction not in ("forward", "backward"):
         raise ValueError(f"direction must be forward|backward, got {direction!r}")
     x = batch.data
-    n, T, _ = x.shape
+    n, T, i = x.shape
+    if i != cell.input_dim:
+        raise DimensionError(f"input width {i} does not match input_dim {cell.input_dim}")
     lengths = np.asarray(batch.lengths)
+    t_run = int(lengths.max())  # later steps are padding in every row
+    valid = np.arange(t_run)[:, None] < lengths  # [t, row]
+    blocks = cell.blocks()
+    w_x = np.concatenate([W[:, :i] for W, _ in blocks])
+    w_h = [np.ascontiguousarray(W[:, i:].T) for W, _ in blocks]
+    x_valid = x.transpose(1, 0, 2)[:t_run][valid]
+    xp = np.zeros((t_run, n, w_x.shape[0]), dtype=x.dtype)
+    xp[valid] = x_valid @ w_x.T + np.concatenate([b for _, b in blocks])
+    partial = (~valid.all(axis=1)).tolist()
     state = cell.zero_state(n)
-    outputs = np.zeros((n, T, cell.hidden_dim), dtype=x.dtype)
-    steps = []
-    order = range(T) if direction == "forward" else range(T - 1, -1, -1)
+    hs, tape = [None] * t_run, [None] * t_run
+    order = range(t_run) if direction == "forward" else range(t_run - 1, -1, -1)
     for t in order:
-        mask = t < lengths
-        m = mask[:, None]
-        h_t, new_state, cache = cell.step(x[:, t, :], state)
-        state = tuple(np.where(m, s_new, s_old) for s_new, s_old in zip(new_state, state))
-        outputs[:, t, :] = np.where(m, h_t, 0.0)
-        steps.append((t, m, cache))
-    return outputs, state[0], (steps, lengths, x.shape)
+        hs[t], new_state, tape[t] = cell.recur(xp[t], w_h, state)
+        if partial[t]:
+            m = valid[t][:, None]
+            new_state = tuple(np.where(m, s_new, s_old) for s_new, s_old in zip(new_state, state))
+        state = new_state
+    out = np.zeros((T, n, cell.hidden_dim), dtype=x.dtype)
+    np.stack(hs, out=out[:t_run])
+    out[:t_run][~valid] = 0.0
+    return out.transpose(1, 0, 2), state[0], (tape, valid, x_valid, w_x, w_h, direction, T)
 
 
 def unroll_backward(cell, cache, grad_outputs=None, grad_last=None):
@@ -391,26 +480,41 @@ def unroll_backward(cell, cache, grad_outputs=None, grad_last=None):
     padded steps are zero, and state gradients pass straight through frozen
     steps.
     """
-    steps, lengths, x_shape = cache
-    n, T, _ = x_shape
-    d = cell.hidden_dim
+    tape, valid, x_valid, w_x, w_h, direction, T = cache
+    t_run, n = valid.shape
     dtype = default_dtype()
-    if grad_outputs is None:
-        grad_outputs = np.zeros((n, T, d), dtype=dtype)
-    dstate = tuple(np.zeros((n, d), dtype=dtype) for _ in cell.zero_state(1))
+    hins, factors = cell.local_grads(*(np.stack(saved) for saved in zip(*tape)))
+    dstate = cell.zero_state(n)
     if grad_last is not None:
         dstate = (dstate[0] + grad_last,) + dstate[1:]
-    param_grads = [np.zeros_like(a) for a in cell.param_arrays()]
-    grad_x = np.zeros(x_shape, dtype=dtype)
-    for t, m, step_cache in reversed(steps):
-        dstate_tot = (dstate[0] + grad_outputs[:, t, :] * m,) + dstate[1:]
-        dstate_in = tuple(g * m for g in dstate_tot)
-        dx_t, dstate_prev, grads = cell.step_backward(step_cache, dstate_in)
-        grad_x[:, t, :] = dx_t * m
-        dstate = tuple(dp + dt * (~m) for dp, dt in zip(dstate_prev, dstate_tot))
-        for acc, g in zip(param_grads, grads):
-            acc += g
-    return param_grads, grad_x
+    grad_tm = None
+    if grad_outputs is not None:
+        grad_tm = grad_outputs.transpose(1, 0, 2)[:t_run] * valid[:, :, None]
+    dpre = np.empty((t_run, n, w_x.shape[0]), dtype=dtype)
+    partial = (~valid.all(axis=1)).tolist()
+    order = range(t_run - 1, -1, -1) if direction == "forward" else range(t_run)
+    for t in order:
+        if grad_tm is not None:
+            dstate = (dstate[0] + grad_tm[t],) + dstate[1:]
+        dstate_prev = cell.recur_backward(factors, t, dstate, w_h, dpre[t])
+        if partial[t]:  # padded rows: discard the step, pass the gradient through
+            m = valid[t][:, None]
+            dstate_prev = tuple(np.where(m, dp, ds) for dp, ds in zip(dstate_prev, dstate))
+        dstate = dstate_prev
+    # One GEMM each over all valid row-steps instead of one per step.
+    dpre_valid = dpre[valid]
+    grad_x = np.zeros((T, n, x_valid.shape[1]), dtype=dtype)
+    grad_x[:t_run][valid] = dpre_valid @ w_x
+    dW_x = dpre_valid.T @ x_valid
+    db = dpre_valid.sum(axis=0)
+    weights, biases = [], []
+    lo = 0
+    for hin, wh_k in zip(hins, w_h):
+        hi = lo + wh_k.shape[1]
+        weights.append(np.concatenate([dW_x[lo:hi], dpre_valid[:, lo:hi].T @ hin[valid]], axis=1))
+        biases.append(db[lo:hi])
+        lo = hi
+    return weights + biases, grad_x.transpose(1, 0, 2)
 
 
 def bidirectional(cell_fwd, cell_bwd, batch: SequenceBatch):

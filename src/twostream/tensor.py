@@ -85,12 +85,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    # Split on sign so exp never overflows.
-    out = np.empty_like(x, dtype=np.result_type(x, np.float32))
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    # 1/(1+e^-x) == (1 + tanh(x/2)) / 2: tanh never overflows, so no sign split.
+    out = np.tanh(np.multiply(x, 0.5))
+    out += 1.0
+    out *= 0.5
     return out
 
 

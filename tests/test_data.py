@@ -193,3 +193,13 @@ class TestDatasetRoundtrip:
     def test_missing_manifest_rejected(self, tmp_path):
         with pytest.raises(DataError):
             Dataset.load(tmp_path)
+
+    @pytest.mark.parametrize("bad_line", ["s9\t0\t0\t0\n", "s9\tx\t0\t0\ta_sk.tsr\ta_vd.tsr\t4\n"])
+    def test_malformed_manifest_line_names_its_line(self, tmp_path, bad_line):
+        _tiny_dataset(Rng(11)).save(tmp_path)
+        manifest = tmp_path / "manifest.tsv"
+        lines = manifest.read_text().splitlines(keepends=True)
+        lines.insert(2, bad_line)  # header is line 1, so this is line 3
+        manifest.write_text("".join(lines))
+        with pytest.raises(DataError, match=r"manifest\.tsv:3:"):
+            Dataset.load(tmp_path)

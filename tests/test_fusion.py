@@ -29,6 +29,11 @@ class TestPrediction:
         with pytest.raises(DataError):
             Prediction.from_probs(np.array([0.5, 0.6]))
 
+    @pytest.mark.parametrize("probs", [[np.nan] * 3, [np.nan, 0.5, 0.5], [np.inf, -np.inf, 1.0]])
+    def test_non_finite_probs_rejected(self, probs):
+        with pytest.raises(DataError, match="finite"):
+            Prediction.from_probs(np.array(probs))
+
 
 class TestDecisionFuse:
     def test_higher_confidence_wins_at_equal_weights(self):

@@ -28,6 +28,9 @@ from twostream import (
 )
 from twostream.recurrent import (
     bidirectional_backward,
+    gru_cell_backward,
+    lstm_cell_backward,
+    rnn_cell_backward,
     stack_backward,
     unroll_backward,
 )
@@ -218,12 +221,79 @@ class TestParamCount:
 def _random_cell(kind, i, d, rng):
     if kind == "rnn":
         return RnnCell(init_rnn_cell(i, d, rng))
+    if kind == "rnn_sigmoid":
+        return RnnCell(init_rnn_cell(i, d, rng, activation="sigmoid"))
     if kind == "lstm":
         return LstmCell(init_lstm_cell(i, d, rng))
     return GruCell(init_gru_cell(i, d, rng))
 
 
+def _reference_step(cell, x_t, state):
+    p = cell.params
+    if isinstance(cell, LstmCell):
+        h, c, cache = lstm_cell_forward(p, x_t, state[0], state[1])
+        return (h, c), cache
+    if isinstance(cell, GruCell):
+        h, cache = gru_cell_forward(p, x_t, state[0])
+        return (h,), cache
+    h, cache = rnn_cell_forward(p, x_t, state[0])
+    return (h,), cache
+
+
+def _reference_step_backward(cell, cache, dstate):
+    p = cell.params
+    if isinstance(cell, LstmCell):
+        dx, dh, dc, grads = lstm_cell_backward(p, cache, dstate[0], dstate[1])
+        return dx, (dh, dc), grads
+    backward = gru_cell_backward if isinstance(cell, GruCell) else rnn_cell_backward
+    dx, dh, grads = backward(p, cache, dstate[0])
+    return dx, (dh,), grads
+
+
+def _reference_unroll(cell, x, lengths, direction, r_out, r_last):
+    """Loop over the public single-step functions, one row at a time and only
+    over its true steps. Returns outputs, last state, and the gradients of
+    sum(outputs * r_out) + sum(last * r_last)."""
+    n, T, _ = x.shape
+    out = np.zeros((n, T, cell.hidden_dim))
+    last = np.zeros((n, cell.hidden_dim))
+    grads = [np.zeros_like(a) for a in cell.param_arrays()]
+    gx = np.zeros_like(x)
+    for row, L in enumerate(lengths):
+        steps = range(L) if direction == "forward" else range(L - 1, -1, -1)
+        state, tape = cell.zero_state(1), []
+        for t in steps:
+            state, cache = _reference_step(cell, x[row : row + 1, t], state)
+            out[row, t] = state[0][0]
+            tape.append((t, cache))
+        last[row] = state[0][0]
+        dstate = (r_last[row : row + 1],) + tuple(np.zeros_like(s) for s in state[1:])
+        for t, cache in reversed(tape):
+            dstate = (dstate[0] + r_out[row : row + 1, t],) + dstate[1:]
+            dx, dstate, step_grads = _reference_step_backward(cell, cache, dstate)
+            gx[row, t] = dx[0]
+            for acc, g in zip(grads, step_grads):
+                acc += g
+    return out, last, grads, gx
+
+
 class TestUnroll:
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    @pytest.mark.parametrize("kind", ["rnn", "rnn_sigmoid", "lstm", "gru"])
+    def test_matches_loop_over_cell_references(self, kind, direction, rng):
+        cell = _random_cell(kind, 3, 4, rng)
+        lengths = [7, 3, 5, 1]
+        x = rng.normal(size=(4, 7, 3))
+        r_out = rng.normal(size=(4, 7, 4))
+        r_last = rng.normal(size=(4, 4))
+        ref = _reference_unroll(cell, x, lengths, direction, r_out, r_last)
+        out, last, cache = unroll(cell, SequenceBatch(x, lengths), direction)
+        grads, gx = unroll_backward(cell, cache, r_out, r_last)
+        ref_out, ref_last, ref_grads, ref_gx = ref
+        for got, want in zip([out, last, gx] + grads, [ref_out, ref_last, ref_gx] + ref_grads):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12
+
     def test_length_one_sequence_is_a_single_cell_application(self, rng):
         cell = _random_cell("gru", 3, 4, rng)
         x = rng.normal(size=(2, 5, 3))
@@ -257,23 +327,36 @@ class TestUnroll:
             assert np.array_equal(out_bwd[row, :L, :], out_fwd[row, :L, :][::-1])
         assert np.array_equal(last_bwd, last_fwd)
 
-    @pytest.mark.parametrize("kind", ["rnn", "lstm", "gru"])
-    def test_padding_invariance_forward_and_backward(self, kind, rng):
-        cell = _random_cell(kind, 2, 3, rng)
-        x = rng.normal(size=(2, 4, 2))
-        lengths = [4, 3]
-        x[1, 3:, :] = 0.0
+    # Width 32 is where OpenBLAS rounds a GEMM row differently once the row
+    # count grows, so an input projection over padded rows would show there.
+    @pytest.mark.parametrize("kind,lengths,direction,i", [
+        pytest.param("rnn", [4, 3], "forward", 2, id="rnn"),
+        pytest.param("lstm", [4, 3], "forward", 2, id="lstm"),
+        pytest.param("gru", [4, 3], "forward", 2, id="gru"),
+        pytest.param("rnn_sigmoid", [2, 4, 1, 3], "backward", 32, id="rnn_sigmoid-batch-backward"),
+        pytest.param("lstm", [2, 4, 1, 3], "backward", 32, id="lstm-batch-backward"),
+        pytest.param("gru", [2, 4, 1, 3], "backward", 32, id="gru-batch-backward"),
+        pytest.param("gru", [2, 4, 1, 3], "forward", 32, id="gru-batch-forward"),
+    ])
+    def test_padding_invariance_forward_and_backward(self, kind, lengths, direction, i, rng):
+        n = len(lengths)
+        cell = _random_cell(kind, i, 3, rng)
+        x = rng.normal(size=(n, 4, i))
+        for row, L in enumerate(lengths):
+            x[row, L:, :] = 0.0
         batch = SequenceBatch(x, lengths)
-        out_a, last_a, cache_a = unroll(cell, batch)
-        x_padded = np.concatenate([x, np.zeros((2, 3, 2))], axis=1)
+        out_a, last_a, cache_a = unroll(cell, batch, direction)
+        x_padded = np.concatenate([x, np.zeros((n, 37, i))], axis=1)
         padded = SequenceBatch(x_padded, lengths)
-        out_b, last_b, cache_b = unroll(cell, padded)
+        out_b, last_b, cache_b = unroll(cell, padded, direction)
         assert np.array_equal(out_a, out_b[:, :4, :])
         assert not out_b[:, 4:, :].any()
         assert np.array_equal(last_a, last_b)
+        grad_out = rng.normal(size=out_a.shape)
+        grad_out_padded = np.concatenate([grad_out, rng.normal(size=(n, 37, 3))], axis=1)
         grad_last = rng.normal(size=last_a.shape)
-        grads_a, gx_a = unroll_backward(cell, cache_a, None, grad_last)
-        grads_b, gx_b = unroll_backward(cell, cache_b, None, grad_last)
+        grads_a, gx_a = unroll_backward(cell, cache_a, grad_out, grad_last)
+        grads_b, gx_b = unroll_backward(cell, cache_b, grad_out_padded, grad_last)
         for ga, gb in zip(grads_a, grads_b):
             assert np.array_equal(ga, gb)
         assert np.array_equal(gx_a, gx_b[:, :4, :])

@@ -52,10 +52,22 @@ class TestElementwise:
         assert np.array_equal(out, [0.0, 3.0])
 
     def test_sigmoid_extreme_inputs_stay_finite(self):
-        out = elementwise("sigmoid", np.array([-1000.0, 1000.0]))
+        with np.errstate(all="raise"):
+            out = elementwise("sigmoid", np.array([-1000.0, 1000.0]))
         assert np.all(np.isfinite(out))
         assert out[0] == pytest.approx(0.0, abs=1e-12)
         assert out[1] == pytest.approx(1.0, abs=1e-12)
+
+    def test_sigmoid_matches_split_exp_form(self):
+        x = np.linspace(-40.0, 40.0, 8001)
+        ref = np.empty_like(x)
+        pos = x >= 0
+        ref[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        ref[~pos] = ex / (1.0 + ex)
+        # each form is within an ulp of the true value, so they may differ by two
+        # ulps of [0.5, 1): one eps
+        assert np.abs(elementwise("sigmoid", x) - ref).max() <= np.finfo(np.float64).eps
 
     def test_multiply_and_add_require_matching_shapes(self):
         a, b = np.ones((2, 2)), np.ones((2, 3))

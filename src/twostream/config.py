@@ -32,6 +32,16 @@ def _optional_pair(text):
     return pairs[0]
 
 
+def _int_at_least(lo):
+    def parse(text):
+        value = int(text)
+        if value < lo:
+            raise ValueError(f"must be >= {lo}, got {value}")
+        return value
+
+    return parse
+
+
 def _ints(text):
     return tuple(int(p) for p in text.replace(",", " ").split())
 
@@ -74,15 +84,15 @@ SCHEMA = {
     "xor_pair": (_optional_pair, (4, 5)),
     # recurrent-stream training
     "hidden_dim": (int, 16),
-    "epochs": (int, 60),
-    "batch_size": (int, 16),
+    "epochs": (_int_at_least(1), 60),
+    "batch_size": (_int_at_least(2), 16),
     "learning_rate": (float, 0.001),
     "decay": (float, 0.9),
     "keep_prob": (float, 0.75),
-    "eval_every": (int, 1),
+    "eval_every": (_int_at_least(1), 1),
     # convolutional-stream training
-    "cnn_epochs": (int, 30),
-    "cnn_batch_size": (int, 32),
+    "cnn_epochs": (_int_at_least(1), 30),
+    "cnn_batch_size": (_int_at_least(2), 32),
     "cnn_learning_rate": (float, 0.02),
     "cnn_filters": (_ints, (8, 16)),
     "cnn_fc_dim": (int, 64),

@@ -149,11 +149,7 @@ def predict_dataset(model, dataset: Dataset, indices, t_max=None):
 def evaluate(model, dataset: Dataset, indices, t_max=None) -> RunResult:
     """Accuracy and confusion matrix over the given samples (inference mode)."""
     preds = predict_dataset(model, dataset, indices, t_max)
-    labels = dataset.labels(indices)
-    k = dataset.n_classes
-    confusion = np.zeros((k, k), dtype=np.int64)
-    for pred, y in zip(preds, labels):
-        confusion[y, pred.label] += 1
+    confusion = _confusion_of([p.label for p in preds], dataset.labels(indices), dataset.n_classes)
     result = RunResult(model=getattr(model.spec, "name", "?"), seed=-1)
     result.confusion = confusion
     result.test_accuracy = float(np.trace(confusion)) / max(len(indices), 1)

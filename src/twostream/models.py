@@ -182,8 +182,7 @@ class ConvClassifier:
         return logits, (cache, fc6)
 
     def backward(self, cache, grad_logits):
-        grads, _ = self.net.backward(cache[0], grad_logits)
-        return grads
+        return self.net.backward(cache[0], grad_logits)
 
     def predict_probs(self, clips):
         logits, _ = self.forward(clips)

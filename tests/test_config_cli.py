@@ -39,6 +39,16 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="line 1"):
             parse_config("epochs = banana")
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("batch_size", 1), ("cnn_batch_size", 1), ("epochs", 0), ("cnn_epochs", 0), ("eval_every", 0)],
+    )
+    def test_out_of_range_value_rejected_with_line_and_key(self, key, value):
+        # each of these used to train nothing, divide by zero or skip training
+        with pytest.raises(ConfigError, match=f"line 2: bad value for '{key}': must be >="):
+            parse_config(f"seed = 1\n{key} = {value}\n")
+        assert parse_config(f"{key} = {value + 1}")[key] == value + 1
+
     def test_unknown_ladder_model_rejected(self):
         with pytest.raises(ConfigError, match="unknown ladder model"):
             parse_config("ladder_models = RNN1, GRU9000")

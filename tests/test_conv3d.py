@@ -53,6 +53,32 @@ def naive_conv3d(kernels, bias, padding, x):
     return y
 
 
+def naive_conv3d_backward(kernels, padding, x, grad_y):
+    """(grad_kernels, grad_bias, grad_x), one multiply-add per (output, tap)."""
+    n, c, t, h, w = x.shape
+    f, _, kt, kh, kw = kernels.shape
+    pt, ph, pw = padding
+    xp = np.pad(x, ((0, 0), (0, 0), (pt, pt), (ph, ph), (pw, pw)))
+    gk = np.zeros_like(kernels)
+    gb = np.zeros(f)
+    gxp = np.zeros_like(xp)
+    _, _, to, ho, wo = grad_y.shape
+    for s in range(n):
+        for fi in range(f):
+            for a in range(to):
+                for b in range(ho):
+                    for d in range(wo):
+                        g = grad_y[s, fi, a, b, d]
+                        gb[fi] += g
+                        for ci in range(c):
+                            for i in range(kt):
+                                for j in range(kh):
+                                    for k in range(kw):
+                                        gk[fi, ci, i, j, k] += g * xp[s, ci, a + i, b + j, d + k]
+                                        gxp[s, ci, a + i, b + j, d + k] += g * kernels[fi, ci, i, j, k]
+    return gk, gb, gxp[:, :, pt : pt + t, ph : ph + h, pw : pw + w]
+
+
 def naive_maxpool3d(window, x):
     pt, ph, pw = window
     n, c, t, h, w = x.shape
@@ -134,6 +160,31 @@ class TestConv3dBackward:
         gy[0, 0, 1, 0, 1] = 1.0
         gk, _, _ = conv3d_backward(cache, gy)
         assert np.array_equal(gk[0, 0], x[0, 0, 1:3, 0:2, 1:3])
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_naive_loops_randomized(self, seed):
+        rng = Rng(3000 + seed)
+        f = int(rng.integers(1, 3))
+        c = int(rng.integers(1, 3))
+        n = 1 + seed % 2
+        kt, kh, kw = (int(rng.integers(1, 4)) for _ in range(3))
+        pad = tuple(int(rng.integers(0, 2)) for _ in range(3))
+        t, h, w = (int(rng.integers(v, v + 3)) for v in (kt, kh, kw))
+        p = Conv3dParams(
+            kernels=rng.normal(size=(f, c, kt, kh, kw)),
+            bias=rng.normal(size=f),
+            padding=pad,
+        )
+        x = rng.normal(size=(n, c, t, h, w))
+        y, cache = conv3d_forward(p, x)
+        gy = rng.normal(size=y.shape)
+        gk, gb, gx = conv3d_backward(cache, gy)
+        for got, ref in zip((gk, gb, gx), naive_conv3d_backward(p.kernels, pad, x, gy)):
+            assert got.shape == ref.shape
+            assert np.abs(got - ref).max() <= 1e-10
+        gk_only, gb_only, none = conv3d_backward(cache, gy, input_grad=False)
+        assert none is None
+        assert np.array_equal(gk_only, gk) and np.array_equal(gb_only, gb)
 
     def test_matches_finite_differences(self):
         rng = Rng(21)
@@ -246,15 +297,15 @@ class TestC3dSpec:
         model = build_c3d(spec, rng)
         x = rng.normal(size=(2, 2, 4, 4, 4))
         r = rng.normal(size=(2, 3))
-        arrays = [a for _, a in model.param_items()] + [x]
+        arrays = [a for _, a in model.param_items()]
 
         def loss():
             logits, _, _ = model.forward(x)
             return float((logits * r).sum())
 
         logits, _, cache = model.forward(x)
-        grads, gx = model.backward(cache, r)
-        analytic = [grads[n] for n, _ in model.param_items()] + [gx]
+        grads = model.backward(cache, r)  # no input gradient: x is data
+        analytic = [grads[n] for n, _ in model.param_items()]
         assert max_rel_err(analytic, central_diff(loss, arrays)) <= 1e-4
 
 

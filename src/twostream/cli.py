@@ -4,6 +4,7 @@ fusion, evaluation, gradient checking, and the full ladder comparison."""
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -46,16 +47,7 @@ def _write_run(out_dir, spec: ModelSpec, cfg, model, result):
     os.makedirs(out_dir, exist_ok=True)
     save_model(model, os.path.join(out_dir, "model.ckpt"))
     run = {
-        "model_spec": {
-            "name": spec.name,
-            "input_dim": spec.input_dim,
-            "n_classes": spec.n_classes,
-            "hidden_dim": spec.hidden_dim,
-            "keep_prob": spec.keep_prob,
-            "video_shape": list(spec.video_shape),
-            "cnn_filters": list(spec.cnn_filters),
-            "cnn_fc_dim": spec.cnn_fc_dim,
-        },
+        "model_spec": dataclasses.asdict(spec),
         "config": {k: (list(v) if isinstance(v, tuple) else v) for k, v in cfg.items()},
         "result": result.canonical_dict() if result else None,
     }
@@ -74,17 +66,7 @@ def _write_run(out_dir, spec: ModelSpec, cfg, model, result):
 def _load_run(run_dir):
     with open(os.path.join(run_dir, "run.json")) as fh:
         run = json.load(fh)
-    ms = run["model_spec"]
-    spec = ModelSpec(
-        name=ms["name"],
-        input_dim=ms["input_dim"],
-        n_classes=ms["n_classes"],
-        hidden_dim=ms["hidden_dim"],
-        keep_prob=ms["keep_prob"],
-        video_shape=tuple(ms["video_shape"]),
-        cnn_filters=tuple(ms["cnn_filters"]),
-        cnn_fc_dim=ms["cnn_fc_dim"],
-    )
+    spec = ModelSpec(**{k: tuple(v) if isinstance(v, list) else v for k, v in run["model_spec"].items()})
     model = load_model(spec, os.path.join(run_dir, "model.ckpt"))
     cfg = run["config"]
     cfg["video_shape"] = tuple(cfg["video_shape"])

@@ -32,18 +32,29 @@ def _optional_pair(text):
     return pairs[0]
 
 
-def _int_at_least(lo):
+def _checked(parse_value, ok, rule):
+    """A parser that rejects parsed values failing `ok` with 'must be <rule>'."""
+
     def parse(text):
-        value = int(text)
-        if value < lo:
-            raise ValueError(f"must be >= {lo}, got {value}")
+        value = parse_value(text)
+        if not ok(value):
+            raise ValueError(f"must be {rule}, got {value}")
         return value
 
     return parse
 
 
+def _int_at_least(lo):
+    return _checked(int, lambda v: v >= lo, f">= {lo}")
+
+
 def _ints(text):
     return tuple(int(p) for p in text.replace(",", " ").split())
+
+
+_positive_float = _checked(float, lambda v: v > 0, "> 0")
+_keep_prob = _checked(float, lambda v: 0 < v <= 1, "in (0, 1]")
+_filter_counts = _checked(_ints, lambda v: len(v) > 0 and min(v) >= 1, "one or more integers >= 1")
 
 
 def _pairs(text):
@@ -67,9 +78,9 @@ SCHEMA = {
     "seed": (int, 0),
     "split_mode": (str, "cross_subject"),
     # synthetic data
-    "n_classes": (int, 6),
+    "n_classes": (_int_at_least(2), 6),
     "samples_per_class": (int, 90),
-    "t_min": (int, 30),
+    "t_min": (_int_at_least(1), 30),
     "t_max": (int, 60),
     "joints": (int, 8),
     "n_subjects": (int, 20),
@@ -83,21 +94,21 @@ SCHEMA = {
     # class pair separable only by repeat-vs-alternate opening motions
     "xor_pair": (_optional_pair, (4, 5)),
     # recurrent-stream training
-    "hidden_dim": (int, 16),
+    "hidden_dim": (_int_at_least(1), 16),
     "epochs": (_int_at_least(1), 60),
     "batch_size": (_int_at_least(2), 16),
-    "learning_rate": (float, 0.001),
+    "learning_rate": (_positive_float, 0.001),
     "decay": (float, 0.9),
-    "keep_prob": (float, 0.75),
+    "keep_prob": (_keep_prob, 0.75),
     "eval_every": (_int_at_least(1), 1),
     # convolutional-stream training
     "cnn_epochs": (_int_at_least(1), 30),
     "cnn_batch_size": (_int_at_least(2), 32),
-    "cnn_learning_rate": (float, 0.02),
-    "cnn_filters": (_ints, (8, 16)),
-    "cnn_fc_dim": (int, 64),
+    "cnn_learning_rate": (_positive_float, 0.02),
+    "cnn_filters": (_filter_counts, (8, 16)),
+    "cnn_fc_dim": (_int_at_least(1), 64),
     # fusion
-    "svm_c": (float, 8.0),
+    "svm_c": (_positive_float, 8.0),
     # which ladder rows to run
     "ladder_models": (
         _names,
@@ -122,6 +133,7 @@ def default_config() -> dict:
 
 def parse_config(text: str) -> dict:
     cfg = default_config()
+    line_of = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -138,6 +150,16 @@ def parse_config(text: str) -> dict:
             raise
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
+        line_of[key] = lineno
+    if cfg["t_max"] < cfg["t_min"]:
+        # blame whichever of the two the text set last
+        if line_of.get("t_max", 0) > line_of.get("t_min", 0):
+            key, rule = "t_max", f">= t_min ({cfg['t_min']})"
+        else:
+            key, rule = "t_min", f"<= t_max ({cfg['t_max']})"
+        raise ConfigError(
+            f"line {line_of[key]}: bad value for {key!r}: must be {rule}, got {cfg[key]}"
+        )
     return cfg
 
 

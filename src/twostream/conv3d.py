@@ -11,7 +11,11 @@ with -inf.
 xk [n, tp, hp, wo, kw·c]: the zero-padded input's kw shifted windows side by
 side along the channel axis, so that the correlation is one matmul with
 K = kw·c per (kt, kh) offset instead of one with K = c per (kt, kh, kw)
-offset.
+offset. The matmuls run one sample at a time, all kt·kh offsets of a sample
+before the next, so that the sample's accumulator stays in cache; the desk
+layers' matmuls are tiny (K = 9, N = 8 on conv1) and memory traffic, not
+arithmetic, bounds them. `maxpool3d` takes the maximum over the window's
+strided views of the input rather than over a transposed tile copy.
 """
 
 from __future__ import annotations
@@ -56,13 +60,17 @@ def conv3d_forward(p: Conv3dParams, x):
 
     The kw shifted windows of the zero-padded input are copied side by side,
     channels-last, into the folded buffer xk [n, tp, hp, wo, kw·c] (kw slice
-    copies straight from x; the padding is xk's zero fill). The correlation is
-    then kt·kh matmuls, acc += xk[:, i:i+to, j:j+ho] @ wk[i, j] with
-    wk [kt, kh, kw·c, f]. Each matmul runs on the slice view with (h, w) merged
-    into one row axis, which needs no copy; flattening the slice to 2D would
-    copy it once per offset (9.4 MB per offset on the desk conv1) and raise
-    peak memory. xk is the cache the backward reads. The brute-force oracles
-    in the test suite pin the semantics.
+    copies straight from x; the padding is xk's zero fill). The correlation
+    then runs one sample at a time: for each sample s, kt·kh matmuls
+    acc[s] += xk[s, i:i+to, j:j+ho] @ wk[i, j] with wk [kt, kh, kw·c, f],
+    each into one reused [to, ho·wo, f] temporary. One sample's accumulator
+    slice (262 KB on the desk conv1 at f64) stays in cache across all kt·kh
+    offsets, where a whole-batch accumulator (8.4 MB) would stream through
+    memory once per offset. Each matmul runs on the slice view with (h, w)
+    merged into one row axis, which needs no copy. Every output element sums
+    the same products in the same order as a whole-batch loop, so the result
+    does not depend on the batch. xk is the cache the backward reads. The
+    brute-force oracles in the test suite pin the semantics.
     """
     if x.ndim != 5 or x.shape[1] != p.kernels.shape[1]:
         raise DimensionError(
@@ -84,9 +92,11 @@ def conv3d_forward(p: Conv3dParams, x):
         inner[:, :, :, cols, k * c : (k + 1) * c] = xt[:, :, :, src]
     wk = _folded_kernels(p.kernels)
     acc = np.zeros((n, to, ho * wo, f), dtype=x.dtype)
-    for i in range(kt):
-        for j in range(kh):
-            acc += _offset_rows(xk, i, j, to, ho) @ wk[i, j]
+    tmp = np.empty((to, ho * wo, f), dtype=x.dtype)
+    for s in range(n):
+        for i in range(kt):
+            for j in range(kh):
+                acc[s] += np.matmul(_offset_rows(xk[s], i, j, to, ho), wk[i, j], out=tmp)
     acc += p.bias
     y = acc.reshape(n, to, ho, wo, f).transpose(0, 4, 1, 2, 3)
     return np.ascontiguousarray(y), (xk, x.shape, p)
@@ -108,11 +118,11 @@ def _folded_kernels(kernels):
 
 
 def _offset_rows(a, i, j, to, ho):
-    """a[:, i:i+to, j:j+ho] of a folded buffer [n, tp, hp, wo, k] as
-    [n, to, ho·wo, k]. A view, not a copy: the slice keeps whole (w, k) rows,
+    """a[i:i+to, j:j+ho] of one sample's folded buffer [tp, hp, wo, k] as
+    [to, ho·wo, k]. A view, not a copy: the slice keeps whole (w, k) rows,
     so its ho rows of each t plane are contiguous."""
-    n, _, _, wo, k = a.shape
-    return a[:, i : i + to, j : j + ho].reshape(n, to, ho * wo, k)
+    _, _, wo, k = a.shape
+    return a[i : i + to, j : j + ho].reshape(to, ho * wo, k)
 
 
 def conv3d_backward(cache, grad_y, input_grad=True):
@@ -120,13 +130,15 @@ def conv3d_backward(cache, grad_y, input_grad=True):
     input gradient is not computed and grad_x is None: a network's first
     layer, whose input is data, needs only its parameter gradients.
 
-    Per (kt, kh) offset, the kernel gradient contracts the forward's xk slice
-    view with grad_y: one matmul per (n, t) row block of the view, summed over
-    the blocks. This measured faster than one GEMM over the slice flattened to
-    2D, which copies the slice and gives OpenBLAS a kw·c × f product with
-    K = n·to·ho·wo. The input gradient is scattered into a folded
-    buffer gxk shaped like xk, gxk[:, i:i+to, j:j+ho] += grad_y @ wk[i, j].T,
-    then unfolded with kw slice adds.
+    Both gradients run one sample at a time, like the forward. Per sample,
+    the kernel gradient of each (kt, kh) offset is the batched matmul
+    xk[s, i:i+to, j:j+ho]^T @ grad_y[s], one [kw·c, f] product per t plane,
+    written after a row that holds the sum over the earlier samples; one
+    reduction over that row axis then adds the sample in, in the same (n, t)
+    order as a sum over the whole batch. The input gradient is scattered
+    into a folded buffer gxk shaped like xk,
+    gxk[s, i:i+to, j:j+ho] += grad_y[s] @ wk[i, j].T through one reused
+    [to, ho·wo, kw·c] temporary, then unfolded with kw slice adds.
     """
     xk, x_shape, p = cache
     f, c, kt, kh, kw = p.kernels.shape
@@ -134,10 +146,15 @@ def conv3d_backward(cache, grad_y, input_grad=True):
     to, ho, wo = grad_y.shape[2:]
     grad_bias = grad_y.sum(axis=(0, 2, 3, 4))
     gy = np.ascontiguousarray(grad_y.transpose(0, 2, 3, 4, 1)).reshape(n, to, ho * wo, f)
-    gk = np.empty((kt, kh, kw * c, f), dtype=p.kernels.dtype)
-    for i in range(kt):
-        for j in range(kh):
-            gk[i, j] = (_offset_rows(xk, i, j, to, ho).transpose(0, 1, 3, 2) @ gy).sum(axis=(0, 1))
+    gk = np.zeros((kt, kh, kw * c, f), dtype=p.kernels.dtype)
+    prod = np.empty((kt, kh, to + 1, kw * c, f), dtype=gk.dtype)
+    for s in range(n):
+        prod[:, :, 0] = gk
+        for i in range(kt):
+            for j in range(kh):
+                rows = _offset_rows(xk[s], i, j, to, ho).transpose(0, 2, 1)
+                np.matmul(rows, gy[s], out=prod[i, j, 1:])
+        prod.sum(axis=2, out=gk)
     grad_kernels = np.ascontiguousarray(
         gk.reshape(kt, kh, kw, c, f).transpose(4, 3, 0, 1, 2)
     )
@@ -145,9 +162,11 @@ def conv3d_backward(cache, grad_y, input_grad=True):
         return grad_kernels, grad_bias, None
     wk_t = np.ascontiguousarray(_folded_kernels(p.kernels).transpose(0, 1, 3, 2))
     gxk = np.zeros_like(xk)
-    for i in range(kt):
-        for j in range(kh):
-            _offset_rows(gxk, i, j, to, ho)[...] += gy @ wk_t[i, j]
+    tmp = np.empty((to, ho * wo, kw * c), dtype=xk.dtype)
+    for s in range(n):
+        for i in range(kt):
+            for j in range(kh):
+                _offset_rows(gxk[s], i, j, to, ho)[...] += np.matmul(gy[s], wk_t[i, j], out=tmp)
     pt, ph, pw = p.padding
     inner = gxk[:, pt : pt + t, ph : ph + h]
     gx_t = np.zeros((n, t, h, w, c), dtype=xk.dtype)
@@ -163,7 +182,15 @@ class Pool3dSpec:
 
 def maxpool3d(spec: Pool3dSpec, x):
     """Non-overlapping window maxima over (t,h,w). Ties break toward the first
-    position in (t,h,w) scan order. Returns (y, cache)."""
+    position in (t,h,w) scan order. Returns (y, cache).
+
+    Each of the pt·ph·pw window positions is one strided view of the
+    (-inf padded) input; y is the running maximum over the views in scan
+    order, and the cached idx is, per window, how many views come before the
+    first one equal to y: the scan-order position of the first maximum. A
+    window holding NaN has y = NaN, no view equals it, and idx is the last
+    position.
+    """
     if x.ndim != 5:
         raise DimensionError(f"maxpool3d expects [n,c,t,h,w], got {x.shape}")
     pt, ph, pw = spec.window
@@ -176,24 +203,38 @@ def maxpool3d(spec: Pool3dSpec, x):
             ((0, 0), (0, 0), (0, pad[0]), (0, pad[1]), (0, pad[2])),
             constant_values=-np.inf,
         )
-    to, ho, wo = xp.shape[2] // pt, xp.shape[3] // ph, xp.shape[4] // pw
-    tiles = xp.reshape(n, c, to, pt, ho, ph, wo, pw)
-    tiles = tiles.transpose(0, 1, 2, 4, 6, 3, 5, 7).reshape(n, c, to, ho, wo, pt * ph * pw)
-    idx = tiles.argmax(axis=-1)
-    y = np.take_along_axis(tiles, idx[..., None], axis=-1)[..., 0]
+    views = _window_views(xp, spec.window)
+    y = views[0].copy()
+    for v in views[1:]:
+        np.maximum(y, v, out=y)
+    idx = np.zeros(y.shape, dtype=np.min_scalar_type(len(views) - 1))
+    seen = views[0] == y
+    for v in views[1:]:
+        idx += ~seen
+        seen |= v == y
     return y, (x.shape, xp.shape, idx, spec)
 
 
+def _window_views(a, window):
+    """The strided views a[:, :, i::pt, j::ph, k::pw] in (i, j, k) scan order."""
+    pt, ph, pw = window
+    return [
+        a[:, :, i::pt, j::ph, k::pw]
+        for i in range(pt)
+        for j in range(ph)
+        for k in range(pw)
+    ]
+
+
 def maxpool3d_backward(cache, grad_y):
-    """Route each window's upstream gradient to its argmax position."""
+    """Route each window's upstream gradient to its first maximum: every view
+    of the padded gradient is written once, as grad_y where idx selects that
+    view and zero elsewhere."""
     x_shape, xp_shape, idx, spec = cache
-    pt, ph, pw = spec.window
-    n, c, t, h, w = x_shape
-    to, ho, wo = idx.shape[2:]
-    flat = np.zeros((n, c, to, ho, wo, pt * ph * pw), dtype=grad_y.dtype)
-    np.put_along_axis(flat, idx[..., None], grad_y[..., None], axis=-1)
-    tiles = flat.reshape(n, c, to, ho, wo, pt, ph, pw).transpose(0, 1, 2, 5, 3, 6, 4, 7)
-    gx_pad = tiles.reshape(n, c, to * pt, ho * ph, wo * pw)
+    _, _, t, h, w = x_shape
+    gx_pad = np.empty(xp_shape, dtype=grad_y.dtype)
+    for k, v in enumerate(_window_views(gx_pad, spec.window)):
+        np.multiply(grad_y, idx == k, out=v)
     return np.ascontiguousarray(gx_pad[:, :, :t, :h, :w])
 
 

@@ -18,4 +18,5 @@ class ContractError(RuntimeError):
 
 
 class DivergenceError(RuntimeError):
-    """Training produced a non-finite loss and was aborted."""
+    """A model produced non-finite numbers: a training loss (training is
+    aborted) or an inference output (prediction or feature extraction)."""

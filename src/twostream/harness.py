@@ -117,18 +117,30 @@ def _video_clip_table(dataset: Dataset, indices, clip_len=16):
     return np.stack(clips), np.asarray(owners), dataset.labels(indices)
 
 
-def _batched_probs(model, inputs, chunk=64):
-    if model.stream == "skeleton":
-        probs = []
-        n = inputs.data.shape[0]
-        for s in range(0, n, chunk):
+def _chunked(model, fn, inputs, chunk):
+    """fn over consecutive chunks of at most `chunk` rows of inputs (a
+    SequenceBatch or a clip array [n,c,t,h,w]), the outputs concatenated.
+    Raises DivergenceError naming the model if a chunk's output is not finite."""
+    skeleton = isinstance(inputs, SequenceBatch)
+    n = inputs.n if skeleton else inputs.shape[0]
+    rows = []
+    for s in range(0, n, chunk):
+        if skeleton:
             sub = SequenceBatch(inputs.data[s : s + chunk], inputs.lengths[s : s + chunk])
-            probs.append(model.predict_probs(sub))
-        return np.concatenate(probs, axis=0)
-    probs = []
-    for s in range(0, inputs.shape[0], chunk):
-        probs.append(model.predict_probs(inputs[s : s + chunk]))
-    return np.concatenate(probs, axis=0)
+        else:
+            sub = inputs[s : s + chunk]
+        out = fn(sub)
+        if not np.isfinite(out).all():
+            raise DivergenceError(
+                f"{model.spec.name}: non-finite inference output "
+                f"in rows {s}..{min(s + chunk, n) - 1}"
+            )
+        rows.append(out)
+    return np.concatenate(rows, axis=0)
+
+
+def _batched_probs(model, inputs, chunk=64):
+    return _chunked(model, model.predict_probs, inputs, chunk)
 
 
 def predict_dataset(model, dataset: Dataset, indices, t_max=None):
@@ -166,18 +178,11 @@ def extract_features(model, dataset: Dataset, indices, tap, t_max=None, chunk=32
             raise ContractError("rnn_fc tap requires the skeleton-stream model")
         t_max = t_max or max(s.skeleton.t_true for s in dataset.samples)
         batch, _ = _skeleton_inputs(dataset, indices, t_max)
-        rows = []
-        for s in range(0, batch.data.shape[0], chunk):
-            sub = SequenceBatch(batch.data[s : s + chunk], batch.lengths[s : s + chunk])
-            rows.append(model.features(sub))
-        return np.concatenate(rows, axis=0)
+        return _chunked(model, model.features, batch, chunk)
     if model.stream != "video":
         raise ContractError("cnn_fc6 tap requires the video-stream model")
     clips, owners, _ = _video_clip_table(dataset, indices, model.clip_len)
-    rows = []
-    for s in range(0, clips.shape[0], chunk):
-        rows.append(model.features(clips[s : s + chunk]))
-    per_clip = np.concatenate(rows, axis=0)
+    per_clip = _chunked(model, model.features, clips, chunk)
     return np.stack([per_clip[owners == pos].mean(axis=0) for pos in range(len(indices))])
 
 

@@ -1,10 +1,22 @@
 import json
+import re
 
+import numpy as np
 import pytest
 
-from twostream import ConfigError, read_tensor
+from twostream import ConfigError, ModelSpec, Rng, build_model, read_tensor
 from twostream.config import default_config, load_config, parse_config
-from twostream.cli import main
+from twostream.cli import _load_run, _write_run, main
+
+
+OUT_OF_RANGE_RULES = {
+    "learning_rate": "> 0",
+    "cnn_learning_rate": "> 0",
+    "svm_c": "> 0",
+    "keep_prob": "in (0, 1]",
+    "cnn_filters": "one or more integers >= 1",
+    "t_max": ">= t_min (30)",
+}
 
 
 class TestConfigParsing:
@@ -41,13 +53,31 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("batch_size", 1), ("cnn_batch_size", 1), ("epochs", 0), ("cnn_epochs", 0), ("eval_every", 0)],
+        [
+            ("batch_size", 1), ("cnn_batch_size", 1), ("epochs", 0), ("cnn_epochs", 0), ("eval_every", 0),
+            ("hidden_dim", 0), ("cnn_fc_dim", 0), ("t_min", 0), ("n_classes", 1), ("t_max", 29),
+            ("learning_rate", 0), ("cnn_learning_rate", 0), ("svm_c", 0), ("keep_prob", 0),
+            ("learning_rate", -0.5), ("svm_c", "nan"), ("keep_prob", 1.5), ("cnn_filters", "8, 0"),
+            ("cnn_filters", ""),
+        ],
     )
     def test_out_of_range_value_rejected_with_line_and_key(self, key, value):
-        # each of these used to train nothing, divide by zero or skip training
-        with pytest.raises(ConfigError, match=f"line 2: bad value for '{key}': must be >="):
+        # each of these used to train nothing, divide by zero, skip training
+        # or fail deep inside a run
+        rule = OUT_OF_RANGE_RULES.get(key, ">=")
+        with pytest.raises(ConfigError, match=re.escape(f"line 2: bad value for '{key}': must be {rule}")):
             parse_config(f"seed = 1\n{key} = {value}\n")
-        assert parse_config(f"{key} = {value + 1}")[key] == value + 1
+        if isinstance(value, int):  # the boundary itself: one step inside is accepted
+            assert parse_config(f"{key} = {value + 1}")[key] == value + 1
+
+    def test_t_max_below_t_min_blames_the_later_line(self):
+        with pytest.raises(ConfigError, match=re.escape("line 2: bad value for 't_max': must be >= t_min (40)")):
+            parse_config("t_min = 40\nt_max = 39\n")
+        with pytest.raises(ConfigError, match=re.escape("line 3: bad value for 't_min': must be <= t_max (39)")):
+            parse_config("t_max = 39\n\nt_min = 40\n")
+        with pytest.raises(ConfigError, match=re.escape("line 1: bad value for 't_min': must be <= t_max (60)")):
+            parse_config("t_min = 61\n")
+        assert parse_config("t_min = 40\nt_max = 40\n")["t_max"] == 40
 
     def test_unknown_ladder_model_rejected(self):
         with pytest.raises(ConfigError, match="unknown ladder model"):
@@ -117,6 +147,20 @@ class TestCli:
         main(["eval", "--run", str(run_dir), "--data", data_dir, "--split", "val"])
         parsed = json.loads(capsys.readouterr().out)
         assert 0.0 <= parsed["test_accuracy"] <= 1.0
+
+    def test_run_round_trips_every_model_spec_field(self, tmp_path):
+        # hidden_fc_dim differs from its default, so a hand copy that drops it
+        # rebuilds a model whose checkpoint no longer fits
+        spec = ModelSpec(name="BI-GRU2-BN-DP-H", input_dim=5, n_classes=3, hidden_dim=4,
+                         hidden_fc_dim=7, keep_prob=0.5, video_shape=(2, 8, 6, 6),
+                         cnn_filters=(3, 4), cnn_fc_dim=9)
+        model = build_model(spec, Rng(0))
+        _write_run(tmp_path, spec, default_config(), model, None)
+        loaded_model, loaded_spec, _ = _load_run(tmp_path)
+        assert loaded_spec == spec
+        assert loaded_model.hidden.W.shape[0] == 7
+        for (name, a), (_, b) in zip(model.param_items(), loaded_model.param_items()):
+            assert np.array_equal(a, b), name
 
     def test_gradcheck_command_passes(self, capsys):
         main(["gradcheck"])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from twostream import (
     ConfigError,
@@ -97,6 +99,41 @@ def naive_maxpool3d(window, x):
                         ]
                         y[s, ci, a, b, d] = block.max()
     return y
+
+
+def naive_maxpool3d_backward(window, x, grad_y):
+    """Each window's upstream gradient goes to its first maximum in (t,h,w)
+    scan order; every other position gets zero."""
+    pt, ph, pw = window
+    n, c, t, h, w = x.shape
+    gx = np.zeros_like(x)
+    for s in range(n):
+        for ci in range(c):
+            for a in range(grad_y.shape[2]):
+                for b in range(grad_y.shape[3]):
+                    for d in range(grad_y.shape[4]):
+                        best = None
+                        for i in range(a * pt, min((a + 1) * pt, t)):
+                            for j in range(b * ph, min((b + 1) * ph, h)):
+                                for k in range(d * pw, min((d + 1) * pw, w)):
+                                    if best is None or x[s, ci, i, j, k] > x[s, ci][best]:
+                                        best = (i, j, k)
+                        gx[s, ci][best] = grad_y[s, ci, a, b, d]
+    return gx
+
+
+@st.composite
+def pool_cases(draw):
+    """A window of 1-3 per axis, extents that often leave -inf padding, and
+    inputs from a few levels (ReLU zeros among them) so that ties are common."""
+    window = tuple(draw(st.integers(1, 3)) for _ in range(3))
+    extents = tuple(draw(st.integers(1, 7)) for _ in range(3))
+    shape = (draw(st.integers(1, 2)), draw(st.integers(1, 2))) + extents
+    levels = st.sampled_from([0.0, 0.0, 0.5, 1.0, -1.5])
+    x = draw(arrays(np.float64, shape, elements=levels))
+    pooled = tuple(-(-e // wd) for e, wd in zip(extents, window))
+    grad_y = draw(arrays(np.float64, shape[:2] + pooled, elements=st.integers(-4, 4).map(float)))
+    return window, x, grad_y
 
 
 class TestConv3dForward:
@@ -204,6 +241,31 @@ class TestConv3dBackward:
         assert max_rel_err([gk, gb, gx], numeric) <= 1e-4
 
 
+class TestConv3dBatchInvariance:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_batch_equals_per_sample_calls(self, seed):
+        rng = Rng(4000 + seed)
+        f, c = (int(rng.integers(1, 5)) for _ in range(2))
+        kt, kh, kw = (int(rng.integers(1, 4)) for _ in range(3))
+        pad = tuple(int(rng.integers(0, 2)) for _ in range(3))
+        t, h, w = (int(rng.integers(v, v + 5)) for v in (kt, kh, kw))
+        p = Conv3dParams(kernels=rng.normal(size=(f, c, kt, kh, kw)), bias=rng.normal(size=f), padding=pad)
+        x = rng.normal(size=(int(rng.integers(2, 6)), c, t, h, w))
+        y, cache = conv3d_forward(p, x)
+        gy = rng.normal(size=y.shape)
+        gk, gb, gx = conv3d_backward(cache, gy)
+        singles = []
+        for s in range(x.shape[0]):
+            ys, cs = conv3d_forward(p, x[s : s + 1])
+            singles.append((ys,) + conv3d_backward(cs, gy[s : s + 1]))
+        ys, gks, gbs, gxs = zip(*singles)
+        assert np.array_equal(y, np.concatenate(ys))
+        assert np.array_equal(gx, np.concatenate(gxs))
+        for got, parts in ((gk, gks), (gb, gbs)):
+            ref = np.sum(parts, axis=0)
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 class TestMaxPool3d:
     def test_constant_input_routes_gradient_to_first_window_slot(self):
         spec = Pool3dSpec((2, 2, 2))
@@ -228,6 +290,14 @@ class TestMaxPool3d:
         x = rng.normal(size=(2, 2, t, h, w))
         y, _ = maxpool3d(Pool3dSpec(window), x)
         assert np.array_equal(y, naive_maxpool3d(window, x))
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(pool_cases())
+    def test_ties_and_padding_route_to_first_maximum(self, case):
+        window, x, grad_y = case
+        y, cache = maxpool3d(Pool3dSpec(window), x)
+        assert np.array_equal(y, naive_maxpool3d(window, x))
+        assert np.array_equal(maxpool3d_backward(cache, grad_y), naive_maxpool3d_backward(window, x, grad_y))
 
     def test_gradients_match_finite_differences(self):
         rng = Rng(31)

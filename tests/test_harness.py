@@ -23,6 +23,7 @@ from twostream.harness import (
     RunResult,
     check_gradients,
     emit_confusion,
+    predict_dataset,
     run_ladder,
     steps_to_threshold,
     train_variant,
@@ -186,6 +187,18 @@ class TestEvaluateAndExtract:
         a = clip_average(probs)
         b = clip_average(probs[::-1])
         assert np.allclose(a.probs, b.probs, atol=1e-15)
+
+    @pytest.mark.parametrize("name, tap", [("BI-GRU2-BN-DP-H", "rnn_fc"), ("C3D-DESK", "cnn_fc6")])
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_non_finite_inference_raises_divergence_naming_the_model(self, tiny, name, tap):
+        dataset, splits = tiny
+        model = build_model(_tiny_model_spec(name, dataset), Rng(8))
+        for _, a in model.param_items():
+            a[...] = np.nan
+        with pytest.raises(DivergenceError, match=f"{name}: non-finite inference output in rows 0"):
+            predict_dataset(model, dataset, splits.val)
+        with pytest.raises(DivergenceError, match=f"{name}: non-finite inference output in rows 0"):
+            extract_features(model, dataset, splits.val, tap)
 
     def test_wrong_tap_rejected(self, tiny):
         dataset, splits = tiny

@@ -9,14 +9,9 @@ from .tensor import (
     Rng,
     Tensor,
     concat_last,
-    elementwise,
     l2_normalize,
-    matmul,
-    relu,
-    set_default_dtype,
     sigmoid,
     softmax,
-    tanh,
 )
 from .errors import (
     ConfigError,
@@ -36,7 +31,6 @@ from .recurrent import (
     RnnCell,
     RnnCellParams,
     SequenceBatch,
-    bidirectional,
     gru_cell_forward,
     init_gru_cell,
     init_lstm_cell,

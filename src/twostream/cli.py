@@ -10,37 +10,21 @@ import os
 import sys
 
 from .tensor import Rng
+from .errors import DataError
 from .fileio import write_tensor
 from .config import default_config, load_config
-from .data import Dataset, SplitSpec, SynthConfig, generate_synthetic, make_splits
-from .models import ModelSpec, build_model, load_model, save_model
+from .data import Dataset, SynthConfig, generate_synthetic
+from .models import ModelSpec, load_model, save_model
 from . import harness
 
 
 def _dataset_config(cfg) -> SynthConfig:
-    return SynthConfig(
-        n_classes=cfg["n_classes"],
-        samples_per_class=cfg["samples_per_class"],
-        t_min=cfg["t_min"],
-        t_max=cfg["t_max"],
-        joints=cfg["joints"],
-        video_shape=cfg["video_shape"],
-        n_subjects=cfg["n_subjects"],
-        n_views=cfg["n_views"],
-        skeleton_noise=cfg["skeleton_noise"],
-        video_noise=cfg["video_noise"],
-        shared_skeleton_pairs=cfg["shared_skeleton_pairs"],
-        shared_video_pairs=cfg["shared_video_pairs"],
-        xor_pair=cfg["xor_pair"],
-    )
+    keys = {f.name for f in dataclasses.fields(SynthConfig)} & cfg.keys()
+    return SynthConfig(**{k: cfg[k] for k in keys})
 
 
 def _load_cfg(path):
     return load_config(path) if path else default_config()
-
-
-def _splits_for(cfg, dataset):
-    return make_splits(dataset, SplitSpec(cfg["split_mode"]), Rng(cfg["seed"]).derive(7))
 
 
 def _write_run(out_dir, spec: ModelSpec, cfg, model, result):
@@ -64,8 +48,12 @@ def _write_run(out_dir, spec: ModelSpec, cfg, model, result):
 
 
 def _load_run(run_dir):
-    with open(os.path.join(run_dir, "run.json")) as fh:
+    path = os.path.join(run_dir, "run.json")
+    with open(path) as fh:
         run = json.load(fh)
+    unknown = sorted(set(run["model_spec"]) - {f.name for f in dataclasses.fields(ModelSpec)})
+    if unknown:
+        raise DataError(f"{path}: unknown model_spec key(s) {unknown}")
     spec = ModelSpec(**{k: tuple(v) if isinstance(v, list) else v for k, v in run["model_spec"].items()})
     model = load_model(spec, os.path.join(run_dir, "model.ckpt"))
     cfg = run["config"]
@@ -85,18 +73,16 @@ def cmd_gen_data(args):
 def cmd_train(args):
     cfg = _load_cfg(args.config)
     dataset = Dataset.load(args.data)
-    splits = _splits_for(cfg, dataset)
-    spec = harness.model_spec_for(args.model, cfg, dataset)
-    model = build_model(spec, Rng(cfg["seed"]).derive(1000 + list(harness.LADDER_VARIANTS).index(args.model)))
-    result = harness.train(model, dataset, splits, harness.train_config_for(args.model, cfg))
-    _write_run(args.out, spec, cfg, model, result)
+    splits = harness.splits_for(cfg, dataset)
+    model, result = harness.train_variant(args.model, dataset, splits, cfg)
+    _write_run(args.out, model.spec, cfg, model, result)
     print(f"{args.model}: test accuracy {result.test_accuracy:.4f} -> {args.out}")
 
 
 def cmd_extract(args):
     model, _, cfg = _load_run(args.run)
     dataset = Dataset.load(args.data)
-    splits = _splits_for(cfg, dataset)
+    splits = harness.splits_for(cfg, dataset)
     indices = getattr(splits, args.split)
     feats = harness.extract_features(model, dataset, indices, args.tap)
     write_tensor(args.out, feats)
@@ -106,7 +92,7 @@ def cmd_extract(args):
 def cmd_eval(args):
     model, spec, cfg = _load_run(args.run)
     dataset = Dataset.load(args.data)
-    splits = _splits_for(cfg, dataset)
+    splits = harness.splits_for(cfg, dataset)
     indices = getattr(splits, args.split)
     result = harness.evaluate(model, dataset, indices)
     print(json.dumps(result.canonical_dict(), sort_keys=True, indent=2))
@@ -116,7 +102,7 @@ def cmd_fuse_decision(args):
     rnn_model, _, cfg = _load_run(args.run_rnn)
     cnn_model, _, _ = _load_run(args.run_cnn)
     dataset = Dataset.load(args.data)
-    splits = _splits_for(cfg, dataset)
+    splits = harness.splits_for(cfg, dataset)
     out = harness.run_decision_fusion(rnn_model, cnn_model, dataset, splits)
     _emit_fusion(out, args.out)
 
@@ -125,7 +111,7 @@ def cmd_fuse_feature(args):
     rnn_model, _, cfg = _load_run(args.run_rnn)
     cnn_model, _, _ = _load_run(args.run_cnn)
     dataset = Dataset.load(args.data)
-    splits = _splits_for(cfg, dataset)
+    splits = harness.splits_for(cfg, dataset)
     svm_c = args.svm_c if args.svm_c is not None else cfg["svm_c"]
     out = harness.run_feature_fusion(rnn_model, cnn_model, dataset, splits, svm_c)
     _emit_fusion(out, args.out)

@@ -53,6 +53,9 @@ def _ints(text):
 
 
 _positive_float = _checked(float, lambda v: v > 0, "> 0")
+_nonnegative_float = _checked(float, lambda v: v >= 0, ">= 0")
+_decay = _checked(float, lambda v: 0 <= v < 1, "in [0, 1)")
+_video_shape = _checked(_shape4, lambda v: min(v) >= 1, "CxTxHxW with every extent >= 1")
 _keep_prob = _checked(float, lambda v: 0 < v <= 1, "in (0, 1]")
 _filter_counts = _checked(_ints, lambda v: len(v) > 0 and min(v) >= 1, "one or more integers >= 1")
 
@@ -79,15 +82,15 @@ SCHEMA = {
     "split_mode": (str, "cross_subject"),
     # synthetic data
     "n_classes": (_int_at_least(2), 6),
-    "samples_per_class": (int, 90),
+    "samples_per_class": (_int_at_least(1), 90),
     "t_min": (_int_at_least(1), 30),
     "t_max": (int, 60),
-    "joints": (int, 8),
-    "n_subjects": (int, 20),
-    "n_views": (int, 3),
-    "skeleton_noise": (float, 0.05),
-    "video_noise": (float, 0.05),
-    "video_shape": (_shape4, (3, 16, 16, 16)),
+    "joints": (_int_at_least(1), 8),
+    "n_subjects": (_int_at_least(2), 20),
+    "n_views": (_int_at_least(1), 3),
+    "skeleton_noise": (_nonnegative_float, 0.05),
+    "video_noise": (_nonnegative_float, 0.05),
+    "video_shape": (_video_shape, (3, 16, 16, 16)),
     # class pairs whose skeleton / video signatures coincide by construction
     "shared_skeleton_pairs": (_pairs, ((0, 1),)),
     "shared_video_pairs": (_pairs, ((2, 3),)),
@@ -98,7 +101,7 @@ SCHEMA = {
     "epochs": (_int_at_least(1), 60),
     "batch_size": (_int_at_least(2), 16),
     "learning_rate": (_positive_float, 0.001),
-    "decay": (float, 0.9),
+    "decay": (_decay, 0.9),
     "keep_prob": (_keep_prob, 0.75),
     "eval_every": (_int_at_least(1), 1),
     # convolutional-stream training

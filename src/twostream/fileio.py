@@ -31,7 +31,7 @@ def _tsr1_header(array: np.ndarray) -> bytes:
 
 def write_tensor_to(fh, array: np.ndarray) -> int:
     """Write one TSR1 record to an open binary file; returns bytes written."""
-    array = np.ascontiguousarray(array)
+    array = np.asarray(array, order="C")  # ascontiguousarray would make a 0-d array 1-d
     header = _tsr1_header(array)
     payload = array.astype(array.dtype.newbyteorder("<"), copy=False).tobytes(order="C")
     fh.write(header)
@@ -86,7 +86,7 @@ def write_checkpoint(path, named_tensors) -> None:
         if not name or any(c.isspace() for c in name):
             raise DataError(f"checkpoint names must be non-empty and whitespace-free: {name!r}")
         buf = io.BytesIO()
-        write_tensor_to(buf, np.ascontiguousarray(array))
+        write_tensor_to(buf, array)
         blob = buf.getvalue()
         manifest.append(f"{name} {offset}\n")
         records.append(blob)

@@ -51,8 +51,6 @@ class TrainConfig:
     optimizer: str = "rmsprop"  # or "sgd_halving"
     learning_rate: float = 0.001
     decay: float = 0.9
-    momentum: float = 0.0
-    sgd_patience: int = 3
     eval_every: int = 1
     seed: int = 0
 
@@ -193,11 +191,9 @@ def train(model, dataset: Dataset, splits: Splits, cfg: TrainConfig) -> RunResul
     dropout_rng = Rng(cfg.seed).derive(202)
     params = dict(model.param_items())
     if cfg.optimizer == "rmsprop":
-        state = RmspropState(
-            learning_rate=cfg.learning_rate, decay=cfg.decay, momentum=cfg.momentum
-        )
+        state = RmspropState(learning_rate=cfg.learning_rate, decay=cfg.decay)
     elif cfg.optimizer == "sgd_halving":
-        state = SgdHalvingState(learning_rate=cfg.learning_rate, patience=cfg.sgd_patience)
+        state = SgdHalvingState(learning_rate=cfg.learning_rate)
     else:
         raise ConfigError(f"unknown optimizer {cfg.optimizer!r}")
 
@@ -608,12 +604,18 @@ def train_variant(model_name, dataset: Dataset, splits: Splits, cfg: dict, seed=
     return model, result
 
 
+def splits_for(cfg: dict, dataset: Dataset) -> Splits:
+    """The train/val/test split a config selects; its rng is derived from the
+    config seed, so every command that reads one dataset agrees on it."""
+    return make_splits(dataset, SplitSpec(cfg["split_mode"]), Rng(cfg["seed"]).derive(7))
+
+
 def run_ladder(dataset: Dataset, cfg: dict, out_dir=None):
     """Train every configured ladder variant on one split, then add the two
     fusion rows when both streams are present. Returns (results, timing,
     models, splits); results are canonical dicts, timing stays separate so the
     results file is bit-stable across reruns."""
-    splits = make_splits(dataset, SplitSpec(cfg["split_mode"]), Rng(cfg["seed"]).derive(7))
+    splits = splits_for(cfg, dataset)
     results, timing, trained = {}, {}, {}
     for name in cfg["ladder_models"]:
         model, res = train_variant(name, dataset, splits, cfg)

@@ -248,10 +248,10 @@ def save_model(model, path):
     fileio.write_checkpoint(path, model.param_items() + model.state_items())
 
 
-def load_model(spec: ModelSpec, path, rng=None):
+def load_model(spec: ModelSpec, path):
     """Rebuild a model from its spec and checkpoint. The throwaway init uses a
     fixed seed; every stored array then overwrites it in place."""
-    model = build_model(spec, rng or Rng(0))
+    model = build_model(spec, Rng(0))
     stored = fileio.read_checkpoint(path)
     expected = dict(model.param_items() + model.state_items())
     missing = [k for k in expected if k not in stored]
@@ -259,6 +259,11 @@ def load_model(spec: ModelSpec, path, rng=None):
     if missing or extra:
         raise ConfigError(f"checkpoint mismatch: missing={missing} unexpected={extra}")
     for name, array in expected.items():
+        if stored[name].shape != array.shape:
+            raise ConfigError(
+                f"checkpoint mismatch: {name!r} is {stored[name].shape} in {path}, "
+                f"the model expects {array.shape}"
+            )
         array[...] = stored[name]
     if getattr(model, "bn", None) is not None:
         model.bn.stats_seeded = True  # checkpointed stats are live, never re-seed

@@ -16,21 +16,18 @@ from .errors import DimensionError
 @dataclass
 class RmspropState:
     """Squared-gradient accumulators plus hyperparameters (defaults: learning
-    rate 0.001, decay 0.9, momentum 0)."""
+    rate 0.001, decay 0.9)."""
 
     learning_rate: float = 0.001
     decay: float = 0.9
-    momentum: float = 0.0
     epsilon: float = 1e-8  # inside the root; unrelated to batchnorm's epsilon
     acc: dict = field(default_factory=dict)
-    vel: dict = field(default_factory=dict)
 
 
 def rmsprop_step(state: RmspropState, params: dict, grads: dict) -> dict:
     """acc <- decay*acc + (1-decay)*g^2 ; p <- p - lr * g / sqrt(acc + eps).
 
-    With nonzero momentum the scaled step accumulates into a velocity buffer
-    first. Updates params in place and returns them.
+    Updates params in place and returns them.
     """
     for name, p in params.items():
         g = grads[name]
@@ -41,15 +38,7 @@ def rmsprop_step(state: RmspropState, params: dict, grads: dict) -> dict:
             acc = state.acc[name] = np.zeros_like(p)
         acc *= state.decay
         acc += (1.0 - state.decay) * g * g
-        step = state.learning_rate * g / np.sqrt(acc + state.epsilon)
-        if state.momentum != 0.0:
-            vel = state.vel.get(name)
-            if vel is None:
-                vel = state.vel[name] = np.zeros_like(p)
-            vel *= state.momentum
-            vel += step
-            step = vel
-        p -= step
+        p -= state.learning_rate * g / np.sqrt(acc + state.epsilon)
     return params
 
 

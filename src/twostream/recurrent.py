@@ -517,32 +517,6 @@ def unroll_backward(cell, cache, grad_outputs=None, grad_last=None):
     return weights + biases, grad_x.transpose(1, 0, 2)
 
 
-def bidirectional(cell_fwd, cell_bwd, batch: SequenceBatch):
-    """Run both directions and concatenate: forward features in columns [0,d),
-    backward in [d,2d). Returns (outputs [n×T×2d], last_valid [n×2d], cache)."""
-    if cell_fwd.hidden_dim != cell_bwd.hidden_dim:
-        raise DimensionError(
-            f"direction widths differ: {cell_fwd.hidden_dim} vs {cell_bwd.hidden_dim}"
-        )
-    out_f, last_f, cache_f = unroll(cell_fwd, batch, "forward")
-    out_b, last_b, cache_b = unroll(cell_bwd, batch, "backward")
-    outputs = np.concatenate([out_f, out_b], axis=2)
-    last = np.concatenate([last_f, last_b], axis=1)
-    return outputs, last, (cache_f, cache_b, cell_fwd.hidden_dim)
-
-
-def bidirectional_backward(cell_fwd, cell_bwd, cache, grad_outputs=None, grad_last=None):
-    cache_f, cache_b, d = cache
-    go_f = go_b = gl_f = gl_b = None
-    if grad_outputs is not None:
-        go_f, go_b = grad_outputs[:, :, :d], grad_outputs[:, :, d:]
-    if grad_last is not None:
-        gl_f, gl_b = grad_last[:, :d], grad_last[:, d:]
-    grads_f, gx_f = unroll_backward(cell_fwd, cache_f, go_f, gl_f)
-    grads_b, gx_b = unroll_backward(cell_bwd, cache_b, go_b, gl_b)
-    return grads_f, grads_b, gx_f + gx_b
-
-
 class RecurrentLayer:
     """A single-direction recurrent layer usable inside a stack."""
 
@@ -574,7 +548,9 @@ class BidirectionalLayer:
 
     def __init__(self, cell_fwd, cell_bwd):
         if cell_fwd.hidden_dim != cell_bwd.hidden_dim:
-            raise DimensionError("bidirectional halves must agree on hidden_dim")
+            raise DimensionError(
+                f"direction widths differ: {cell_fwd.hidden_dim} vs {cell_bwd.hidden_dim}"
+            )
         self.cell_fwd = cell_fwd
         self.cell_bwd = cell_bwd
 
@@ -592,13 +568,25 @@ class BidirectionalLayer:
         return items
 
     def forward(self, batch):
-        return bidirectional(self.cell_fwd, self.cell_bwd, batch)
+        """Forward features in columns [0,d), backward in [d,2d). Returns
+        (outputs [n×T×2d], last_valid [n×2d], cache)."""
+        out_f, last_f, cache_f = unroll(self.cell_fwd, batch, "forward")
+        out_b, last_b, cache_b = unroll(self.cell_bwd, batch, "backward")
+        outputs = np.concatenate([out_f, out_b], axis=2)
+        last = np.concatenate([last_f, last_b], axis=1)
+        return outputs, last, (cache_f, cache_b)
 
     def backward(self, cache, grad_outputs=None, grad_last=None):
-        grads_f, grads_b, grad_x = bidirectional_backward(
-            self.cell_fwd, self.cell_bwd, cache, grad_outputs, grad_last
-        )
-        return grad_x, grads_f + grads_b
+        cache_f, cache_b = cache
+        d = self.cell_fwd.hidden_dim
+        go_f = go_b = gl_f = gl_b = None
+        if grad_outputs is not None:
+            go_f, go_b = grad_outputs[:, :, :d], grad_outputs[:, :, d:]
+        if grad_last is not None:
+            gl_f, gl_b = grad_last[:, :d], grad_last[:, d:]
+        grads_f, gx_f = unroll_backward(self.cell_fwd, cache_f, go_f, gl_f)
+        grads_b, gx_b = unroll_backward(self.cell_bwd, cache_b, go_b, gl_b)
+        return gx_f + gx_b, grads_f + grads_b
 
 
 def stack(layers, batch: SequenceBatch):

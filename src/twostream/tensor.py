@@ -1,9 +1,8 @@
-"""Dense float arrays, the small numeric kernel every layer builds on, and a
-seeded portable random source.
+"""The array type, the few numeric functions shared across layers (sigmoid,
+softmax, feature concatenation and L2 normalization), and a seeded portable
+random source.
 
-Arrays are plain numpy ndarrays in row-major (C) order. Everything defaults to
-float64; a global switch to float32 exists for speed runs only, numeric tests
-always run at 64-bit.
+Arrays are plain numpy ndarrays in row-major (C) order, always float64.
 """
 
 from __future__ import annotations
@@ -15,29 +14,10 @@ from .errors import DimensionError
 # The universal value type for activations, weights and gradients.
 Tensor = np.ndarray
 
-_DTYPE_NAMES = {"f32": np.float32, "f64": np.float64}
-_default_dtype = np.float64
-
-
-def set_default_dtype(name: str) -> None:
-    """Select the global float precision: 'f64' (default) or 'f32' (speed runs)."""
-    global _default_dtype
-    if name not in _DTYPE_NAMES:
-        raise ValueError(f"unknown dtype name {name!r}, expected one of {sorted(_DTYPE_NAMES)}")
-    _default_dtype = _DTYPE_NAMES[name]
-
 
 def default_dtype():
-    return _default_dtype
-
-
-def as_tensor(values, dtype=None) -> Tensor:
-    """Coerce to a C-contiguous float array at the given (or global) precision."""
-    return np.ascontiguousarray(values, dtype=dtype or _default_dtype)
-
-
-def zeros(shape, dtype=None) -> Tensor:
-    return np.zeros(shape, dtype=dtype or _default_dtype)
+    """The float type of every activation, weight and gradient: float64."""
+    return np.float64
 
 
 class Rng:
@@ -62,11 +42,11 @@ class Rng:
 
     def uniform(self, low=0.0, high=1.0, size=None):
         out = self._gen.uniform(low, high, size)
-        return float(out) if size is None else out.astype(_default_dtype, copy=False)
+        return float(out) if size is None else out
 
     def normal(self, loc=0.0, scale=1.0, size=None):
         out = self._gen.normal(loc, scale, size)
-        return float(out) if size is None else out.astype(_default_dtype, copy=False)
+        return float(out) if size is None else out
 
     def integers(self, low, high=None, size=None):
         return self._gen.integers(low, high, size)
@@ -75,49 +55,12 @@ class Rng:
         return self._gen.permutation(n)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of a [m×k] and b [k×n]. No broadcasting; 2-D only."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul shapes do not chain: {a.shape} x {b.shape}")
-    return a @ b
-
-
 def sigmoid(x: Tensor) -> Tensor:
     # 1/(1+e^-x) == (1 + tanh(x/2)) / 2: tanh never overflows, so no sign split.
     out = np.tanh(np.multiply(x, 0.5))
     out += 1.0
     out *= 0.5
     return out
-
-
-def tanh(x: Tensor) -> Tensor:
-    return np.tanh(x)
-
-
-def relu(x: Tensor) -> Tensor:
-    return np.maximum(x, 0.0)
-
-
-_UNARY = {"sigmoid": sigmoid, "tanh": tanh, "relu": relu}
-_BINARY = {"multiply": np.multiply, "add": np.add}
-
-
-def elementwise(op: str, *args: Tensor) -> Tensor:
-    """Apply a named elementwise op. Multi-arg ops require identical shapes."""
-    if op in _UNARY:
-        if len(args) != 1:
-            raise DimensionError(f"{op} takes exactly one argument, got {len(args)}")
-        return _UNARY[op](np.asarray(args[0]))
-    if op in _BINARY:
-        if len(args) != 2:
-            raise DimensionError(f"{op} takes exactly two arguments, got {len(args)}")
-        a, b = (np.asarray(v) for v in args)
-        if a.shape != b.shape:
-            raise DimensionError(f"{op} shapes differ: {a.shape} vs {b.shape}")
-        return _BINARY[op](a, b)
-    raise ValueError(f"unknown elementwise op {op!r}")
 
 
 def softmax(logits: Tensor) -> Tensor:
@@ -142,7 +85,7 @@ def concat_last(a: Tensor, b: Tensor) -> Tensor:
 
 def l2_normalize(v: Tensor) -> Tensor:
     """Divide each row by its Euclidean norm; all-zero rows pass through unchanged."""
-    v = np.asarray(v, dtype=_default_dtype)
+    v = np.asarray(v, dtype=np.float64)
     norms = np.sqrt((v * v).sum(axis=-1, keepdims=True))
     safe = np.where(norms == 0.0, 1.0, norms)
     return v / safe

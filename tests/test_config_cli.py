@@ -1,11 +1,26 @@
+import dataclasses
 import json
 import re
 
 import numpy as np
 import pytest
 
-from twostream import ConfigError, ModelSpec, Rng, build_model, read_tensor
-from twostream.config import default_config, load_config, parse_config
+from twostream import (
+    ConfigError,
+    DataError,
+    Dataset,
+    ModelSpec,
+    Rng,
+    SplitSpec,
+    SynthConfig,
+    build_model,
+    generate_synthetic,
+    make_splits,
+    read_tensor,
+    save_model,
+)
+from twostream import harness
+from twostream.config import SCHEMA, default_config, load_config, parse_config
 from twostream.cli import _load_run, _write_run, main
 
 
@@ -16,6 +31,10 @@ OUT_OF_RANGE_RULES = {
     "keep_prob": "in (0, 1]",
     "cnn_filters": "one or more integers >= 1",
     "t_max": ">= t_min (30)",
+    "skeleton_noise": ">= 0",
+    "video_noise": ">= 0",
+    "decay": "in [0, 1)",
+    "video_shape": "CxTxHxW with every extent >= 1",
 }
 
 
@@ -58,7 +77,9 @@ class TestConfigParsing:
             ("hidden_dim", 0), ("cnn_fc_dim", 0), ("t_min", 0), ("n_classes", 1), ("t_max", 29),
             ("learning_rate", 0), ("cnn_learning_rate", 0), ("svm_c", 0), ("keep_prob", 0),
             ("learning_rate", -0.5), ("svm_c", "nan"), ("keep_prob", 1.5), ("cnn_filters", "8, 0"),
-            ("cnn_filters", ""),
+            ("cnn_filters", ""), ("samples_per_class", 0), ("joints", 0), ("n_subjects", 1),
+            ("n_views", 0), ("skeleton_noise", -0.01), ("video_noise", -0.01), ("decay", 1.0),
+            ("decay", -0.1), ("video_shape", "3x16x0x16"),
         ],
     )
     def test_out_of_range_value_rejected_with_line_and_key(self, key, value):
@@ -111,6 +132,29 @@ ladder_models = RNN1, LSTM1-BN
 """
 
 
+# every SynthConfig-backed key away from its default
+GEN_DATA_CFG = """
+seed = 11
+n_classes = 4
+samples_per_class = 3
+t_min = 5
+t_max = 9
+joints = 3
+n_subjects = 3
+n_views = 2
+skeleton_noise = 0.07
+video_noise = 0.02
+video_shape = 2x4x5x6
+shared_skeleton_pairs = 2-3
+shared_video_pairs = 0-1
+xor_pair = 0-1
+"""
+
+
+def _dir_bytes(path):
+    return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+
+
 @pytest.fixture(scope="module")
 def cfg_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("cfg") / "tiny.cfg"
@@ -127,8 +171,6 @@ def data_dir(tmp_path_factory, cfg_file):
 
 class TestCli:
     def test_gen_data_writes_manifest_and_tensors(self, data_dir, capsys):
-        from twostream import Dataset
-
         dataset = Dataset.load(data_dir)
         assert len(dataset) == 36
         assert dataset.n_classes == 3
@@ -161,6 +203,43 @@ class TestCli:
         assert loaded_model.hidden.W.shape[0] == 7
         for (name, a), (_, b) in zip(model.param_items(), loaded_model.param_items()):
             assert np.array_equal(a, b), name
+
+    def test_unknown_model_spec_key_names_file_and_key(self, tmp_path):
+        spec = ModelSpec(name="RNN1", input_dim=5, n_classes=3, hidden_dim=4)
+        _write_run(tmp_path, spec, default_config(), build_model(spec, Rng(0)), None)
+        run_json = tmp_path / "run.json"
+        run = json.loads(run_json.read_text())
+        run["model_spec"]["hidden_units"] = 4
+        run_json.write_text(json.dumps(run))
+        with pytest.raises(DataError, match=re.escape(f"{run_json}: unknown model_spec key(s) ['hidden_units']")):
+            _load_run(tmp_path)
+
+    def test_gen_data_equals_generate_synthetic(self, tmp_path, capsys):
+        synth_keys = {f.name for f in dataclasses.fields(SynthConfig)} & SCHEMA.keys()
+        cfg = parse_config(GEN_DATA_CFG)
+        assert [k for k in synth_keys if cfg[k] == default_config()[k]] == []
+        cfg_path = tmp_path / "gen.cfg"
+        cfg_path.write_text(GEN_DATA_CFG)
+        main(["gen-data", "--config", str(cfg_path), "--out", str(tmp_path / "cli")])
+        expected = SynthConfig(
+            n_classes=4, samples_per_class=3, t_min=5, t_max=9, joints=3, n_subjects=3,
+            n_views=2, skeleton_noise=0.07, video_noise=0.02, video_shape=(2, 4, 5, 6),
+            shared_skeleton_pairs=((2, 3),), shared_video_pairs=((0, 1),), xor_pair=(0, 1),
+        )
+        generate_synthetic(expected, Rng(11)).save(tmp_path / "direct")
+        assert _dir_bytes(tmp_path / "cli") == _dir_bytes(tmp_path / "direct")
+
+    @pytest.mark.parametrize("model_name", ["BI-GRU2-BN-DP-H", "C3D-DESK"])
+    def test_train_checkpoint_equals_train_variant(self, data_dir, cfg_file, tmp_path, model_name, capsys):
+        run_dir = tmp_path / "run"
+        main(["train", "--config", cfg_file, "--data", data_dir, "--model", model_name, "--out", str(run_dir)])
+        cfg = load_config(cfg_file)
+        dataset = Dataset.load(data_dir)
+        splits = make_splits(dataset, SplitSpec(cfg["split_mode"]), Rng(cfg["seed"]).derive(7))
+        model, result = harness.train_variant(model_name, dataset, splits, cfg)
+        save_model(model, tmp_path / "direct.ckpt")
+        assert (run_dir / "model.ckpt").read_bytes() == (tmp_path / "direct.ckpt").read_bytes()
+        assert json.loads((run_dir / "run.json").read_text())["result"] == json.loads(result.to_json())
 
     def test_gradcheck_command_passes(self, capsys):
         main(["gradcheck"])

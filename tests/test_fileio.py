@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from twostream import DataError, read_checkpoint, read_tensor, write_checkpoint, write_tensor
 
@@ -20,6 +22,44 @@ def test_tensor_roundtrip_f32(tmp_path):
     back = read_tensor(path)
     assert back.dtype == np.float32
     assert np.array_equal(back, original)
+
+
+# ndim 0-5 with zero-size extents, every float value (NaN payloads, infinities,
+# subnormals, -0.0), at both stored precisions
+tensors = st.sampled_from([np.float32, np.float64]).flatmap(
+    lambda dtype: arrays(dtype, array_shapes(min_dims=0, max_dims=5, min_side=0, max_side=4))
+)
+
+
+def _same_tensor(back, original):
+    return (
+        back.dtype == original.dtype
+        and back.shape == original.shape
+        and back.tobytes() == original.tobytes()
+    )
+
+
+@settings(derandomize=True, max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(tensors)
+def test_tensor_roundtrip_any_shape_and_precision(tmp_path, original):
+    path = tmp_path / "a.tsr"
+    write_tensor(path, original)
+    assert _same_tensor(read_tensor(path), original)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(tensors, min_size=0, max_size=4))
+def test_checkpoint_roundtrip_any_shapes_and_precisions(tmp_path, originals):
+    path = tmp_path / "m.ckpt"
+    items = [(f"t{k}.w", a) for k, a in enumerate(originals)]
+    write_checkpoint(path, items)
+    back = read_checkpoint(path)
+    assert list(back) == [name for name, _ in items]
+    for name, original in items:
+        assert _same_tensor(back[name], original), name
+
 
 def test_header_is_ascii_and_self_describing(tmp_path):
     path = tmp_path / "a.tsr"

@@ -10,6 +10,7 @@ from twostream import (
     build_model,
     load_model,
     save_model,
+    write_checkpoint,
 )
 from twostream.models import ConvClassifier, RecurrentClassifier
 from twostream.recurrent import param_count
@@ -173,3 +174,20 @@ class TestCheckpointRoundtrip:
         save_model(model, path)
         with pytest.raises(ConfigError, match="checkpoint mismatch"):
             load_model(_spec("BI-GRU1-BN-DP"), path)
+
+    @pytest.mark.parametrize(
+        "name, stored_shape",
+        [("out.W", (5, 4)), ("out.b", (1,))],  # (1,) would broadcast into the (4,) bias
+    )
+    def test_wrong_shape_rejected_naming_array_shapes_and_file(self, tmp_path, rng, name, stored_shape):
+        spec = _spec("LSTM1")
+        items = build_model(spec, rng).param_items()
+        model_shape = dict(items)[name].shape
+        path = tmp_path / "m.ckpt"
+        write_checkpoint(path, [(n, np.ones(stored_shape) if n == name else a) for n, a in items])
+        with pytest.raises(ConfigError) as info:
+            load_model(spec, path)
+        message = str(info.value)
+        assert message.startswith("checkpoint mismatch: ")
+        for part in (repr(name), str(stored_shape), str(model_shape), str(path)):
+            assert part in message

@@ -32,7 +32,6 @@ class TestRmsprop:
         state = RmspropState()
         assert state.learning_rate == 0.001
         assert state.decay == 0.9
-        assert state.momentum == 0.0
 
     def test_accumulators_stay_nonnegative(self, rng):
         state = RmspropState(decay=0.5)

@@ -15,7 +15,6 @@ from twostream import (
     RnnCellParams,
     Rng,
     SequenceBatch,
-    bidirectional,
     gru_cell_forward,
     init_gru_cell,
     init_lstm_cell,
@@ -27,7 +26,6 @@ from twostream import (
     unroll,
 )
 from twostream.recurrent import (
-    bidirectional_backward,
     gru_cell_backward,
     lstm_cell_backward,
     rnn_cell_backward,
@@ -369,14 +367,14 @@ class TestBidirectional:
         half = rng.normal(size=(1, 3, 2))
         x = np.concatenate([half, half[:, ::-1, :]], axis=1)  # palindrome, T=6
         batch = SequenceBatch(x, [6])
-        _, last, _ = bidirectional(cell, cell, batch)
+        _, last, _ = BidirectionalLayer(cell, cell).forward(batch)
         assert np.abs(last[:, :3] - last[:, 3:]).max() <= 1e-12
 
     def test_output_width_doubles(self, rng):
         cf = _random_cell("gru", 5, 300, rng)
         cb = _random_cell("gru", 5, 300, rng)
         batch = SequenceBatch(rng.normal(size=(2, 4, 5)), [4, 4])
-        outputs, last, _ = bidirectional(cf, cb, batch)
+        outputs, last, _ = BidirectionalLayer(cf, cb).forward(batch)
         assert outputs.shape == (2, 4, 600)
         assert last.shape == (2, 600)
 
@@ -384,16 +382,12 @@ class TestBidirectional:
         cf = RnnCell(RnnCellParams(W=np.zeros((2, 4)), b=np.zeros(2)))
         cb = RnnCell(RnnCellParams(W=np.zeros((2, 4)), b=np.zeros(2)))
         batch = SequenceBatch(np.random.rand(2, 3, 2), [3, 2])
-        outputs, last, _ = bidirectional(cf, cb, batch)
+        outputs, last, _ = BidirectionalLayer(cf, cb).forward(batch)
         assert not outputs.any() and not last.any()
 
     def test_width_mismatch_rejected(self, rng):
-        with pytest.raises(DimensionError):
-            bidirectional(
-                _random_cell("gru", 2, 3, rng),
-                _random_cell("gru", 2, 4, rng),
-                SequenceBatch(np.zeros((1, 2, 2)), [2]),
-            )
+        with pytest.raises(DimensionError, match="3 vs 4"):
+            BidirectionalLayer(_random_cell("gru", 2, 3, rng), _random_cell("gru", 2, 4, rng))
 
 
 class TestStack:
@@ -496,15 +490,16 @@ class TestBpttGradients:
         lengths = [4, 3]
         x[1, 3:, :] = 0.0
         r_last = rng.normal(size=(2, 6))
+        layer = BidirectionalLayer(cf, cb)
 
         def loss():
-            _, last, _ = bidirectional(cf, cb, SequenceBatch(x, lengths))
+            _, last, _ = layer.forward(SequenceBatch(x, lengths))
             return float((last * r_last).sum())
 
-        _, _, cache = bidirectional(cf, cb, SequenceBatch(x, lengths))
-        gf, gb, gx = bidirectional_backward(cf, cb, cache, None, r_last)
+        _, _, cache = layer.forward(SequenceBatch(x, lengths))
+        gx, pgrads = layer.backward(cache, None, r_last)
         numeric = central_diff(loss, cf.param_arrays() + cb.param_arrays() + [x])
-        assert max_rel_err(gf + gb + [gx], numeric) <= 1e-4
+        assert max_rel_err(pgrads + [gx], numeric) <= 1e-4
 
     def test_stack_gradients_match_finite_differences(self):
         rng = Rng(13)

@@ -7,53 +7,19 @@ from twostream import (
     DimensionError,
     Rng,
     concat_last,
-    elementwise,
     l2_normalize,
-    matmul,
+    sigmoid,
     softmax,
 )
 
 
-class TestMatmul:
-    def test_identity_passthrough(self):
-        eye = np.array([[1.0, 0.0], [0.0, 1.0]])
-        v = np.array([[3.0], [4.0]])
-        assert np.array_equal(matmul(eye, v), v)
-
-    def test_hand_computed_product(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[5.0], [6.0]])
-        assert np.array_equal(matmul(a, b), [[17.0], [39.0]])
-
-    def test_ones_row_times_ones_column_sums(self):
-        a = np.ones((1, 5))
-        b = np.ones((5, 1))
-        assert matmul(a, b)[0, 0] == 5.0
-
-    def test_identity_both_sides_exact(self):
-        a = np.arange(12.0).reshape(3, 4)
-        assert np.array_equal(matmul(np.eye(3), a), a)
-        assert np.array_equal(matmul(a, np.eye(4)), a)
-
-    def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(DimensionError, match=r"\(2, 3\).*\(2, 2\)"):
-            matmul(np.ones((2, 3)), np.ones((2, 2)))
-
-
 class TestElementwise:
     def test_sigmoid_at_zero(self):
-        assert elementwise("sigmoid", np.array([0.0]))[0] == 0.5
-
-    def test_tanh_at_zero(self):
-        assert elementwise("tanh", np.array([0.0]))[0] == 0.0
-
-    def test_relu_definition(self):
-        out = elementwise("relu", np.array([-3.0, 3.0]))
-        assert np.array_equal(out, [0.0, 3.0])
+        assert sigmoid(np.array([0.0]))[0] == 0.5
 
     def test_sigmoid_extreme_inputs_stay_finite(self):
         with np.errstate(all="raise"):
-            out = elementwise("sigmoid", np.array([-1000.0, 1000.0]))
+            out = sigmoid(np.array([-1000.0, 1000.0]))
         assert np.all(np.isfinite(out))
         assert out[0] == pytest.approx(0.0, abs=1e-12)
         assert out[1] == pytest.approx(1.0, abs=1e-12)
@@ -67,20 +33,7 @@ class TestElementwise:
         ref[~pos] = ex / (1.0 + ex)
         # each form is within an ulp of the true value, so they may differ by two
         # ulps of [0.5, 1): one eps
-        assert np.abs(elementwise("sigmoid", x) - ref).max() <= np.finfo(np.float64).eps
-
-    def test_multiply_and_add_require_matching_shapes(self):
-        a, b = np.ones((2, 2)), np.ones((2, 3))
-        with pytest.raises(DimensionError):
-            elementwise("multiply", a, b)
-        with pytest.raises(DimensionError):
-            elementwise("add", a, b)
-
-    def test_binary_ops(self):
-        a = np.array([1.0, 2.0])
-        b = np.array([3.0, 4.0])
-        assert np.array_equal(elementwise("multiply", a, b), [3.0, 8.0])
-        assert np.array_equal(elementwise("add", a, b), [4.0, 6.0])
+        assert np.abs(sigmoid(x) - ref).max() <= np.finfo(np.float64).eps
 
 
 class TestSoftmax:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twostream import (
     BidirectionalLayer,
@@ -226,6 +227,23 @@ def _random_cell(kind, i, d, rng):
     return GruCell(init_gru_cell(i, d, rng))
 
 
+def _random_biased_cell(kind, i, d, rng):
+    """A random cell whose biases are nonzero too, so a bias that leaked into
+    a padded step would move the state there."""
+    cell = _random_cell(kind, i, d, rng)
+    for a in cell.param_arrays():
+        if a.ndim == 1:
+            a += rng.normal(0.0, 0.5, size=a.shape)
+    return cell
+
+
+def _padded_rows_zeroed(x, lengths):
+    x = x.copy()
+    for row, L in enumerate(lengths):
+        x[row, L:, :] = 0.0
+    return x
+
+
 def _reference_step(cell, x_t, state):
     p = cell.params
     if isinstance(cell, LstmCell):
@@ -360,6 +378,43 @@ class TestUnroll:
         assert np.array_equal(gx_a, gx_b[:, :4, :])
         assert not gx_b[:, 4:, :].any()
 
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["rnn", "rnn_sigmoid", "lstm", "gru"]),
+        layout=st.sampled_from(["forward", "backward", "bidirectional"]),
+        lengths=st.lists(st.integers(1, 6), min_size=1, max_size=9),
+        extra=st.integers(0, 40),
+        i=st.sampled_from([3, 32]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_padding_invariance_property(self, kind, layout, lengths, extra, i, seed):
+        rng = Rng(seed)
+        d = 4
+        if layout == "bidirectional":
+            layer = BidirectionalLayer(_random_biased_cell(kind, i, d, rng), _random_biased_cell(kind, i, d, rng))
+        else:
+            layer = RecurrentLayer(_random_biased_cell(kind, i, d, rng), layout)
+        n, T, w = len(lengths), max(lengths), layer.out_dim
+        x = _padded_rows_zeroed(rng.normal(size=(n, T, i)), lengths)
+        x_padded = np.concatenate([x, np.zeros((n, extra, i))], axis=1)
+        out_a, last_a, cache_a = layer.forward(SequenceBatch(x, lengths))
+        out_b, last_b, cache_b = layer.forward(SequenceBatch(x_padded, lengths))
+        assert np.array_equal(out_a, out_b[:, :T])
+        assert np.array_equal(out_a, _padded_rows_zeroed(out_a, lengths))
+        assert not out_b[:, T:].any()
+        assert np.array_equal(last_a, last_b)
+        grad_out = rng.normal(size=(n, T, w))
+        grad_out_padded = np.concatenate([grad_out, rng.normal(size=(n, extra, w))], axis=1)
+        grad_last = rng.normal(size=(n, w))
+        gx_a, grads_a = layer.backward(cache_a, grad_out, grad_last)
+        gx_b, grads_b = layer.backward(cache_b, grad_out_padded, grad_last)
+        assert len(grads_a) == len(grads_b) == len(layer.param_items())
+        for ga, gb in zip(grads_a, grads_b):
+            assert np.array_equal(ga, gb)
+        assert np.array_equal(gx_a, gx_b[:, :T])
+        assert np.array_equal(gx_a, _padded_rows_zeroed(gx_a, lengths))
+        assert not gx_b[:, T:].any()
+
 
 class TestBidirectional:
     def test_palindrome_with_shared_weights_gives_symmetric_last_state(self, rng):
@@ -388,6 +443,29 @@ class TestBidirectional:
     def test_width_mismatch_rejected(self, rng):
         with pytest.raises(DimensionError, match="3 vs 4"):
             BidirectionalLayer(_random_cell("gru", 2, 3, rng), _random_cell("gru", 2, 4, rng))
+
+    @pytest.mark.parametrize("kind", ["rnn", "rnn_sigmoid", "lstm", "gru"])
+    def test_equals_two_single_direction_unrolls(self, kind, rng):
+        n, T, i, d = 6, 9, 32, 16
+        cf, cb = _random_biased_cell(kind, i, d, rng), _random_biased_cell(kind, i, d, rng)
+        lengths = [9, 1, 4, 9, 6, 1]
+        batch = SequenceBatch(_padded_rows_zeroed(rng.normal(size=(n, T, i)), lengths), lengths)
+        r_out = rng.normal(size=(n, T, 2 * d))
+        r_last = rng.normal(size=(n, 2 * d))
+        layer = BidirectionalLayer(cf, cb)
+        out, last, cache = layer.forward(batch)
+        gx, grads = layer.backward(cache, r_out, r_last)
+        out_f, last_f, cache_f = unroll(cf, batch, "forward")
+        out_b, last_b, cache_b = unroll(cb, batch, "backward")
+        grads_f, gx_f = unroll_backward(cf, cache_f, r_out[:, :, :d], r_last[:, :d])
+        grads_b, gx_b = unroll_backward(cb, cache_b, r_out[:, :, d:], r_last[:, d:])
+        assert np.array_equal(out, np.concatenate([out_f, out_b], axis=2))
+        assert np.array_equal(last, np.concatenate([last_f, last_b], axis=1))
+        assert len(grads) == len(grads_f + grads_b)
+        for got, want in zip(grads, grads_f + grads_b):
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+        assert np.array_equal(gx, gx_f + gx_b)
 
 
 class TestStack:

@@ -69,7 +69,10 @@ def _pairs(text):
         sides = chunk.split("-")
         if len(sides) != 2:
             raise ConfigError(f"expected pairs like 0-1, got {chunk!r}")
-        pairs.append((int(sides[0]), int(sides[1])))
+        a, b = int(sides[0]), int(sides[1])
+        if a == b:
+            raise ConfigError(f"a pair needs two different classes, got {chunk!r}")
+        pairs.append((a, b))
     return tuple(pairs)
 
 
@@ -149,21 +152,30 @@ def parse_config(text: str) -> dict:
         parser = SCHEMA[key][0]
         try:
             cfg[key] = parser(value)
-        except ConfigError:
-            raise
-        except ValueError as exc:
+        except ValueError as exc:  # ConfigError included
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
         line_of[key] = lineno
     if cfg["t_max"] < cfg["t_min"]:
-        # blame whichever of the two the text set last
-        if line_of.get("t_max", 0) > line_of.get("t_min", 0):
-            key, rule = "t_max", f">= t_min ({cfg['t_min']})"
-        else:
-            key, rule = "t_min", f"<= t_max ({cfg['t_max']})"
-        raise ConfigError(
-            f"line {line_of[key]}: bad value for {key!r}: must be {rule}, got {cfg[key]}"
+        _reject_later(
+            cfg, line_of, ("t_max", f">= t_min ({cfg['t_min']})"), ("t_min", f"<= t_max ({cfg['t_max']})")
         )
+    # Pairs the text sets must name classes below n_classes. The defaults are
+    # left to SynthConfig.validate, so `n_classes = 2` alone still parses.
+    k = cfg["n_classes"]
+    for key in ("shared_skeleton_pairs", "shared_video_pairs", "xor_pair"):
+        pairs = (cfg[key],) if key == "xor_pair" else cfg[key]
+        top = max((c for pair in pairs if pair is not None for c in pair), default=-1)
+        if key in line_of and top >= k:
+            _reject_later(
+                cfg, line_of, (key, f"classes below n_classes ({k})"), ("n_classes", f"> {top} for {key}")
+            )
     return cfg
+
+
+def _reject_later(cfg, line_of, *keys_and_rules):
+    """Raise for keys that conflict, blaming whichever the text set last."""
+    key, rule = max(keys_and_rules, key=lambda kr: line_of.get(kr[0], 0))
+    raise ConfigError(f"line {line_of[key]}: bad value for {key!r}: must be {rule}, got {cfg[key]}")
 
 
 def load_config(path) -> dict:

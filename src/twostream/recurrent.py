@@ -28,6 +28,13 @@ rows: OpenBLAS can round a row differently when a GEMM's row count changes,
 so projecting padded rows too would let extra padding change the bits of
 real outputs. Restricted to valid pairs, extra padding adds no rows, and
 outputs and gradients stay bit-identical however far a batch is padded.
+
+A bidirectional layer runs both of its cells in that one loop, batching the
+two directions' independent per-step GEMMs as Appleyard et al. do: states
+carry a leading direction axis ([2, n, d]) and the recurrent weight halves
+are stacked [2, d, G], so each step makes one round of small numpy calls for
+both directions instead of two. A one-direction unroll keeps plain [n, d]
+arrays; the step methods are written for either.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, DimensionError
+from .errors import ConfigError, DataError, DimensionError
 from .tensor import Rng, default_dtype, sigmoid
 
 _ACTIVATIONS = ("tanh", "sigmoid")
@@ -260,15 +267,22 @@ class _Cell:
     * `recur(xp_t, wh, state)` runs one step from the projected input row
       xp_t = x_t W_x^T + b (blocks side by side) and the transposed recurrent
       halves wh = [W_h^T per block]. It returns (h_t, new_state, saved).
-    * `local_grads(*saved)` takes each saved array stacked over time and
+    * `local_grads(*saved)` takes each saved array stacked over steps and
       returns every block's recurrent inputs and the step-local derivative
-      factors, all computed in one pass over [T, n, .] arrays.
-    * `recur_backward(factors, t, dstate, wh, dpre)` writes step t's
+      factors, all computed in one pass over the stacked arrays.
+    * `recur_backward(factors, t, dstate, wh_t, dpre)` writes step t's
       pre-activation gradients into `dpre` (blocks side by side) and returns
-      the gradient of the previous state.
+      the gradient of the previous state; wh_t are the transposes of wh.
+    * `rests_at_zero`: a zero state fed a zero projected input stays exactly
+      zero.
+
+    The three methods index only the last axis and broadcast over the ones
+    before it, so the same code runs one direction ([n, .] states, [d, G]
+    weights) or two stacked ([2, n, .] states, [2, d, G] weights).
     """
 
     n_state = 1
+    rests_at_zero = True  # tanh(0) = 0; sigmoid gates multiply zeros
 
     def __init__(self, params):
         self.params = params
@@ -281,8 +295,8 @@ class _Cell:
     def input_dim(self):
         return self.params.input_dim
 
-    def zero_state(self, n):
-        shape = (n, self.hidden_dim)
+    def zero_state(self, *lead):
+        shape = (*lead, self.hidden_dim)
         return tuple(np.zeros(shape, dtype=default_dtype()) for _ in range(self.n_state))
 
     def param_arrays(self):
@@ -295,6 +309,10 @@ class RnnCell(_Cell):
     """Vanilla cell over RnnCellParams. State is the 1-tuple (h,)."""
 
     param_names = ("W", "b")
+
+    @property
+    def rests_at_zero(self):
+        return self.params.activation == "tanh"  # sigmoid(0) = 0.5
 
     def blocks(self):
         return [(self.params.W, self.params.b)]
@@ -309,9 +327,9 @@ class RnnCell(_Cell):
         dact = 1.0 - h * h if self.params.activation == "tanh" else h * (1.0 - h)
         return (h_prev,), (dact,)
 
-    def recur_backward(self, factors, t, dstate, wh, dpre):
+    def recur_backward(self, factors, t, dstate, wh_t, dpre):
         np.multiply(dstate[0], factors[0][t], out=dpre)
-        return (dpre @ wh[0].T,)
+        return (dpre @ wh_t[0],)
 
 
 class LstmCell(_Cell):
@@ -327,9 +345,9 @@ class LstmCell(_Cell):
         h_prev, c_prev = state
         d = self.hidden_dim
         pre = xp_t + h_prev @ wh[0]
-        gates = sigmoid(pre[:, : 3 * d])  # (input, forget, output)
-        gi, gf, go = gates[:, :d], gates[:, d : 2 * d], gates[:, 2 * d :]
-        cand = np.tanh(pre[:, 3 * d :])
+        gates = sigmoid(pre[..., : 3 * d])  # (input, forget, output)
+        gi, gf, go = gates[..., :d], gates[..., d : 2 * d], gates[..., 2 * d :]
+        cand = np.tanh(pre[..., 3 * d :])
         c_t = gf * c_prev + gi * cand
         tc = np.tanh(c_t)
         h_t = go * tc
@@ -351,17 +369,17 @@ class LstmCell(_Cell):
         )
         return (h_prev,), (go * (1.0 - tc * tc), gf, dpre_scale)
 
-    def recur_backward(self, factors, t, dstate, wh, dpre):
+    def recur_backward(self, factors, t, dstate, wh_t, dpre):
         dc_scale, gf, dpre_scale = factors
         dh, dc = dstate
         d = self.hidden_dim
         dct = dc + dh * dc_scale[t]
         s = dpre_scale[t]
-        np.multiply(dct, s[:, :d], out=dpre[:, :d])
-        np.multiply(dct, s[:, d : 2 * d], out=dpre[:, d : 2 * d])
-        np.multiply(dh, s[:, 2 * d : 3 * d], out=dpre[:, 2 * d : 3 * d])
-        np.multiply(dct, s[:, 3 * d :], out=dpre[:, 3 * d :])
-        return dpre @ wh[0].T, dct * gf[t]
+        np.multiply(dct, s[..., :d], out=dpre[..., :d])
+        np.multiply(dct, s[..., d : 2 * d], out=dpre[..., d : 2 * d])
+        np.multiply(dh, s[..., 2 * d : 3 * d], out=dpre[..., 2 * d : 3 * d])
+        np.multiply(dct, s[..., 3 * d :], out=dpre[..., 3 * d :])
+        return dpre @ wh_t[0], dct * gf[t]
 
 
 class GruCell(_Cell):
@@ -377,10 +395,10 @@ class GruCell(_Cell):
     def recur(self, xp_t, wh, state):
         h_prev = state[0]
         d = self.hidden_dim
-        gates = sigmoid(xp_t[:, : 2 * d] + h_prev @ wh[0])
-        z, r = gates[:, :d], gates[:, d:]
+        gates = sigmoid(xp_t[..., : 2 * d] + h_prev @ wh[0])
+        z, r = gates[..., :d], gates[..., d:]
         hr = r * h_prev
-        cand = np.tanh(xp_t[:, 2 * d :] + hr @ wh[1])
+        cand = np.tanh(xp_t[..., 2 * d :] + hr @ wh[1])
         h_t = z * h_prev + (1.0 - z) * cand
         return h_t, (h_t,), (h_prev, hr, gates, cand)
 
@@ -393,16 +411,16 @@ class GruCell(_Cell):
         dr_scale = h_prev * dgates[..., d:]
         return (h_prev, hr), (dcand_scale, dz_scale, dr_scale, z, r)
 
-    def recur_backward(self, factors, t, dstate, wh, dpre):
+    def recur_backward(self, factors, t, dstate, wh_t, dpre):
         dcand_scale, dz_scale, dr_scale, z, r = factors
         dh = dstate[0]
         d = self.hidden_dim
-        dpre_c = dpre[:, 2 * d :]
+        dpre_c = dpre[..., 2 * d :]
         np.multiply(dh, dcand_scale[t], out=dpre_c)
-        dhr = dpre_c @ wh[1].T
-        np.multiply(dh, dz_scale[t], out=dpre[:, :d])
-        np.multiply(dhr, dr_scale[t], out=dpre[:, d : 2 * d])
-        return (dh * z[t] + dhr * r[t] + dpre[:, : 2 * d] @ wh[0].T,)
+        dhr = dpre_c @ wh_t[1]
+        np.multiply(dh, dz_scale[t], out=dpre[..., :d])
+        np.multiply(dhr, dr_scale[t], out=dpre[..., d : 2 * d])
+        return (dh * z[t] + dhr * r[t] + dpre[..., : 2 * d] @ wh_t[0],)
 
 
 @dataclass
@@ -435,86 +453,159 @@ class SequenceBatch:
         return self.data.shape[1]
 
 
+def _directions(cell, direction):
+    """The cells `unroll` runs and, for each, whether it walks time backwards."""
+    if isinstance(cell, BidirectionalLayer):
+        return (cell.cell_fwd, cell.cell_bwd), (False, True)
+    if direction not in ("forward", "backward"):
+        raise ValueError(f"direction must be forward|backward, got {direction!r}")
+    return (cell,), (direction == "backward",)
+
+
+def _stacked(arrays, axis=0):
+    """One direction's array as it is; two stacked on a new direction axis."""
+    return arrays[0] if len(arrays) == 1 else np.stack(arrays, axis=axis)
+
+
+def _time_views(a, reverse):
+    """Split a step-ordered array [t_run, (2,) n, ...] into one time-ordered
+    [t_run, n, ...] view per direction."""
+    if len(reverse) == 1:
+        return [a[::-1] if reverse[0] else a]
+    return [a[::-1, j] if rev else a[:, j] for j, rev in enumerate(reverse)]
+
+
+def _step_ordered(parts, reverse):
+    """The inverse of `_time_views`: per-direction time-ordered arrays as one
+    step-ordered array."""
+    return _stacked([p[::-1] if rev else p for p, rev in zip(parts, reverse)], axis=1)
+
+
+def _split_columns(a, parts):
+    """Split the last axis into `parts` equal blocks, one per direction."""
+    w = a.shape[-1] // parts
+    return [a[..., j * w : (j + 1) * w] for j in range(parts)]
+
+
 def unroll(cell, batch: SequenceBatch, direction="forward"):
     """Run a cell across time. Returns (outputs [n×T×d], last_valid [n×d], cache).
 
     Forward direction iterates t = 1..T, backward t = T..1; in both cases a
     row's state only updates at steps inside its true length, so last_valid is
     the state at the final true step (forward) or at step 1 (backward).
+
+    `cell` may also be a BidirectionalLayer (`direction` then does not
+    apply). Its two cells run in the same loop over states stacked [2, n, d]:
+    step k advances the forward cell at t = k and the backward cell at
+    t = t_run-1-k, and outputs and last_valid hold the two directions side by
+    side, forward first ([n×T×2d], [n×2d]).
+
+    Only a forward-running cell needs its state frozen at padded steps. A
+    backward-running cell meets a row's padding before the row's first true
+    step, from a zero state and with a zero projected input (the bias is added
+    at valid pairs only), so a cell that `rests_at_zero` stays exactly zero
+    there without a freeze. The sigmoid RNN does not rest at zero and is
+    frozen in both directions.
+
+    The recurrent halves W_h^T are contiguous copies, [d, G] or stacked
+    [2, d, G], and BPTT multiplies by their transposed views. numpy's stacked
+    matmul then makes the same GEMM call for each direction's slice as a
+    one-direction unroll makes, so both directions come out bit-identical to
+    two separate unrolls. Either operand laid out the other way (a transposed
+    view forward, a contiguous W_h backward) flips BLAS's transpose flag, and
+    the products round differently.
     """
-    if direction not in ("forward", "backward"):
-        raise ValueError(f"direction must be forward|backward, got {direction!r}")
+    cells, reverse = _directions(cell, direction)
     x = batch.data
     n, T, i = x.shape
-    if i != cell.input_dim:
-        raise DimensionError(f"input width {i} does not match input_dim {cell.input_dim}")
+    for c in cells:
+        if i != c.input_dim:
+            raise DimensionError(f"input width {i} does not match input_dim {c.input_dim}")
     lengths = np.asarray(batch.lengths)
     t_run = int(lengths.max())  # later steps are padding in every row
     valid = np.arange(t_run)[:, None] < lengths  # [t, row]
-    blocks = cell.blocks()
-    w_x = np.concatenate([W[:, :i] for W, _ in blocks])
-    w_h = [np.ascontiguousarray(W[:, i:].T) for W, _ in blocks]
+    step = cells[0]  # both cells are of one kind, so one runs the steps
+    d = step.hidden_dim
+    blocks = [c.blocks() for c in cells]
+    w_x = [np.concatenate([W[:, :i] for W, _ in bs]) for bs in blocks]
+    w_h = [_stacked([np.ascontiguousarray(W[:, i:].T) for W, _ in same]) for same in zip(*blocks)]
     x_valid = x.transpose(1, 0, 2)[:t_run][valid]
-    xp = np.zeros((t_run, n, w_x.shape[0]), dtype=x.dtype)
-    xp[valid] = x_valid @ w_x.T + np.concatenate([b for _, b in blocks])
-    partial = (~valid.all(axis=1)).tolist()
-    state = cell.zero_state(n)
+    # One step-ordered buffer: each direction's projections go straight into
+    # their slot, the backward direction's through a reversed time view.
+    xp = np.zeros((t_run, *w_h[0].shape[:-2], n, w_x[0].shape[0]), dtype=x.dtype)
+    for xp_j, w, bs in zip(_time_views(xp, reverse), w_x, blocks):
+        xp_j[valid] = x_valid @ w.T + np.concatenate([b for _, b in bs])
+    frozen = [valid if not (rev and step.rests_at_zero) else np.ones_like(valid) for rev in reverse]
+    keep = _step_ordered(frozen, reverse)[..., None]
+    partial = (~keep.all(axis=tuple(range(1, keep.ndim)))).tolist()
+    state = step.zero_state(*xp.shape[1:-1])
     hs, tape = [None] * t_run, [None] * t_run
-    order = range(t_run) if direction == "forward" else range(t_run - 1, -1, -1)
-    for t in order:
-        hs[t], new_state, tape[t] = cell.recur(xp[t], w_h, state)
-        if partial[t]:
-            m = valid[t][:, None]
-            new_state = tuple(np.where(m, s_new, s_old) for s_new, s_old in zip(new_state, state))
+    for k in range(t_run):
+        hs[k], new_state, tape[k] = step.recur(xp[k], w_h, state)
+        if partial[k]:
+            new_state = tuple(np.where(keep[k], s_new, s_old) for s_new, s_old in zip(new_state, state))
         state = new_state
-    out = np.zeros((T, n, cell.hidden_dim), dtype=x.dtype)
-    np.stack(hs, out=out[:t_run])
+    out = np.zeros((T, n, len(cells) * d), dtype=x.dtype)
+    if len(cells) == 1:
+        np.stack(hs, out=_time_views(out[:t_run], reverse)[0])
+    else:
+        for out_j, h in zip(_split_columns(out[:t_run], 2), _time_views(np.stack(hs), reverse)):
+            out_j[...] = h
     out[:t_run][~valid] = 0.0
-    return out.transpose(1, 0, 2), state[0], (tape, valid, x_valid, w_x, w_h, direction, T)
+    last = np.concatenate(state[0], axis=1) if len(cells) == 2 else state[0]
+    return out.transpose(1, 0, 2), last, (tape, keep, partial, valid, x_valid, w_x, w_h, direction, T)
 
 
 def unroll_backward(cell, cache, grad_outputs=None, grad_last=None):
     """Exact gradients for `unroll`. Returns (param_grads, grad_input [n×T×i]).
 
-    Either upstream gradient may be None (treated as zero). Gradients at
-    padded steps are zero, and state gradients pass straight through frozen
-    steps.
+    `cell` is what was passed to `unroll`; a BidirectionalLayer's gradients
+    are the forward cell's followed by the backward cell's. Either upstream
+    gradient may be None (treated as zero). Gradients at padded steps are
+    zero, and state gradients pass straight through frozen steps.
     """
-    tape, valid, x_valid, w_x, w_h, direction, T = cache
+    tape, keep, partial, valid, x_valid, w_x, w_h, direction, T = cache
+    cells, reverse = _directions(cell, direction)
+    step = cells[0]
     t_run, n = valid.shape
     dtype = default_dtype()
-    hins, factors = cell.local_grads(*(np.stack(saved) for saved in zip(*tape)))
-    dstate = cell.zero_state(n)
+    hins, factors = step.local_grads(*(np.stack(saved) for saved in zip(*tape)))
+    dstate = step.zero_state(*keep.shape[1:-1])
     if grad_last is not None:
-        dstate = (dstate[0] + grad_last,) + dstate[1:]
+        dstate = (dstate[0] + _stacked(_split_columns(grad_last, len(cells))),) + dstate[1:]
     grad_tm = None
     if grad_outputs is not None:
-        grad_tm = grad_outputs.transpose(1, 0, 2)[:t_run] * valid[:, :, None]
-    dpre = np.empty((t_run, n, w_x.shape[0]), dtype=dtype)
-    partial = (~valid.all(axis=1)).tolist()
-    order = range(t_run - 1, -1, -1) if direction == "forward" else range(t_run)
-    for t in order:
+        masked = grad_outputs.transpose(1, 0, 2)[:t_run] * valid[:, :, None]
+        grad_tm = _step_ordered(_split_columns(masked, len(cells)), reverse)
+    dpre = np.empty((t_run, *keep.shape[1:-1], w_x[0].shape[0]), dtype=dtype)
+    wh_t = [w.swapaxes(-1, -2) for w in w_h]
+    for k in range(t_run - 1, -1, -1):
         if grad_tm is not None:
-            dstate = (dstate[0] + grad_tm[t],) + dstate[1:]
-        dstate_prev = cell.recur_backward(factors, t, dstate, w_h, dpre[t])
-        if partial[t]:  # padded rows: discard the step, pass the gradient through
-            m = valid[t][:, None]
-            dstate_prev = tuple(np.where(m, dp, ds) for dp, ds in zip(dstate_prev, dstate))
+            dstate = (dstate[0] + grad_tm[k],) + dstate[1:]
+        dstate_prev = step.recur_backward(factors, k, dstate, wh_t, dpre[k])
+        if partial[k]:  # frozen rows: discard the step, pass the gradient through
+            dstate_prev = tuple(np.where(keep[k], dp, ds) for dp, ds in zip(dstate_prev, dstate))
         dstate = dstate_prev
     # One GEMM each over all valid row-steps instead of one per step.
-    dpre_valid = dpre[valid]
+    widths = [w.shape[-1] for w in w_h]
+    hins_by_direction = zip(*(_time_views(hin, reverse) for hin in hins))
+    param_grads, grad_x_valid = [], []
+    for dpre_j, hins_j, w_x_j in zip(_time_views(dpre, reverse), hins_by_direction, w_x):
+        dpre_valid = dpre_j[valid]
+        grad_x_valid.append(dpre_valid @ w_x_j)
+        dW_x = dpre_valid.T @ x_valid
+        db = dpre_valid.sum(axis=0)
+        weights, biases = [], []
+        lo = 0
+        for hin, width in zip(hins_j, widths):
+            hi = lo + width
+            weights.append(np.concatenate([dW_x[lo:hi], dpre_valid[:, lo:hi].T @ hin[valid]], axis=1))
+            biases.append(db[lo:hi])
+            lo = hi
+        param_grads += weights + biases
     grad_x = np.zeros((T, n, x_valid.shape[1]), dtype=dtype)
-    grad_x[:t_run][valid] = dpre_valid @ w_x
-    dW_x = dpre_valid.T @ x_valid
-    db = dpre_valid.sum(axis=0)
-    weights, biases = [], []
-    lo = 0
-    for hin, wh_k in zip(hins, w_h):
-        hi = lo + wh_k.shape[1]
-        weights.append(np.concatenate([dW_x[lo:hi], dpre_valid[:, lo:hi].T @ hin[valid]], axis=1))
-        biases.append(db[lo:hi])
-        lo = hi
-    return weights + biases, grad_x.transpose(1, 0, 2)
+    grad_x[:t_run][valid] = sum(grad_x_valid[1:], grad_x_valid[0])
+    return param_grads, grad_x.transpose(1, 0, 2)
 
 
 class RecurrentLayer:
@@ -544,13 +635,17 @@ class RecurrentLayer:
 
 
 class BidirectionalLayer:
-    """Forward and backward cells over the same input, outputs concatenated."""
+    """Forward and backward cells of one kind over the same input, outputs
+    concatenated; `unroll` runs both in one time loop."""
 
     def __init__(self, cell_fwd, cell_bwd):
         if cell_fwd.hidden_dim != cell_bwd.hidden_dim:
             raise DimensionError(
                 f"direction widths differ: {cell_fwd.hidden_dim} vs {cell_bwd.hidden_dim}"
             )
+        kinds = [(type(c).__name__, getattr(c.params, "activation", None)) for c in (cell_fwd, cell_bwd)]
+        if kinds[0] != kinds[1]:
+            raise ConfigError(f"direction cells differ in kind: {kinds[0]} vs {kinds[1]}")
         self.cell_fwd = cell_fwd
         self.cell_bwd = cell_bwd
 
@@ -562,31 +657,21 @@ class BidirectionalLayer:
     def in_dim(self):
         return self.cell_fwd.input_dim
 
+    def param_arrays(self):
+        return self.cell_fwd.param_arrays() + self.cell_bwd.param_arrays()
+
     def param_items(self):
-        items = [("fwd." + n, a) for n, a in zip(self.cell_fwd.param_names, self.cell_fwd.param_arrays())]
-        items += [("bwd." + n, a) for n, a in zip(self.cell_bwd.param_names, self.cell_bwd.param_arrays())]
-        return items
+        names = ["fwd." + n for n in self.cell_fwd.param_names] + ["bwd." + n for n in self.cell_bwd.param_names]
+        return list(zip(names, self.param_arrays()))
 
     def forward(self, batch):
         """Forward features in columns [0,d), backward in [d,2d). Returns
         (outputs [n×T×2d], last_valid [n×2d], cache)."""
-        out_f, last_f, cache_f = unroll(self.cell_fwd, batch, "forward")
-        out_b, last_b, cache_b = unroll(self.cell_bwd, batch, "backward")
-        outputs = np.concatenate([out_f, out_b], axis=2)
-        last = np.concatenate([last_f, last_b], axis=1)
-        return outputs, last, (cache_f, cache_b)
+        return unroll(self, batch)
 
     def backward(self, cache, grad_outputs=None, grad_last=None):
-        cache_f, cache_b = cache
-        d = self.cell_fwd.hidden_dim
-        go_f = go_b = gl_f = gl_b = None
-        if grad_outputs is not None:
-            go_f, go_b = grad_outputs[:, :, :d], grad_outputs[:, :, d:]
-        if grad_last is not None:
-            gl_f, gl_b = grad_last[:, :d], grad_last[:, d:]
-        grads_f, gx_f = unroll_backward(self.cell_fwd, cache_f, go_f, gl_f)
-        grads_b, gx_b = unroll_backward(self.cell_bwd, cache_b, go_b, gl_b)
-        return gx_f + gx_b, grads_f + grads_b
+        param_grads, grad_x = unroll_backward(self, cache, grad_outputs, grad_last)
+        return grad_x, param_grads
 
 
 def stack(layers, batch: SequenceBatch):

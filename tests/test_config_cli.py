@@ -100,6 +100,34 @@ class TestConfigParsing:
             parse_config("t_min = 61\n")
         assert parse_config("t_min = 40\nt_max = 40\n")["t_max"] == 40
 
+    @pytest.mark.parametrize(
+        "key, value, detail",
+        [
+            ("video_shape", "3x4x4", "expected CxTxHxW, got '3x4x4'"),
+            ("shared_skeleton_pairs", "0-1, 2", "expected pairs like 0-1, got '2'"),
+            ("xor_pair", "1-2-3", "expected pairs like 0-1, got '1-2-3'"),
+            ("shared_video_pairs", "2-2", "a pair needs two different classes, got '2-2'"),
+            ("ladder_models", "RNN1, GRU9000", "unknown ladder model 'GRU9000'"),
+        ],
+    )
+    def test_malformed_value_rejected_with_line_and_key(self, key, value, detail):
+        with pytest.raises(ConfigError, match=re.escape(f"line 2: bad value for '{key}': {detail}")):
+            parse_config(f"seed = 1\n{key} = {value}\n")
+
+    def test_class_pairs_checked_against_n_classes_blaming_the_later_line(self):
+        with pytest.raises(
+            ConfigError, match=re.escape("line 2: bad value for 'xor_pair': must be classes below n_classes (4), got (3, 4)")
+        ):
+            parse_config("n_classes = 4\nxor_pair = 3-4\n")
+        with pytest.raises(
+            ConfigError, match=re.escape("line 3: bad value for 'n_classes': must be > 3 for shared_video_pairs, got 3")
+        ):
+            parse_config("shared_video_pairs = 2-3\nxor_pair = none\nn_classes = 3\n")
+        with pytest.raises(ConfigError, match=re.escape("line 1: bad value for 'shared_skeleton_pairs'")):
+            parse_config("shared_skeleton_pairs = 0-6\n")
+        cfg = parse_config("n_classes = 3\nshared_video_pairs = 1-2\nxor_pair = none\n")
+        assert cfg["shared_video_pairs"] == ((1, 2),) and cfg["xor_pair"] is None
+
     def test_unknown_ladder_model_rejected(self):
         with pytest.raises(ConfigError, match="unknown ladder model"):
             parse_config("ladder_models = RNN1, GRU9000")

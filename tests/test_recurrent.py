@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from twostream import (
     BidirectionalLayer,
+    ConfigError,
     DimensionError,
     GruCell,
     GruCellParams,
@@ -443,6 +444,12 @@ class TestBidirectional:
     def test_width_mismatch_rejected(self, rng):
         with pytest.raises(DimensionError, match="3 vs 4"):
             BidirectionalLayer(_random_cell("gru", 2, 3, rng), _random_cell("gru", 2, 4, rng))
+
+    @pytest.mark.parametrize("kinds", [("gru", "lstm"), ("rnn", "rnn_sigmoid")])
+    def test_cells_of_different_kinds_rejected(self, kinds, rng):
+        # one time loop runs both directions with one cell's step code
+        with pytest.raises(ConfigError, match="differ in kind"):
+            BidirectionalLayer(_random_cell(kinds[0], 2, 3, rng), _random_cell(kinds[1], 2, 3, rng))
 
     @pytest.mark.parametrize("kind", ["rnn", "rnn_sigmoid", "lstm", "gru"])
     def test_equals_two_single_direction_unrolls(self, kind, rng):

@@ -526,19 +526,20 @@ def unroll(cell, batch: SequenceBatch, direction="forward"):
     valid = np.arange(t_run)[:, None] < lengths  # [t, row]
     step = cells[0]  # both cells are of one kind, so one runs the steps
     d = step.hidden_dim
+    lead = (2,) if len(cells) == 2 else ()  # the direction axis
     blocks = [c.blocks() for c in cells]
     w_x = [np.concatenate([W[:, :i] for W, _ in bs]) for bs in blocks]
     w_h = [_stacked([np.ascontiguousarray(W[:, i:].T) for W, _ in same]) for same in zip(*blocks)]
     x_valid = x.transpose(1, 0, 2)[:t_run][valid]
     # One step-ordered buffer: each direction's projections go straight into
     # their slot, the backward direction's through a reversed time view.
-    xp = np.zeros((t_run, *w_h[0].shape[:-2], n, w_x[0].shape[0]), dtype=x.dtype)
+    xp = np.zeros((t_run, *lead, n, w_x[0].shape[0]), dtype=x.dtype)
     for xp_j, w, bs in zip(_time_views(xp, reverse), w_x, blocks):
         xp_j[valid] = x_valid @ w.T + np.concatenate([b for _, b in bs])
-    frozen = [valid if not (rev and step.rests_at_zero) else np.ones_like(valid) for rev in reverse]
-    keep = _step_ordered(frozen, reverse)[..., None]
+    kept = [valid if not (rev and step.rests_at_zero) else np.ones_like(valid) for rev in reverse]
+    keep = _step_ordered(kept, reverse)[..., None]
     partial = (~keep.all(axis=tuple(range(1, keep.ndim)))).tolist()
-    state = step.zero_state(*xp.shape[1:-1])
+    state = step.zero_state(*lead, n)
     hs, tape = [None] * t_run, [None] * t_run
     for k in range(t_run):
         hs[k], new_state, tape[k] = step.recur(xp[k], w_h, state)
@@ -546,13 +547,13 @@ def unroll(cell, batch: SequenceBatch, direction="forward"):
             new_state = tuple(np.where(keep[k], s_new, s_old) for s_new, s_old in zip(new_state, state))
         state = new_state
     out = np.zeros((T, n, len(cells) * d), dtype=x.dtype)
-    if len(cells) == 1:
+    if not lead:
         np.stack(hs, out=_time_views(out[:t_run], reverse)[0])
     else:
         for out_j, h in zip(_split_columns(out[:t_run], 2), _time_views(np.stack(hs), reverse)):
             out_j[...] = h
     out[:t_run][~valid] = 0.0
-    last = np.concatenate(state[0], axis=1) if len(cells) == 2 else state[0]
+    last = np.concatenate(state[0], axis=1) if lead else state[0]
     return out.transpose(1, 0, 2), last, (tape, keep, partial, valid, x_valid, w_x, w_h, direction, T)
 
 
@@ -568,16 +569,17 @@ def unroll_backward(cell, cache, grad_outputs=None, grad_last=None):
     cells, reverse = _directions(cell, direction)
     step = cells[0]
     t_run, n = valid.shape
+    lead = keep.shape[1:-2]
     dtype = default_dtype()
     hins, factors = step.local_grads(*(np.stack(saved) for saved in zip(*tape)))
-    dstate = step.zero_state(*keep.shape[1:-1])
+    dstate = step.zero_state(*lead, n)
     if grad_last is not None:
         dstate = (dstate[0] + _stacked(_split_columns(grad_last, len(cells))),) + dstate[1:]
     grad_tm = None
     if grad_outputs is not None:
-        masked = grad_outputs.transpose(1, 0, 2)[:t_run] * valid[:, :, None]
-        grad_tm = _step_ordered(_split_columns(masked, len(cells)), reverse)
-    dpre = np.empty((t_run, *keep.shape[1:-1], w_x[0].shape[0]), dtype=dtype)
+        grad_tm = grad_outputs.transpose(1, 0, 2)[:t_run] * valid[:, :, None]
+        grad_tm = _step_ordered(_split_columns(grad_tm, len(cells)), reverse)
+    dpre = np.empty((t_run, *lead, n, w_x[0].shape[0]), dtype=dtype)
     wh_t = [w.swapaxes(-1, -2) for w in w_h]
     for k in range(t_run - 1, -1, -1):
         if grad_tm is not None:
@@ -586,6 +588,8 @@ def unroll_backward(cell, cache, grad_outputs=None, grad_last=None):
         if partial[k]:  # frozen rows: discard the step, pass the gradient through
             dstate_prev = tuple(np.where(keep[k], dp, ds) for dp, ds in zip(dstate_prev, dstate))
         dstate = dstate_prev
+    # Both directions' factors are held at once; drop them before the gathers.
+    del factors, grad_tm
     # One GEMM each over all valid row-steps instead of one per step.
     widths = [w.shape[-1] for w in w_h]
     hins_by_direction = zip(*(_time_views(hin, reverse) for hin in hins))

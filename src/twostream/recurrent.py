@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DimensionError
+from .errors import ConfigError, ContractError, DataError, DimensionError
 from .tensor import Rng, default_dtype, sigmoid
 
 _ACTIVATIONS = ("tanh", "sigmoid")
@@ -487,6 +487,16 @@ def _split_columns(a, parts):
     return [a[..., j * w : (j + 1) * w] for j in range(parts)]
 
 
+def _take_tape(tape):
+    """Stack each saved array over steps and empty the tape, so BPTT does
+    not hold every saved array twice."""
+    if not tape:
+        raise ContractError("unroll_backward already ran on this cache; run unroll again")
+    saved = [np.stack(s) for s in zip(*tape)]
+    tape.clear()
+    return saved
+
+
 def unroll(cell, batch: SequenceBatch, direction="forward"):
     """Run a cell across time. Returns (outputs [n×T×d], last_valid [n×d], cache).
 
@@ -563,7 +573,8 @@ def unroll_backward(cell, cache, grad_outputs=None, grad_last=None):
     `cell` is what was passed to `unroll`; a BidirectionalLayer's gradients
     are the forward cell's followed by the backward cell's. Either upstream
     gradient may be None (treated as zero). Gradients at padded steps are
-    zero, and state gradients pass straight through frozen steps.
+    zero, and state gradients pass straight through frozen steps. The cache
+    serves one backward pass: it frees the forward's per-step tape.
     """
     tape, keep, partial, valid, x_valid, w_x, w_h, direction, T = cache
     cells, reverse = _directions(cell, direction)
@@ -571,7 +582,7 @@ def unroll_backward(cell, cache, grad_outputs=None, grad_last=None):
     t_run, n = valid.shape
     lead = keep.shape[1:-2]
     dtype = default_dtype()
-    hins, factors = step.local_grads(*(np.stack(saved) for saved in zip(*tape)))
+    hins, factors = step.local_grads(*_take_tape(tape))
     dstate = step.zero_state(*lead, n)
     if grad_last is not None:
         dstate = (dstate[0] + _stacked(_split_columns(grad_last, len(cells))),) + dstate[1:]

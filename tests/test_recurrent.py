@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from twostream import (
     BidirectionalLayer,
     ConfigError,
+    ContractError,
     DimensionError,
     GruCell,
     GruCellParams,
@@ -606,6 +607,14 @@ class TestBpttGradients:
         gseq, per_layer = stack_backward(layers, caches, None, r_last)
         analytic = [g for pg in per_layer for g in pg] + [gseq]
         assert max_rel_err(analytic, central_diff(loss, arrays)) <= 1e-4
+
+    def test_second_backward_on_one_cache_rejected(self, rng):
+        # the first backward frees the forward's per-step tape
+        layer = BidirectionalLayer(_random_cell("gru", 2, 3, rng), _random_cell("gru", 2, 3, rng))
+        _, last, cache = layer.forward(SequenceBatch(rng.normal(size=(2, 4, 2)), [4, 2]))
+        layer.backward(cache, None, np.ones_like(last))
+        with pytest.raises(ContractError, match="already ran on this cache"):
+            layer.backward(cache, None, np.ones_like(last))
 
     def test_gru_with_update_gate_forced_open_has_zero_candidate_gradient(self, rng):
         d, i = 3, 2

@@ -556,12 +556,10 @@ def unroll(cell, batch: SequenceBatch, direction="forward"):
         if partial[k]:
             new_state = tuple(np.where(keep[k], s_new, s_old) for s_new, s_old in zip(new_state, state))
         state = new_state
+    del xp  # spent: free it before the outputs are assembled
     out = np.zeros((T, n, len(cells) * d), dtype=x.dtype)
-    if not lead:
-        np.stack(hs, out=_time_views(out[:t_run], reverse)[0])
-    else:
-        for out_j, h in zip(_split_columns(out[:t_run], 2), _time_views(np.stack(hs), reverse)):
-            out_j[...] = h
+    for j, (cols, rev) in enumerate(zip(_split_columns(out[:t_run], len(cells)), reverse)):
+        np.stack([h[j] for h in hs] if lead else hs, out=cols[::-1] if rev else cols)
     out[:t_run][~valid] = 0.0
     last = np.concatenate(state[0], axis=1) if lead else state[0]
     return out.transpose(1, 0, 2), last, (tape, keep, partial, valid, x_valid, w_x, w_h, direction, T)

@@ -144,7 +144,7 @@ def conv3d_backward(cache, grad_y, input_grad=True):
     f, c, kt, kh, kw = p.kernels.shape
     n, _, t, h, w = x_shape
     to, ho, wo = grad_y.shape[2:]
-    grad_bias = grad_y.sum(axis=(0, 2, 3, 4))
+    grad_bias = np.ascontiguousarray(grad_y).sum(axis=(0, 2, 3, 4))
     gy = np.ascontiguousarray(grad_y.transpose(0, 2, 3, 4, 1)).reshape(n, to, ho * wo, f)
     gk = np.zeros((kt, kh, kw * c, f), dtype=p.kernels.dtype)
     prod = np.empty((kt, kh, to + 1, kw * c, f), dtype=gk.dtype)

@@ -21,6 +21,8 @@ from twostream import (
     maxpool3d_backward,
 )
 from twostream.conv3d import init_conv3d
+from twostream.heads import dense_backward, dense_forward
+from twostream.models import ConvClassifier
 
 from conftest import central_diff, max_rel_err
 
@@ -265,6 +267,37 @@ class TestConv3dBatchInvariance:
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+def channels_last(a):
+    """a's values stored channels-last behind the same NCDHW shape."""
+    return np.ascontiguousarray(a.transpose(0, 2, 3, 4, 1)).transpose(0, 4, 1, 2, 3)
+
+
+class TestLayoutIndependence:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_channels_last_memory_gives_equal_results(self, seed):
+        rng = Rng(4500 + seed)
+        f, c = (int(rng.integers(1, 6)) for _ in range(2))
+        kt, kh, kw = (int(rng.integers(1, 4)) for _ in range(3))
+        pad = tuple(int(rng.integers(0, 2)) for _ in range(3))
+        t, h, w = (int(rng.integers(v, v + 5)) for v in (kt, kh, kw))
+        p = Conv3dParams(kernels=rng.normal(size=(f, c, kt, kh, kw)), bias=rng.normal(size=f), padding=pad)
+        x = rng.normal(size=(int(rng.integers(1, 4)), c, t, h, w))
+        gy = rng.normal(size=(x.shape[0], f) + tuple(e + 2 * q - k + 1 for e, q, k in zip((t, h, w), pad, (kt, kh, kw))))
+        window = tuple(int(rng.integers(1, 3)) for _ in range(3))
+        pooled = tuple(-(-e // wd) for e, wd in zip((t, h, w), window))
+        gp = rng.normal(size=x.shape[:2] + pooled)
+        results = []
+        for layout in (np.ascontiguousarray, channels_last):
+            y, cache = conv3d_forward(p, layout(x))
+            gk, gb, gx = conv3d_backward(cache, layout(gy))
+            z, pcache = maxpool3d(Pool3dSpec(window), layout(x))
+            gz = maxpool3d_backward(pcache, layout(gp))
+            results.append((y, gk, gb, gx, z, gz))
+        for a, b in zip(*results):
+            assert a.shape == b.shape
+            assert np.array_equal(a, b)
+
+
 class TestMaxPool3d:
     def test_constant_input_routes_gradient_to_first_window_slot(self):
         spec = Pool3dSpec((2, 2, 2))
@@ -372,6 +405,79 @@ class TestC3dSpec:
         grads = model.backward(cache, r)  # no input gradient: x is data
         analytic = [grads[n] for n, _ in model.param_items()]
         assert max_rel_err(analytic, central_diff(loss, arrays)) <= 1e-4
+
+
+def tied_c3d(conv_groups, seed):
+    """A small C3D whose kernels, biases and clips take a few levels, so conv
+    outputs tie exactly and whole pool windows go to zero under ReLU."""
+    rng = Rng(seed)
+    spec = desk_scale_c3d_spec(3, (2, 4, 8, 8), filters=(4, 8), fc_dim=6)
+    spec.conv_groups = conv_groups
+    model = build_c3d(spec, rng)
+    for conv in model.convs:
+        conv.kernels[...] = rng.integers(-2, 3, size=conv.kernels.shape) * 0.25
+        conv.bias[...] = rng.integers(-4, 2, size=conv.bias.shape) * 0.25
+    clips = rng.integers(0, 3, size=(5, 2, 4, 8, 8)) * 0.5
+    return model, clips, rng.normal(size=(5, 3))
+
+
+def relu_before_pool_reference(model, x, grad_logits):
+    """Logits, fc6 and parameter gradients of the stack with ReLU applied at
+    full resolution before each pool, from the public layer functions."""
+    caches, pooled = [], []
+    convs = iter(model.convs)
+    h = x
+    for group, pool in zip(model.spec.conv_groups, model.pools):
+        for _ in group:
+            z, ccache = conv3d_forward(next(convs), h)
+            caches.append(("conv", ccache, z > 0.0))
+            h = np.maximum(z, 0.0)
+        h, pcache = maxpool3d(pool, h)
+        caches.append(("pool", pcache, None))
+        pooled.append(h)
+    f6, c6 = dense_forward(model.fc6, h.reshape(len(x), -1))
+    f7, c7 = dense_forward(model.fc7, f6)
+    logits, co = dense_forward(model.out, f7)
+    grads = {}
+    grads["out.W"], grads["out.b"], d7 = dense_backward(model.out, co, grad_logits)
+    grads["fc7.W"], grads["fc7.b"], d6 = dense_backward(model.fc7, c7, d7)
+    grads["fc6.W"], grads["fc6.b"], dflat = dense_backward(model.fc6, c6, d6)
+    dh = dflat.reshape(h.shape)
+    names = iter(reversed(model._conv_names))
+    for kind, lcache, active in reversed(caches):
+        if kind == "pool":
+            dh = maxpool3d_backward(lcache, dh)
+        else:
+            name = next(names)
+            gk, gb, dh = conv3d_backward(lcache, dh * active, input_grad=True)
+            grads[name + ".kernels"], grads[name + ".bias"] = gk, gb
+    return logits, f6, grads, pooled
+
+
+class TestC3dModelEquivalence:
+    @pytest.mark.parametrize("conv_groups", [[[4], [8]], [[4, 4], [8]]], ids=["desk", "two_conv_group"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_gradients_equal_relu_before_pool_reference(self, conv_groups, seed):
+        model, clips, r = tied_c3d(conv_groups, 50 + seed)
+        ref_logits, ref_f6, ref_grads, pooled = relu_before_pool_reference(model, clips, r)
+        assert all((p == 0.0).any() and (p > 0.0).any() for p in pooled)
+        logits, f6, cache = model.forward(clips)
+        grads = model.backward(cache, r)
+        assert np.array_equal(logits, ref_logits)
+        assert np.array_equal(f6, ref_f6)
+        assert sorted(grads) == sorted(ref_grads)
+        for name, g in grads.items():
+            assert g.shape == ref_grads[name].shape
+            assert np.array_equal(g, ref_grads[name]), name
+
+    @pytest.mark.parametrize("conv_groups", [[[4], [8]], [[4, 4], [8]]], ids=["desk", "two_conv_group"])
+    def test_inference_forward_equals_train_forward(self, conv_groups):
+        model, clips, _ = tied_c3d(conv_groups, 60)
+        classifier = ConvClassifier(None, model)
+        logits_i, (_, f6_i) = classifier.forward(clips, mode="inference")
+        logits_t, (_, f6_t) = classifier.forward(clips, mode="train")
+        assert np.array_equal(logits_i, logits_t)
+        assert np.array_equal(f6_i, f6_t)
 
 
 class TestClips:

@@ -6,8 +6,14 @@ optional symmetric zero padding per axis. Pool windows equal their stride
 (non-overlapping); extents that do not divide evenly are padded on the right
 with -inf.
 
-`conv3d_forward` / `conv3d_backward` take and return the NCDHW layout
-[n, c, t, h, w] but work channels-last on one folded buffer
+Every activation and gradient has the NCDHW shape [n, c, t, h, w], and the
+layers accept any memory order behind it. The arrays they return are stored
+channels-last ([n, t, h, w, c] memory, transposed views), because that is the
+order the convolution works in: a conv output feeds the next pool and conv
+without a layout copy, and so does each gradient on its way back. Results do
+not depend on the memory order of the inputs (a test pins this).
+
+`conv3d_forward` / `conv3d_backward` work on one folded buffer
 xk [n, tp, hp, wo, kw·c]: the zero-padded input's kw shifted windows side by
 side along the channel axis, so that the correlation is one matmul with
 K = kw·c per (kt, kh) offset instead of one with K = c per (kt, kh, kw)
@@ -16,6 +22,12 @@ before the next, so that the sample's accumulator stays in cache; the desk
 layers' matmuls are tiny (K = 9, N = 8 on conv1) and memory traffic, not
 arithmetic, bounds them. `maxpool3d` takes the maximum over the window's
 strided views of the input rather than over a transposed tile copy.
+
+`C3dModel` pools the last conv of each group before its ReLU, so that the
+ReLU and its mask run on the 4-8x smaller pooled volume. Max commutes with
+ReLU, so the outputs equal ReLU-then-pool. So do the gradients: where a
+window's maximum is positive, the first maximum of relu(z) is the first
+maximum of z; where it is not, both orders pass the window a zero gradient.
 """
 
 from __future__ import annotations
@@ -24,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DimensionError
+from .errors import ConfigError, ContractError, DataError, DimensionError
 from .tensor import Rng, default_dtype
 from .heads import dense_backward, dense_forward, init_dense
 from . import fusion
@@ -56,7 +68,9 @@ def init_conv3d(n_filters, in_channels, kernel_size, padding, rng: Rng) -> Conv3
 
 def conv3d_forward(p: Conv3dParams, x):
     """Correlate x [n×c×t×h×w] with the kernels at stride 1. Returns (y, cache);
-    each output extent is padded extent - kernel extent + 1.
+    each output extent is padded extent - kernel extent + 1. y has the NCDHW
+    shape over channels-last memory: it is the accumulator's transposed view,
+    so a next layer's channels-last read of it is a plain contiguous one.
 
     The kw shifted windows of the zero-padded input are copied side by side,
     channels-last, into the folded buffer xk [n, tp, hp, wo, kw·c] (kw slice
@@ -98,8 +112,7 @@ def conv3d_forward(p: Conv3dParams, x):
             for j in range(kh):
                 acc[s] += np.matmul(_offset_rows(xk[s], i, j, to, ho), wk[i, j], out=tmp)
     acc += p.bias
-    y = acc.reshape(n, to, ho, wo, f).transpose(0, 4, 1, 2, 3)
-    return np.ascontiguousarray(y), (xk, x.shape, p)
+    return acc.reshape(n, to, ho, wo, f).transpose(0, 4, 1, 2, 3), (xk, x.shape, p)
 
 
 def _kw_windows(w, pw, kw):
@@ -138,7 +151,13 @@ def conv3d_backward(cache, grad_y, input_grad=True):
     order as a sum over the whole batch. The input gradient is scattered
     into a folded buffer gxk shaped like xk,
     gxk[s, i:i+to, j:j+ho] += grad_y[s] @ wk[i, j].T through one reused
-    [to, ho·wo, kw·c] temporary, then unfolded with kw slice adds.
+    [to, ho·wo, kw·c] temporary, then unfolded with kw slice adds; grad_x,
+    like the forward's y, is an NCDHW view of channels-last memory.
+
+    The bias gradient sums an NCDHW-ordered copy of grad_y. numpy's sum over
+    (n, t, h, w) adds in an order that follows memory, so summing grad_y's
+    own channels-last memory would move the result by rounding (about 1e-16)
+    with the caller's layout.
     """
     xk, x_shape, p = cache
     f, c, kt, kh, kw = p.kernels.shape
@@ -172,7 +191,7 @@ def conv3d_backward(cache, grad_y, input_grad=True):
     gx_t = np.zeros((n, t, h, w, c), dtype=xk.dtype)
     for k, cols, src in _kw_windows(w, pw, kw):
         gx_t[:, :, :, src] += inner[:, :, :, cols, k * c : (k + 1) * c]
-    return grad_kernels, grad_bias, np.ascontiguousarray(gx_t.transpose(0, 4, 1, 2, 3))
+    return grad_kernels, grad_bias, gx_t.transpose(0, 4, 1, 2, 3)
 
 
 @dataclass
@@ -180,16 +199,21 @@ class Pool3dSpec:
     window: tuple  # (pt, ph, pw); stride equals the window
 
 
-def maxpool3d(spec: Pool3dSpec, x):
+def maxpool3d(spec: Pool3dSpec, x, argmax=True):
     """Non-overlapping window maxima over (t,h,w). Ties break toward the first
-    position in (t,h,w) scan order. Returns (y, cache).
+    position in (t,h,w) scan order. Returns (y, cache). With argmax=False the
+    window positions the backward needs are not computed and the cache is
+    None: an inference forward takes only y.
 
     Each of the pt·ph·pw window positions is one strided view of the
     (-inf padded) input; y is the running maximum over the views in scan
     order, and the cached idx is, per window, how many views come before the
     first one equal to y: the scan-order position of the first maximum. A
     window holding NaN has y = NaN, no view equals it, and idx is the last
-    position.
+    position. The -inf padded copy is stored channels-last, and y and idx
+    keep the memory order of the views they are taken from, so a
+    channels-last conv output gives a channels-last y. `maxpool3d_backward`
+    returns its gradient channels-last.
     """
     if x.ndim != 5:
         raise DimensionError(f"maxpool3d expects [n,c,t,h,w], got {x.shape}")
@@ -198,16 +222,16 @@ def maxpool3d(spec: Pool3dSpec, x):
     pad = ((-t) % pt, (-h) % ph, (-w) % pw)
     xp = x
     if any(pad):
-        xp = np.pad(
-            x,
-            ((0, 0), (0, 0), (0, pad[0]), (0, pad[1]), (0, pad[2])),
-            constant_values=-np.inf,
-        )
+        padded = (n, t + pad[0], h + pad[1], w + pad[2], c)
+        xp = np.full(padded, -np.inf, dtype=x.dtype).transpose(0, 4, 1, 2, 3)
+        xp[:, :, :t, :h, :w] = x
     views = _window_views(xp, spec.window)
-    y = views[0].copy()
+    y = views[0].copy(order="K")
     for v in views[1:]:
         np.maximum(y, v, out=y)
-    idx = np.zeros(y.shape, dtype=np.min_scalar_type(len(views) - 1))
+    if not argmax:
+        return y, None
+    idx = np.zeros_like(y, dtype=np.min_scalar_type(len(views) - 1))
     seen = views[0] == y
     for v in views[1:]:
         idx += ~seen
@@ -232,10 +256,11 @@ def maxpool3d_backward(cache, grad_y):
     view and zero elsewhere."""
     x_shape, xp_shape, idx, spec = cache
     _, _, t, h, w = x_shape
-    gx_pad = np.empty(xp_shape, dtype=grad_y.dtype)
+    n, c, tp, hp, wp = xp_shape
+    gx_pad = np.empty((n, tp, hp, wp, c), dtype=grad_y.dtype).transpose(0, 4, 1, 2, 3)
     for k, v in enumerate(_window_views(gx_pad, spec.window)):
         np.multiply(grad_y, idx == k, out=v)
-    return np.ascontiguousarray(gx_pad[:, :, :t, :h, :w])
+    return gx_pad[:, :, :t, :h, :w]
 
 
 @dataclass
@@ -351,30 +376,45 @@ class C3dModel:
             items.append((name + ".b", dense.b))
         return items
 
-    def forward(self, x):
-        """Returns (logits, fc6 activations, cache) for a clip batch [n,c,t,h,w]."""
+    def forward(self, x, train=True):
+        """Returns (logits, fc6 activations, cache) for a clip batch [n,c,t,h,w].
+
+        The last conv of each group is pooled before its ReLU: max commutes
+        with ReLU, so the outputs are those of ReLU-then-pool, and the ReLU
+        and its mask run at pooled resolution. With train=False the cache is
+        None: no ReLU mask, pool argmax or conv input is kept for a backward.
+        """
         caches = []
         conv_iter = iter(self.convs)
         h = x
         for group, pool in zip(self.spec.conv_groups, self.pools):
-            for _ in group:
-                conv = next(conv_iter)
-                z, ccache = conv3d_forward(conv, h)
-                caches.append(("conv", ccache, z > 0.0))  # a mask, not the activation
-                h = np.maximum(z, 0.0, out=z)
-            h, pcache = maxpool3d(pool, h)
-            caches.append(("pool", pcache, None))
+            for li in range(len(group)):
+                h, ccache = conv3d_forward(next(conv_iter), h)
+                active = None  # ReLU masks, not activations, are kept
+                if li < len(group) - 1:  # ReLU before the group's next conv
+                    active = h > 0.0 if train else None
+                    np.maximum(h, 0.0, out=h)
+                if train:
+                    caches.append(("conv", ccache, active))
+            h, pcache = maxpool3d(pool, h, argmax=train)
+            if train:
+                caches.append(("pool", pcache, h > 0.0))
+            np.maximum(h, 0.0, out=h)
         n = h.shape[0]
         flat_shape = h.shape
         flat = h.reshape(n, -1)
         f6, c6 = dense_forward(self.fc6, flat)
         f7, c7 = dense_forward(self.fc7, f6)
         logits, co = dense_forward(self.out, f7)
+        if not train:
+            return logits, f6, None
         return logits, f6, (caches, flat_shape, c6, c7, co)
 
     def backward(self, cache, grad_logits):
         """Returns gradients as a dict aligned with `param_items` names. The
         gradient with respect to the input clips is not computed."""
+        if cache is None:
+            raise ContractError("C3dModel.backward got the cache of a forward that ran in inference mode")
         caches, flat_shape, c6, c7, co = cache
         grads = {}
         dWo, dbo, d7 = dense_backward(self.out, co, grad_logits)
@@ -386,10 +426,11 @@ class C3dModel:
         dh = dflat.reshape(flat_shape)
         conv_idx = len(self.convs) - 1
         for kind, lcache, active in reversed(caches):
+            if active is not None:
+                dh *= active
             if kind == "pool":
                 dh = maxpool3d_backward(lcache, dh)
             else:
-                dh *= active
                 dk, db, dh = conv3d_backward(lcache, dh, input_grad=conv_idx > 0)
                 name = self._conv_names[conv_idx]
                 grads[name + ".kernels"] = dk

@@ -266,17 +266,27 @@ class SynthConfig:
             raise ConfigError("need >= 1 joint, >= 2 subjects, >= 1 view")
         if len(self.video_shape) != 4 or any(d < 1 for d in self.video_shape):
             raise ConfigError(f"bad video shape {self.video_shape}")
-        for pair_list in (self.shared_skeleton_pairs, self.shared_video_pairs):
-            for a, b in pair_list:
-                if not (0 <= a < self.n_classes and 0 <= b < self.n_classes and a != b):
-                    raise ConfigError(f"bad shared pair ({a},{b})")
+        for key in ("shared_skeleton_pairs", "shared_video_pairs"):
+            for pair in getattr(self, key):
+                self._check_pair(key, pair)
         if self.xor_pair is not None:
             a, b = self.xor_pair
-            if not (0 <= a < self.n_classes and 0 <= b < self.n_classes and a != b):
-                raise ConfigError(f"bad xor pair ({a},{b})")
-            flat = {c for p in self.shared_skeleton_pairs for c in p}
-            if flat & {a, b}:
-                raise ConfigError("xor classes cannot also share a skeleton signature")
+            self._check_pair("xor_pair", (a, b))
+            shared = {c for p in self.shared_skeleton_pairs for c in p} & {a, b}
+            if shared:
+                raise ConfigError(
+                    f"xor_pair: ({a}, {b}) shares classes {sorted(shared)} with "
+                    "shared_skeleton_pairs; xor classes cannot also share a skeleton signature"
+                )
+
+    def _check_pair(self, key, pair):
+        a, b = pair
+        if a == b:
+            raise ConfigError(f"{key}: ({a}, {b}) needs two different classes")
+        if min(a, b) < 0:
+            raise ConfigError(f"{key}: ({a}, {b}) needs non-negative classes")
+        if max(a, b) >= self.n_classes:
+            raise ConfigError(f"{key}: ({a}, {b}) needs classes below n_classes ({self.n_classes})")
 
 
 # Motion primitives 0-3 carry class evidence; primitive 4 is the rest pose.

@@ -178,7 +178,7 @@ class ConvClassifier:
         return []
 
     def forward(self, clips, mode="inference", rng=None):
-        logits, fc6, cache = self.net.forward(clips)
+        logits, fc6, cache = self.net.forward(clips, train=mode == "train")
         return logits, (cache, fc6)
 
     def backward(self, cache, grad_logits):

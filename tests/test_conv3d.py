@@ -5,6 +5,7 @@ from hypothesis.extra.numpy import arrays
 
 from twostream import (
     ConfigError,
+    ContractError,
     Conv3dParams,
     DataError,
     DimensionError,
@@ -479,6 +480,13 @@ class TestC3dModelEquivalence:
         assert np.array_equal(logits_i, logits_t)
         assert np.array_equal(f6_i, f6_t)
 
+    def test_backward_on_inference_cache_rejected(self):
+        model, clips, r = tied_c3d([[4], [8]], 70)
+        classifier = ConvClassifier(None, model)
+        _, cache = classifier.forward(clips, mode="inference")
+        with pytest.raises(ContractError, match="forward that ran in inference mode"):
+            classifier.backward(cache, r)
+
 
 class TestClips:
     def test_exact_multiple_splits_cleanly(self, rng):
@@ -502,6 +510,22 @@ class TestClips:
         clips = clip_split(video, 16)
         assert len(clips) == 2  # 8 >= 8: repeat-padded
         assert np.array_equal(clips[1][:, 8:], np.repeat(video[:, -1:], 8, axis=1))
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.integers(1, 70), st.integers(1, 16))
+    def test_clip_split_property(self, t, clip_len):
+        # every frame distinct: frame k of channel ci holds 100·ci + k
+        video = np.arange(t, dtype=np.float64)[None, :, None, None] + 100.0 * np.arange(2)[:, None, None, None]
+        video = np.broadcast_to(video, (2, t, 3, 2))
+        clips = clip_split(video, clip_len)
+        whole, rem = divmod(t, clip_len)
+        assert len(clips) == max(1, whole + (2 * rem >= clip_len))
+        for k, clip in enumerate(clips):
+            assert clip.shape == (2, clip_len, 3, 2)
+            start = k * clip_len
+            real = min(clip_len, t - start)
+            assert np.array_equal(clip[:, :real], video[:, start : start + real])
+            assert np.array_equal(clip[:, real:], np.broadcast_to(video[:, -1:], (2, clip_len - real, 3, 2)))
 
     def test_empty_video_rejected(self):
         with pytest.raises(DataError):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from twostream import (
+    ConfigError,
     DataError,
     Dataset,
     Rng,
@@ -157,6 +158,19 @@ class TestGenerator:
         lengths = [s.skeleton.t_true for s in dataset.samples]
         assert min(lengths) >= 8 and max(lengths) <= 12
         assert len(set(lengths)) > 1
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"n_classes": 2}, r"shared_video_pairs: \(2, 3\) needs classes below n_classes \(2\)"),
+            ({"n_classes": 5}, r"xor_pair: \(4, 5\) needs classes below n_classes \(5\)"),
+            ({"shared_skeleton_pairs": ((0, 4),)}, r"xor_pair: \(4, 5\) shares classes \[4\] with shared_skeleton_pairs"),
+        ],
+        ids=["default_video_pair", "default_xor_pair", "xor_overlap"],
+    )
+    def test_bad_class_pair_names_its_field(self, overrides, message):
+        with pytest.raises(ConfigError, match=message):
+            generate_synthetic(SynthConfig(**overrides), Rng(0))
 
     def test_labels_subjects_views_are_balanced(self):
         dataset = _tiny_dataset(Rng(3))

@@ -283,7 +283,7 @@ class TestLayoutIndependence:
         t, h, w = (int(rng.integers(v, v + 5)) for v in (kt, kh, kw))
         p = Conv3dParams(kernels=rng.normal(size=(f, c, kt, kh, kw)), bias=rng.normal(size=f), padding=pad)
         x = rng.normal(size=(int(rng.integers(1, 4)), c, t, h, w))
-        gy = rng.normal(size=(x.shape[0], f) + tuple(e + 2 * q - k + 1 for e, q, k in zip((t, h, w), pad, (kt, kh, kw))))
+        gy = rng.normal(size=conv3d_forward(p, x)[0].shape)
         window = tuple(int(rng.integers(1, 3)) for _ in range(3))
         pooled = tuple(-(-e // wd) for e, wd in zip((t, h, w), window))
         gp = rng.normal(size=x.shape[:2] + pooled)
@@ -515,8 +515,8 @@ class TestClips:
     @given(st.integers(1, 70), st.integers(1, 16))
     def test_clip_split_property(self, t, clip_len):
         # every frame distinct: frame k of channel ci holds 100·ci + k
-        video = np.arange(t, dtype=np.float64)[None, :, None, None] + 100.0 * np.arange(2)[:, None, None, None]
-        video = np.broadcast_to(video, (2, t, 3, 2))
+        frames = 100.0 * np.arange(2)[:, None] + np.arange(t)
+        video = np.broadcast_to(frames[:, :, None, None], (2, t, 3, 2))
         clips = clip_split(video, clip_len)
         whole, rem = divmod(t, clip_len)
         assert len(clips) == max(1, whole + (2 * rem >= clip_len))

@@ -164,7 +164,10 @@ class TestGenerator:
         [
             ({"n_classes": 2}, r"shared_video_pairs: \(2, 3\) needs classes below n_classes \(2\)"),
             ({"n_classes": 5}, r"xor_pair: \(4, 5\) needs classes below n_classes \(5\)"),
-            ({"shared_skeleton_pairs": ((0, 4),)}, r"xor_pair: \(4, 5\) shares classes \[4\] with shared_skeleton_pairs"),
+            (
+                {"shared_skeleton_pairs": ((0, 4),)},
+                r"xor_pair: \(4, 5\) shares classes \[4\] with shared_skeleton_pairs",
+            ),
         ],
         ids=["default_video_pair", "default_xor_pair", "xor_overlap"],
     )

@@ -31,13 +31,10 @@ from .recurrent import (
     RnnCell,
     RnnCellParams,
     SequenceBatch,
-    gru_cell_forward,
     init_gru_cell,
     init_lstm_cell,
     init_rnn_cell,
-    lstm_cell_forward,
     param_count,
-    rnn_cell_forward,
     stack,
     unroll,
 )

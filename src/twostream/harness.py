@@ -86,10 +86,6 @@ class RunResult:
     def to_json(self):
         return json.dumps(self.canonical_dict(), sort_keys=True, indent=2)
 
-    @property
-    def accuracy_from_confusion(self):
-        return float(np.trace(self.confusion)) / float(self.confusion.sum())
-
 
 def steps_to_threshold(result: RunResult, threshold: float):
     """Optimizer steps until validation accuracy first reached `threshold`,
@@ -162,7 +158,7 @@ def evaluate(model, dataset: Dataset, indices, t_max=None) -> RunResult:
     confusion = _confusion_of([p.label for p in preds], dataset.labels(indices), dataset.n_classes)
     result = RunResult(model=getattr(model.spec, "name", "?"), seed=-1)
     result.confusion = confusion
-    result.test_accuracy = float(np.trace(confusion)) / max(len(indices), 1)
+    result.test_accuracy = _accuracy_of(confusion)
     return result
 
 
@@ -522,6 +518,11 @@ def _confusion_of(pred_labels, labels, k):
     return confusion
 
 
+def _accuracy_of(confusion):
+    """The share of samples on the diagonal; 0.0 when there are none."""
+    return float(np.trace(confusion)) / max(int(confusion.sum()), 1)
+
+
 def run_decision_fusion(rnn_model, cnn_model, dataset: Dataset, splits: Splits) -> dict:
     """Tune trust weights on validation, vote on the test set."""
     val_r = predict_dataset(rnn_model, dataset, splits.val)
@@ -535,7 +536,7 @@ def run_decision_fusion(rnn_model, cnn_model, dataset: Dataset, splits: Splits) 
     return {
         "w_r": weights.w_r,
         "w_c": weights.w_c,
-        "test_accuracy": float(np.trace(confusion)) / max(len(labels), 1),
+        "test_accuracy": _accuracy_of(confusion),
         "confusion": confusion.tolist(),
     }
 
@@ -553,7 +554,7 @@ def run_feature_fusion(rnn_model, cnn_model, dataset: Dataset, splits: Splits, s
     confusion = _confusion_of(pred_labels, labels, dataset.n_classes)
     return {
         "svm_c": float(svm_c),
-        "test_accuracy": float(np.trace(confusion)) / max(len(labels), 1),
+        "test_accuracy": _accuracy_of(confusion),
         "confusion": confusion.tolist(),
     }
 

@@ -13,15 +13,17 @@ Conventions shared by every cell:
   is frozen, the emitted output row is zero, and no gradient flows to the
   padded inputs. Appending more padding therefore changes nothing.
 
-The `*_cell_forward` / `*_cell_backward` functions are the single-step
-reference. `unroll` computes the same recurrence in a time-major loop
-(Appleyard et al., arXiv:1604.01946): the input half of every fused matmul,
-x_t W_x^T + b, is taken out of the loop as one GEMM over all valid (t, row)
-pairs, so each step only adds h_prev W_h^T. `unroll_backward` keeps each
-step's pre-activation gradients and forms dW, db and the input gradient with
-one GEMM each over the same valid pairs after the loop; the step-local
-derivative factors (gate slopes and the like) are computed for all steps at
-once before it, so the backward loop holds only what the recurrence needs.
+Each cell kind writes its step math once, in the `_Cell` protocol: `recur`
+runs a step forward, `local_grads` and `recur_backward` run it backward.
+`_Cell.step` applies one step to a batch of input rows. `unroll` runs the
+same `recur` in a time-major loop (Appleyard et al., arXiv:1604.01946): the
+input half of every fused matmul, x_t W_x^T + b, is taken out of the loop as
+one GEMM over all valid (t, row) pairs, so each step only adds h_prev W_h^T.
+`unroll_backward` keeps each step's pre-activation gradients and forms dW, db
+and the input gradient with one GEMM each over the same valid pairs after the
+loop; the step-local derivative factors (gate slopes and the like) are
+computed for all steps at once before it, so the backward loop holds only
+what the recurrence needs.
 
 The hoisted GEMMs run over the valid pairs only, never over all T*n padded
 rows: OpenBLAS can round a row differently when a GEMM's row count changes,
@@ -142,131 +144,18 @@ def param_count(params) -> int:
     return total
 
 
-def _check_step_shapes(x_t, h_prev, input_dim, hidden_dim):
-    if x_t.ndim != 2 or x_t.shape[1] != input_dim:
-        raise DimensionError(f"x_t shape {x_t.shape} does not match input_dim {input_dim}")
-    if h_prev.shape != (x_t.shape[0], hidden_dim):
-        raise DimensionError(
-            f"h_prev shape {h_prev.shape} does not match (n={x_t.shape[0]}, d={hidden_dim})"
-        )
-
-
-def rnn_cell_forward(p: RnnCellParams, x_t, h_prev):
-    """One vanilla step: returns (h_t, cache)."""
-    _check_step_shapes(x_t, h_prev, p.input_dim, p.hidden_dim)
-    xh = np.concatenate([x_t, h_prev], axis=1)
-    pre = xh @ p.W.T + p.b
-    h_t = np.tanh(pre) if p.activation == "tanh" else sigmoid(pre)
-    return h_t, (xh, h_t)
-
-
-def rnn_cell_backward(p: RnnCellParams, cache, dh):
-    xh, h_t = cache
-    if p.activation == "tanh":
-        dpre = dh * (1.0 - h_t * h_t)
-    else:
-        dpre = dh * h_t * (1.0 - h_t)
-    dW = dpre.T @ xh
-    db = dpre.sum(axis=0)
-    dxh = dpre @ p.W
-    i = p.input_dim
-    return dxh[:, :i], dxh[:, i:], [dW, db]
-
-
-def lstm_cell_forward(p: LstmCellParams, x_t, h_prev, c_prev):
-    """One LSTM step: returns (h_t, c_t, cache)."""
-    d = p.hidden_dim
-    _check_step_shapes(x_t, h_prev, p.input_dim, d)
-    if c_prev.shape != h_prev.shape:
-        raise DimensionError(f"c_prev shape {c_prev.shape} != h_prev shape {h_prev.shape}")
-    xh = np.concatenate([x_t, h_prev], axis=1)
-    pre = xh @ p.W.T + p.b
-    gi = sigmoid(pre[:, :d])
-    gf = sigmoid(pre[:, d : 2 * d])
-    go = sigmoid(pre[:, 2 * d : 3 * d])
-    cand = np.tanh(pre[:, 3 * d :])
-    c_t = gf * c_prev + gi * cand
-    tc = np.tanh(c_t)
-    h_t = go * tc
-    return h_t, c_t, (xh, c_prev, gi, gf, go, cand, tc)
-
-
-def lstm_cell_backward(p: LstmCellParams, cache, dh, dc):
-    xh, c_prev, gi, gf, go, cand, tc = cache
-    dgo = dh * tc
-    dct = dc + dh * go * (1.0 - tc * tc)
-    dgi = dct * cand
-    dgf = dct * c_prev
-    dcand = dct * gi
-    dc_prev = dct * gf
-    dpre = np.concatenate(
-        [
-            dgi * gi * (1.0 - gi),
-            dgf * gf * (1.0 - gf),
-            dgo * go * (1.0 - go),
-            dcand * (1.0 - cand * cand),
-        ],
-        axis=1,
-    )
-    dW = dpre.T @ xh
-    db = dpre.sum(axis=0)
-    dxh = dpre @ p.W
-    i = p.input_dim
-    return dxh[:, :i], dxh[:, i:], dc_prev, [dW, db]
-
-
-def gru_cell_forward(p: GruCellParams, x_t, h_prev):
-    """One GRU step: returns (h_t, cache).
-
-    The reset gate scales h_prev inside the candidate's affine map; the update
-    gate blends h_t = z * h_prev + (1 - z) * candidate.
-    """
-    d = p.hidden_dim
-    _check_step_shapes(x_t, h_prev, p.input_dim, d)
-    xh = np.concatenate([x_t, h_prev], axis=1)
-    gates = sigmoid(xh @ p.W_gates.T + p.b_gates)
-    z = gates[:, :d]
-    r = gates[:, d:]
-    hr = r * h_prev
-    xhr = np.concatenate([x_t, hr], axis=1)
-    cand = np.tanh(xhr @ p.W_cand.T + p.b_cand)
-    h_t = z * h_prev + (1.0 - z) * cand
-    return h_t, (xh, xhr, h_prev, z, r, cand)
-
-
-def gru_cell_backward(p: GruCellParams, cache, dh):
-    xh, xhr, h_prev, z, r, cand = cache
-    i = p.input_dim
-    dz = dh * (h_prev - cand)
-    dcand = dh * (1.0 - z)
-    dh_prev = dh * z
-    dpre_c = dcand * (1.0 - cand * cand)
-    dW_cand = dpre_c.T @ xhr
-    db_cand = dpre_c.sum(axis=0)
-    dxhr = dpre_c @ p.W_cand
-    dx = dxhr[:, :i].copy()
-    dhr = dxhr[:, i:]
-    dr = dhr * h_prev
-    dh_prev = dh_prev + dhr * r
-    dpre_g = np.concatenate([dz * z * (1.0 - z), dr * r * (1.0 - r)], axis=1)
-    dW_gates = dpre_g.T @ xh
-    db_gates = dpre_g.sum(axis=0)
-    dxh = dpre_g @ p.W_gates
-    dx += dxh[:, :i]
-    dh_prev = dh_prev + dxh[:, i:]
-    return dx, dh_prev, [dW_gates, dW_cand, db_gates, db_cand]
-
-
 class _Cell:
     """The step protocol that `unroll` drives, shared by the three cell kinds.
 
     A cell's weights are one or more fused blocks (W, b). Each W acts on
     [x_t ; hin_t], input columns first, where hin_t is the block's recurrent
-    input: h_prev, or r * h_prev for the GRU candidate.
+    input: h_prev, or r * h_prev for the GRU candidate. `split_weights` is the
+    one place that splits the blocks at the input columns.
 
     * `recur(xp_t, wh, state)` runs one step from the projected input row
       xp_t = x_t W_x^T + b (blocks side by side) and the transposed recurrent
       halves wh = [W_h^T per block]. It returns (h_t, new_state, saved).
+      `step` projects one input row batch and calls it.
     * `local_grads(*saved)` takes each saved array stacked over steps and
       returns every block's recurrent inputs and the step-local derivative
       factors, all computed in one pass over the stacked arrays.
@@ -303,6 +192,32 @@ class _Cell:
         """Every block's W, then every block's b: the order of `param_names`."""
         blocks = self.blocks()
         return [W for W, _ in blocks] + [b for _, b in blocks]
+
+    def split_weights(self):
+        """The fused blocks split at the input columns: (W_x, b, wh), with the
+        blocks' input halves W_x [G, i] and biases b [G] side by side and
+        wh = [contiguous W_h^T per block], the form `recur` takes."""
+        i, blocks = self.input_dim, self.blocks()
+        w_x = np.concatenate([W[:, :i] for W, _ in blocks])
+        b = np.concatenate([b for _, b in blocks])
+        return w_x, b, [np.ascontiguousarray(W[:, i:].T) for W, _ in blocks]
+
+    def step(self, x_t, state):
+        """One step over a row batch x_t [n, i] from `state` (h, or (h, c) for
+        the LSTM, each [n, d]). Returns (h_t, new_state). It makes the calls a
+        length-one `unroll` makes, so the two agree bit for bit."""
+        i, d = self.input_dim, self.hidden_dim
+        if x_t.ndim != 2 or x_t.shape[1] != i:
+            raise DimensionError(f"x_t shape {x_t.shape} does not match input_dim {i}")
+        h_prev = state[0]
+        if h_prev.shape != (x_t.shape[0], d):
+            raise DimensionError(f"h_prev shape {h_prev.shape} does not match (n={x_t.shape[0]}, d={d})")
+        for s in state[1:]:
+            if s.shape != h_prev.shape:
+                raise DimensionError(f"c_prev shape {s.shape} != h_prev shape {h_prev.shape}")
+        w_x, b, wh = self.split_weights()
+        h_t, new_state, _ = self.recur(x_t @ w_x.T + b, wh, state)
+        return h_t, new_state
 
 
 class RnnCell(_Cell):
@@ -384,7 +299,9 @@ class LstmCell(_Cell):
 
 class GruCell(_Cell):
     """GRU cell over GruCellParams. State is the 1-tuple (h,); the blocks are
-    (W_gates, b_gates) on [x ; h_prev] and (W_cand, b_cand) on [x ; r*h_prev]."""
+    (W_gates, b_gates) on [x ; h_prev] and (W_cand, b_cand) on [x ; r*h_prev],
+    so the reset gate scales h_prev inside the candidate's affine map. The
+    update gate blends h_t = z * h_prev + (1 - z) * candidate."""
 
     param_names = ("W_gates", "W_cand", "b_gates", "b_cand")
 
@@ -537,15 +454,15 @@ def unroll(cell, batch: SequenceBatch, direction="forward"):
     step = cells[0]  # both cells are of one kind, so one runs the steps
     d = step.hidden_dim
     lead = (2,) if len(cells) == 2 else ()  # the direction axis
-    blocks = [c.blocks() for c in cells]
-    w_x = [np.concatenate([W[:, :i] for W, _ in bs]) for bs in blocks]
-    w_h = [_stacked([np.ascontiguousarray(W[:, i:].T) for W, _ in same]) for same in zip(*blocks)]
+    split = [c.split_weights() for c in cells]
+    w_x = [w for w, _, _ in split]
+    w_h = [_stacked(same) for same in zip(*(wh for _, _, wh in split))]
     x_valid = x.transpose(1, 0, 2)[:t_run][valid]
     # One step-ordered buffer: each direction's projections go straight into
     # their slot, the backward direction's through a reversed time view.
     xp = np.zeros((t_run, *lead, n, w_x[0].shape[0]), dtype=x.dtype)
-    for xp_j, w, bs in zip(_time_views(xp, reverse), w_x, blocks):
-        xp_j[valid] = x_valid @ w.T + np.concatenate([b for _, b in bs])
+    for xp_j, (w, b, _) in zip(_time_views(xp, reverse), split):
+        xp_j[valid] = x_valid @ w.T + b
     kept = [valid if not (rev and step.rests_at_zero) else np.ones_like(valid) for rev in reverse]
     keep = _step_ordered(kept, reverse)[..., None]
     partial = (~keep.all(axis=tuple(range(1, keep.ndim)))).tolist()

@@ -31,13 +31,7 @@ from twostream import (
 )
 from twostream.heads import init_dense
 from twostream.models import ModelSpec, build_model
-from twostream.recurrent import (
-    GruCellParams,
-    LstmCellParams,
-    SequenceBatch,
-    gru_cell_forward,
-    lstm_cell_forward,
-)
+from twostream.recurrent import GruCell, GruCellParams, LstmCell, LstmCellParams, SequenceBatch
 from twostream.harness import (
     run_decision_fusion,
     run_feature_fusion,
@@ -121,7 +115,7 @@ def test_criterion_02_oracle_equivalence():
         lstm.b[...] = rng.normal(0.0, 0.5, size=lstm.b.shape)
         x = rng.normal(size=(2, 3))
         h0, c0 = rng.normal(size=(2, 4)), rng.normal(size=(2, 4))
-        h1, c1, _ = lstm_cell_forward(lstm, x, h0, c0)
+        h1, (_, c1) = LstmCell(lstm).step(x, (h0, c0))
         for row in range(2):
             hr, cr = scalar_lstm_step(
                 lstm.W.tolist(), lstm.b.tolist(), x[row].tolist(), h0[row].tolist(), c0[row].tolist()
@@ -130,7 +124,7 @@ def test_criterion_02_oracle_equivalence():
                              float(np.abs(c1[row] - cr).max()))
         gru = init_gru_cell(3, 4, rng)
         gru.b_gates[...] = rng.normal(0.0, 0.3, size=gru.b_gates.shape)
-        h1g, _ = gru_cell_forward(gru, x, h0)
+        h1g, _ = GruCell(gru).step(x, (h0,))
         for row in range(2):
             ref = scalar_gru_step(
                 gru.W_gates.tolist(), gru.W_cand.tolist(), gru.b_gates.tolist(),
@@ -152,7 +146,7 @@ def test_criterion_03_gate_identities():
         lstm.b[:d] = -50.0
         lstm.b[d : 2 * d] = 50.0
         c_prev = rng.normal(0.0, 2.0, size=(4, d))
-        _, c_t, _ = lstm_cell_forward(lstm, rng.normal(size=(4, 3)), rng.normal(size=(4, d)), c_prev)
+        _, (_, c_t) = LstmCell(lstm).step(rng.normal(size=(4, 3)), (rng.normal(size=(4, d)), c_prev))
         worst = max(worst, float(np.abs(c_t - c_prev).max()))
 
         gru = GruCellParams(
@@ -163,7 +157,7 @@ def test_criterion_03_gate_identities():
         )
         gru.b_gates[:d] = 50.0
         h_prev = rng.normal(0.0, 2.0, size=(4, d))
-        h_t, _ = gru_cell_forward(gru, rng.normal(size=(4, 3)), h_prev)
+        h_t, _ = GruCell(gru).step(rng.normal(size=(4, 3)), (h_prev,))
         worst = max(worst, float(np.abs(h_t - h_prev).max()))
     report(3, worst <= 1e-10, f"worst passthrough deviation {worst:.1e} over 25 random states")
 

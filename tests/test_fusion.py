@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from twostream import (
     DataError,
@@ -16,6 +17,12 @@ def _pred(conf, label=0, k=4):
     probs = np.full(k, (1.0 - conf) / (k - 1))
     probs[label] = conf
     return Prediction.from_probs(probs)
+
+
+# Small exact values make exact ties common (0.5 * 0.8 == 1.0 * 0.4 in floats);
+# a confidence of at least 0.4 stays the argmax for up to 4 classes.
+_CONFIDENCES = st.sampled_from([0.4, 0.5, 0.6, 0.8, 1.0]) | st.floats(0.4, 1.0)
+_WEIGHTS = st.sampled_from([0.5, 1.0, 2.0]) | st.floats(0.1, 10.0)
 
 
 class TestPrediction:
@@ -68,6 +75,14 @@ class TestDecisionFuse:
             w2 = TrustWeights(3.5, 7.0)
             assert decision_fuse(w1, r, c).label == decision_fuse(w2, r, c).label
 
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(conf_r=_CONFIDENCES, conf_c=_CONFIDENCES, w_r=_WEIGHTS, w_c=_WEIGHTS)
+    @example(conf_r=0.8, conf_c=0.4, w_r=0.5, w_c=1.0)  # an exact tie at unequal weights
+    def test_rnn_wins_only_on_strictly_more_weighted_confidence(self, conf_r, conf_c, w_r, w_c):
+        r, c = _pred(conf_r, label=1), _pred(conf_c, label=2)
+        fused = decision_fuse(TrustWeights(w_r, w_c), r, c)
+        assert fused is (r if w_r * conf_r > w_c * conf_c else c)
+
     def test_class_count_mismatch_rejected(self):
         with pytest.raises(DimensionError):
             decision_fuse(TrustWeights(), _pred(0.9, k=3), _pred(0.9, k=4))
@@ -104,6 +119,28 @@ class TestSearchTrustWeights:
                 [decision_fuse(weights, r, c).label == y for r, c, y in zip(rnn, cnn, labels)]
             )
             assert acc_at(w) >= acc_at(TrustWeights(1.0, 1.0))
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(rows=st.lists(
+        st.tuples(st.integers(0, 2), _CONFIDENCES, st.booleans(), _CONFIDENCES, st.booleans()),
+        min_size=1, max_size=25,
+    ))
+    def test_picks_the_lowest_of_the_best_candidates(self, rows):
+        labels = [y for y, *_ in rows]
+        rnn = [_pred(conf, label=y if ok else (y + 1) % 3, k=3) for y, conf, ok, _, _ in rows]
+        cnn = [_pred(conf, label=y if ok else (y + 2) % 3, k=3) for y, _, _, conf, ok in rows]
+
+        def hits_at(w_c):
+            weights = TrustWeights(1.0, w_c)
+            return sum(decision_fuse(weights, r, c).label == y for r, c, y in zip(rnn, cnn, labels))
+
+        w = search_trust_weights(rnn, cnn, labels)
+        # the documented candidates: 100 log-spaced values in [0.1, 10] and 1.0
+        candidates = [float(v) for v in np.unique(np.append(np.logspace(-1.0, 1.0, 100), 1.0))]
+        hits = [hits_at(wc) for wc in candidates]
+        assert w.w_r == 1.0
+        assert w.w_c == candidates[hits.index(max(hits))]
+        assert hits_at(w.w_c) >= hits_at(1.0)
 
     def test_empty_validation_rejected(self):
         with pytest.raises(DataError):

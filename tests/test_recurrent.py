@@ -18,29 +18,22 @@ from twostream import (
     RnnCellParams,
     Rng,
     SequenceBatch,
-    gru_cell_forward,
     init_gru_cell,
     init_lstm_cell,
     init_rnn_cell,
-    lstm_cell_forward,
     param_count,
-    rnn_cell_forward,
+    sigmoid,
     stack,
     unroll,
 )
-from twostream.recurrent import (
-    gru_cell_backward,
-    lstm_cell_backward,
-    rnn_cell_backward,
-    stack_backward,
-    unroll_backward,
-)
+from twostream.recurrent import stack_backward, unroll_backward
 
 from conftest import central_diff, max_rel_err
 
 
 # ---------------------------------------------------------------------------
-# Straight-line scalar reimplementations (the independent oracle)
+# Independent oracles: straight-line scalar steps, and numpy per-step forward
+# and backward references on the fused [x ; h] weights
 # ---------------------------------------------------------------------------
 
 
@@ -73,6 +66,76 @@ def scalar_gru_step(Wg, Wc, bg, bc, x_row, h_row):
     return [z[r] * h_row[r] + (1.0 - z[r]) * cand[r] for r in range(d)]
 
 
+def rnn_step_reference(p, x_t, h_prev):
+    xh = np.concatenate([x_t, h_prev], axis=1)
+    pre = xh @ p.W.T + p.b
+    h_t = np.tanh(pre) if p.activation == "tanh" else sigmoid(pre)
+    return h_t, (xh, h_t)
+
+
+def rnn_step_reference_backward(p, cache, dh):
+    xh, h_t = cache
+    if p.activation == "tanh":
+        dpre = dh * (1.0 - h_t * h_t)
+    else:
+        dpre = dh * h_t * (1.0 - h_t)
+    dxh = dpre @ p.W
+    i = p.input_dim
+    return dxh[:, :i], dxh[:, i:], [dpre.T @ xh, dpre.sum(axis=0)]
+
+
+def lstm_step_reference(p, x_t, h_prev, c_prev):
+    d = p.hidden_dim
+    xh = np.concatenate([x_t, h_prev], axis=1)
+    pre = xh @ p.W.T + p.b
+    gi = sigmoid(pre[:, :d])
+    gf = sigmoid(pre[:, d : 2 * d])
+    go = sigmoid(pre[:, 2 * d : 3 * d])
+    cand = np.tanh(pre[:, 3 * d :])
+    c_t = gf * c_prev + gi * cand
+    tc = np.tanh(c_t)
+    return go * tc, c_t, (xh, c_prev, gi, gf, go, cand, tc)
+
+
+def lstm_step_reference_backward(p, cache, dh, dc):
+    xh, c_prev, gi, gf, go, cand, tc = cache
+    dct = dc + dh * go * (1.0 - tc * tc)
+    dpre = np.concatenate(
+        [
+            dct * cand * gi * (1.0 - gi),
+            dct * c_prev * gf * (1.0 - gf),
+            dh * tc * go * (1.0 - go),
+            dct * gi * (1.0 - cand * cand),
+        ],
+        axis=1,
+    )
+    dxh = dpre @ p.W
+    i = p.input_dim
+    return dxh[:, :i], dxh[:, i:], dct * gf, [dpre.T @ xh, dpre.sum(axis=0)]
+
+
+def gru_step_reference(p, x_t, h_prev):
+    d = p.hidden_dim
+    xh = np.concatenate([x_t, h_prev], axis=1)
+    gates = sigmoid(xh @ p.W_gates.T + p.b_gates)
+    z, r = gates[:, :d], gates[:, d:]
+    xhr = np.concatenate([x_t, r * h_prev], axis=1)
+    cand = np.tanh(xhr @ p.W_cand.T + p.b_cand)
+    return z * h_prev + (1.0 - z) * cand, (xh, xhr, h_prev, z, r, cand)
+
+
+def gru_step_reference_backward(p, cache, dh):
+    xh, xhr, h_prev, z, r, cand = cache
+    i = p.input_dim
+    dpre_c = dh * (1.0 - z) * (1.0 - cand * cand)
+    dxhr = dpre_c @ p.W_cand
+    dhr = dxhr[:, i:]
+    dpre_g = np.concatenate([dh * (h_prev - cand) * z * (1.0 - z), dhr * h_prev * r * (1.0 - r)], axis=1)
+    dxh = dpre_g @ p.W_gates
+    grads = [dpre_g.T @ xh, dpre_c.T @ xhr, dpre_g.sum(axis=0), dpre_c.sum(axis=0)]
+    return dxhr[:, :i] + dxh[:, :i], dh * z + dhr * r + dxh[:, i:], grads
+
+
 # ---------------------------------------------------------------------------
 # Cell forward behaviour
 # ---------------------------------------------------------------------------
@@ -81,23 +144,25 @@ def scalar_gru_step(Wg, Wc, bg, bc, x_row, h_row):
 class TestRnnCell:
     def test_zero_weights_give_zero_state(self):
         p = RnnCellParams(W=np.zeros((3, 5)), b=np.zeros(3), activation="tanh")
-        h, _ = rnn_cell_forward(p, np.random.rand(4, 2), np.random.rand(4, 3))
+        h, _ = RnnCell(p).step(np.random.rand(4, 2), (np.random.rand(4, 3),))
         assert np.array_equal(h, np.zeros((4, 3)))
 
     def test_scalar_hand_evaluation(self):
         p = RnnCellParams(W=np.array([[1.0, 0.0]]), b=np.zeros(1), activation="tanh")
-        h, _ = rnn_cell_forward(p, np.array([[0.5]]), np.array([[0.0]]))
+        h, _ = RnnCell(p).step(np.array([[0.5]]), (np.array([[0.0]]),))
         assert h[0, 0] == pytest.approx(0.46211715726, abs=1e-9)
 
     def test_sigmoid_saturates_on_large_recurrent_weight(self):
         p = RnnCellParams(W=np.array([[0.0, 50.0]]), b=np.zeros(1), activation="sigmoid")
-        h, _ = rnn_cell_forward(p, np.array([[0.3]]), np.array([[1.0]]))
+        h, _ = RnnCell(p).step(np.array([[0.3]]), (np.array([[1.0]]),))
         assert h[0, 0] > 1.0 - 1e-12
 
     def test_shape_mismatch_rejected(self, rng):
-        p = init_rnn_cell(3, 4, rng)
-        with pytest.raises(DimensionError):
-            rnn_cell_forward(p, np.zeros((2, 5)), np.zeros((2, 4)))
+        cell = RnnCell(init_rnn_cell(3, 4, rng))
+        with pytest.raises(DimensionError, match="input_dim 3"):
+            cell.step(np.zeros((2, 5)), (np.zeros((2, 4)),))
+        with pytest.raises(DimensionError, match=r"\(n=2, d=4\)"):
+            cell.step(np.zeros((2, 3)), (np.zeros((3, 4)),))
 
 
 class TestLstmCell:
@@ -108,17 +173,20 @@ class TestLstmCell:
         p.b[:d] = -50.0  # input gate shut
         p.b[d : 2 * d] = 50.0  # forget gate open
         c_prev = rng.normal(size=(5, d))
-        _, c_t, _ = lstm_cell_forward(p, rng.normal(size=(5, 3)), rng.normal(size=(5, d)), c_prev)
+        _, (_, c_t) = LstmCell(p).step(rng.normal(size=(5, 3)), (rng.normal(size=(5, d)), c_prev))
         assert np.abs(c_t - c_prev).max() <= 1e-12
 
     def test_closed_output_gate_zeroes_state(self, rng):
         d = 3
         p = LstmCellParams(W=np.zeros((4 * d, 2 + d)), b=np.zeros(4 * d))
         p.b[2 * d : 3 * d] = -50.0
-        h_t, _, _ = lstm_cell_forward(
-            p, rng.normal(size=(4, 2)), rng.normal(size=(4, d)), rng.normal(size=(4, d))
-        )
+        h_t, _ = LstmCell(p).step(rng.normal(size=(4, 2)), (rng.normal(size=(4, d)), rng.normal(size=(4, d))))
         assert np.abs(h_t).max() <= 1e-12
+
+    def test_cell_state_shape_mismatch_rejected(self, rng):
+        cell = LstmCell(init_lstm_cell(3, 4, rng))
+        with pytest.raises(DimensionError, match="c_prev shape"):
+            cell.step(np.zeros((2, 3)), (np.zeros((2, 4)), np.zeros((2, 5))))
 
     def test_matches_scalar_oracle(self):
         rng = Rng(7)
@@ -129,7 +197,7 @@ class TestLstmCell:
         x = rng.normal(size=(n, i))
         h0 = rng.normal(size=(n, d))
         c0 = rng.normal(size=(n, d))
-        h1, c1, _ = lstm_cell_forward(p, x, h0, c0)
+        h1, (_, c1) = LstmCell(p).step(x, (h0, c0))
         for row in range(n):
             h_ref, c_ref = scalar_lstm_step(
                 p.W.tolist(), p.b.tolist(), x[row].tolist(), h0[row].tolist(), c0[row].tolist()
@@ -149,7 +217,7 @@ class TestGruCell:
         )
         p.b_gates[:d] = 50.0  # z -> 1
         h_prev = rng.normal(size=(6, d))
-        h_t, _ = gru_cell_forward(p, rng.normal(size=(6, 3)), h_prev)
+        h_t, _ = GruCell(p).step(rng.normal(size=(6, 3)), (h_prev,))
         assert np.abs(h_t - h_prev).max() <= 1e-12
 
     def test_both_gates_closed_reduces_to_candidate_of_input_only(self, rng):
@@ -161,7 +229,7 @@ class TestGruCell:
             b_cand=rng.normal(size=d),
         )
         x = rng.normal(size=(5, i))
-        h_t, _ = gru_cell_forward(p, x, rng.normal(size=(5, d)))
+        h_t, _ = GruCell(p).step(x, (rng.normal(size=(5, d)),))
         expected = np.tanh(
             np.concatenate([x, np.zeros((5, d))], axis=1) @ p.W_cand.T + p.b_cand
         )
@@ -175,7 +243,7 @@ class TestGruCell:
         p.b_cand[...] = rng.normal(0.0, 0.3, size=p.b_cand.shape)
         x = rng.normal(size=(n, i))
         h0 = rng.normal(size=(n, d))
-        h1, _ = gru_cell_forward(p, x, h0)
+        h1, _ = GruCell(p).step(x, (h0,))
         for row in range(n):
             ref = scalar_gru_step(
                 p.W_gates.tolist(),
@@ -198,7 +266,7 @@ class TestGruCell:
         p.b_gates[:d] = 50.0
         for _ in range(25):
             h_prev = rng.normal(0.0, 2.0, size=(3, d))
-            h_t, _ = gru_cell_forward(p, rng.normal(size=(3, 2)), h_prev)
+            h_t, _ = GruCell(p).step(rng.normal(size=(3, 2)), (h_prev,))
             assert np.abs(h_t - h_prev).max() <= 1e-10
 
 
@@ -249,27 +317,27 @@ def _padded_rows_zeroed(x, lengths):
 def _reference_step(cell, x_t, state):
     p = cell.params
     if isinstance(cell, LstmCell):
-        h, c, cache = lstm_cell_forward(p, x_t, state[0], state[1])
+        h, c, cache = lstm_step_reference(p, x_t, state[0], state[1])
         return (h, c), cache
     if isinstance(cell, GruCell):
-        h, cache = gru_cell_forward(p, x_t, state[0])
+        h, cache = gru_step_reference(p, x_t, state[0])
         return (h,), cache
-    h, cache = rnn_cell_forward(p, x_t, state[0])
+    h, cache = rnn_step_reference(p, x_t, state[0])
     return (h,), cache
 
 
 def _reference_step_backward(cell, cache, dstate):
     p = cell.params
     if isinstance(cell, LstmCell):
-        dx, dh, dc, grads = lstm_cell_backward(p, cache, dstate[0], dstate[1])
+        dx, dh, dc, grads = lstm_step_reference_backward(p, cache, dstate[0], dstate[1])
         return dx, (dh, dc), grads
-    backward = gru_cell_backward if isinstance(cell, GruCell) else rnn_cell_backward
+    backward = gru_step_reference_backward if isinstance(cell, GruCell) else rnn_step_reference_backward
     dx, dh, grads = backward(p, cache, dstate[0])
     return dx, (dh,), grads
 
 
 def _reference_unroll(cell, x, lengths, direction, r_out, r_last):
-    """Loop over the public single-step functions, one row at a time and only
+    """Loop over the numpy step references, one row at a time and only
     over its true steps. Returns outputs, last state, and the gradients of
     sum(outputs * r_out) + sum(last * r_last)."""
     n, T, _ = x.shape
@@ -312,12 +380,13 @@ class TestUnroll:
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-12
 
-    def test_length_one_sequence_is_a_single_cell_application(self, rng):
-        cell = _random_cell("gru", 3, 4, rng)
+    @pytest.mark.parametrize("kind", ["rnn", "rnn_sigmoid", "lstm", "gru"])
+    def test_length_one_sequence_is_a_single_cell_application(self, kind, rng):
+        cell = _random_biased_cell(kind, 3, 4, rng)
         x = rng.normal(size=(2, 5, 3))
         batch = SequenceBatch(x, [1, 1])
         outputs, last, _ = unroll(cell, batch)
-        h1, _ = gru_cell_forward(cell.params, x[:, 0, :], np.zeros((2, 4)))
+        h1, _ = cell.step(x[:, 0, :], cell.zero_state(2))
         assert np.array_equal(outputs[:, 0, :], h1)
         assert np.array_equal(last, h1)
         assert np.array_equal(outputs[:, 1:, :], np.zeros((2, 4, 4)))

@@ -42,6 +42,7 @@ from .fusion import Prediction, decision_fuse, feature_fuse, search_trust_weight
 from .heads import svm_predict, svm_train
 from .data import Dataset, Splits, SplitSpec, make_splits, pad_sequences
 from .models import ModelSpec, build_model, LADDER_VARIANTS
+from .parallel import ordered_map
 
 
 @dataclass
@@ -114,22 +115,25 @@ def _video_clip_table(dataset: Dataset, indices, clip_len=16):
 def _chunked(model, fn, inputs, chunk):
     """fn over consecutive chunks of at most `chunk` rows of inputs (a
     SequenceBatch or a clip array [n,c,t,h,w]), the outputs concatenated.
-    Raises DivergenceError naming the model if a chunk's output is not finite."""
+    The chunks are independent, so `ordered_map` spreads them over the usable
+    cores. Every chunk runs; then the first whose output is not finite, in
+    row order, raises DivergenceError naming the model and its rows."""
     skeleton = isinstance(inputs, SequenceBatch)
     n = inputs.n if skeleton else inputs.shape[0]
-    rows = []
-    for s in range(0, n, chunk):
+
+    def run(s):
         if skeleton:
-            sub = SequenceBatch(inputs.data[s : s + chunk], inputs.lengths[s : s + chunk])
-        else:
-            sub = inputs[s : s + chunk]
-        out = fn(sub)
+            return fn(SequenceBatch(inputs.data[s : s + chunk], inputs.lengths[s : s + chunk]))
+        return fn(inputs[s : s + chunk])
+
+    starts = range(0, n, chunk)
+    rows = ordered_map(run, starts)
+    for s, out in zip(starts, rows):
         if not np.isfinite(out).all():
             raise DivergenceError(
                 f"{model.spec.name}: non-finite inference output "
                 f"in rows {s}..{min(s + chunk, n) - 1}"
             )
-        rows.append(out)
     return np.concatenate(rows, axis=0)
 
 
@@ -615,11 +619,16 @@ def run_ladder(dataset: Dataset, cfg: dict, out_dir=None):
     """Train every configured ladder variant on one split, then add the two
     fusion rows when both streams are present. Returns (results, timing,
     models, splits); results are canonical dicts, timing stays separate so the
-    results file is bit-stable across reruns."""
+    results file is bit-stable across reruns.
+
+    The variants train independently, so `ordered_map` spreads them over the
+    usable cores. Each variant's seeds come from the config seed and its
+    name, so the results are the same bytes however many processes ran."""
     splits = splits_for(cfg, dataset)
     results, timing, trained = {}, {}, {}
-    for name in cfg["ladder_models"]:
-        model, res = train_variant(name, dataset, splits, cfg)
+    names = cfg["ladder_models"]
+    runs = ordered_map(lambda name: train_variant(name, dataset, splits, cfg), names)
+    for name, (model, res) in zip(names, runs):
         results[name] = res.canonical_dict()
         timing[name] = res.wall_clock_per_step
         trained[name] = model

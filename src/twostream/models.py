@@ -109,8 +109,8 @@ class RecurrentClassifier:
 
     def forward(self, batch: SequenceBatch, mode="inference", rng=None):
         """Returns (logits, cache). Train mode updates batchnorm running stats
-        and samples a dropout mask from `rng`."""
-        _, last, stack_caches = stack(self.layers, batch)
+        and samples a dropout mask from `rng`; inference keeps no BPTT tape."""
+        _, last, stack_caches = stack(self.layers, batch, train=mode == "train")
         feat = last
         bn_cache = drop_mask = hidden_cache = None
         if self.bn is not None:

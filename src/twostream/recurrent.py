@@ -414,8 +414,9 @@ def _take_tape(tape):
     return saved
 
 
-def unroll(cell, batch: SequenceBatch, direction="forward"):
+def unroll(cell, batch: SequenceBatch, direction="forward", train=True):
     """Run a cell across time. Returns (outputs [n×T×d], last_valid [n×d], cache).
+    With train=False the cache is None: no per-step tape is kept for BPTT.
 
     Forward direction iterates t = 1..T, backward t = T..1; in both cases a
     row's state only updates at steps inside its true length, so last_valid is
@@ -467,9 +468,11 @@ def unroll(cell, batch: SequenceBatch, direction="forward"):
     keep = _step_ordered(kept, reverse)[..., None]
     partial = (~keep.all(axis=tuple(range(1, keep.ndim)))).tolist()
     state = step.zero_state(*lead, n)
-    hs, tape = [None] * t_run, [None] * t_run
+    hs, tape = [None] * t_run, []
     for k in range(t_run):
-        hs[k], new_state, tape[k] = step.recur(xp[k], w_h, state)
+        hs[k], new_state, saved = step.recur(xp[k], w_h, state)
+        if train:
+            tape.append(saved)
         if partial[k]:
             new_state = tuple(np.where(keep[k], s_new, s_old) for s_new, s_old in zip(new_state, state))
         state = new_state
@@ -479,6 +482,8 @@ def unroll(cell, batch: SequenceBatch, direction="forward"):
         np.stack([h[j] for h in hs] if lead else hs, out=cols[::-1] if rev else cols)
     out[:t_run][~valid] = 0.0
     last = np.concatenate(state[0], axis=1) if lead else state[0]
+    if not train:
+        return out.transpose(1, 0, 2), last, None
     return out.transpose(1, 0, 2), last, (tape, keep, partial, valid, x_valid, w_x, w_h, direction, T)
 
 
@@ -491,6 +496,8 @@ def unroll_backward(cell, cache, grad_outputs=None, grad_last=None):
     zero, and state gradients pass straight through frozen steps. The cache
     serves one backward pass: it frees the forward's per-step tape.
     """
+    if cache is None:
+        raise ContractError("unroll_backward got the cache of an unroll that ran with train=False")
     tape, keep, partial, valid, x_valid, w_x, w_h, direction, T = cache
     cells, reverse = _directions(cell, direction)
     step = cells[0]
@@ -556,8 +563,8 @@ class RecurrentLayer:
     def param_items(self):
         return list(zip(self.cell.param_names, self.cell.param_arrays()))
 
-    def forward(self, batch):
-        return unroll(self.cell, batch, self.direction)
+    def forward(self, batch, train=True):
+        return unroll(self.cell, batch, self.direction, train)
 
     def backward(self, cache, grad_outputs=None, grad_last=None):
         param_grads, grad_x = unroll_backward(self.cell, cache, grad_outputs, grad_last)
@@ -594,19 +601,20 @@ class BidirectionalLayer:
         names = ["fwd." + n for n in self.cell_fwd.param_names] + ["bwd." + n for n in self.cell_bwd.param_names]
         return list(zip(names, self.param_arrays()))
 
-    def forward(self, batch):
+    def forward(self, batch, train=True):
         """Forward features in columns [0,d), backward in [d,2d). Returns
         (outputs [n×T×2d], last_valid [n×2d], cache)."""
-        return unroll(self, batch)
+        return unroll(self, batch, train=train)
 
     def backward(self, cache, grad_outputs=None, grad_last=None):
         param_grads, grad_x = unroll_backward(self, cache, grad_outputs, grad_last)
         return grad_x, param_grads
 
 
-def stack(layers, batch: SequenceBatch):
+def stack(layers, batch: SequenceBatch, train=True):
     """Run a list of recurrent layers; layer l consumes the full output
-    sequence of layer l-1. Returns (per-layer outputs, top last_valid, caches)."""
+    sequence of layer l-1. Returns (per-layer outputs, top last_valid, caches);
+    with train=False every cache is None."""
     outputs = []
     caches = []
     current = batch
@@ -615,7 +623,7 @@ def stack(layers, batch: SequenceBatch):
             raise DimensionError(
                 f"layer {idx} expects width {layer.in_dim}, got {current.data.shape[2]}"
             )
-        out, last, cache = layer.forward(current)
+        out, last, cache = layer.forward(current, train)
         outputs.append(out)
         caches.append(cache)
         current = SequenceBatch(out, batch.lengths)

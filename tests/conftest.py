@@ -1,5 +1,12 @@
-import numpy as np
-import pytest
+import os
+
+# One BLAS thread per process, set before numpy loads: independent chunks and
+# trainings then run in forked workers on every usable core, which beats
+# BLAS threads on these small matrices (see twostream.parallel).
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 
 
 @pytest.fixture
@@ -33,3 +40,28 @@ def max_rel_err(analytic, numeric, floor=1e-4):
         denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), floor)
         worst = max(worst, float((np.abs(a - n) / denom).max()))
     return worst
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """`workers(n)` pins `ordered_map` to n processes (as far as the item
+    count allows) on any machine, and returns the list of pids the parent
+    forks from then on."""
+    from twostream import parallel
+
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    def pin(n):
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: n)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setattr(os, "fork", counting_fork)
+        return forks
+
+    return pin

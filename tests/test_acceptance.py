@@ -40,12 +40,22 @@ from twostream.harness import (
     train_variant,
 )
 from twostream.config import default_config
+from twostream.parallel import ordered_map
 
 from test_conv3d import naive_conv3d, naive_maxpool3d
 from test_recurrent import scalar_gru_step, scalar_lstm_step
 
 EPOCH_BUDGET = 100
 LADDER_SEEDS = (0, 1, 2)
+# Every (variant, seed) the criteria read, longest first, so that the
+# interleaved shares `ordered_map` hands its workers take about equal time.
+TRAINED_RUNS = (
+    [("BI-GRU2-BN-DP-H", s) for s in LADDER_SEEDS]
+    + [("C3D-DESK", 0)]
+    + [("GRU1-BN-DP", s) for s in LADDER_SEEDS]
+    + [("LSTM1-BN", 0)]
+    + [(name, s) for name in ("LSTM1", "RNN1") for s in LADDER_SEEDS]
+)
 
 
 def report(criterion, passed, detail):
@@ -60,15 +70,23 @@ def task():
     splits = make_splits(dataset, SplitSpec("cross_subject"), Rng(0).derive(7))
     cfg = default_config()
     cfg["epochs"] = EPOCH_BUDGET
-    cache = {}
+
+    def timed_training(run):
+        tic = time.time()
+        model, result = train_variant(run[0], dataset, splits, cfg, seed=run[1])
+        return model, result, time.time() - tic
+
+    cache = dict(zip(TRAINED_RUNS, ordered_map(timed_training, TRAINED_RUNS)))
 
     def trained(name, seed):
-        key = (name, seed)
-        if key not in cache:
-            cache[key] = train_variant(name, dataset, splits, cfg, seed=seed)
-        return cache[key]
+        """(model, RunResult) of one run, trained up front."""
+        return cache[(name, seed)][:2]
 
-    return dataset, splits, cfg, trained
+    def train_seconds(name, seed):
+        """Wall time that run took to train, in its own process."""
+        return cache[(name, seed)][2]
+
+    return dataset, splits, cfg, trained, train_seconds
 
 
 def test_criterion_01_gradient_integrity():
@@ -173,14 +191,13 @@ def test_criterion_04_parameter_count_ratio():
 
 
 def test_criterion_05_bn_convergence(task):
-    dataset, splits, cfg, trained = task
-    tic = time.time()
+    dataset, splits, cfg, trained, train_seconds = task
     _, plain = trained("LSTM1", 0)
     _, with_bn = trained("LSTM1-BN", 0)
     cap = EPOCH_BUDGET * plain.steps_per_epoch
     steps_plain = steps_to_threshold(plain, 0.60) or cap
     steps_bn = steps_to_threshold(with_bn, 0.60)
-    elapsed = time.time() - tic
+    elapsed = train_seconds("LSTM1", 0) + train_seconds("LSTM1-BN", 0)
     ok = steps_bn is not None and steps_bn * 2 <= steps_plain and elapsed < 600.0
     report(5, ok, f"steps to 60% val: LSTM1-BN {steps_bn} vs LSTM1 {steps_plain}"
                   f"{' (budget cap)' if steps_to_threshold(plain, 0.60) is None else ''}, "
@@ -188,7 +205,7 @@ def test_criterion_05_bn_convergence(task):
 
 
 def test_criterion_06_ladder_ordering(task):
-    dataset, splits, cfg, trained = task
+    dataset, splits, cfg, trained, _ = task
     means = {}
     for name in ("RNN1", "LSTM1", "GRU1-BN-DP", "BI-GRU2-BN-DP-H"):
         means[name] = float(np.mean([trained(name, s)[1].test_accuracy for s in LADDER_SEEDS]))
@@ -200,7 +217,7 @@ def test_criterion_06_ladder_ordering(task):
 
 
 def test_criterion_07_fusion_superiority(task):
-    dataset, splits, cfg, trained = task
+    dataset, splits, cfg, trained, _ = task
     rnn_model, rnn_res = trained("BI-GRU2-BN-DP-H", 0)
     cnn_model, cnn_res = trained("C3D-DESK", 0)
     best_single = max(rnn_res.test_accuracy, cnn_res.test_accuracy)
@@ -245,7 +262,7 @@ def test_criterion_08_voting_truth_table():
 
 
 def test_criterion_09_ladder_determinism(task, tmp_path):
-    dataset, _, _, _ = task
+    dataset, _, _, _, _ = task
     cfg = default_config()
     cfg.update(epochs=3, ladder_models=["RNN1", "LSTM1-BN"], seed=123)
     run_ladder(dataset, cfg, out_dir=tmp_path / "a")
@@ -257,7 +274,7 @@ def test_criterion_09_ladder_determinism(task, tmp_path):
 
 
 def test_criterion_10_padding_invariance(task):
-    dataset, splits, cfg, trained = task
+    dataset, splits, cfg, trained, _ = task
     model, _ = trained("BI-GRU2-BN-DP-H", 0)
     rng = Rng(31337)
     picks = list(rng.integers(0, len(dataset), size=50))

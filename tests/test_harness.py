@@ -1,4 +1,6 @@
+import dataclasses
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from twostream import (
 )
 from twostream.harness import (
     RunResult,
+    _chunked,
     check_gradients,
     emit_confusion,
     predict_dataset,
@@ -31,22 +34,24 @@ from twostream.harness import (
 from twostream.config import default_config
 
 
+TINY_SYNTH = SynthConfig(
+    n_classes=3,
+    samples_per_class=18,
+    t_min=8,
+    t_max=12,
+    joints=3,
+    video_shape=(2, 8, 6, 6),
+    n_subjects=6,
+    n_views=3,
+    shared_skeleton_pairs=((0, 1),),
+    shared_video_pairs=((1, 2),),
+    xor_pair=None,
+)
+
+
 @pytest.fixture(scope="module")
 def tiny():
-    cfg = SynthConfig(
-        n_classes=3,
-        samples_per_class=18,
-        t_min=8,
-        t_max=12,
-        joints=3,
-        video_shape=(2, 8, 6, 6),
-        n_subjects=6,
-        n_views=3,
-        shared_skeleton_pairs=((0, 1),),
-        shared_video_pairs=((1, 2),),
-        xor_pair=None,
-    )
-    dataset = generate_synthetic(cfg, Rng(4))
+    dataset = generate_synthetic(TINY_SYNTH, Rng(4))
     splits = make_splits(dataset, SplitSpec("cross_subject"), Rng(4).derive(7))
     return dataset, splits
 
@@ -252,3 +257,74 @@ class TestLadderDeterminism:
         assert a == b
         parsed = json.loads(a)
         assert set(parsed) == {"RNN1", "LSTM1-BN"}
+
+
+@pytest.fixture(scope="module")
+def wide():
+    """216 one-clip samples: every inference call over all of them splits
+    into at least four chunks, so two workers fork."""
+    return generate_synthetic(dataclasses.replace(TINY_SYNTH, samples_per_class=72), Rng(11))
+
+
+class TestWorkerCountKeepsResults:
+    """One process and two give the same bytes."""
+
+    @pytest.mark.parametrize("name, tap", [("BI-GRU2-BN-DP-H", "rnn_fc"), ("C3D-DESK", "cnn_fc6")])
+    def test_inference_outputs_identical(self, wide, workers, name, tap):
+        model = build_model(_tiny_model_spec(name, wide), Rng(3))
+        indices = list(range(len(wide)))
+        outputs = []
+        for n in (1, 2):
+            forks = workers(n)
+            preds = predict_dataset(model, wide, indices)
+            feats = extract_features(model, wide, indices, tap)
+            outputs.append((np.stack([p.probs for p in preds]), [p.label for p in preds], feats))
+        assert len(forks) == 2  # both calls forked at 2 workers, neither at 1
+        (probs_1, labels_1, feats_1), (probs_2, labels_2, feats_2) = outputs
+        assert np.array_equal(probs_1, probs_2)
+        assert labels_1 == labels_2
+        assert np.array_equal(feats_1, feats_2)
+
+    @pytest.mark.parametrize("name", ["BI-GRU2-BN-DP-H", "C3D-DESK"])
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_nan_weight_raises_the_same_divergence_text(self, wide, workers, name):
+        model = build_model(_tiny_model_spec(name, wide), Rng(3))
+        model.param_items()[0][1].flat[0] = np.nan
+        messages = []
+        for n in (1, 2):
+            workers(n)
+            with pytest.raises(DivergenceError) as info:
+                predict_dataset(model, wide, list(range(len(wide))))
+            messages.append(str(info.value))
+        chunk = 64 if model.stream == "skeleton" else 32
+        assert messages[0] == messages[1] == f"{name}: non-finite inference output in rows 0..{chunk - 1}"
+
+    def test_first_non_finite_chunk_in_row_order_is_named(self, workers):
+        model = SimpleNamespace(spec=SimpleNamespace(name="M"))
+        clips = np.arange(10.0).reshape(10, 1, 1, 1, 1)
+
+        def poisoned_from_row_2(sub):
+            rows = sub.reshape(len(sub), 1)
+            return np.where(rows >= 2.0, np.inf, rows)
+
+        for n in (1, 2):  # at 2 workers, rows 2..3 are the worker's first chunk
+            workers(n)
+            with pytest.raises(DivergenceError, match=r"^M: non-finite inference output in rows 2\.\.3$"):
+                _chunked(model, poisoned_from_row_2, clips, 2)
+
+    def test_ladder_results_bytes_identical(self, tiny, workers, tmp_path):
+        dataset, _ = tiny
+        cfg = default_config()
+        cfg.update(
+            epochs=2, batch_size=8, cnn_epochs=1, cnn_batch_size=8, hidden_dim=6,
+            video_shape=(2, 8, 6, 6), seed=9,
+            ladder_models=["RNN1", "LSTM1-BN", "BI-GRU2-BN-DP-H", "C3D-DESK"],
+        )
+        for n in (1, 2):
+            forks = workers(n)
+            run_ladder(dataset, cfg, out_dir=tmp_path / str(n))
+        assert forks  # the 4 variants trained on 2 workers
+        a = (tmp_path / "1" / "ladder_results.json").read_bytes()
+        b = (tmp_path / "2" / "ladder_results.json").read_bytes()
+        assert a == b
+        assert {"DECISION-FUSION", "FEATURE-FUSION"} <= set(json.loads(a))

@@ -3,6 +3,7 @@ import pytest
 
 from twostream import (
     ConfigError,
+    ContractError,
     LADDER_VARIANTS,
     ModelSpec,
     Rng,
@@ -122,14 +123,23 @@ class TestForwardBackward:
         r = Rng(6).normal(size=(3, 4))
         arrays = [a for _, a in model.param_items()]
 
+        # LSTM1 has no batchnorm or dropout: train mode computes inference's logits
         def loss():
-            logits, _ = model.forward(batch, mode="inference")
+            logits, _ = model.forward(batch, mode="train")
             return float((logits * r).sum())
 
-        logits, cache = model.forward(batch, mode="inference")
+        logits, cache = model.forward(batch, mode="train")
+        assert np.array_equal(logits, model.forward(batch, mode="inference")[0])
         grads = model.backward(cache, r)
         analytic = [grads[n] for n, _ in model.param_items()]
         assert max_rel_err(analytic, central_diff(loss, arrays)) <= 1e-4
+
+    def test_backward_after_inference_forward_rejected(self, rng):
+        model = build_model(_spec("LSTM1"), rng)
+        logits, cache = model.forward(_batch(rng), mode="inference")
+        assert cache[0] == [None] * len(model.layers)  # no BPTT tape kept
+        with pytest.raises(ContractError, match="train=False"):
+            model.backward(cache, np.ones_like(logits))
 
     def test_features_tap_requires_hidden_layer(self, rng):
         model = build_model(_spec("LSTM1"), rng)

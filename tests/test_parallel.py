@@ -1,0 +1,129 @@
+import os
+
+import pytest
+
+from twostream import parallel
+from twostream.errors import DivergenceError
+from twostream.parallel import ordered_map, worker_count
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def failing_at(bad, exc_type=ValueError):
+    def fn(x):
+        if x in bad:
+            raise exc_type(f"item {x} failed")
+        return x * x
+
+    return fn
+
+
+class TestOrderedMap:
+    @pytest.mark.parametrize("n_workers", [2, 3])
+    def test_results_come_back_in_item_order(self, workers, n_workers):
+        forks = workers(n_workers)
+        out = ordered_map(lambda x: (x * x, os.getpid()), range(11))
+        assert [v for v, _ in out] == [x * x for x in range(11)]
+        assert len(forks) == n_workers - 1
+        pids = [pid for _, pid in out]
+        assert pids[0::n_workers] == [os.getpid()] * len(pids[0::n_workers])
+        for k in range(1, n_workers):
+            assert set(pids[k::n_workers]) == {forks[k - 1]}
+        assert_no_child_left()
+
+    @pytest.mark.parametrize(
+        "bad, first",
+        [
+            ({3, 6}, 3),  # the lowest failure ran in a worker
+            ({4, 7}, 4),  # the lowest failure ran in the parent
+            ({5}, 5),
+            ({0, 1}, 0),
+        ],
+    )
+    @pytest.mark.parametrize("exc_type", [ValueError, DivergenceError])
+    def test_lowest_index_failure_arrives_with_type_and_message(self, workers, bad, first, exc_type):
+        workers(2)
+        with pytest.raises(exc_type) as info:
+            ordered_map(failing_at(bad, exc_type), range(10))
+        assert type(info.value) is exc_type
+        assert str(info.value) == f"item {first} failed"
+        assert_no_child_left()
+
+    def test_serial_run_raises_the_same_failure(self, workers):
+        workers(1)
+        with pytest.raises(ValueError, match="^item 3 failed$"):
+            ordered_map(failing_at({3, 6}), range(10))
+
+    def test_unpicklable_result_fails_loudly(self, workers):
+        workers(2)
+        with pytest.raises(RuntimeError, match="does not pickle"):
+            ordered_map(lambda x: (lambda: x), range(4))
+        assert_no_child_left()
+
+    def test_worker_that_dies_is_reported_and_reaped(self, workers):
+        workers(2)
+        with pytest.raises(ChildProcessError, match="worker 1 .* exited without a result"):
+            ordered_map(lambda x: os._exit(3) if x == 1 else x, range(4))
+        assert_no_child_left()
+
+    def test_nested_call_runs_serially_in_parent_and_worker(self, workers):
+        forks = workers(2)
+        out = ordered_map(lambda x: (os.getpid(), ordered_map(lambda y: os.getpid(), range(6))), range(4))
+        assert len(forks) == 1
+        for outer, inner in out:
+            assert inner == [outer] * 6
+        assert_no_child_left()
+        assert len(ordered_map(lambda x: os.getpid(), range(4))) == 4
+        assert len(forks) == 2  # forks again once the outer map returned
+
+    def test_worker_state_stays_in_the_worker(self, workers):
+        workers(2)
+        seen = []
+        assert ordered_map(lambda x: seen.append(x) or x, range(4)) == [0, 1, 2, 3]
+        assert seen == [0, 2]
+
+    def test_empty_and_short_inputs_run_serially(self, workers):
+        forks = workers(2)
+        assert ordered_map(lambda x: x + 1, []) == []
+        assert ordered_map(lambda x: x + 1, range(3)) == [1, 2, 3]
+        assert forks == []
+
+
+class TestWorkerCount:
+    def test_fewer_than_four_items_never_fork(self, workers):
+        workers(8)
+        assert [worker_count(n) for n in range(4)] == [1, 1, 1, 1]
+        assert worker_count(4) == 2
+        assert worker_count(100) == 8
+
+    def test_blas_threads_unset_means_serial(self, monkeypatch):
+        for name in parallel.BLAS_THREAD_VARIABLES:
+            monkeypatch.delenv(name, raising=False)
+        assert worker_count(100) == 1
+
+    @pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
+    def test_no_fork_or_affinity_means_serial(self, monkeypatch, missing):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delattr(os, missing)
+        assert parallel.usable_cpus() == 1
+        assert worker_count(100) == 1
+
+    def test_first_positive_blas_variable_counts(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "0")
+        monkeypatch.setenv("GOTO_NUM_THREADS", "many")
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        assert parallel.blas_threads(8) == 3
+        monkeypatch.setenv("GOTO_NUM_THREADS", "2")
+        assert parallel.blas_threads(8) == 2
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 4, 8])
+    @pytest.mark.parametrize("threads", [1, 2, 3, 4, 8])
+    def test_processes_times_blas_threads_never_exceed_cpus(self, monkeypatch, cpus, threads):
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", str(threads))
+        for n in (4, 10, 100):
+            w = worker_count(n)
+            assert w == 1 or w * threads <= cpus

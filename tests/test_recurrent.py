@@ -685,6 +685,32 @@ class TestBpttGradients:
         with pytest.raises(ContractError, match="already ran on this cache"):
             layer.backward(cache, None, np.ones_like(last))
 
+    @pytest.mark.parametrize("kind", ["rnn", "rnn_sigmoid", "lstm", "gru", "bi_gru"])
+    def test_inference_unroll_keeps_no_tape_and_equals_train_outputs(self, kind, rng):
+        if kind == "bi_gru":
+            layer = BidirectionalLayer(_random_cell("gru", 3, 4, rng), _random_cell("gru", 3, 4, rng))
+        else:
+            layer = RecurrentLayer(_random_cell(kind, 3, 4, rng), "backward")
+        batch = SequenceBatch(rng.normal(size=(3, 6, 3)), [6, 2, 4])
+        out_t, last_t, cache_t = layer.forward(batch)
+        out_i, last_i, cache_i = layer.forward(batch, train=False)
+        assert cache_t is not None and cache_i is None
+        assert np.array_equal(out_i, out_t) and np.array_equal(last_i, last_t)
+        with pytest.raises(ContractError, match="train=False"):
+            layer.backward(cache_i, None, np.ones_like(last_i))
+
+    def test_inference_stack_returns_no_caches(self, rng):
+        layers = [
+            BidirectionalLayer(_random_cell("gru", 3, 2, rng), _random_cell("gru", 3, 2, rng)),
+            RecurrentLayer(_random_cell("lstm", 4, 3, rng)),
+        ]
+        batch = SequenceBatch(rng.normal(size=(2, 5, 3)), [5, 3])
+        outs_t, last_t, _ = stack(layers, batch)
+        outs_i, last_i, caches = stack(layers, batch, train=False)
+        assert caches == [None, None]
+        assert np.array_equal(last_i, last_t)
+        assert all(np.array_equal(a, b) for a, b in zip(outs_i, outs_t))
+
     def test_gru_with_update_gate_forced_open_has_zero_candidate_gradient(self, rng):
         d, i = 3, 2
         p = GruCellParams(

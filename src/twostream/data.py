@@ -121,11 +121,18 @@ class Dataset:
                     )
                 sid, label, subject, view, sk_name, vd_name, k = fields
                 try:
-                    label, subject, view, n_classes = int(label), int(subject), int(view), int(k)
+                    label, subject, view, k = int(label), int(subject), int(view), int(k)
                 except ValueError:
                     raise DataError(
                         f"{manifest}:{lineno}: label, subject, view and n_classes must be integers"
                     ) from None
+                if samples and k != n_classes:
+                    raise DataError(
+                        f"{manifest}:{lineno}: n_classes {k} differs from line 2's {n_classes}"
+                    )
+                n_classes = k
+                if not 0 <= label < n_classes:
+                    raise DataError(f"{manifest}:{lineno}: label {label} outside [0, {n_classes})")
                 coords = read_tensor(os.path.join(directory, sk_name))
                 pixels = read_tensor(os.path.join(directory, vd_name))
                 samples.append(
@@ -194,37 +201,26 @@ def make_splits(dataset: Dataset, spec: SplitSpec, rng: Rng) -> Splits:
     if spec.mode == "cross_subject":
         order = [subjects[i] for i in rng.permutation(len(subjects))]
         half = len(order) // 2
-        train_side = set(order[:half]) if half else set(order[:1])
-        n_val = max(1, int(np.ceil(spec.val_fraction * len(train_side))))
-        train_sorted = [s for s in order if s in train_side]
-        val_subjects = set(train_sorted[:n_val])
-        train_ids, val_ids, test_ids = [], [], []
-        for i, s in enumerate(dataset.samples):
-            subj = s.skeleton.subject_id
-            if subj not in train_side:
-                test_ids.append(i)
-            elif subj in val_subjects:
-                val_ids.append(i)
-            else:
-                train_ids.append(i)
+        test_subjects = set(order[half:])
+        held_out = [s.skeleton.subject_id in test_subjects for s in dataset.samples]
+        train_order = order[:half]
     else:
         order = [views[i] for i in rng.permutation(len(views))]
-        test_view = order[-1]
-        train_view_samples = [
-            i for i, s in enumerate(dataset.samples) if s.skeleton.view_id != test_view
-        ]
-        train_subjects = sorted({dataset.samples[i].skeleton.subject_id for i in train_view_samples})
-        subj_order = [train_subjects[i] for i in rng.permutation(len(train_subjects))]
-        n_val = max(1, int(np.ceil(spec.val_fraction * len(subj_order))))
-        val_subjects = set(subj_order[:n_val])
-        train_ids, val_ids, test_ids = [], [], []
-        for i, s in enumerate(dataset.samples):
-            if s.skeleton.view_id == test_view:
-                test_ids.append(i)
-            elif s.skeleton.subject_id in val_subjects:
-                val_ids.append(i)
-            else:
-                train_ids.append(i)
+        held_out = [s.skeleton.view_id == order[-1] for s in dataset.samples]
+        train_subjects = sorted(
+            {s.skeleton.subject_id for s, out in zip(dataset.samples, held_out) if not out}
+        )
+        train_order = [train_subjects[i] for i in rng.permutation(len(train_subjects))]
+    n_val = max(1, int(np.ceil(spec.val_fraction * len(train_order))))
+    val_subjects = set(train_order[:n_val])
+    train_ids, val_ids, test_ids = [], [], []
+    for i, (s, out) in enumerate(zip(dataset.samples, held_out)):
+        if out:
+            test_ids.append(i)
+        elif s.skeleton.subject_id in val_subjects:
+            val_ids.append(i)
+        else:
+            train_ids.append(i)
     if not train_ids or not val_ids or not test_ids:
         raise DataError(
             f"unsatisfiable split: sizes train={len(train_ids)} val={len(val_ids)} "

@@ -38,7 +38,7 @@ from .conv3d import (
 )
 from .heads import dense_backward, dense_forward, init_dense, softmax_xent
 from .optim import RmspropState, SgdHalvingState, rmsprop_step, sgd_halving_step
-from .fusion import Prediction, decision_fuse, feature_fuse, search_trust_weights
+from .fusion import decision_fuse, feature_fuse, search_trust_weights
 from .heads import svm_predict, svm_train
 from .data import Dataset, Splits, SplitSpec, make_splits, pad_sequences
 from .models import ModelSpec, build_model, LADDER_VARIANTS
@@ -97,37 +97,38 @@ def steps_to_threshold(result: RunResult, threshold: float):
     return None
 
 
-def _skeleton_inputs(dataset: Dataset, indices, t_max):
-    seqs = [dataset[i].skeleton for i in indices]
-    return pad_sequences(seqs, t_max), dataset.labels(indices)
+# Rows per inference chunk, per stream: sequences or clips.
+_INFERENCE_CHUNK = {"skeleton": 64, "video": 32}
+# The stream each feature tap belongs to.
+_TAP_STREAM = {"rnn_fc": "skeleton", "cnn_fc6": "video"}
 
 
-def _video_clip_table(dataset: Dataset, indices, clip_len=16):
-    """All clips of the selected videos plus the owning sample of each clip."""
+def _stream_rows(model, dataset: Dataset, indices):
+    """The model rows of the selected samples and, for each row, the position
+    in `indices` of the sample it came from: one sequence per sample, padded
+    to the dataset's longest, or every clip of each video."""
+    if model.stream == "skeleton":
+        t_max = max(s.skeleton.t_true for s in dataset.samples)
+        inputs = pad_sequences([dataset[i].skeleton for i in indices], t_max)
+        return inputs, np.arange(len(indices))
     clips, owners = [], []
     for pos, i in enumerate(indices):
-        for clip in clip_split(dataset[i].video.pixels, clip_len):
+        for clip in clip_split(dataset[i].video.pixels, model.clip_len):
             clips.append(clip)
             owners.append(pos)
-    return np.stack(clips), np.asarray(owners), dataset.labels(indices)
+    return np.stack(clips), np.asarray(owners)
 
 
 def _chunked(model, fn, inputs, chunk):
-    """fn over consecutive chunks of at most `chunk` rows of inputs (a
-    SequenceBatch or a clip array [n,c,t,h,w]), the outputs concatenated.
-    The chunks are independent, so `ordered_map` spreads them over the usable
-    cores. Every chunk runs; then the first whose output is not finite, in
-    row order, raises DivergenceError naming the model and its rows."""
-    skeleton = isinstance(inputs, SequenceBatch)
-    n = inputs.n if skeleton else inputs.shape[0]
-
-    def run(s):
-        if skeleton:
-            return fn(SequenceBatch(inputs.data[s : s + chunk], inputs.lengths[s : s + chunk]))
-        return fn(inputs[s : s + chunk])
-
+    """fn over consecutive chunks of at most `chunk` rows of inputs (the
+    rows `_stream_rows` builds: a SequenceBatch or a clip array
+    [n,c,t,h,w]), the outputs concatenated. The chunks are independent, so
+    `ordered_map` spreads them over the usable cores. Every chunk runs; then
+    the first whose output is not finite, in row order, raises
+    DivergenceError naming the model and its rows."""
+    n = len(inputs)
     starts = range(0, n, chunk)
-    rows = ordered_map(run, starts)
+    rows = ordered_map(lambda s: fn(inputs[s : s + chunk]), starts)
     for s, out in zip(starts, rows):
         if not np.isfinite(out).all():
             raise DivergenceError(
@@ -137,28 +138,24 @@ def _chunked(model, fn, inputs, chunk):
     return np.concatenate(rows, axis=0)
 
 
-def _batched_probs(model, inputs, chunk=64):
-    return _chunked(model, model.predict_probs, inputs, chunk)
+def _per_sample(model, fn, dataset: Dataset, indices):
+    """fn's inference output rows grouped by sample, in `indices` order (a
+    sample's rows are consecutive, so each group is a slice)."""
+    inputs, owners = _stream_rows(model, dataset, indices)
+    rows = _chunked(model, fn, inputs, _INFERENCE_CHUNK[model.stream])
+    return np.split(rows, np.searchsorted(owners, np.arange(1, len(indices))))
 
 
-def predict_dataset(model, dataset: Dataset, indices, t_max=None):
-    """Per-sample Prediction list; video predictions are clip-averaged."""
-    if model.stream == "skeleton":
-        t_max = t_max or max(s.skeleton.t_true for s in dataset.samples)
-        batch, _ = _skeleton_inputs(dataset, indices, t_max)
-        probs = _batched_probs(model, batch)
-        return [Prediction.from_probs(p / p.sum()) for p in probs]
-    clips, owners, _ = _video_clip_table(dataset, indices, model.clip_len)
-    probs = _batched_probs(model, clips, chunk=32)
-    preds = []
-    for pos in range(len(indices)):
-        preds.append(clip_average(probs[owners == pos]))
-    return preds
+def predict_dataset(model, dataset: Dataset, indices):
+    """Per-sample Prediction list: the mean of each sample's probability rows
+    (its clips for video, its one sequence for skeleton)."""
+    return [clip_average(p) for p in _per_sample(model, model.predict_probs, dataset, indices)]
 
 
-def evaluate(model, dataset: Dataset, indices, t_max=None) -> RunResult:
-    """Accuracy and confusion matrix over the given samples (inference mode)."""
-    preds = predict_dataset(model, dataset, indices, t_max)
+def evaluate(model, dataset: Dataset, indices) -> RunResult:
+    """Accuracy and confusion matrix of `predict_dataset` over the given
+    samples (inference mode)."""
+    preds = predict_dataset(model, dataset, indices)
     confusion = _confusion_of([p.label for p in preds], dataset.labels(indices), dataset.n_classes)
     result = RunResult(model=getattr(model.spec, "name", "?"), seed=-1)
     result.confusion = confusion
@@ -166,27 +163,24 @@ def evaluate(model, dataset: Dataset, indices, t_max=None) -> RunResult:
     return result
 
 
-def extract_features(model, dataset: Dataset, indices, tap, t_max=None, chunk=32):
-    """One feature row per sample: the hidden-layer tap for the skeleton
-    stream, the clip-averaged first fully-connected activations for video."""
-    if tap not in ("rnn_fc", "cnn_fc6"):
+def extract_features(model, dataset: Dataset, indices, tap):
+    """One feature row per sample, the mean of its rows at the tap: the
+    hidden layer of the skeleton stream (`rnn_fc`) or the first
+    fully-connected layer of the video stream, averaged over clips
+    (`cnn_fc6`)."""
+    stream = _TAP_STREAM.get(tap)
+    if stream is None:
         raise ConfigError(f"unknown tap {tap!r}; expected rnn_fc or cnn_fc6")
-    if tap == "rnn_fc":
-        if model.stream != "skeleton":
-            raise ContractError("rnn_fc tap requires the skeleton-stream model")
-        t_max = t_max or max(s.skeleton.t_true for s in dataset.samples)
-        batch, _ = _skeleton_inputs(dataset, indices, t_max)
-        return _chunked(model, model.features, batch, chunk)
-    if model.stream != "video":
-        raise ContractError("cnn_fc6 tap requires the video-stream model")
-    clips, owners, _ = _video_clip_table(dataset, indices, model.clip_len)
-    per_clip = _chunked(model, model.features, clips, chunk)
-    return np.stack([per_clip[owners == pos].mean(axis=0) for pos in range(len(indices))])
+    if model.stream != stream:
+        raise ContractError(f"{tap} tap requires the {stream}-stream model")
+    return np.stack([f.mean(axis=0) for f in _per_sample(model, model.features, dataset, indices)])
 
 
 def train(model, dataset: Dataset, splits: Splits, cfg: TrainConfig) -> RunResult:
-    """Mini-batch training with per-epoch validation accuracy. Deterministic
-    given the seed; aborts with a diagnostic if the loss goes non-finite."""
+    """Mini-batch training over the training split's model rows, with
+    validation accuracy from `evaluate` every `eval_every` epochs.
+    Deterministic given the seed; aborts with a diagnostic if the loss goes
+    non-finite."""
     shuffle_rng = Rng(cfg.seed).derive(101)
     dropout_rng = Rng(cfg.seed).derive(202)
     params = dict(model.param_items())
@@ -197,24 +191,9 @@ def train(model, dataset: Dataset, splits: Splits, cfg: TrainConfig) -> RunResul
     else:
         raise ConfigError(f"unknown optimizer {cfg.optimizer!r}")
 
-    if model.stream == "skeleton":
-        t_max = max(s.skeleton.t_true for s in dataset.samples)
-        train_batch, train_labels = _skeleton_inputs(dataset, splits.train, t_max)
-        val_batch, val_labels = _skeleton_inputs(dataset, splits.val, t_max)
-
-        def slice_inputs(idx):
-            return SequenceBatch(train_batch.data[idx], [train_batch.lengths[i] for i in idx])
-
-        n_train = train_batch.data.shape[0]
-    else:
-        t_max = None
-        clips, owners, owner_labels = _video_clip_table(dataset, splits.train, model.clip_len)
-        train_labels = owner_labels[owners]
-
-        def slice_inputs(idx):
-            return clips[idx]
-
-        n_train = clips.shape[0]
+    inputs, owners = _stream_rows(model, dataset, splits.train)
+    train_labels = dataset.labels(splits.train)[owners]
+    n_train = len(inputs)
 
     result = RunResult(model=model.spec.name, seed=cfg.seed, eval_every=cfg.eval_every)
     steps_per_epoch = int(np.ceil(n_train / cfg.batch_size))
@@ -231,7 +210,7 @@ def train(model, dataset: Dataset, splits: Splits, cfg: TrainConfig) -> RunResul
             idx = perm[start : start + cfg.batch_size]
             if idx.size < 2:  # batch statistics need at least two rows
                 continue
-            xb = slice_inputs(idx)
+            xb = inputs[idx]
             yb = train_labels[idx]
             tic = time.perf_counter()
             logits, cache = model.forward(xb, mode="train", rng=dropout_rng)
@@ -251,15 +230,11 @@ def train(model, dataset: Dataset, splits: Splits, cfg: TrainConfig) -> RunResul
             losses.append(loss)
         result.epoch_losses.append(float(np.mean(losses)))
         if (epoch + 1) % cfg.eval_every == 0:
-            if model.stream == "skeleton":
-                probs = _batched_probs(model, val_batch)
-                acc = float(np.mean(probs.argmax(axis=1) == val_labels))
-            else:
-                acc = evaluate(model, dataset, splits.val).test_accuracy
+            acc = evaluate(model, dataset, splits.val).test_accuracy
             result.val_accuracies.append(acc)
             improved = acc > best_val + 1e-12
             best_val = max(best_val, acc)
-    test = evaluate(model, dataset, splits.test, t_max)
+    test = evaluate(model, dataset, splits.test)
     result.test_accuracy = test.test_accuracy
     result.confusion = test.confusion
     result.wall_clock_per_step = float(np.mean(step_seconds)) if step_seconds else 0.0

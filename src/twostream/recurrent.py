@@ -361,13 +361,12 @@ class SequenceBatch:
             if not 1 <= L <= T:
                 raise DataError(f"length {L} outside [1, {T}]")
 
-    @property
-    def n(self):
+    def __len__(self):
         return self.data.shape[0]
 
-    @property
-    def t_max(self):
-        return self.data.shape[1]
+    def __getitem__(self, rows):
+        """The rows a slice or an index array picks, each with its own length."""
+        return SequenceBatch(self.data[rows], np.asarray(self.lengths)[rows])
 
 
 def _directions(cell, direction):

@@ -211,7 +211,16 @@ class TestDatasetRoundtrip:
         with pytest.raises(DataError):
             Dataset.load(tmp_path)
 
-    @pytest.mark.parametrize("bad_line", ["s9\t0\t0\t0\n", "s9\tx\t0\t0\ta_sk.tsr\ta_vd.tsr\t4\n"])
+    @pytest.mark.parametrize(
+        "bad_line",
+        [
+            "s9\t0\t0\t0\n",
+            "s9\tx\t0\t0\ta_sk.tsr\ta_vd.tsr\t4\n",
+            "s9\t4\t0\t0\ta_sk.tsr\ta_vd.tsr\t4\n",  # label == n_classes
+            "s9\t-1\t0\t0\ta_sk.tsr\ta_vd.tsr\t4\n",
+            "s9\t0\t0\t0\ta_sk.tsr\ta_vd.tsr\t5\n",  # line 2 says 4
+        ],
+    )
     def test_malformed_manifest_line_names_its_line(self, tmp_path, bad_line):
         _tiny_dataset(Rng(11)).save(tmp_path)
         manifest = tmp_path / "manifest.tsv"

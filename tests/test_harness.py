@@ -26,6 +26,7 @@ from twostream.harness import (
     _chunked,
     check_gradients,
     emit_confusion,
+    evaluate,
     predict_dataset,
     run_ladder,
     steps_to_threshold,
@@ -148,6 +149,15 @@ class TestTrainLoop:
         assert len(result.epoch_losses) == 1
         assert result.confusion.sum() == len(splits.test)
 
+    @pytest.mark.parametrize("name, optimizer", [("GRU1-BN-DP", "rmsprop"), ("C3D-DESK", "sgd_halving")])
+    def test_last_validation_accuracy_is_evaluate_on_the_val_split(self, tiny, name, optimizer):
+        dataset, splits = tiny
+        model = build_model(_tiny_model_spec(name, dataset), Rng(4))
+        cfg = TrainConfig(epochs=2, batch_size=8, optimizer=optimizer, learning_rate=0.01, eval_every=1, seed=4)
+        result = train(model, dataset, splits, cfg)
+        assert len(result.val_accuracies) == 2
+        assert result.val_accuracies[-1] == evaluate(model, dataset, splits.val).test_accuracy
+
     def test_steps_to_threshold_reads_the_curve(self):
         result = RunResult(model="x", seed=0, val_accuracies=[0.2, 0.5, 0.7], eval_every=2,
                            steps_per_epoch=5)
@@ -266,6 +276,11 @@ def wide():
     return generate_synthetic(dataclasses.replace(TINY_SYNTH, samples_per_class=72), Rng(11))
 
 
+def _stream_features(model, dataset, indices):
+    tap = "rnn_fc" if model.stream == "skeleton" else "cnn_fc6"
+    return extract_features(model, dataset, indices, tap)
+
+
 class TestWorkerCountKeepsResults:
     """One process and two give the same bytes."""
 
@@ -285,16 +300,24 @@ class TestWorkerCountKeepsResults:
         assert labels_1 == labels_2
         assert np.array_equal(feats_1, feats_2)
 
-    @pytest.mark.parametrize("name", ["BI-GRU2-BN-DP-H", "C3D-DESK"])
+    @pytest.mark.parametrize(
+        "name, infer",
+        [
+            pytest.param("BI-GRU2-BN-DP-H", predict_dataset, id="BI-GRU2-BN-DP-H"),
+            pytest.param("C3D-DESK", predict_dataset, id="C3D-DESK"),
+            pytest.param("BI-GRU2-BN-DP-H", _stream_features, id="BI-GRU2-BN-DP-H-extract_features"),
+            pytest.param("C3D-DESK", _stream_features, id="C3D-DESK-extract_features"),
+        ],
+    )
     @pytest.mark.filterwarnings("ignore:invalid value")
-    def test_nan_weight_raises_the_same_divergence_text(self, wide, workers, name):
+    def test_nan_weight_raises_the_same_divergence_text(self, wide, workers, name, infer):
         model = build_model(_tiny_model_spec(name, wide), Rng(3))
         model.param_items()[0][1].flat[0] = np.nan
         messages = []
         for n in (1, 2):
             workers(n)
             with pytest.raises(DivergenceError) as info:
-                predict_dataset(model, wide, list(range(len(wide))))
+                infer(model, wide, list(range(len(wide))))
             messages.append(str(info.value))
         chunk = 64 if model.stream == "skeleton" else 32
         assert messages[0] == messages[1] == f"{name}: non-finite inference output in rows 0..{chunk - 1}"

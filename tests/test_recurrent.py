@@ -363,6 +363,18 @@ def _reference_unroll(cell, x, lengths, direction, r_out, r_last):
     return out, last, grads, gx
 
 
+class TestSequenceBatch:
+    @pytest.mark.parametrize("rows", [slice(1, 4), np.array([4, 0, 2])], ids=["slice", "index_array"])
+    def test_indexing_keeps_each_row_with_its_own_length(self, rows, rng):
+        lengths = [5, 2, 4, 1, 3]
+        batch = SequenceBatch(_padded_rows_zeroed(rng.normal(size=(5, 5, 2)), lengths), lengths)
+        picked = batch[rows]
+        assert isinstance(picked, SequenceBatch)
+        assert len(picked) == len(np.arange(5)[rows])
+        assert picked.lengths == [lengths[r] for r in np.arange(5)[rows]]
+        assert np.array_equal(picked.data, batch.data[rows])
+
+
 class TestUnroll:
     @pytest.mark.parametrize("direction", ["forward", "backward"])
     @pytest.mark.parametrize("kind", ["rnn", "rnn_sigmoid", "lstm", "gru"])

@@ -91,8 +91,8 @@ from .harness import (
     evaluate,
     extract_features,
     gradcheck_all,
-    run_decision_fusion,
-    run_feature_fusion,
+    infer_dataset,
+    run_fusion,
     run_ladder,
     steps_to_threshold,
     train,

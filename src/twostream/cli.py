@@ -98,30 +98,17 @@ def cmd_eval(args):
     print(json.dumps(result.canonical_dict(), sort_keys=True, indent=2))
 
 
-def cmd_fuse_decision(args):
-    rnn_model, _, cfg = _load_run(args.run_rnn)
-    cnn_model, _, _ = _load_run(args.run_cnn)
-    dataset = Dataset.load(args.data)
-    splits = harness.splits_for(cfg, dataset)
-    out = harness.run_decision_fusion(rnn_model, cnn_model, dataset, splits)
-    _emit_fusion(out, args.out)
-
-
-def cmd_fuse_feature(args):
+def cmd_fuse(args):
     rnn_model, _, cfg = _load_run(args.run_rnn)
     cnn_model, _, _ = _load_run(args.run_cnn)
     dataset = Dataset.load(args.data)
     splits = harness.splits_for(cfg, dataset)
     svm_c = args.svm_c if args.svm_c is not None else cfg["svm_c"]
-    out = harness.run_feature_fusion(rnn_model, cnn_model, dataset, splits, svm_c)
-    _emit_fusion(out, args.out)
-
-
-def _emit_fusion(out, out_path):
-    text = json.dumps(out, sort_keys=True, indent=2)
-    if out_path:
-        os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
-        with open(out_path, "w", newline="\n") as fh:
+    rows = harness.run_fusion(rnn_model, cnn_model, dataset, splits, svm_c)
+    text = json.dumps(rows, sort_keys=True, indent=2)
+    if args.out:
+        os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
+        with open(args.out, "w", newline="\n") as fh:
             fh.write(text + "\n")
     print(text)
 
@@ -175,20 +162,13 @@ def main(argv=None):
     p.add_argument("--split", default="test", choices=["train", "val", "test"])
     p.set_defaults(fn=cmd_eval)
 
-    p = sub.add_parser("fuse-decision", help="confidence voting from two trained runs")
-    p.add_argument("--run-rnn", required=True)
-    p.add_argument("--run-cnn", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_fuse_decision)
-
-    p = sub.add_parser("fuse-feature", help="SVM over fused features from two trained runs")
+    p = sub.add_parser("fuse", help="decision and feature fusion rows from two trained runs")
     p.add_argument("--run-rnn", required=True)
     p.add_argument("--run-cnn", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--svm-c", type=float)
     p.add_argument("--out")
-    p.set_defaults(fn=cmd_fuse_feature)
+    p.set_defaults(fn=cmd_fuse)
 
     p = sub.add_parser("gradcheck", help="finite-difference checks for every layer type")
     p.add_argument("--seed", type=int)

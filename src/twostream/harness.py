@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ContractError, DataError, DivergenceError
-from .tensor import Rng
+from .tensor import Rng, softmax
 from .recurrent import (
     BidirectionalLayer,
     GruCell,
@@ -54,6 +54,14 @@ class TrainConfig:
     decay: float = 0.9
     eval_every: int = 1
     seed: int = 0
+
+    def __post_init__(self):
+        if self.batch_size < 2:  # batch statistics need at least two rows
+            raise ConfigError(f"batch_size must be at least 2, got {self.batch_size}")
+        if self.eval_every < 1:
+            raise ConfigError(f"eval_every must be at least 1, got {self.eval_every}")
+        if self.optimizer not in ("rmsprop", "sgd_halving"):
+            raise ConfigError(f"unknown optimizer {self.optimizer!r}; use rmsprop or sgd_halving")
 
 
 @dataclass
@@ -119,37 +127,56 @@ def _stream_rows(model, dataset: Dataset, indices):
     return np.stack(clips), np.asarray(owners)
 
 
-def _chunked(model, fn, inputs, chunk):
-    """fn over consecutive chunks of at most `chunk` rows of inputs (the
-    rows `_stream_rows` builds: a SequenceBatch or a clip array
-    [n,c,t,h,w]), the outputs concatenated. The chunks are independent, so
-    `ordered_map` spreads them over the usable cores. Every chunk runs; then
-    the first whose output is not finite, in row order, raises
-    DivergenceError naming the model and its rows."""
+def _chunked(model, inputs, chunk):
+    """The model's inference forward over consecutive chunks of at most
+    `chunk` rows of inputs (the rows `_stream_rows` builds: a SequenceBatch or
+    a clip array [n,c,t,h,w]): the probability rows and the tap rows (None
+    when the model has no tap), each concatenated. The chunks are
+    independent, so `ordered_map` spreads them over the usable cores. Every
+    chunk runs; then the first whose output is not finite, in row order,
+    raises DivergenceError naming the model and its rows."""
+
+    def forward(s):
+        logits, tap, _ = model.forward(inputs[s : s + chunk])
+        return softmax(logits), tap
+
     n = len(inputs)
     starts = range(0, n, chunk)
-    rows = ordered_map(lambda s: fn(inputs[s : s + chunk]), starts)
-    for s, out in zip(starts, rows):
-        if not np.isfinite(out).all():
+    outs = ordered_map(forward, starts)
+    for s, (probs, tap) in zip(starts, outs):
+        if not (np.isfinite(probs).all() and (tap is None or np.isfinite(tap).all())):
             raise DivergenceError(
                 f"{model.spec.name}: non-finite inference output "
                 f"in rows {s}..{min(s + chunk, n) - 1}"
             )
-    return np.concatenate(rows, axis=0)
+    probs, taps = zip(*outs)
+    return np.concatenate(probs), None if taps[0] is None else np.concatenate(taps)
 
 
-def _per_sample(model, fn, dataset: Dataset, indices):
-    """fn's inference output rows grouped by sample, in `indices` order (a
-    sample's rows are consecutive, so each group is a slice)."""
+def infer_dataset(model, dataset: Dataset, indices):
+    """One inference pass over the selected samples. Returns the per-sample
+    Prediction list, each the mean of the sample's probability rows (its
+    clips for video, its one sequence for skeleton), and the per-sample mean
+    tap rows, [n, width] (None when the model has no tap)."""
     inputs, owners = _stream_rows(model, dataset, indices)
-    rows = _chunked(model, fn, inputs, _INFERENCE_CHUNK[model.stream])
-    return np.split(rows, np.searchsorted(owners, np.arange(1, len(indices))))
+    probs, taps = _chunked(model, inputs, _INFERENCE_CHUNK[model.stream])
+    # a sample's rows are consecutive, so each sample's group is a slice
+    bounds = np.searchsorted(owners, np.arange(1, len(indices)))
+    preds = [clip_average(p) for p in np.split(probs, bounds)]
+    if taps is not None:
+        taps = np.stack([t.mean(axis=0) for t in np.split(taps, bounds)])
+    return preds, taps
+
+
+def _tap_rows(model, taps):
+    if taps is None:
+        raise ContractError(f"model {model.spec.name} has no hidden layer to tap")
+    return taps
 
 
 def predict_dataset(model, dataset: Dataset, indices):
-    """Per-sample Prediction list: the mean of each sample's probability rows
-    (its clips for video, its one sequence for skeleton)."""
-    return [clip_average(p) for p in _per_sample(model, model.predict_probs, dataset, indices)]
+    """The per-sample Prediction list of `infer_dataset`."""
+    return infer_dataset(model, dataset, indices)[0]
 
 
 def evaluate(model, dataset: Dataset, indices) -> RunResult:
@@ -173,7 +200,7 @@ def extract_features(model, dataset: Dataset, indices, tap):
         raise ConfigError(f"unknown tap {tap!r}; expected rnn_fc or cnn_fc6")
     if model.stream != stream:
         raise ContractError(f"{tap} tap requires the {stream}-stream model")
-    return np.stack([f.mean(axis=0) for f in _per_sample(model, model.features, dataset, indices)])
+    return _tap_rows(model, infer_dataset(model, dataset, indices)[1])
 
 
 def train(model, dataset: Dataset, splits: Splits, cfg: TrainConfig) -> RunResult:
@@ -186,10 +213,8 @@ def train(model, dataset: Dataset, splits: Splits, cfg: TrainConfig) -> RunResul
     params = dict(model.param_items())
     if cfg.optimizer == "rmsprop":
         state = RmspropState(learning_rate=cfg.learning_rate, decay=cfg.decay)
-    elif cfg.optimizer == "sgd_halving":
-        state = SgdHalvingState(learning_rate=cfg.learning_rate)
     else:
-        raise ConfigError(f"unknown optimizer {cfg.optimizer!r}")
+        state = SgdHalvingState(learning_rate=cfg.learning_rate)
 
     inputs, owners = _stream_rows(model, dataset, splits.train)
     train_labels = dataset.labels(splits.train)[owners]
@@ -213,7 +238,7 @@ def train(model, dataset: Dataset, splits: Splits, cfg: TrainConfig) -> RunResul
             xb = inputs[idx]
             yb = train_labels[idx]
             tic = time.perf_counter()
-            logits, cache = model.forward(xb, mode="train", rng=dropout_rng)
+            logits, _, cache = model.forward(xb, mode="train", rng=dropout_rng)
             loss, grad_logits = softmax_xent(logits, yb)
             if not np.isfinite(loss):
                 raise DivergenceError(
@@ -397,15 +422,17 @@ def gradcheck_all(rng=None) -> GradcheckReport:
     gx, ggamma, gbeta = batchnorm_backward(bcache, rb)
     add(check_gradients("batchnorm", bn_loss, [bn.gamma, bn.beta, xb], [ggamma, gbeta, gx]))
 
-    # dropout at inference is the identity
+    # dropout, its mask frozen by re-seeding the Rng on each call
     xd = rng.normal(size=(3, 4))
     rd = rng.normal(size=(3, 4))
+    drop_cfg = DropoutConfig(keep_prob=0.75)
 
     def drop_loss():
-        yd, _ = dropout(xd, DropoutConfig(keep_prob=0.75, mode="inference"))
+        yd, _ = dropout(xd, drop_cfg, Rng(5))
         return _weighted_sum_loss(yd, rd)
 
-    add(check_gradients("dropout_off", drop_loss, [xd], [rd.copy()]))
+    _, mask = dropout(xd, drop_cfg, Rng(5))
+    add(check_gradients("dropout", drop_loss, [xd], [rd * mask]))
 
     # recurrent cells through full unrolls (masked lengths included)
     add(_check_unroll("rnn_tanh", RecurrentLayer(RnnCell(init_rnn_cell(3, 4, rng))), rng))
@@ -502,39 +529,35 @@ def _accuracy_of(confusion):
     return float(np.trace(confusion)) / max(int(confusion.sum()), 1)
 
 
-def run_decision_fusion(rnn_model, cnn_model, dataset: Dataset, splits: Splits) -> dict:
-    """Tune trust weights on validation, vote on the test set."""
-    val_r = predict_dataset(rnn_model, dataset, splits.val)
-    val_c = predict_dataset(cnn_model, dataset, splits.val)
-    weights = search_trust_weights(val_r, val_c, dataset.labels(splits.val))
-    test_r = predict_dataset(rnn_model, dataset, splits.test)
-    test_c = predict_dataset(cnn_model, dataset, splits.test)
-    fused = [decision_fuse(weights, r, c) for r, c in zip(test_r, test_c)]
-    labels = dataset.labels(splits.test)
-    confusion = _confusion_of([p.label for p in fused], labels, dataset.n_classes)
-    return {
-        "w_r": weights.w_r,
-        "w_c": weights.w_c,
-        "test_accuracy": _accuracy_of(confusion),
-        "confusion": confusion.tolist(),
+def run_fusion(rnn_model, cnn_model, dataset: Dataset, splits: Splits, svm_c) -> dict:
+    """The DECISION-FUSION and FEATURE-FUSION rows, from one inference pass
+    per (stream, split). Decision fusion tunes trust weights on validation and
+    votes on the test set. Feature fusion concatenates the two streams' taps,
+    L2 normalizes them, and classifies the test set with a one-vs-rest linear
+    SVM trained on the training split."""
+    passes = {
+        split: [infer_dataset(m, dataset, getattr(splits, split)) for m in (rnn_model, cnn_model)]
+        for split in ("val", "test", "train")
     }
+    (val_r, _), (val_c, _) = passes["val"]
+    weights = search_trust_weights(val_r, val_c, dataset.labels(splits.val))
+    (test_r, _), (test_c, _) = passes["test"]
+    voted = [decision_fuse(weights, r, c).label for r, c in zip(test_r, test_c)]
 
+    def fused(split):
+        (_, taps_r), (_, taps_c) = passes[split]
+        return feature_fuse(_tap_rows(rnn_model, taps_r), _tap_rows(cnn_model, taps_c))
 
-def run_feature_fusion(rnn_model, cnn_model, dataset: Dataset, splits: Splits, svm_c=8.0) -> dict:
-    """Concatenate the per-stream feature taps, L2 normalize, classify with a
-    one-vs-rest linear SVM trained on the training split."""
-    fuse = lambda idx: feature_fuse(
-        extract_features(rnn_model, dataset, idx, "rnn_fc"),
-        extract_features(cnn_model, dataset, idx, "cnn_fc6"),
-    )
-    svm = svm_train(fuse(splits.train), dataset.labels(splits.train), svm_c)
-    pred_labels, _ = svm_predict(svm, fuse(splits.test))
-    labels = dataset.labels(splits.test)
-    confusion = _confusion_of(pred_labels, labels, dataset.n_classes)
+    svm = svm_train(fused("train"), dataset.labels(splits.train), svm_c)
+    svm_labels, _ = svm_predict(svm, fused("test"))
+
+    def scored(pred_labels):
+        confusion = _confusion_of(pred_labels, dataset.labels(splits.test), dataset.n_classes)
+        return {"test_accuracy": _accuracy_of(confusion), "confusion": confusion.tolist()}
+
     return {
-        "svm_c": float(svm_c),
-        "test_accuracy": _accuracy_of(confusion),
-        "confusion": confusion.tolist(),
+        "DECISION-FUSION": {"w_r": weights.w_r, "w_c": weights.w_c, **scored(voted)},
+        "FEATURE-FUSION": {"svm_c": float(svm_c), **scored(svm_labels)},
     }
 
 
@@ -609,10 +632,8 @@ def run_ladder(dataset: Dataset, cfg: dict, out_dir=None):
         trained[name] = model
     cnn_name = next((n for n in ("C3D-DESK", "C3D") if n in trained), None)
     if "BI-GRU2-BN-DP-H" in trained and cnn_name:
-        rnn_model, cnn_model = trained["BI-GRU2-BN-DP-H"], trained[cnn_name]
-        results["DECISION-FUSION"] = run_decision_fusion(rnn_model, cnn_model, dataset, splits)
-        results["FEATURE-FUSION"] = run_feature_fusion(
-            rnn_model, cnn_model, dataset, splits, cfg["svm_c"]
+        results.update(
+            run_fusion(trained["BI-GRU2-BN-DP-H"], trained[cnn_name], dataset, splits, cfg["svm_c"])
         )
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ConfigError, ContractError
-from .tensor import Rng, softmax
+from .errors import ConfigError
+from .tensor import Rng
 from .recurrent import (
     BidirectionalLayer,
     GruCell,
@@ -108,24 +108,25 @@ class RecurrentClassifier:
         return [("bn.running_mean", self.bn.running_mean), ("bn.running_var", self.bn.running_var)]
 
     def forward(self, batch: SequenceBatch, mode="inference", rng=None):
-        """Returns (logits, cache). Train mode updates batchnorm running stats
-        and samples a dropout mask from `rng`; inference keeps no BPTT tape."""
+        """Returns (logits, tap, cache). The tap is the hidden ReLU layer's
+        activations (`rnn_fc`), or None for variants without one. Train mode
+        updates batchnorm running stats and samples a dropout mask from `rng`;
+        inference keeps no BPTT tape."""
         _, last, stack_caches = stack(self.layers, batch, train=mode == "train")
         feat = last
-        bn_cache = drop_mask = hidden_cache = None
+        bn_cache = drop_mask = hidden_cache = tap = None
         if self.bn is not None:
             feat, bn_cache = batchnorm_forward(self.bn, feat, mode)
         if self.drop_cfg is not None and mode == "train":
             feat, drop_mask = dropout(feat, self.drop_cfg, rng)
-        hidden_act = None
         if self.hidden is not None:
             feat, hidden_cache = dense_forward(self.hidden, feat)
-            hidden_act = feat
+            tap = feat
         logits, out_cache = dense_forward(self.out, feat)
-        return logits, (stack_caches, bn_cache, drop_mask, hidden_cache, out_cache, hidden_act)
+        return logits, tap, (stack_caches, bn_cache, drop_mask, hidden_cache, out_cache)
 
     def backward(self, cache, grad_logits):
-        stack_caches, bn_cache, drop_mask, hidden_cache, out_cache, _ = cache
+        stack_caches, bn_cache, drop_mask, hidden_cache, out_cache = cache
         grads = {}
         dW, db, dfeat = dense_backward(self.out, out_cache, grad_logits)
         grads["out.W"], grads["out.b"] = dW, db
@@ -142,17 +143,6 @@ class RecurrentClassifier:
             for (n, _), g in zip(layer.param_items(), pgrads):
                 grads[f"rec{li}.{n}"] = g
         return grads
-
-    def predict_probs(self, batch):
-        logits, _ = self.forward(batch, mode="inference")
-        return softmax(logits)
-
-    def features(self, batch):
-        """The hidden fully-connected activations (the classifier's feature tap)."""
-        if self.hidden is None:
-            raise ContractError(f"model {self.spec.name} has no hidden layer to tap")
-        _, cache = self.forward(batch, mode="inference")
-        return cache[5]
 
     def param_count(self):
         return sum(a.size for _, a in self.param_items())
@@ -178,19 +168,11 @@ class ConvClassifier:
         return []
 
     def forward(self, clips, mode="inference", rng=None):
-        logits, fc6, cache = self.net.forward(clips, train=mode == "train")
-        return logits, (cache, fc6)
+        """Returns (logits, tap, cache); the tap is fc6 (`cnn_fc6`)."""
+        return self.net.forward(clips, train=mode == "train")
 
     def backward(self, cache, grad_logits):
-        return self.net.backward(cache[0], grad_logits)
-
-    def predict_probs(self, clips):
-        logits, _ = self.forward(clips)
-        return softmax(logits)
-
-    def features(self, clips):
-        _, cache = self.forward(clips)
-        return cache[1]
+        return self.net.backward(cache, grad_logits)
 
     def param_count(self):
         return sum(a.size for _, a in self.param_items())

@@ -1,5 +1,5 @@
 """Batch normalization with separate train/inference behaviour, and inverted
-dropout (identity at inference)."""
+dropout (models apply it in training only)."""
 
 from __future__ import annotations
 
@@ -99,21 +99,16 @@ def batchnorm_backward(cache, grad_y):
 @dataclass
 class DropoutConfig:
     keep_prob: float = 0.75
-    mode: str = "train"
 
     def __post_init__(self):
         if not 0.0 < self.keep_prob <= 1.0:
             raise ValueError(f"keep_prob must lie in (0,1], got {self.keep_prob}")
-        if self.mode not in ("train", "inference"):
-            raise ValueError(f"mode must be train|inference, got {self.mode!r}")
 
 
 def dropout(x, cfg: DropoutConfig, rng: Rng = None):
-    """Inverted dropout: keep each entry with probability keep_prob and scale
-    survivors by 1/keep_prob. Inference is exactly the identity (mask None)."""
-    if cfg.mode == "inference":
-        return x, None
+    """Inverted dropout, for training only: keep each entry with probability
+    keep_prob and scale survivors by 1/keep_prob. Returns (y, mask)."""
     if rng is None:
-        raise ValueError("train-mode dropout needs an Rng")
+        raise ValueError("dropout needs an Rng")
     mask = (rng.uniform(size=x.shape) < cfg.keep_prob) / cfg.keep_prob
     return x * mask, mask

@@ -33,8 +33,7 @@ from twostream.heads import init_dense
 from twostream.models import ModelSpec, build_model
 from twostream.recurrent import GruCell, GruCellParams, LstmCell, LstmCellParams, SequenceBatch
 from twostream.harness import (
-    run_decision_fusion,
-    run_feature_fusion,
+    run_fusion,
     run_ladder,
     steps_to_threshold,
     train_variant,
@@ -221,8 +220,8 @@ def test_criterion_07_fusion_superiority(task):
     rnn_model, rnn_res = trained("BI-GRU2-BN-DP-H", 0)
     cnn_model, cnn_res = trained("C3D-DESK", 0)
     best_single = max(rnn_res.test_accuracy, cnn_res.test_accuracy)
-    feat = run_feature_fusion(rnn_model, cnn_model, dataset, splits, cfg["svm_c"])
-    dec = run_decision_fusion(rnn_model, cnn_model, dataset, splits)
+    rows = run_fusion(rnn_model, cnn_model, dataset, splits, cfg["svm_c"])
+    feat, dec = rows["FEATURE-FUSION"], rows["DECISION-FUSION"]
 
     def block_offdiag_share(confusion, pair):
         block = confusion[np.ix_(pair, pair)]
@@ -285,7 +284,7 @@ def test_criterion_10_padding_invariance(task):
         padded_data = np.zeros((1, seq.t_true + 37, seq.feature_width))
         padded_data[0, : seq.t_true] = seq.flat()
         padded = SequenceBatch(padded_data, [seq.t_true])
-        la, _ = model.forward(exact, mode="inference")
-        lb, _ = model.forward(padded, mode="inference")
+        la, _, _ = model.forward(exact, mode="inference")
+        lb, _, _ = model.forward(padded, mode="inference")
         identical += int(np.array_equal(la, lb))
     report(10, identical == 50, f"{identical}/50 sequences give bit-identical logits after +37 pad steps")

@@ -298,13 +298,10 @@ class TestCli:
         feats = read_tensor(feats_path)
         assert feats.ndim == 2 and feats.shape[1] == 12
 
-        main(["fuse-decision", "--run-rnn", str(rnn_dir), "--run-cnn", str(cnn_dir),
-              "--data", data_dir, "--out", str(tmp_path / "dec.json")])
-        dec = json.loads(capsys.readouterr().out)
-        assert dec["w_r"] == 1.0
-
-        main(["fuse-feature", "--run-rnn", str(rnn_dir), "--run-cnn", str(cnn_dir),
-              "--data", data_dir, "--out", str(tmp_path / "feat.json")])
-        feat = json.loads(capsys.readouterr().out)
-        assert feat["svm_c"] == 8.0
-        assert (tmp_path / "feat.json").exists()
+        main(["fuse", "--run-rnn", str(rnn_dir), "--run-cnn", str(cnn_dir),
+              "--data", data_dir, "--out", str(tmp_path / "fused.json")])
+        rows = json.loads(capsys.readouterr().out)
+        assert set(rows) == {"DECISION-FUSION", "FEATURE-FUSION"}
+        assert rows["DECISION-FUSION"]["w_r"] == 1.0
+        assert rows["FEATURE-FUSION"]["svm_c"] == 8.0
+        assert json.loads((tmp_path / "fused.json").read_text()) == rows

@@ -475,15 +475,15 @@ class TestC3dModelEquivalence:
     def test_inference_forward_equals_train_forward(self, conv_groups):
         model, clips, _ = tied_c3d(conv_groups, 60)
         classifier = ConvClassifier(None, model)
-        logits_i, (_, f6_i) = classifier.forward(clips, mode="inference")
-        logits_t, (_, f6_t) = classifier.forward(clips, mode="train")
+        logits_i, f6_i, _ = classifier.forward(clips, mode="inference")
+        logits_t, f6_t, _ = classifier.forward(clips, mode="train")
         assert np.array_equal(logits_i, logits_t)
         assert np.array_equal(f6_i, f6_t)
 
     def test_backward_on_inference_cache_rejected(self):
         model, clips, r = tied_c3d([[4], [8]], 70)
         classifier = ConvClassifier(None, model)
-        _, cache = classifier.forward(clips, mode="inference")
+        _, _, cache = classifier.forward(clips, mode="inference")
         with pytest.raises(ContractError, match="forward that ran in inference mode"):
             classifier.backward(cache, r)
 

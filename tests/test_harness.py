@@ -1,11 +1,15 @@
 import dataclasses
+import importlib.util
 import json
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from twostream import (
+    ConfigError,
+    ContractError,
     DivergenceError,
     ModelSpec,
     Rng,
@@ -17,13 +21,15 @@ from twostream import (
     generate_synthetic,
     gradcheck_all,
     make_splits,
-    run_decision_fusion,
-    run_feature_fusion,
+    run_fusion,
+    softmax,
     train,
 )
+from twostream import harness
 from twostream.harness import (
     RunResult,
     _chunked,
+    _stream_rows,
     check_gradients,
     emit_confusion,
     evaluate,
@@ -75,7 +81,7 @@ class TestGradcheckAll:
         names = {e.name for e in report.entries}
         for expected in (
             "rnn_tanh", "lstm", "gru", "bidirectional_gru", "stacked_gru",
-            "batchnorm", "dropout_off", "dense_relu", "softmax_xent",
+            "batchnorm", "dropout", "dense_relu", "softmax_xent",
             "conv3d", "maxpool3d", "svm_hinge",
         ):
             assert expected in names
@@ -102,6 +108,14 @@ class TestGradcheckAll:
 
 
 class TestTrainLoop:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("batch_size", 1), ("batch_size", 0), ("eval_every", 0), ("optimizer", "adam")],
+    )
+    def test_bad_config_rejected_naming_the_field(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            TrainConfig(**{field: value})
+
     def test_zero_epoch_training_is_roughly_chance(self, tiny):
         dataset, splits = tiny
         model = build_model(_tiny_model_spec("LSTM1", dataset), Rng(0))
@@ -197,7 +211,7 @@ class TestEvaluateAndExtract:
         model = build_model(_tiny_model_spec("C3D-DESK", dataset), Rng(6))
         feats = extract_features(model, dataset, splits.val[:3], "cnn_fc6")
         assert feats.shape == (3, 64)
-        probs = model.predict_probs(Rng(1).uniform(size=(4, 2, 8, 6, 6)))
+        probs = softmax(model.forward(Rng(1).uniform(size=(4, 2, 8, 6, 6)))[0])
         from twostream import clip_average
         a = clip_average(probs)
         b = clip_average(probs[::-1])
@@ -214,6 +228,12 @@ class TestEvaluateAndExtract:
             predict_dataset(model, dataset, splits.val)
         with pytest.raises(DivergenceError, match=f"{name}: non-finite inference output in rows 0"):
             extract_features(model, dataset, splits.val, tap)
+
+    def test_tap_of_a_variant_without_hidden_layer_rejected(self, tiny):
+        dataset, splits = tiny
+        model = build_model(_tiny_model_spec("LSTM1", dataset), Rng(6))
+        with pytest.raises(ContractError, match="LSTM1 has no hidden layer"):
+            extract_features(model, dataset, splits.val, "rnn_fc")
 
     def test_wrong_tap_rejected(self, tiny):
         dataset, splits = tiny
@@ -244,12 +264,43 @@ class TestFusionRuns:
             {**default_config(), "cnn_epochs": 1, "cnn_batch_size": 8,
              "video_shape": (2, 8, 6, 6), "hidden_dim": 6}, seed=0,
         )
-        dec = run_decision_fusion(rnn_model, cnn_model, dataset, splits)
+        rows = run_fusion(rnn_model, cnn_model, dataset, splits, svm_c=8.0)
+        assert set(rows) == {"DECISION-FUSION", "FEATURE-FUSION"}
+        dec = rows["DECISION-FUSION"]
         assert 0.0 <= dec["test_accuracy"] <= 1.0
         assert dec["w_r"] == 1.0 and 0.1 <= dec["w_c"] <= 10.0
-        feat = run_feature_fusion(rnn_model, cnn_model, dataset, splits, svm_c=8.0)
+        feat = rows["FEATURE-FUSION"]
+        assert feat["svm_c"] == 8.0
         assert 0.0 <= feat["test_accuracy"] <= 1.0
         assert np.asarray(feat["confusion"]).sum() == len(splits.test)
+
+    def test_one_inference_pass_per_stream_and_split(self, tiny, workers, monkeypatch):
+        dataset, splits = tiny
+        workers(1)  # every forward runs in this process, where the spy sees it
+        rnn_model, cnn_model = (
+            build_model(_tiny_model_spec(name, dataset), Rng(1)) for name in ("BI-GRU2-BN-DP-H", "C3D-DESK")
+        )
+        for model in (rnn_model, cnn_model):
+            monkeypatch.setattr(model, "forward", _forward_spy(model))
+        run_fusion(rnn_model, cnn_model, dataset, splits, svm_c=8.0)
+        splits_used = (splits.val, splits.test, splits.train)
+        for model in (rnn_model, cnn_model):
+            assert set(model.forward.modes) == {"inference"}
+            one_pass = [len(_stream_rows(model, dataset, idx)[0]) for idx in splits_used]
+            assert sum(model.forward.rows) == sum(one_pass)  # val, test and train once each
+
+
+def _forward_spy(model):
+    """model.forward that records each call's row count and mode."""
+    real = model.forward
+
+    def spy(rows, mode="inference", rng=None):
+        spy.rows.append(len(rows))
+        spy.modes.append(mode)
+        return real(rows, mode=mode, rng=rng)
+
+    spy.rows, spy.modes = [], []
+    return spy
 
 
 class TestLadderDeterminism:
@@ -322,18 +373,19 @@ class TestWorkerCountKeepsResults:
         chunk = 64 if model.stream == "skeleton" else 32
         assert messages[0] == messages[1] == f"{name}: non-finite inference output in rows 0..{chunk - 1}"
 
+    @pytest.mark.filterwarnings("ignore:invalid value")
     def test_first_non_finite_chunk_in_row_order_is_named(self, workers):
-        model = SimpleNamespace(spec=SimpleNamespace(name="M"))
         clips = np.arange(10.0).reshape(10, 1, 1, 1, 1)
 
-        def poisoned_from_row_2(sub):
+        def poisoned_from_row_2(sub, mode="inference", rng=None):
             rows = sub.reshape(len(sub), 1)
-            return np.where(rows >= 2.0, np.inf, rows)
+            return np.where(rows >= 2.0, np.inf, rows), None, None
 
+        model = SimpleNamespace(spec=SimpleNamespace(name="M"), forward=poisoned_from_row_2)
         for n in (1, 2):  # at 2 workers, rows 2..3 are the worker's first chunk
             workers(n)
             with pytest.raises(DivergenceError, match=r"^M: non-finite inference output in rows 2\.\.3$"):
-                _chunked(model, poisoned_from_row_2, clips, 2)
+                _chunked(model, clips, 2)
 
     def test_ladder_results_bytes_identical(self, tiny, workers, tmp_path):
         dataset, _ = tiny
@@ -351,3 +403,31 @@ class TestWorkerCountKeepsResults:
         b = (tmp_path / "2" / "ladder_results.json").read_bytes()
         assert a == b
         assert {"DECISION-FUSION", "FEATURE-FUSION"} <= set(json.loads(a))
+
+
+class TestBenchmarkHooks:
+    """The benchmark's tracer wraps harness and model functions by name and
+    keys its step timings on `forward(..., mode="train")`; a rename would
+    silently zero its per-variant step metrics."""
+
+    def test_tracer_targets_resolve_and_see_training_steps(self, tiny):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+        module_spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+        spans = importlib.util.module_from_spec(module_spec)
+        module_spec.loader.exec_module(spans)
+        dataset, splits = tiny
+        cfg = {
+            **default_config(), "epochs": 1, "batch_size": 8, "cnn_epochs": 1, "cnn_batch_size": 8,
+            "hidden_dim": 6, "video_shape": (2, 8, 6, 6),
+        }
+        tracer = spans.Tracer({})
+        undo, missing = spans.install(tracer)
+        try:
+            for name in ("GRU1-BN-DP", "C3D-DESK"):
+                harness.train_variant(name, dataset, splits, cfg, seed=0)
+        finally:
+            spans.uninstall(undo)
+        stale = {"recurrent.bidirectional", "recurrent.bidirectional_backward", "harness._batched_probs"}
+        assert set(missing) <= stale
+        assert tracer.step_ms["GRU1-BN-DP"] and tracer.step_ms["C3D-DESK"]
+        assert "harness.validate" in tracer.names

@@ -11,6 +11,7 @@ from twostream import (
     build_model,
     load_model,
     save_model,
+    softmax,
     write_checkpoint,
 )
 from twostream.models import ConvClassifier, RecurrentClassifier
@@ -96,7 +97,7 @@ class TestForwardBackward:
         batch = _batch(rng)
         for name in ("RNN1", "LSTM1-BN-DP", "BI-GRU2-BN-DP-H"):
             model = build_model(_spec(name), rng)
-            logits, _ = model.forward(batch, mode="inference")
+            logits, _, _ = model.forward(batch, mode="inference")
             assert logits.shape == (3, 4)
 
     def test_full_classifier_gradients_match_finite_differences(self):
@@ -107,10 +108,10 @@ class TestForwardBackward:
         arrays = [a for _, a in model.param_items()]
 
         def loss():
-            logits, _ = model.forward(batch, mode="train", rng=Rng(1))
+            logits, _, _ = model.forward(batch, mode="train", rng=Rng(1))
             return float((logits * r).sum())
 
-        logits, cache = model.forward(batch, mode="train", rng=Rng(1))
+        logits, _, cache = model.forward(batch, mode="train", rng=Rng(1))
         grads = model.backward(cache, r)
         analytic = [grads[n] for n, _ in model.param_items()]
         # dropout draws from a fresh Rng(1) each call, so the mask is frozen
@@ -125,10 +126,10 @@ class TestForwardBackward:
 
         # LSTM1 has no batchnorm or dropout: train mode computes inference's logits
         def loss():
-            logits, _ = model.forward(batch, mode="train")
+            logits, _, _ = model.forward(batch, mode="train")
             return float((logits * r).sum())
 
-        logits, cache = model.forward(batch, mode="train")
+        logits, _, cache = model.forward(batch, mode="train")
         assert np.array_equal(logits, model.forward(batch, mode="inference")[0])
         grads = model.backward(cache, r)
         analytic = [grads[n] for n, _ in model.param_items()]
@@ -136,31 +137,31 @@ class TestForwardBackward:
 
     def test_backward_after_inference_forward_rejected(self, rng):
         model = build_model(_spec("LSTM1"), rng)
-        logits, cache = model.forward(_batch(rng), mode="inference")
+        logits, _, cache = model.forward(_batch(rng), mode="inference")
         assert cache[0] == [None] * len(model.layers)  # no BPTT tape kept
         with pytest.raises(ContractError, match="train=False"):
             model.backward(cache, np.ones_like(logits))
 
-    def test_features_tap_requires_hidden_layer(self, rng):
+    def test_no_tap_without_hidden_layer(self, rng):
         model = build_model(_spec("LSTM1"), rng)
-        with pytest.raises(Exception, match="hidden"):
-            model.features(_batch(rng))
+        _, tap, _ = model.forward(_batch(rng))
+        assert tap is None
 
     def test_feature_tap_width(self, rng):
         model = build_model(_spec("BI-GRU2-BN-DP-H"), rng)
-        feats = model.features(_batch(rng))
-        assert feats.shape == (3, 10)
-        assert np.all(feats >= 0.0)  # ReLU activations
+        _, tap, _ = model.forward(_batch(rng))
+        assert tap.shape == (3, 10)
+        assert np.all(tap >= 0.0)  # ReLU activations
 
     def test_conv_classifier_roundtrip(self, rng):
         model = build_model(_spec("C3D-DESK"), rng)
         assert isinstance(model, ConvClassifier)
         clips = rng.uniform(size=(2, 2, 8, 8, 8))
-        probs = model.predict_probs(clips)
+        logits, tap, _ = model.forward(clips)
+        probs = softmax(logits)
         assert probs.shape == (2, 4)
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
-        feats = model.features(clips)
-        assert feats.shape == (2, 64)
+        assert tap.shape == (2, 64)
 
 
 class TestCheckpointRoundtrip:
@@ -171,12 +172,11 @@ class TestCheckpointRoundtrip:
         path = tmp_path / "m.ckpt"
         save_model(model, path)
         clone = load_model(spec, path)
-        if name == "C3D-DESK":
-            x = Rng(9).uniform(size=(2, 2, 8, 8, 8))
-            assert np.array_equal(model.predict_probs(x), clone.predict_probs(x))
-        else:
-            batch = _batch(Rng(9))
-            assert np.array_equal(model.predict_probs(batch), clone.predict_probs(batch))
+        x = Rng(9).uniform(size=(2, 2, 8, 8, 8)) if name == "C3D-DESK" else _batch(Rng(9))
+        logits, tap, _ = model.forward(x)
+        clone_logits, clone_tap, _ = clone.forward(x)
+        assert np.array_equal(logits, clone_logits)
+        assert np.array_equal(tap, clone_tap)
 
     def test_mismatched_checkpoint_rejected(self, tmp_path, rng):
         model = build_model(_spec("LSTM1"), rng)

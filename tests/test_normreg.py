@@ -108,22 +108,16 @@ class TestBatchNormBackward:
 
 
 class TestDropout:
-    def test_inference_is_identity(self, rng):
-        x = rng.normal(size=(5, 7))
-        y, mask = dropout(x, DropoutConfig(keep_prob=0.75, mode="inference"))
-        assert y is x or np.array_equal(y, x)
-        assert mask is None
-
     def test_keep_prob_one_is_identity_in_train_mode(self, rng):
         x = rng.normal(size=(5, 7))
-        y, mask = dropout(x, DropoutConfig(keep_prob=1.0, mode="train"), rng)
+        y, mask = dropout(x, DropoutConfig(keep_prob=1.0), rng)
         assert np.array_equal(y, x)
         assert np.all(mask == 1.0)
 
     def test_statistics_at_three_quarters_keep(self):
         rng = Rng(99)
         x = np.full((100_000,), 2.0)
-        y, mask = dropout(x, DropoutConfig(keep_prob=0.75, mode="train"), rng)
+        y, mask = dropout(x, DropoutConfig(keep_prob=0.75), rng)
         kept = float((mask > 0).mean())
         assert abs(kept - 0.75) <= 0.01
         assert abs(y.mean() - x.mean()) / abs(x.mean()) <= 0.02
@@ -135,7 +129,7 @@ class TestDropout:
         acc = np.zeros_like(x)
         trials = 4000
         for _ in range(trials):
-            y, _ = dropout(x, DropoutConfig(keep_prob=0.75, mode="train"), rng)
+            y, _ = dropout(x, DropoutConfig(keep_prob=0.75), rng)
             acc += y
         assert np.abs(acc / trials - x).max() <= 0.06
 

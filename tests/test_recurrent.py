@@ -422,9 +422,13 @@ class TestUnroll:
         for row, L in enumerate(lengths):
             x_rev[row, :L, :] = x[row, :L, :][::-1]
         out_fwd, last_fwd, _ = unroll(cell, SequenceBatch(x_rev, lengths), "forward")
+        # The two unrolls feed the same rows to their GEMMs in different
+        # orders, and BLAS may round a row differently by its position, so
+        # bit equality is not owed. The outputs are bounded by 1 in
+        # magnitude: 1e-15 is a few units in the last place.
         for row, L in enumerate(lengths):
-            assert np.array_equal(out_bwd[row, :L, :], out_fwd[row, :L, :][::-1])
-        assert np.array_equal(last_bwd, last_fwd)
+            assert np.abs(out_bwd[row, :L, :] - out_fwd[row, :L, :][::-1]).max() <= 1e-15
+        assert np.abs(last_bwd - last_fwd).max() <= 1e-15
 
     # Width 32 is where OpenBLAS rounds a GEMM row differently once the row
     # count grows, so an input projection over padded rows would show there.

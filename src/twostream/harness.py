@@ -58,6 +58,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 2:  # batch statistics need at least two rows
             raise ConfigError(f"batch_size must be at least 2, got {self.batch_size}")
+        if self.epochs < 1:  # zero epochs would report an untrained model's accuracy
+            raise ConfigError(f"epochs must be at least 1, got {self.epochs}")
         if self.eval_every < 1:
             raise ConfigError(f"eval_every must be at least 1, got {self.eval_every}")
         if self.optimizer not in ("rmsprop", "sgd_halving"):
@@ -168,10 +170,11 @@ def infer_dataset(model, dataset: Dataset, indices):
     return preds, taps
 
 
-def _tap_rows(model, taps):
-    if taps is None:
+def _require_tap(model):
+    """Raise ContractError for a model without a tap: a skeleton variant
+    without the hidden layer (`-H`). Callers check before any inference."""
+    if model.stream == "skeleton" and model.hidden is None:
         raise ContractError(f"model {model.spec.name} has no hidden layer to tap")
-    return taps
 
 
 def predict_dataset(model, dataset: Dataset, indices):
@@ -200,7 +203,8 @@ def extract_features(model, dataset: Dataset, indices, tap):
         raise ConfigError(f"unknown tap {tap!r}; expected rnn_fc or cnn_fc6")
     if model.stream != stream:
         raise ContractError(f"{tap} tap requires the {stream}-stream model")
-    return _tap_rows(model, infer_dataset(model, dataset, indices)[1])
+    _require_tap(model)
+    return infer_dataset(model, dataset, indices)[1]
 
 
 def train(model, dataset: Dataset, splits: Splits, cfg: TrainConfig) -> RunResult:
@@ -535,6 +539,7 @@ def run_fusion(rnn_model, cnn_model, dataset: Dataset, splits: Splits, svm_c) ->
     votes on the test set. Feature fusion concatenates the two streams' taps,
     L2 normalizes them, and classifies the test set with a one-vs-rest linear
     SVM trained on the training split."""
+    _require_tap(rnn_model)
     passes = {
         split: [infer_dataset(m, dataset, getattr(splits, split)) for m in (rnn_model, cnn_model)]
         for split in ("val", "test", "train")
@@ -546,7 +551,7 @@ def run_fusion(rnn_model, cnn_model, dataset: Dataset, splits: Splits, svm_c) ->
 
     def fused(split):
         (_, taps_r), (_, taps_c) = passes[split]
-        return feature_fuse(_tap_rows(rnn_model, taps_r), _tap_rows(cnn_model, taps_c))
+        return feature_fuse(taps_r, taps_c)
 
     svm = svm_train(fused("train"), dataset.labels(splits.train), svm_c)
     svm_labels, _ = svm_predict(svm, fused("test"))

@@ -25,6 +25,17 @@ loop; the step-local derivative factors (gate slopes and the like) are
 computed for all steps at once before it, so the backward loop holds only
 what the recurrence needs.
 
+At desk shapes a step costs numpy calls, not arithmetic, and Appleyard et al.
+fuse a step's pointwise ops into one kernel; the numpy counterpart here is
+fewer calls, all writing in place into buffers allocated once per unroll.
+`recur` writes the next state into a step-ordered state buffer and its saved
+arrays into a step-ordered tape, so BPTT reads both as they are, with no
+per-step list and no stacking. The sigmoid columns' weights and biases are
+halved once per unroll (`_Cell.forward_weights`), so a sigmoid gate is tanh
+of the pre-activation as it comes plus one in-place affine; halving is exact,
+so every output bit is what `tensor.sigmoid` of the unhalved pre-activation
+gives.
+
 The hoisted GEMMs run over the valid pairs only, never over all T*n padded
 rows: OpenBLAS can round a row differently when a GEMM's row count changes,
 so projecting padded rows too would let extra padding change the bits of
@@ -42,11 +53,12 @@ arrays; the step methods are written for either.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
 from .errors import ConfigError, ContractError, DataError, DimensionError
-from .tensor import Rng, default_dtype, sigmoid
+from .tensor import Rng, default_dtype
 
 _ACTIVATIONS = ("tanh", "sigmoid")
 
@@ -152,16 +164,26 @@ class _Cell:
     input: h_prev, or r * h_prev for the GRU candidate. `split_weights` is the
     one place that splits the blocks at the input columns.
 
-    * `recur(xp_t, wh, state)` runs one step from the projected input row
-      xp_t = x_t W_x^T + b (blocks side by side) and the transposed recurrent
-      halves wh = [W_h^T per block]. It returns (h_t, new_state, saved).
-      `step` projects one input row batch and calls it.
-    * `local_grads(*saved)` takes each saved array stacked over steps and
-      returns every block's recurrent inputs and the step-local derivative
-      factors, all computed in one pass over the stacked arrays.
+    * `recur(xp_t, wh, state, new_state, slots)` runs one step in place. It
+      reads the projected input rows xp_t = x_t W_x^T + b (one array per
+      block) and the state arrays (h, or h and c for the LSTM), and writes the
+      next state into `new_state` and the step's saved arrays, one per entry
+      of `tape_widths`, into `slots`. Its weights are the ones
+      `forward_weights` returns: the first `sigmoid_width` fused columns are
+      halved there, so a sigmoid is tanh of the pre-activation as it comes,
+      plus one in-place affine ((tanh(p/2) + 1) / 2 without the p/2). `step`
+      projects one input row batch and calls it.
+    * `local_grads(*states, *tape)` takes the step-ordered state buffers
+      [t_run+1, ...] (step k reads row k and writes row k+1) and the tape
+      arrays [t_run, ...], and returns every block's recurrent inputs and the
+      step-local derivative factors, all computed in one pass over them.
     * `recur_backward(factors, t, dstate, wh_t, dpre)` writes step t's
       pre-activation gradients into `dpre` (blocks side by side) and returns
-      the gradient of the previous state; wh_t are the transposes of wh.
+      the gradient of the previous state; wh_t are the transposes of the
+      unhalved wh.
+    * `tape_widths()`: the width of each array `recur` saves per step, in
+      `slots` order. `sigmoid_width`: the number of leading fused columns
+      that pass through a sigmoid.
     * `rests_at_zero`: a zero state fed a zero projected input stays exactly
       zero.
 
@@ -196,11 +218,21 @@ class _Cell:
     def split_weights(self):
         """The fused blocks split at the input columns: (W_x, b, wh), with the
         blocks' input halves W_x [G, i] and biases b [G] side by side and
-        wh = [contiguous W_h^T per block], the form `recur` takes."""
+        wh = [contiguous W_h^T per block], the form BPTT takes."""
         i, blocks = self.input_dim, self.blocks()
         w_x = np.concatenate([W[:, :i] for W, _ in blocks])
         b = np.concatenate([b for _, b in blocks])
         return w_x, b, [np.ascontiguousarray(W[:, i:].T) for W, _ in blocks]
+
+    def forward_weights(self, w_x, b, wh):
+        """New arrays of `split_weights`' (W_x, b, wh) for `recur`, with the
+        first `sigmoid_width` fused columns halved. Halving is exact (outside
+        the subnormal range), so the projections come out as exactly half the
+        pre-activations and the sigmoid's own halving is saved."""
+        scale = np.ones_like(b)
+        scale[: self.sigmoid_width] = 0.5
+        halved = [w * s for w, s in zip(wh, _column_blocks(scale, wh))]
+        return w_x * scale[:, None], b * scale, halved
 
     def step(self, x_t, state):
         """One step over a row batch x_t [n, i] from `state` (h, or (h, c) for
@@ -210,14 +242,38 @@ class _Cell:
         if x_t.ndim != 2 or x_t.shape[1] != i:
             raise DimensionError(f"x_t shape {x_t.shape} does not match input_dim {i}")
         h_prev = state[0]
-        if h_prev.shape != (x_t.shape[0], d):
-            raise DimensionError(f"h_prev shape {h_prev.shape} does not match (n={x_t.shape[0]}, d={d})")
+        n = x_t.shape[0]
+        if h_prev.shape != (n, d):
+            raise DimensionError(f"h_prev shape {h_prev.shape} does not match (n={n}, d={d})")
         for s in state[1:]:
             if s.shape != h_prev.shape:
                 raise DimensionError(f"c_prev shape {s.shape} != h_prev shape {h_prev.shape}")
-        w_x, b, wh = self.split_weights()
-        h_t, new_state, _ = self.recur(x_t @ w_x.T + b, wh, state)
-        return h_t, new_state
+        w_x, b, wh = self.forward_weights(*self.split_weights())
+        new_state = self.zero_state(n)
+        slots = [np.empty((n, w), dtype=default_dtype()) for w in self.tape_widths()]
+        self.recur(_column_blocks(x_t @ w_x.T + b, wh), wh, state, new_state, slots)
+        return new_state[0], new_state
+
+
+def _column_blocks(a, wh):
+    """Views of a's fused columns (last axis), one per block of wh."""
+    blocks, lo = [], 0
+    for w in wh:
+        blocks.append(a[..., lo : lo + w.shape[-1]])
+        lo += w.shape[-1]
+    return blocks
+
+
+# 0-d arrays: numpy converts a Python float operand again on every call.
+_ONE, _HALF = np.array(1.0), np.array(0.5)
+
+
+def _sigmoid_of_halved(pre, out):
+    """sigmoid(2 * pre) into `out`, as `tensor.sigmoid` forms it from the
+    unhalved pre-activation."""
+    np.tanh(pre, out)
+    out += _ONE
+    out *= _HALF
 
 
 class RnnCell(_Cell):
@@ -229,16 +285,26 @@ class RnnCell(_Cell):
     def rests_at_zero(self):
         return self.params.activation == "tanh"  # sigmoid(0) = 0.5
 
+    @property
+    def sigmoid_width(self):
+        return self.hidden_dim if self.params.activation == "sigmoid" else 0
+
     def blocks(self):
         return [(self.params.W, self.params.b)]
 
-    def recur(self, xp_t, wh, state):
-        h_prev = state[0]
-        pre = xp_t + h_prev @ wh[0]
-        h_t = np.tanh(pre) if self.params.activation == "tanh" else sigmoid(pre)
-        return h_t, (h_t,), (h_prev, h_t)
+    def tape_widths(self):
+        return ()  # h_prev and h_t are the state buffer's rows
 
-    def local_grads(self, h_prev, h):
+    def recur(self, xp_t, wh, state, new_state, slots):
+        pre = state[0] @ wh[0]
+        pre += xp_t[0]
+        if self.params.activation == "tanh":
+            np.tanh(pre, new_state[0])
+        else:
+            _sigmoid_of_halved(pre, new_state[0])
+
+    def local_grads(self, h):
+        h_prev, h = h[:-1], h[1:]
         dact = 1.0 - h * h if self.params.activation == "tanh" else h * (1.0 - h)
         return (h_prev,), (dact,)
 
@@ -253,22 +319,34 @@ class LstmCell(_Cell):
     param_names = ("W", "b")
     n_state = 2
 
+    @property
+    def sigmoid_width(self):
+        return 3 * self.hidden_dim  # (input, forget, output)
+
     def blocks(self):
         return [(self.params.W, self.params.b)]
 
-    def recur(self, xp_t, wh, state):
-        h_prev, c_prev = state
+    def tape_widths(self):
         d = self.hidden_dim
-        pre = xp_t + h_prev @ wh[0]
-        gates = sigmoid(pre[..., : 3 * d])  # (input, forget, output)
-        gi, gf, go = gates[..., :d], gates[..., d : 2 * d], gates[..., 2 * d :]
-        cand = np.tanh(pre[..., 3 * d :])
-        c_t = gf * c_prev + gi * cand
-        tc = np.tanh(c_t)
-        h_t = go * tc
-        return h_t, (h_t, c_t), (h_prev, c_prev, gates, cand, tc)
+        return (3 * d, d, d)  # gates, cand, tanh(c_t)
 
-    def local_grads(self, h_prev, c_prev, gates, cand, tc):
+    def recur(self, xp_t, wh, state, new_state, slots):
+        h_prev, c_prev = state
+        h_t, c_t = new_state
+        gates, cand, tc = slots
+        d = self.hidden_dim
+        pre = h_prev @ wh[0]
+        pre += xp_t[0]
+        _sigmoid_of_halved(pre[..., : 3 * d], gates)
+        gi, gf, go = gates[..., :d], gates[..., d : 2 * d], gates[..., 2 * d :]
+        np.tanh(pre[..., 3 * d :], cand)
+        np.multiply(gf, c_prev, c_t)
+        c_t += gi * cand
+        np.tanh(c_t, tc)
+        np.multiply(go, tc, h_t)
+
+    def local_grads(self, h, c, gates, cand, tc):
+        h_prev, c_prev = h[:-1], c[:-1]
         d = self.hidden_dim
         gi, gf, go = gates[..., :d], gates[..., d : 2 * d], gates[..., 2 * d :]
         dgates = gates * (1.0 - gates)
@@ -305,21 +383,37 @@ class GruCell(_Cell):
 
     param_names = ("W_gates", "W_cand", "b_gates", "b_cand")
 
+    @property
+    def sigmoid_width(self):
+        return 2 * self.hidden_dim  # (z, r)
+
     def blocks(self):
         p = self.params
         return [(p.W_gates, p.b_gates), (p.W_cand, p.b_cand)]
 
-    def recur(self, xp_t, wh, state):
-        h_prev = state[0]
+    def tape_widths(self):
         d = self.hidden_dim
-        gates = sigmoid(xp_t[..., : 2 * d] + h_prev @ wh[0])
-        z, r = gates[..., :d], gates[..., d:]
-        hr = r * h_prev
-        cand = np.tanh(xp_t[..., 2 * d :] + hr @ wh[1])
-        h_t = z * h_prev + (1.0 - z) * cand
-        return h_t, (h_t,), (h_prev, hr, gates, cand)
+        return (d, 2 * d, d)  # r * h_prev, gates, cand
 
-    def local_grads(self, h_prev, hr, gates, cand):
+    def recur(self, xp_t, wh, state, new_state, slots):
+        h_prev, h_t = state[0], new_state[0]
+        hr, gates, cand = slots
+        d = self.hidden_dim
+        pre = h_prev @ wh[0]
+        pre += xp_t[0]
+        _sigmoid_of_halved(pre, gates)
+        z, r = gates[..., :d], gates[..., d:]
+        np.multiply(r, h_prev, hr)
+        pre = hr @ wh[1]
+        pre += xp_t[1]
+        np.tanh(pre, cand)
+        np.subtract(_ONE, z, pre)  # spent: reused for (1 - z) * cand
+        pre *= cand
+        np.multiply(z, h_prev, h_t)
+        h_t += pre
+
+    def local_grads(self, h, hr, gates, cand):
+        h_prev = h[:-1]
         d = self.hidden_dim
         z, r = gates[..., :d], gates[..., d:]
         dgates = gates * (1.0 - gates)
@@ -403,16 +497,6 @@ def _split_columns(a, parts):
     return [a[..., j * w : (j + 1) * w] for j in range(parts)]
 
 
-def _take_tape(tape):
-    """Stack each saved array over steps and empty the tape, so BPTT does
-    not hold every saved array twice."""
-    if not tape:
-        raise ContractError("unroll_backward already ran on this cache; run unroll again")
-    saved = [np.stack(s) for s in zip(*tape)]
-    tape.clear()
-    return saved
-
-
 def unroll(cell, batch: SequenceBatch, direction="forward", train=True):
     """Run a cell across time. Returns (outputs [n×T×d], last_valid [n×d], cache).
     With train=False the cache is None: no per-step tape is kept for BPTT.
@@ -426,6 +510,13 @@ def unroll(cell, batch: SequenceBatch, direction="forward", train=True):
     step k advances the forward cell at t = k and the backward cell at
     t = t_run-1-k, and outputs and last_valid hold the two directions side by
     side, forward first ([n×T×2d], [n×2d]).
+
+    Every array the loop writes is allocated once per call, step-ordered: one
+    state buffer per state, [t_run+1, (2,) n, d] with row 0 the zero start,
+    and one tape array per `tape_widths` entry, [t_run, (2,) n, w] (one slot
+    that every step reuses when train=False). Step k reads state row k and
+    writes row k+1, so the states before each step, which BPTT needs, are the
+    buffer's first t_run rows and the outputs are its last t_run.
 
     Only a forward-running cell needs its state frozen at padded steps. A
     backward-running cell meets a row's padding before the row's first true
@@ -455,35 +546,45 @@ def unroll(cell, batch: SequenceBatch, direction="forward", train=True):
     d = step.hidden_dim
     lead = (2,) if len(cells) == 2 else ()  # the direction axis
     split = [c.split_weights() for c in cells]
+    halved = [c.forward_weights(*weights) for c, weights in zip(cells, split)]
     w_x = [w for w, _, _ in split]
     w_h = [_stacked(same) for same in zip(*(wh for _, _, wh in split))]
+    w_h_halved = [_stacked(same) for same in zip(*(wh for _, _, wh in halved))]
     x_valid = x.transpose(1, 0, 2)[:t_run][valid]
-    # One step-ordered buffer: each direction's projections go straight into
-    # their slot, the backward direction's through a reversed time view.
-    xp = np.zeros((t_run, *lead, n, w_x[0].shape[0]), dtype=x.dtype)
-    for xp_j, (w, b, _) in zip(_time_views(xp, reverse), split):
-        xp_j[valid] = x_valid @ w.T + b
+    # One step-ordered buffer per block, so each step reads contiguous rows:
+    # each direction's projections go straight into their slots, the backward
+    # direction's through a reversed time view.
+    xp = [np.zeros((t_run, *lead, n, w.shape[-1]), dtype=x.dtype) for w in w_h_halved]
+    for j, (w, b, _) in enumerate(halved):
+        for xp_block, part in zip(xp, _column_blocks(x_valid @ w.T + b, w_h_halved)):
+            _time_views(xp_block, reverse)[j][valid] = part
+        del part  # a view of this direction's projection: free it before the next
     kept = [valid if not (rev and step.rests_at_zero) else np.ones_like(valid) for rev in reverse]
-    keep = _step_ordered(kept, reverse)[..., None]
-    partial = (~keep.all(axis=tuple(range(1, keep.ndim)))).tolist()
-    state = step.zero_state(*lead, n)
-    hs, tape = [None] * t_run, []
-    for k in range(t_run):
-        hs[k], new_state, saved = step.recur(xp[k], w_h, state)
-        if train:
-            tape.append(saved)
-        if partial[k]:
-            new_state = tuple(np.where(keep[k], s_new, s_old) for s_new, s_old in zip(new_state, state))
-        state = new_state
-    del xp  # spent: free it before the outputs are assembled
+    frozen = ~_step_ordered(kept, reverse)[..., None]
+    partial = frozen.any(axis=tuple(range(1, frozen.ndim))).tolist()
+    states = step.zero_state(t_run + 1, *lead, n)
+    tape = [np.empty((t_run if train else 1, *lead, n, w), dtype=x.dtype) for w in step.tape_widths()]
+    # Per-step rows come from iterating the buffers, which costs less than
+    # indexing each one every step; an empty or one-slot tape repeats its slot.
+    slots = zip(*tape) if train and tape else repeat([a[0] for a in tape])
+    rows = zip(zip(*xp), zip(*states), zip(*(s[1:] for s in states)), slots, partial, frozen)
+    for xp_k, state, new_state, slots_k, is_partial, frozen_k in rows:
+        step.recur(xp_k, w_h_halved, state, new_state, slots_k)
+        if is_partial:  # frozen rows keep their state
+            for s_new, s in zip(new_state, state):
+                np.copyto(s_new, s, where=frozen_k)
+    # xp is spent; free it, and the loop's views of it, before the outputs are assembled
+    del xp, rows, xp_k
+    h = states[0]
     out = np.zeros((T, n, len(cells) * d), dtype=x.dtype)
-    for j, (cols, rev) in enumerate(zip(_split_columns(out[:t_run], len(cells)), reverse)):
-        np.stack([h[j] for h in hs] if lead else hs, out=cols[::-1] if rev else cols)
+    for cols, h_j in zip(_split_columns(out[:t_run], len(cells)), _time_views(h[1:], reverse)):
+        cols[...] = h_j
     out[:t_run][~valid] = 0.0
-    last = np.concatenate(state[0], axis=1) if lead else state[0]
+    # a copy: the cache's tape holds the buffer
+    last = np.concatenate(h[-1], axis=1) if lead else h[-1].copy()
     if not train:
         return out.transpose(1, 0, 2), last, None
-    return out.transpose(1, 0, 2), last, (tape, keep, partial, valid, x_valid, w_x, w_h, direction, T)
+    return out.transpose(1, 0, 2), last, ([*states, *tape], frozen, partial, valid, x_valid, w_x, w_h, direction, T)
 
 
 def unroll_backward(cell, cache, grad_outputs=None, grad_last=None):
@@ -497,16 +598,19 @@ def unroll_backward(cell, cache, grad_outputs=None, grad_last=None):
     """
     if cache is None:
         raise ContractError("unroll_backward got the cache of an unroll that ran with train=False")
-    tape, keep, partial, valid, x_valid, w_x, w_h, direction, T = cache
+    saved, frozen, partial, valid, x_valid, w_x, w_h, direction, T = cache
+    if not saved:
+        raise ContractError("unroll_backward already ran on this cache; run unroll again")
     cells, reverse = _directions(cell, direction)
     step = cells[0]
     t_run, n = valid.shape
-    lead = keep.shape[1:-2]
+    lead = frozen.shape[1:-2]
     dtype = default_dtype()
-    hins, factors = step.local_grads(*_take_tape(tape))
+    hins, factors = step.local_grads(*saved)
+    saved.clear()
     dstate = step.zero_state(*lead, n)
     if grad_last is not None:
-        dstate = (dstate[0] + _stacked(_split_columns(grad_last, len(cells))),) + dstate[1:]
+        np.add(dstate[0], _stacked(_split_columns(grad_last, len(cells))), dstate[0])
     grad_tm = None
     if grad_outputs is not None:
         grad_tm = grad_outputs.transpose(1, 0, 2)[:t_run] * valid[:, :, None]
@@ -515,10 +619,11 @@ def unroll_backward(cell, cache, grad_outputs=None, grad_last=None):
     wh_t = [w.swapaxes(-1, -2) for w in w_h]
     for k in range(t_run - 1, -1, -1):
         if grad_tm is not None:
-            dstate = (dstate[0] + grad_tm[k],) + dstate[1:]
+            np.add(dstate[0], grad_tm[k], dstate[0])
         dstate_prev = step.recur_backward(factors, k, dstate, wh_t, dpre[k])
         if partial[k]:  # frozen rows: discard the step, pass the gradient through
-            dstate_prev = tuple(np.where(keep[k], dp, ds) for dp, ds in zip(dstate_prev, dstate))
+            for dp, ds in zip(dstate_prev, dstate):
+                np.copyto(dp, ds, where=frozen[k])
         dstate = dstate_prev
     # Both directions' factors are held at once; drop them before the gathers.
     del factors, grad_tm

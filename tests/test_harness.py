@@ -110,18 +110,23 @@ class TestGradcheckAll:
 class TestTrainLoop:
     @pytest.mark.parametrize(
         "field, value",
-        [("batch_size", 1), ("batch_size", 0), ("eval_every", 0), ("optimizer", "adam")],
+        [
+            ("batch_size", 1),
+            ("batch_size", 0),
+            ("eval_every", 0),
+            ("optimizer", "adam"),
+            ("epochs", 0),
+            ("epochs", -1),
+        ],
     )
     def test_bad_config_rejected_naming_the_field(self, field, value):
         with pytest.raises(ConfigError, match=field):
             TrainConfig(**{field: value})
 
-    def test_zero_epoch_training_is_roughly_chance(self, tiny):
+    def test_untrained_model_is_roughly_chance(self, tiny):
         dataset, splits = tiny
         model = build_model(_tiny_model_spec("LSTM1", dataset), Rng(0))
-        cfg = TrainConfig(epochs=0, batch_size=8, seed=0)
-        result = train(model, dataset, splits, cfg)
-        assert result.epoch_losses == []
+        result = evaluate(model, dataset, splits.test)
         assert 0.0 <= result.test_accuracy <= 0.7  # untrained, K=3
 
     def test_training_is_bit_deterministic(self, tiny):
@@ -229,11 +234,18 @@ class TestEvaluateAndExtract:
         with pytest.raises(DivergenceError, match=f"{name}: non-finite inference output in rows 0"):
             extract_features(model, dataset, splits.val, tap)
 
-    def test_tap_of_a_variant_without_hidden_layer_rejected(self, tiny):
+    def test_tap_of_a_variant_without_hidden_layer_rejected(self, tiny, workers, monkeypatch):
         dataset, splits = tiny
+        workers(1)  # every forward runs in this process, where the spy sees it
         model = build_model(_tiny_model_spec("LSTM1", dataset), Rng(6))
+        cnn_model = build_model(_tiny_model_spec("C3D-DESK", dataset), Rng(6))
+        for m in (model, cnn_model):
+            monkeypatch.setattr(m, "forward", _forward_spy(m))
         with pytest.raises(ContractError, match="LSTM1 has no hidden layer"):
             extract_features(model, dataset, splits.val, "rnn_fc")
+        with pytest.raises(ContractError, match="LSTM1 has no hidden layer"):
+            run_fusion(model, cnn_model, dataset, splits, svm_c=8.0)
+        assert model.forward.rows == [] and cnn_model.forward.rows == []
 
     def test_wrong_tap_rejected(self, tiny):
         dataset, splits = tiny

@@ -206,6 +206,42 @@ class TestLstmCell:
             assert np.abs(c1[row] - np.array(c_ref)).max() <= 1e-12
 
 
+def _hand_written_step(cell, x, state):
+    """One step from the unhalved split weights with `tensor.sigmoid`."""
+    w_x, b, wh = cell.split_weights()
+    xp = x @ w_x.T + b
+    h, d = state[0], cell.hidden_dim
+    if isinstance(cell, GruCell):
+        gates = sigmoid(xp[:, : 2 * d] + h @ wh[0])
+        z, r = gates[:, :d], gates[:, d:]
+        cand = np.tanh(xp[:, 2 * d :] + (r * h) @ wh[1])
+        return (z * h + (1.0 - z) * cand,)
+    pre = xp + h @ wh[0]
+    if isinstance(cell, LstmCell):
+        gates = sigmoid(pre[:, : 3 * d])
+        c = gates[:, d : 2 * d] * state[1] + gates[:, :d] * np.tanh(pre[:, 3 * d :])
+        return gates[:, 2 * d :] * np.tanh(c), c
+    return (sigmoid(pre),)
+
+
+@pytest.mark.parametrize("kind", ["rnn_sigmoid", "lstm", "gru"])
+def test_step_equals_hand_written_step_with_reference_sigmoid(kind, rng):
+    # pins the halved-weight sigmoid gates to tensor.sigmoid bit for bit,
+    # including pre-activations far into saturation
+    i, d, n = 8, 6, 40
+    cell = _random_cell(kind, i, d, rng)
+    for a in cell.param_arrays():
+        a[...] = rng.normal(0.0, 2.0, size=a.shape)
+    x = rng.normal(0.0, 2.0, size=(n, i))
+    state = tuple(rng.normal(size=(n, d)) for _ in range(cell.n_state))
+    w_x, b, _ = cell.split_weights()
+    assert np.abs(x @ w_x.T + b).max() > 20.0
+    h_t, new_state = cell.step(x, state)
+    want = _hand_written_step(cell, x, state)
+    assert np.array_equal(h_t, want[0])
+    assert all(np.array_equal(got, w) for got, w in zip(new_state, want))
+
+
 class TestGruCell:
     def test_update_gate_open_passes_state_through(self, rng):
         d = 4
@@ -701,12 +737,16 @@ class TestBpttGradients:
         with pytest.raises(ContractError, match="already ran on this cache"):
             layer.backward(cache, None, np.ones_like(last))
 
-    @pytest.mark.parametrize("kind", ["rnn", "rnn_sigmoid", "lstm", "gru", "bi_gru"])
-    def test_inference_unroll_keeps_no_tape_and_equals_train_outputs(self, kind, rng):
+    @pytest.mark.parametrize(
+        "kind, direction",
+        [(k, d) for k in ("rnn", "rnn_sigmoid", "lstm", "gru") for d in ("forward", "backward")] + [("bi_gru", None)],
+    )
+    def test_inference_unroll_keeps_no_tape_and_equals_train_outputs(self, kind, direction, rng):
+        # inference reuses one tape slot; the forward direction also freezes rows
         if kind == "bi_gru":
             layer = BidirectionalLayer(_random_cell("gru", 3, 4, rng), _random_cell("gru", 3, 4, rng))
         else:
-            layer = RecurrentLayer(_random_cell(kind, 3, 4, rng), "backward")
+            layer = RecurrentLayer(_random_cell(kind, 3, 4, rng), direction)
         batch = SequenceBatch(rng.normal(size=(3, 6, 3)), [6, 2, 4])
         out_t, last_t, cache_t = layer.forward(batch)
         out_i, last_i, cache_i = layer.forward(batch, train=False)
@@ -714,6 +754,22 @@ class TestBpttGradients:
         assert np.array_equal(out_i, out_t) and np.array_equal(last_i, last_t)
         with pytest.raises(ContractError, match="train=False"):
             layer.backward(cache_i, None, np.ones_like(last_i))
+
+    @pytest.mark.parametrize("kind", ["rnn", "rnn_sigmoid", "lstm", "gru", "bi_lstm"])
+    def test_unroll_and_backward_leave_the_weights_unchanged(self, kind, rng):
+        # the forward loop halves the sigmoid columns in copies, never in params
+        if kind == "bi_lstm":
+            layer = BidirectionalLayer(_random_biased_cell("lstm", 3, 4, rng), _random_biased_cell("lstm", 3, 4, rng))
+            arrays = layer.param_arrays()
+        else:
+            layer = RecurrentLayer(_random_biased_cell(kind, 3, 4, rng))
+            arrays = layer.cell.param_arrays()
+        before = [a.copy() for a in arrays]
+        batch = SequenceBatch(_padded_rows_zeroed(rng.normal(size=(3, 5, 3)), [5, 2, 4]), [5, 2, 4])
+        out, last, cache = layer.forward(batch)
+        layer.backward(cache, np.ones_like(out), np.ones_like(last))
+        layer.forward(batch, train=False)
+        assert all(np.array_equal(a, b) for a, b in zip(arrays, before))
 
     def test_inference_stack_returns_no_caches(self, rng):
         layers = [

@@ -13,15 +13,23 @@ order the convolution works in: a conv output feeds the next pool and conv
 without a layout copy, and so does each gradient on its way back. Results do
 not depend on the memory order of the inputs (a test pins this).
 
-`conv3d_forward` / `conv3d_backward` work on one folded buffer
+`conv3d_forward` / `conv3d_backward` work on a folded buffer
 xk [n, tp, hp, wo, kw·c]: the zero-padded input's kw shifted windows side by
 side along the channel axis, so that the correlation is one matmul with
 K = kw·c per (kt, kh) offset instead of one with K = c per (kt, kh, kw)
-offset. The matmuls run one sample at a time, all kt·kh offsets of a sample
-before the next, so that the sample's accumulator stays in cache; the desk
-layers' matmuls are tiny (K = 9, N = 8 on conv1) and memory traffic, not
-arithmetic, bounds them. `maxpool3d` takes the maximum over the window's
-strided views of the input rather than over a transposed tile copy.
+offset. The desk layers' matmuls are tiny (K = 9, N = 8 on conv1), so
+memory traffic, not arithmetic, bounds them, and the forward runs each
+sample from start to end while its data is in cache: it folds the sample
+just before its matmuls (into its slot of xk in training, which the backward
+reads; into one reused slot at inference), writes the first offset's product
+straight into the sample's accumulator, adds the others and then the bias,
+and, for a layer followed by a pool, reduces the accumulator through the
+pool window into the sample's slice of the pooled output. So no layer makes
+a whole-batch pass for zero-filling, the bias or the pool, and a pooled
+layer's full-resolution output never exists for the whole batch.
+`maxpool3d` applies the same pooling rule, `_pool_max`, to a given volume;
+both take the maximum over the window's strided views rather than over a
+transposed tile copy.
 
 `C3dModel` pools the last conv of each group before its ReLU, so that the
 ReLU and its mask run on the 4-8x smaller pooled volume. Max commutes with
@@ -66,25 +74,38 @@ def init_conv3d(n_filters, in_channels, kernel_size, padding, rng: Rng) -> Conv3
     )
 
 
-def conv3d_forward(p: Conv3dParams, x):
-    """Correlate x [n×c×t×h×w] with the kernels at stride 1. Returns (y, cache);
-    each output extent is padded extent - kernel extent + 1. y has the NCDHW
-    shape over channels-last memory: it is the accumulator's transposed view,
-    so a next layer's channels-last read of it is a plain contiguous one.
+def conv3d_forward(p: Conv3dParams, x, pool=None, train=True):
+    """Correlate x [n×c×t×h×w] with the kernels at stride 1 and add the bias;
+    with a Pool3dSpec, also max-pool the result. Returns (y, cache); each
+    conv output extent is padded extent - kernel extent + 1. y has the NCDHW
+    shape over channels-last memory, so a next layer's channels-last read of
+    it is a plain contiguous one.
 
-    The kw shifted windows of the zero-padded input are copied side by side,
-    channels-last, into the folded buffer xk [n, tp, hp, wo, kw·c] (kw slice
-    copies straight from x; the padding is xk's zero fill). The correlation
-    then runs one sample at a time: for each sample s, kt·kh matmuls
-    acc[s] += xk[s, i:i+to, j:j+ho] @ wk[i, j] with wk [kt, kh, kw·c, f],
-    each into one reused [to, ho·wo, f] temporary. One sample's accumulator
-    slice (262 KB on the desk conv1 at f64) stays in cache across all kt·kh
-    offsets, where a whole-batch accumulator (8.4 MB) would stream through
-    memory once per offset. Each matmul runs on the slice view with (h, w)
-    merged into one row axis, which needs no copy. Every output element sums
-    the same products in the same order as a whole-batch loop, so the result
-    does not depend on the batch. xk is the cache the backward reads. The
-    brute-force oracles in the test suite pin the semantics.
+    The correlation runs one sample at a time, from start to end while the
+    sample's data is in cache. For sample s:
+    - its kw shifted, zero-padded windows are copied side by side,
+      channels-last, into a folded slot [tp, hp, wo, kw·c]. With train=True
+      the slot is xk[s] of the batch buffer xk, which is the cache the
+      backward reads; otherwise one slot serves every sample, and its zero
+      padding is written once;
+    - kt·kh matmuls with K = kw·c, xk[s, i:i+to, j:j+ho] @ wk[i, j] with
+      wk [kt, kh, kw·c, f], run on the slot's views with (h, w) merged into
+      one row axis (no copy). The first offset's product is written straight
+      into the sample's accumulator [to, ho·wo, f], and each later one is
+      added to it through one reused temporary. The accumulator (262 KB on
+      the desk conv1 at f64) stays in cache across all offsets;
+    - the bias is added to the accumulator;
+    - with a pool, the accumulator is reduced through the pool window into
+      the sample's slice of the pooled y by `_pool_max`, the rule `maxpool3d`
+      applies (through an -inf padded copy where the window does not divide
+      an extent). Then one accumulator serves every sample, and the
+      full-resolution output is never stored for the whole batch.
+
+    Every output element sums the same products in the same order whatever
+    the batch, the mode or the pool. The cache is (xk, x.shape, p) without a
+    pool, the pair of that and `maxpool3d`'s cache with one, and None with
+    train=False, when no first-max index is recorded either. The brute-force
+    oracles in the test suite pin the semantics.
     """
     if x.ndim != 5 or x.shape[1] != p.kernels.shape[1]:
         raise DimensionError(
@@ -99,20 +120,41 @@ def conv3d_forward(p: Conv3dParams, x):
             f"padded input {(tp, hp, wp)} smaller than kernel {(kt, kh, kw)}"
         )
     to, ho, wo = tp - kt + 1, hp - kh + 1, wp - kw + 1
-    xk = np.zeros((n, tp, hp, wo, kw * c), dtype=x.dtype)
+    # Every view the loop reads or writes is made once, over the slot axis.
+    xk = np.zeros((n if train else 1, tp, hp, wo, kw * c), dtype=x.dtype)
     inner = xk[:, pt : pt + t, ph : ph + h]
-    xt = x.transpose(0, 2, 3, 4, 1)
-    for k, cols, src in _kw_windows(w, pw, kw):
-        inner[:, :, :, cols, k * c : (k + 1) * c] = xt[:, :, :, src]
+    folds = [(inner[:, :, :, cols, k * c : (k + 1) * c], src) for k, cols, src in _kw_windows(w, pw, kw)]
     wk = _folded_kernels(p.kernels)
-    acc = np.zeros((n, to, ho * wo, f), dtype=x.dtype)
+    (rows0, wk0), *offsets = [(_offset_rows(xk, i, j, to, ho), wk[i, j]) for i in range(kt) for j in range(kh)]
+    bias = np.tile(p.bias, (ho * wo, 1))  # one row per output (h, w): a long contiguous add
     tmp = np.empty((to, ho * wo, f), dtype=x.dtype)
+    acc = np.empty((n if pool is None else 1, to, ho * wo, f), dtype=x.dtype)
+    if pool is not None:
+        y_shape = (n, f, to, ho, wo)
+        y, idx, pad, padded_shape = _pool_buffers(y_shape, pool.window, x.dtype, train)
+        vol = acc[0].reshape(to, ho, wo, f)
+        views = _pool_views(vol if pad is None else pad, pool.window)
+    xt = x.transpose(0, 2, 3, 4, 1)
     for s in range(n):
-        for i in range(kt):
-            for j in range(kh):
-                acc[s] += np.matmul(_offset_rows(xk[s], i, j, to, ho), wk[i, j], out=tmp)
-    acc += p.bias
-    return acc.reshape(n, to, ho, wo, f).transpose(0, 4, 1, 2, 3), (xk, x.shape, p)
+        slot = s if train else 0
+        for dst, src in folds:
+            dst[slot] = xt[s, :, :, src]
+        a = acc[s] if pool is None else acc[0]
+        np.matmul(rows0[slot], wk0, out=a)
+        for rows, wij in offsets:
+            a += np.matmul(rows[slot], wij, out=tmp)
+        a += bias
+        if pool is not None:
+            if pad is not None:
+                pad[:to, :ho, :wo] = vol
+            _pool_max(views, y[s], None if idx is None else idx[s])
+    ccache = (xk, x.shape, p) if train else None
+    if pool is None:
+        return acc.reshape(n, to, ho, wo, f).transpose(0, 4, 1, 2, 3), ccache
+    y = y.transpose(0, 4, 1, 2, 3)
+    if not train:
+        return y, None
+    return y, (ccache, (y_shape, padded_shape, idx.transpose(0, 4, 1, 2, 3), pool))
 
 
 def _kw_windows(w, pw, kw):
@@ -131,11 +173,11 @@ def _folded_kernels(kernels):
 
 
 def _offset_rows(a, i, j, to, ho):
-    """a[i:i+to, j:j+ho] of one sample's folded buffer [tp, hp, wo, k] as
-    [to, ho·wo, k]. A view, not a copy: the slice keeps whole (w, k) rows,
-    so its ho rows of each t plane are contiguous."""
-    _, _, wo, k = a.shape
-    return a[i : i + to, j : j + ho].reshape(to, ho * wo, k)
+    """a[..., i:i+to, j:j+ho, :, :] of a folded buffer [..., tp, hp, wo, k]
+    as [..., to, ho·wo, k]. A view, not a copy: the slice keeps whole (w, k)
+    rows, so its ho rows of each t plane are contiguous."""
+    *lead, _, _, wo, k = a.shape
+    return a[..., i : i + to, j : j + ho, :, :].reshape(*lead, to, ho * wo, k)
 
 
 def conv3d_backward(cache, grad_y, input_grad=True):
@@ -205,49 +247,73 @@ def maxpool3d(spec: Pool3dSpec, x, argmax=True):
     window positions the backward needs are not computed and the cache is
     None: an inference forward takes only y.
 
-    Each of the pt·ph·pw window positions is one strided view of the
-    (-inf padded) input; y is the running maximum over the views in scan
-    order, and the cached idx is, per window, how many views come before the
-    first one equal to y: the scan-order position of the first maximum. A
-    window holding NaN has y = NaN, no view equals it, and idx is the last
-    position. The -inf padded copy is stored channels-last, and y and idx
-    keep the memory order of the views they are taken from, so a
-    channels-last conv output gives a channels-last y. `maxpool3d_backward`
-    returns its gradient channels-last.
+    Each sample goes through `_pool_max`, the rule `conv3d_forward` also
+    applies to a pooled layer's samples, on an -inf padded copy where the
+    window does not divide an extent. y and the cached first-max index idx
+    are stored channels-last; `maxpool3d_backward` returns its gradient
+    channels-last too.
     """
     if x.ndim != 5:
         raise DimensionError(f"maxpool3d expects [n,c,t,h,w], got {x.shape}")
-    pt, ph, pw = spec.window
-    n, c, t, h, w = x.shape
-    pad = ((-t) % pt, (-h) % ph, (-w) % pw)
-    xp = x
-    if any(pad):
-        padded = (n, t + pad[0], h + pad[1], w + pad[2], c)
-        xp = np.full(padded, -np.inf, dtype=x.dtype).transpose(0, 4, 1, 2, 3)
-        xp[:, :, :t, :h, :w] = x
-    views = _window_views(xp, spec.window)
-    y = views[0].copy(order="K")
-    for v in views[1:]:
-        np.maximum(y, v, out=y)
+    y, idx, pad, padded_shape = _pool_buffers(x.shape, spec.window, x.dtype, argmax)
+    _, _, t, h, w = x.shape
+    xt = x.transpose(0, 2, 3, 4, 1)
+    for s in range(x.shape[0]):
+        vol = xt[s]
+        if pad is not None:  # extents the window does not divide: -inf on the right
+            pad[:t, :h, :w] = vol
+            vol = pad
+        _pool_max(_pool_views(vol, spec.window), y[s], None if idx is None else idx[s])
+    y = y.transpose(0, 4, 1, 2, 3)
     if not argmax:
         return y, None
-    idx = np.zeros_like(y, dtype=np.min_scalar_type(len(views) - 1))
+    return y, (x.shape, padded_shape, idx.transpose(0, 4, 1, 2, 3), spec)
+
+
+def _pool_buffers(shape, window, dtype, argmax):
+    """For pooling a volume of NCDHW shape `shape`: the channels-last pooled
+    y [n, t', h', w', c] and, with argmax, the zeroed first-max index idx of
+    the same layout (else None); the -inf filled channels-last buffer that a
+    sample is padded in when the window does not divide an extent (else
+    None); and the padded NCDHW shape."""
+    n, c, t, h, w = shape
+    padded = tuple(-(-e // k) * k for e, k in zip((t, h, w), window))
+    pooled = tuple(e // k for e, k in zip(padded, window))
+    y = np.empty((n, *pooled, c), dtype=dtype)
+    idx = None
+    if argmax:
+        idx = np.zeros((n, *pooled, c), dtype=np.min_scalar_type(int(np.prod(window)) - 1))
+    pad = None
+    if padded != (t, h, w):
+        pad = np.full((*padded, c), -np.inf, dtype=dtype)
+    return y, idx, pad, (n, c, *padded)
+
+
+def _pool_views(vol, window):
+    """The pt·ph·pw window-position views of a channels-last volume
+    [..., t, h, w, c] whose extents the window divides, in (t, h, w) scan
+    order. Splitting each extent into whole windows needs no copy."""
+    *lead, t, h, w, c = vol.shape
+    pt, ph, pw = window
+    blocks = vol.reshape(*lead, t // pt, pt, h // ph, ph, w // pw, pw, c)
+    return [blocks[..., i, :, j, :, k, :] for i in range(pt) for j in range(ph) for k in range(pw)]
+
+
+def _pool_max(views, y, idx):
+    """The pooling rule, for one sample: y is the running maximum over the
+    window-position views in scan order. When idx is given (zeroed), it
+    receives, per window, how many views come before the first one equal to
+    y: the scan-order position of the first maximum. A window holding NaN
+    has y = NaN, no view equals it, and idx is the last position."""
+    np.copyto(y, views[0])
+    for v in views[1:]:
+        np.maximum(y, v, out=y)
+    if idx is None:
+        return
     seen = views[0] == y
     for v in views[1:]:
         idx += ~seen
         seen |= v == y
-    return y, (x.shape, xp.shape, idx, spec)
-
-
-def _window_views(a, window):
-    """The strided views a[:, :, i::pt, j::ph, k::pw] in (i, j, k) scan order."""
-    pt, ph, pw = window
-    return [
-        a[:, :, i::pt, j::ph, k::pw]
-        for i in range(pt)
-        for j in range(ph)
-        for k in range(pw)
-    ]
 
 
 def maxpool3d_backward(cache, grad_y):
@@ -257,10 +323,11 @@ def maxpool3d_backward(cache, grad_y):
     x_shape, xp_shape, idx, spec = cache
     _, _, t, h, w = x_shape
     n, c, tp, hp, wp = xp_shape
-    gx_pad = np.empty((n, tp, hp, wp, c), dtype=grad_y.dtype).transpose(0, 4, 1, 2, 3)
-    for k, v in enumerate(_window_views(gx_pad, spec.window)):
-        np.multiply(grad_y, idx == k, out=v)
-    return gx_pad[:, :, :t, :h, :w]
+    gx_pad = np.empty((n, tp, hp, wp, c), dtype=grad_y.dtype)
+    gy, idx = grad_y.transpose(0, 2, 3, 4, 1), idx.transpose(0, 2, 3, 4, 1)
+    for k, v in enumerate(_pool_views(gx_pad, spec.window)):
+        np.multiply(gy, idx == k, out=v)
+    return gx_pad.transpose(0, 4, 1, 2, 3)[:, :, :t, :h, :w]
 
 
 @dataclass
@@ -379,27 +446,31 @@ class C3dModel:
     def forward(self, x, train=True):
         """Returns (logits, fc6 activations, cache) for a clip batch [n,c,t,h,w].
 
-        The last conv of each group is pooled before its ReLU: max commutes
-        with ReLU, so the outputs are those of ReLU-then-pool, and the ReLU
-        and its mask run at pooled resolution. With train=False the cache is
-        None: no ReLU mask, pool argmax or conv input is kept for a backward.
+        Each group runs as conv stages whose last one is also the group's
+        pool: `conv3d_forward` folds, correlates, adds the bias and pools one
+        sample at a time, so a pooled layer's full-resolution output never
+        exists for the whole batch, in training or inference. The pool comes
+        before the ReLU: max commutes with ReLU, so the outputs are those of
+        ReLU-then-pool, and the ReLU and its mask run at pooled resolution.
+        With train=False the cache is None: no ReLU mask, first-max index or
+        folded conv input is kept for a backward.
         """
         caches = []
         conv_iter = iter(self.convs)
         h = x
         for group, pool in zip(self.spec.conv_groups, self.pools):
             for li in range(len(group)):
-                h, ccache = conv3d_forward(next(conv_iter), h)
-                active = None  # ReLU masks, not activations, are kept
-                if li < len(group) - 1:  # ReLU before the group's next conv
-                    active = h > 0.0 if train else None
-                    np.maximum(h, 0.0, out=h)
-                if train:
-                    caches.append(("conv", ccache, active))
-            h, pcache = maxpool3d(pool, h, argmax=train)
-            if train:
-                caches.append(("pool", pcache, h > 0.0))
-            np.maximum(h, 0.0, out=h)
+                pooled = li == len(group) - 1
+                h, cache = conv3d_forward(next(conv_iter), h, pool if pooled else None, train)
+                active = h > 0.0 if train else None  # ReLU masks, not activations, are kept
+                np.maximum(h, 0.0, out=h)
+                if not train:
+                    continue
+                if pooled:
+                    ccache, pcache = cache
+                    caches += [("conv", ccache, None), ("pool", pcache, active)]
+                else:
+                    caches.append(("conv", cache, active))
         n = h.shape[0]
         flat_shape = h.shape
         flat = h.reshape(n, -1)

@@ -155,19 +155,35 @@ def _chunked(model, inputs, chunk):
     return np.concatenate(probs), None if taps[0] is None else np.concatenate(taps)
 
 
+def _inference_pass(model, dataset: Dataset, indices):
+    """One chunked inference pass over the selected samples: the probability
+    rows, the tap rows (None when the model has no tap), and the row bounds
+    that split both into per-sample groups (a sample's rows are consecutive:
+    its clips for video, its one sequence for skeleton)."""
+    inputs, owners = _stream_rows(model, dataset, indices)
+    probs, taps = _chunked(model, inputs, _INFERENCE_CHUNK[model.stream])
+    return probs, taps, np.searchsorted(owners, np.arange(1, len(indices)))
+
+
+def _sample_predictions(probs, bounds):
+    """Each sample's Prediction: the mean of its probability rows."""
+    return [clip_average(p) for p in np.split(probs, bounds)]
+
+
+def _sample_taps(taps, bounds):
+    """Each sample's mean tap row, [n, width]; None when there is no tap."""
+    if taps is None:
+        return None
+    return np.stack([t.mean(axis=0) for t in np.split(taps, bounds)])
+
+
 def infer_dataset(model, dataset: Dataset, indices):
     """One inference pass over the selected samples. Returns the per-sample
     Prediction list, each the mean of the sample's probability rows (its
     clips for video, its one sequence for skeleton), and the per-sample mean
     tap rows, [n, width] (None when the model has no tap)."""
-    inputs, owners = _stream_rows(model, dataset, indices)
-    probs, taps = _chunked(model, inputs, _INFERENCE_CHUNK[model.stream])
-    # a sample's rows are consecutive, so each sample's group is a slice
-    bounds = np.searchsorted(owners, np.arange(1, len(indices)))
-    preds = [clip_average(p) for p in np.split(probs, bounds)]
-    if taps is not None:
-        taps = np.stack([t.mean(axis=0) for t in np.split(taps, bounds)])
-    return preds, taps
+    probs, taps, bounds = _inference_pass(model, dataset, indices)
+    return _sample_predictions(probs, bounds), _sample_taps(taps, bounds)
 
 
 def _require_tap(model):
@@ -178,8 +194,10 @@ def _require_tap(model):
 
 
 def predict_dataset(model, dataset: Dataset, indices):
-    """The per-sample Prediction list of `infer_dataset`."""
-    return infer_dataset(model, dataset, indices)[0]
+    """The per-sample Prediction list of `infer_dataset`, without averaging
+    the taps."""
+    probs, _, bounds = _inference_pass(model, dataset, indices)
+    return _sample_predictions(probs, bounds)
 
 
 def evaluate(model, dataset: Dataset, indices) -> RunResult:
@@ -204,7 +222,8 @@ def extract_features(model, dataset: Dataset, indices, tap):
     if model.stream != stream:
         raise ContractError(f"{tap} tap requires the {stream}-stream model")
     _require_tap(model)
-    return infer_dataset(model, dataset, indices)[1]
+    _, taps, bounds = _inference_pass(model, dataset, indices)
+    return _sample_taps(taps, bounds)
 
 
 def train(model, dataset: Dataset, splits: Splits, cfg: TrainConfig) -> RunResult:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +25,7 @@ from twostream import (
 )
 from twostream.conv3d import init_conv3d
 from twostream.heads import dense_backward, dense_forward
-from twostream.models import ConvClassifier
+from twostream.models import ConvClassifier, ModelSpec, build_model
 
 from conftest import central_diff, max_rel_err
 
@@ -268,6 +270,51 @@ class TestConv3dBatchInvariance:
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+class TestConvPoolStage:
+    """A conv stage given a pool equals maxpool3d of the unpooled conv output,
+    in both modes, down to the first-max index the backward reads."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_equals_maxpool_of_conv_output(self, seed):
+        rng = Rng(4200 + seed)
+        f, c = (int(rng.integers(1, 5)) for _ in range(2))
+        kt, kh, kw = (int(rng.integers(1, 4)) for _ in range(3))
+        pad = tuple(int(rng.integers(0, 2)) for _ in range(3))
+        t, h, w = (int(rng.integers(v + 1, v + 6)) for v in (kt, kh, kw))
+        window = tuple(int(rng.integers(1, 3)) for _ in range(3))
+        p = Conv3dParams(kernels=rng.integers(-2, 3, size=(f, c, kt, kh, kw)) * 0.5,
+                         bias=rng.integers(-2, 2, size=f) * 0.5, padding=pad)
+        x = rng.integers(0, 3, size=(int(rng.integers(1, 5)), c, t, h, w)) * 0.5
+        z, ccache = conv3d_forward(p, x)
+        ref, pcache = maxpool3d(Pool3dSpec(window), z)
+        y, (stage_ccache, stage_pcache) = conv3d_forward(p, x, Pool3dSpec(window))
+        assert np.array_equal(y, ref)
+        assert np.array_equal(stage_ccache[0], ccache[0])
+        for got, want in zip(stage_pcache, pcache):
+            assert np.array_equal(got, want) if isinstance(got, np.ndarray) else got == want
+        y_inf, cache_inf = conv3d_forward(p, x, Pool3dSpec(window), train=False)
+        assert cache_inf is None and np.array_equal(y_inf, ref)
+        z_inf, cache_inf = conv3d_forward(p, x, train=False)
+        assert cache_inf is None and np.array_equal(z_inf, z)
+
+
+class TestInferenceMemory:
+    def test_desk_batch_inference_peak_stays_under_8_mb(self):
+        """A 32-clip C3D-DESK inference forward holds one sample's folded
+        input and accumulator at a time and no full-resolution output for the
+        batch (a whole-batch full-resolution forward peaked at 27.3 MB)."""
+        model = build_model(ModelSpec("C3D-DESK"), Rng(0))
+        clips = Rng(1).normal(size=(32, 3, 16, 16, 16))
+        model.forward(clips[:2])
+        tracemalloc.start()
+        try:
+            model.forward(clips)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8e6
+
+
 def channels_last(a):
     """a's values stored channels-last behind the same NCDHW shape."""
     return np.ascontiguousarray(a.transpose(0, 2, 3, 4, 1)).transpose(0, 4, 1, 2, 3)
@@ -408,18 +455,18 @@ class TestC3dSpec:
         assert max_rel_err(analytic, central_diff(loss, arrays)) <= 1e-4
 
 
-def tied_c3d(conv_groups, seed):
+def tied_c3d(conv_groups, seed, clip_shape=(5, 2, 4, 8, 8)):
     """A small C3D whose kernels, biases and clips take a few levels, so conv
     outputs tie exactly and whole pool windows go to zero under ReLU."""
     rng = Rng(seed)
-    spec = desk_scale_c3d_spec(3, (2, 4, 8, 8), filters=(4, 8), fc_dim=6)
+    spec = desk_scale_c3d_spec(3, clip_shape[1:], filters=(4, 8), fc_dim=6)
     spec.conv_groups = conv_groups
     model = build_c3d(spec, rng)
     for conv in model.convs:
         conv.kernels[...] = rng.integers(-2, 3, size=conv.kernels.shape) * 0.25
         conv.bias[...] = rng.integers(-4, 2, size=conv.bias.shape) * 0.25
-    clips = rng.integers(0, 3, size=(5, 2, 4, 8, 8)) * 0.5
-    return model, clips, rng.normal(size=(5, 3))
+    clips = rng.integers(0, 3, size=clip_shape) * 0.5
+    return model, clips, rng.normal(size=(clip_shape[0], 3))
 
 
 def relu_before_pool_reference(model, x, grad_logits):
@@ -455,11 +502,20 @@ def relu_before_pool_reference(model, x, grad_logits):
     return logits, f6, grads, pooled
 
 
+# [5, 2, 5, 7, 7] clips: pool1 (1,2,2) pads h and w with -inf, pool2 (2,2,2) pads t.
+C3D_CASES = [
+    pytest.param([[4], [8]], (5, 2, 4, 8, 8), id="desk"),
+    pytest.param([[4, 4], [8]], (5, 2, 4, 8, 8), id="two_conv_group"),
+    pytest.param([[4], [8]], (5, 2, 5, 7, 7), id="padded_pool"),
+    pytest.param([[4, 4], [8]], (5, 2, 5, 7, 7), id="padded_pool_two_conv_group"),
+]
+
+
 class TestC3dModelEquivalence:
-    @pytest.mark.parametrize("conv_groups", [[[4], [8]], [[4, 4], [8]]], ids=["desk", "two_conv_group"])
+    @pytest.mark.parametrize("conv_groups, clip_shape", C3D_CASES)
     @pytest.mark.parametrize("seed", range(3))
-    def test_gradients_equal_relu_before_pool_reference(self, conv_groups, seed):
-        model, clips, r = tied_c3d(conv_groups, 50 + seed)
+    def test_gradients_equal_relu_before_pool_reference(self, conv_groups, clip_shape, seed):
+        model, clips, r = tied_c3d(conv_groups, 50 + seed, clip_shape)
         ref_logits, ref_f6, ref_grads, pooled = relu_before_pool_reference(model, clips, r)
         assert all((p == 0.0).any() and (p > 0.0).any() for p in pooled)
         logits, f6, cache = model.forward(clips)
@@ -470,10 +526,14 @@ class TestC3dModelEquivalence:
         for name, g in grads.items():
             assert g.shape == ref_grads[name].shape
             assert np.array_equal(g, ref_grads[name]), name
+        logits_i, f6_i, cache_i = model.forward(clips, train=False)
+        assert cache_i is None
+        assert np.array_equal(logits_i, ref_logits)
+        assert np.array_equal(f6_i, ref_f6)
 
-    @pytest.mark.parametrize("conv_groups", [[[4], [8]], [[4, 4], [8]]], ids=["desk", "two_conv_group"])
-    def test_inference_forward_equals_train_forward(self, conv_groups):
-        model, clips, _ = tied_c3d(conv_groups, 60)
+    @pytest.mark.parametrize("conv_groups, clip_shape", C3D_CASES)
+    def test_inference_forward_equals_train_forward(self, conv_groups, clip_shape):
+        model, clips, _ = tied_c3d(conv_groups, 60, clip_shape)
         classifier = ConvClassifier(None, model)
         logits_i, f6_i, _ = classifier.forward(clips, mode="inference")
         logits_t, f6_t, _ = classifier.forward(clips, mode="train")

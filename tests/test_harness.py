@@ -1,6 +1,7 @@
 import dataclasses
 import importlib.util
 import json
+import re
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -20,6 +21,7 @@ from twostream import (
     extract_features,
     generate_synthetic,
     gradcheck_all,
+    infer_dataset,
     make_splits,
     run_fusion,
     softmax,
@@ -286,6 +288,31 @@ class TestFusionRuns:
         assert 0.0 <= feat["test_accuracy"] <= 1.0
         assert np.asarray(feat["confusion"]).sum() == len(splits.test)
 
+    @pytest.mark.parametrize("name, tap", [("BI-GRU2-BN-DP-H", "rnn_fc"), ("C3D-DESK", "cnn_fc6")])
+    def test_each_view_does_only_its_own_reduction(self, tiny, monkeypatch, name, tap):
+        dataset, splits = tiny
+        model = build_model(_tiny_model_spec(name, dataset), Rng(4))
+        preds, taps = infer_dataset(model, dataset, splits.val)
+        calls = []
+
+        def spy(reduction):
+            def wrapped(*args):
+                calls.append(reduction.__name__)
+                return reduction(*args)
+
+            return wrapped
+
+        for reduction in (harness._sample_predictions, harness._sample_taps):
+            monkeypatch.setattr(harness, reduction.__name__, spy(reduction))
+        feats = extract_features(model, dataset, splits.val, tap)
+        assert calls == ["_sample_taps"]
+        assert np.array_equal(feats, taps)
+        calls.clear()
+        only = predict_dataset(model, dataset, splits.val)
+        assert calls == ["_sample_predictions"]
+        assert np.array_equal(np.stack([p.probs for p in only]), np.stack([p.probs for p in preds]))
+        assert [p.label for p in only] == [p.label for p in preds]
+
     def test_one_inference_pass_per_stream_and_split(self, tiny, workers, monkeypatch):
         dataset, splits = tiny
         workers(1)  # every forward runs in this process, where the spy sees it
@@ -443,3 +470,6 @@ class TestBenchmarkHooks:
         assert set(missing) <= stale
         assert tracer.step_ms["GRU1-BN-DP"] and tracer.step_ms["C3D-DESK"]
         assert "harness.validate" in tracer.names
+        # conv spans are named conv_f<filters> without the benchmark's layer names
+        for pattern in (r"conv3d\.conv_f\d+\.fwd", r"conv3d\.conv_f\d+\.bwd", r"conv3d\.pool"):
+            assert any(re.fullmatch(pattern, name) for name in tracer.names), pattern

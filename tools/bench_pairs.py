@@ -6,13 +6,15 @@
 The parent runs from a `git archive` export of <commit> under --scratch, the
 change from this working tree. Sections:
 
-- pairs: N alternating pairs of `perfbench/run.py --trace 0` per workload and
-  seed; odd-numbered pairs (from 1) run the parent first;
-- traced: alternating `--trace 1` pairs of video-train, for the traced
-  C3D-DESK step p50 and the conv3d span totals;
+- pairs: PAIRS alternating pairs of `perfbench/run.py --trace 0` per
+  workload of BENCHMARK.json and seed of SEEDS, each run as long as
+  BENCHMARK.json's run_seconds; odd-numbered pairs (from 1) run the parent
+  first;
+- traced: PAIRS alternating `--trace 1` pairs of video-train at the first
+  seed, for the traced C3D-DESK step p50 and the conv3d span totals;
 - inproc: both packages imported side by side in one process (the parent as
   a renamed copy), the 32-clip C3D-DESK inference forward and train step
-  timed in interleaved repetitions, plus their tracemalloc peaks;
+  timed in INPROC_REPS interleaved repetitions, plus their tracemalloc peaks;
 - tier1, ladder: 3 alternating runs per side of the Tier-1 suite and of
   `twostream ladder` at the default config, with one BLAS thread.
 
@@ -40,7 +42,13 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-BENCH_CMD = "python3 perfbench/run.py --workload <workload> --seed <seed> --seconds {seconds} --trace <0|1>"
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
+RUN_SECONDS = BENCHMARK["run_seconds"]
+SEEDS = (0, 7919)
+PAIRS = 10
+INPROC_REPS = 60
+BENCH_CMD = f"python3 perfbench/run.py --workload <workload> --seed <seed> --seconds {RUN_SECONDS} --trace <0|1>"
 TRACED_METRICS = (
     "models.C3D-DESK.step_ms.p50",
     "conv3d.conv1a.fwd_ms",
@@ -90,25 +98,25 @@ def compare(parent, change, unit, better):
             "median_change_pct": round(pct, 2)}
 
 
-def perfbench(side_dir, workload, seed, seconds, trace):
+def perfbench(side_dir, workload, seed, trace):
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
+           "--seconds", str(RUN_SECONDS), "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=side_dir, env=blas_env(), check=True, capture_output=True, text=True).stdout
     return json.loads(out.strip().splitlines()[-1])
 
 
-def run_pairs(dirs, workload, seed, n_pairs, seconds, trace, names=None):
+def run_pairs(dirs, workload, seed, trace, names=None):
     runs = {"parent": [], "change": []}
     order = []
-    for k in range(n_pairs):
+    for k in range(PAIRS):
         order.append(sides(k)[0])
         for side in sides(k):
-            runs[side].append(perfbench(dirs[side], workload, seed, seconds, trace))
+            runs[side].append(perfbench(dirs[side], workload, seed, trace))
             print(f"{workload} seed {seed} trace {trace} pair {k + 1} {side} done", file=sys.stderr, flush=True)
     first = runs["parent"][0]["metrics"]
     names = names or list(first)
     return {
-        "pairs": n_pairs,
+        "pairs": PAIRS,
         "first_side": order,
         "correct_all_runs": all(r["correct"] for side in runs.values() for r in side),
         "failed_ops": {s: sum(r["failed"] for r in runs[s]) for s in runs},
@@ -123,20 +131,18 @@ def run_pairs(dirs, workload, seed, n_pairs, seconds, trace, names=None):
 
 
 def better_of(name):
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    for entry in spec["end_to_end"] + spec["per_layer"]:
+    for entry in BENCHMARK["end_to_end"] + BENCHMARK["per_layer"]:
         if entry["name"] == name:
             return entry["better"]
     raise KeyError(name)
 
 
 def section_pairs(args, dirs):
-    return {f"{w} seed {s}": run_pairs(dirs, w, s, args.pairs, args.seconds, 0)
-            for s in args.seeds for w in args.workloads}
+    return {f"{w} seed {s}": run_pairs(dirs, w, s, 0) for s in SEEDS for w in WORKLOADS}
 
 
 def section_traced(args, dirs):
-    return run_pairs(dirs, "video-train", args.seeds[0], args.traced_pairs, args.seconds, 1, TRACED_METRICS)
+    return run_pairs(dirs, "video-train", SEEDS[0], 1, TRACED_METRICS)
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +165,7 @@ def import_renamed(src_dir, name, scratch):
 
 
 def section_inproc(args, dirs):
-    reps = args.inproc_reps
+    reps = INPROC_REPS
     clips = np.random.default_rng(1).normal(size=(32, 3, 16, 16, 16))
     labels = np.arange(32) % 6
     work = {}
@@ -302,22 +308,14 @@ def main(argv=None):
     p.add_argument("--parent", required=True, help="parent commit")
     p.add_argument("--out", required=True, help="BENCH_<n>.json to create or merge into")
     p.add_argument("--scratch", required=True, help="directory for the parent export and temporary files")
-    p.add_argument("--sections", default="pairs,traced,inproc,tier1,ladder")
-    p.add_argument("--workloads", default="skeleton-train,video-train,fusion-eval")
-    p.add_argument("--seeds", default="0,7919")
-    p.add_argument("--pairs", type=int, default=6)
-    p.add_argument("--traced-pairs", type=int, default=2)
-    p.add_argument("--inproc-reps", type=int, default=60)
-    p.add_argument("--seconds", type=float, default=24.0)
+    p.add_argument("--sections", default=",".join(SECTIONS))
     args = p.parse_args(argv)
-    args.workloads = args.workloads.split(",")
-    args.seeds = [int(s) for s in args.seeds.split(",")]
     Path(args.scratch).mkdir(parents=True, exist_ok=True)
     dirs = {"parent": export_parent(args.parent, args.scratch), "change": ROOT}
     out = Path(args.out)
     record = json.loads(out.read_text()) if out.exists() else {}
     record.setdefault("parent_commit", args.parent)
-    record["command"] = BENCH_CMD.format(seconds=int(args.seconds))
+    record["command"] = BENCH_CMD
     record["environment"] = environment()
     for name in args.sections.split(","):
         key, fn = SECTIONS[name]

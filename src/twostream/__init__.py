@@ -24,12 +24,9 @@ from .fileio import read_checkpoint, read_tensor, write_checkpoint, write_tensor
 from .recurrent import (
     BidirectionalLayer,
     GruCell,
-    GruCellParams,
     LstmCell,
-    LstmCellParams,
     RecurrentLayer,
     RnnCell,
-    RnnCellParams,
     SequenceBatch,
     init_gru_cell,
     init_lstm_cell,

@@ -3,6 +3,7 @@ are ignored; unknown keys are rejected."""
 
 from __future__ import annotations
 
+from . import data
 from .errors import ConfigError
 from .models import LADDER_VARIANTS
 
@@ -58,6 +59,7 @@ _decay = _checked(float, lambda v: 0 <= v < 1, "in [0, 1)")
 _video_shape = _checked(_shape4, lambda v: min(v) >= 1, "CxTxHxW with every extent >= 1")
 _keep_prob = _checked(float, lambda v: 0 < v <= 1, "in (0, 1]")
 _filter_counts = _checked(_ints, lambda v: len(v) > 0 and min(v) >= 1, "one or more integers >= 1")
+_split_mode = _checked(str, lambda v: v in data.SPLIT_MODES, " or ".join(data.SPLIT_MODES))
 
 
 def _pairs(text):
@@ -81,8 +83,8 @@ def _pairs(text):
 # 0.001 / decay 0.9 for the recurrent stream, 0.0001 with halving for the
 # convolutional stream, dropout keep 0.75, SVM C = 8.0.
 SCHEMA = {
-    "seed": (int, 0),
-    "split_mode": (str, "cross_subject"),
+    "seed": (_int_at_least(0), 0),
+    "split_mode": (_split_mode, "cross_subject"),
     # synthetic data
     "n_classes": (_int_at_least(2), 6),
     "samples_per_class": (_int_at_least(1), 90),

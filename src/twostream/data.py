@@ -135,6 +135,16 @@ class Dataset:
                     raise DataError(f"{manifest}:{lineno}: label {label} outside [0, {n_classes})")
                 coords = read_tensor(os.path.join(directory, sk_name))
                 pixels = read_tensor(os.path.join(directory, vd_name))
+                # per-frame shapes: [J, 3] joints and the video's (c, h, w)
+                frames = (coords.shape[1:], pixels.shape[:1] + pixels.shape[2:])
+                if not samples:
+                    first = frames
+                for name, got, want in zip((sk_name, vd_name), frames, first):
+                    if got != want:
+                        raise DataError(
+                            f"{manifest}:{lineno}: {name} has frame shape {got}, "
+                            f"line 2's sample has {want}"
+                        )
                 samples.append(
                     Sample(
                         sample_id=sid,
@@ -168,13 +178,16 @@ def pad_sequences(seqs, t_max) -> SequenceBatch:
     return SequenceBatch(data, lengths)
 
 
+SPLIT_MODES = ("cross_subject", "cross_view")
+
+
 @dataclass
 class SplitSpec:
     mode: str = "cross_subject"  # or "cross_view"
     val_fraction: float = 0.1  # of training subjects, rounded up
 
     def __post_init__(self):
-        if self.mode not in ("cross_subject", "cross_view"):
+        if self.mode not in SPLIT_MODES:
             raise ConfigError(f"split mode must be cross_subject|cross_view, got {self.mode!r}")
 
 

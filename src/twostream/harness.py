@@ -14,10 +14,7 @@ from .errors import ConfigError, ContractError, DataError, DivergenceError
 from .tensor import Rng, softmax
 from .recurrent import (
     BidirectionalLayer,
-    GruCell,
-    LstmCell,
     RecurrentLayer,
-    RnnCell,
     SequenceBatch,
     init_gru_cell,
     init_lstm_cell,
@@ -290,9 +287,7 @@ def train(model, dataset: Dataset, splits: Splits, cfg: TrainConfig) -> RunResul
 
 
 def emit_confusion(confusion, class_names, path):
-    """K x K counts as CSV; the header row carries the class names. Accepts a
-    RunResult or a bare matrix."""
-    confusion = getattr(confusion, "confusion", confusion)
+    """K x K counts as CSV; the header row carries the class names."""
     k = confusion.shape[0]
     if len(class_names) != k:
         raise DataError(f"{len(class_names)} names for a {k}x{k} matrix")
@@ -458,16 +453,16 @@ def gradcheck_all(rng=None) -> GradcheckReport:
     add(check_gradients("dropout", drop_loss, [xd], [rd * mask]))
 
     # recurrent cells through full unrolls (masked lengths included)
-    add(_check_unroll("rnn_tanh", RecurrentLayer(RnnCell(init_rnn_cell(3, 4, rng))), rng))
-    add(_check_unroll("lstm", RecurrentLayer(LstmCell(init_lstm_cell(3, 4, rng))), rng))
-    add(_check_unroll("gru", RecurrentLayer(GruCell(init_gru_cell(3, 4, rng))), rng))
-    bigru = BidirectionalLayer(GruCell(init_gru_cell(3, 3, rng)), GruCell(init_gru_cell(3, 3, rng)))
+    add(_check_unroll("rnn_tanh", RecurrentLayer(init_rnn_cell(3, 4, rng)), rng))
+    add(_check_unroll("lstm", RecurrentLayer(init_lstm_cell(3, 4, rng)), rng))
+    add(_check_unroll("gru", RecurrentLayer(init_gru_cell(3, 4, rng)), rng))
+    bigru = BidirectionalLayer(init_gru_cell(3, 3, rng), init_gru_cell(3, 3, rng))
     add(_check_unroll("bidirectional_gru", bigru, rng))
 
     # two-layer stack feeding a classifier-style loss on the last state
     layers = [
-        RecurrentLayer(GruCell(init_gru_cell(3, 3, rng))),
-        RecurrentLayer(GruCell(init_gru_cell(3, 2, rng))),
+        RecurrentLayer(init_gru_cell(3, 3, rng)),
+        RecurrentLayer(init_gru_cell(3, 2, rng)),
     ]
     xs = rng.normal(0.0, 0.8, size=(2, 4, 3))
     rs = rng.normal(size=(2, 2))

@@ -15,10 +15,7 @@ from .errors import ConfigError
 from .tensor import Rng
 from .recurrent import (
     BidirectionalLayer,
-    GruCell,
-    LstmCell,
     RecurrentLayer,
-    RnnCell,
     SequenceBatch,
     init_gru_cell,
     init_lstm_cell,
@@ -182,22 +179,16 @@ def _recurrent_stack(name, spec, rng):
     d = spec.hidden_dim
     i = spec.input_dim
     if name == "RNN1":
-        return [RecurrentLayer(RnnCell(init_rnn_cell(i, d, rng)))]
+        return [RecurrentLayer(init_rnn_cell(i, d, rng))]
     if name.startswith("LSTM1"):
-        return [RecurrentLayer(LstmCell(init_lstm_cell(i, d, rng)))]
+        return [RecurrentLayer(init_lstm_cell(i, d, rng))]
     if name == "GRU1-BN-DP":
-        return [RecurrentLayer(GruCell(init_gru_cell(i, d, rng)))]
+        return [RecurrentLayer(init_gru_cell(i, d, rng))]
     if name == "BI-GRU1-BN-DP":
-        return [
-            BidirectionalLayer(GruCell(init_gru_cell(i, d, rng)), GruCell(init_gru_cell(i, d, rng)))
-        ]
+        return [BidirectionalLayer(init_gru_cell(i, d, rng), init_gru_cell(i, d, rng))]
     # two stacked bidirectional layers; layer 2 consumes the 2d-wide sequence
-    first = BidirectionalLayer(
-        GruCell(init_gru_cell(i, d, rng)), GruCell(init_gru_cell(i, d, rng))
-    )
-    second = BidirectionalLayer(
-        GruCell(init_gru_cell(2 * d, d, rng)), GruCell(init_gru_cell(2 * d, d, rng))
-    )
+    first = BidirectionalLayer(init_gru_cell(i, d, rng), init_gru_cell(i, d, rng))
+    second = BidirectionalLayer(init_gru_cell(2 * d, d, rng), init_gru_cell(2 * d, d, rng))
     return [first, second]
 
 

@@ -68,101 +68,43 @@ def glorot_uniform(rng: Rng, rows: int, cols: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(rows, cols))
 
 
-@dataclass
-class RnnCellParams:
-    """Vanilla recurrent cell: h_t = act(W [x_t ; h_prev] + b)."""
-
-    W: np.ndarray  # [d, i+d]
-    b: np.ndarray  # [d]
-    activation: str = "tanh"
-
-    def __post_init__(self):
-        if self.activation not in _ACTIVATIONS:
-            raise ValueError(f"activation must be one of {_ACTIVATIONS}")
-
-    @property
-    def hidden_dim(self) -> int:
-        return self.W.shape[0]
-
-    @property
-    def input_dim(self) -> int:
-        return self.W.shape[1] - self.W.shape[0]
-
-
-@dataclass
-class LstmCellParams:
-    """LSTM cell; W rows are the fused (i, f, o, candidate) blocks."""
-
-    W: np.ndarray  # [4d, i+d]
-    b: np.ndarray  # [4d]
-
-    @property
-    def hidden_dim(self) -> int:
-        return self.W.shape[0] // 4
-
-    @property
-    def input_dim(self) -> int:
-        return self.W.shape[1] - self.hidden_dim
-
-
-@dataclass
-class GruCellParams:
-    """GRU cell; W_gates rows are the fused (z, r) blocks."""
-
-    W_gates: np.ndarray  # [2d, i+d]
-    W_cand: np.ndarray  # [d, i+d]
-    b_gates: np.ndarray  # [2d]
-    b_cand: np.ndarray  # [d]
-
-    @property
-    def hidden_dim(self) -> int:
-        return self.W_cand.shape[0]
-
-    @property
-    def input_dim(self) -> int:
-        return self.W_cand.shape[1] - self.W_cand.shape[0]
-
-
-def init_rnn_cell(input_dim, hidden_dim, rng: Rng, activation="tanh") -> RnnCellParams:
+def init_rnn_cell(input_dim, hidden_dim, rng: Rng, activation="tanh") -> RnnCell:
     W = glorot_uniform(rng, hidden_dim, input_dim + hidden_dim)
     b = np.zeros(hidden_dim, dtype=default_dtype())
-    return RnnCellParams(W=W, b=b, activation=activation)
+    return RnnCell(W=W, b=b, activation=activation)
 
 
-def init_lstm_cell(input_dim, hidden_dim, rng: Rng) -> LstmCellParams:
+def init_lstm_cell(input_dim, hidden_dim, rng: Rng) -> LstmCell:
     W = glorot_uniform(rng, 4 * hidden_dim, input_dim + hidden_dim)
     b = np.zeros(4 * hidden_dim, dtype=default_dtype())
     b[hidden_dim : 2 * hidden_dim] = 1.0  # forget-gate bias starts open
-    return LstmCellParams(W=W, b=b)
+    return LstmCell(W=W, b=b)
 
 
-def init_gru_cell(input_dim, hidden_dim, rng: Rng) -> GruCellParams:
+def init_gru_cell(input_dim, hidden_dim, rng: Rng) -> GruCell:
     W_gates = glorot_uniform(rng, 2 * hidden_dim, input_dim + hidden_dim)
     W_cand = glorot_uniform(rng, hidden_dim, input_dim + hidden_dim)
     zb = np.zeros(2 * hidden_dim, dtype=default_dtype())
     zb[:hidden_dim] = 1.0  # update gate starts open: same memory head start as
     # the LSTM forget bias, without it a fresh cell halves its state every step
     cb = np.zeros(hidden_dim, dtype=default_dtype())
-    return GruCellParams(W_gates=W_gates, W_cand=W_cand, b_gates=zb, b_cand=cb)
+    return GruCell(W_gates=W_gates, W_cand=W_cand, b_gates=zb, b_cand=cb)
 
 
-def param_count(params) -> int:
+def param_count(cell) -> int:
     """Total number of scalar parameters (weights and biases) in a cell."""
-    total = 0
-    for name in vars(params):
-        value = getattr(params, name)
-        if isinstance(value, np.ndarray):
-            total += value.size
-    return total
+    return sum(a.size for a in cell.param_arrays())
 
 
 class _Cell:
     """The step protocol that `unroll` drives, shared by the three cell kinds.
 
-    A cell's weights are one or more fused blocks (W, b). Each W acts on
-    [x_t ; hin_t], input columns first, where hin_t is the block's recurrent
-    input: h_prev, or r * h_prev for the GRU candidate. `split_weights` is the
-    one place that splits the blocks at the input columns.
+    Each cell kind is a dataclass that holds its own arrays and reads
+    `hidden_dim` off them. A cell's weights are one or more fused blocks
+    (W, b). Each W acts on [x_t ; hin_t], input columns first, where hin_t is
+    the block's recurrent input: h_prev, or r * h_prev for the GRU candidate.
+    `split_weights` is the one place that splits the blocks at the input
+    columns.
 
     * `recur(xp_t, wh, state, new_state, slots)` runs one step in place. It
       reads the projected input rows xp_t = x_t W_x^T + b (one array per
@@ -195,16 +137,10 @@ class _Cell:
     n_state = 1
     rests_at_zero = True  # tanh(0) = 0; sigmoid gates multiply zeros
 
-    def __init__(self, params):
-        self.params = params
-
-    @property
-    def hidden_dim(self):
-        return self.params.hidden_dim
-
     @property
     def input_dim(self):
-        return self.params.input_dim
+        W, _ = self.blocks()[0]
+        return W.shape[1] - self.hidden_dim
 
     def zero_state(self, *lead):
         shape = (*lead, self.hidden_dim)
@@ -276,21 +212,34 @@ def _sigmoid_of_halved(pre, out):
     out *= _HALF
 
 
+@dataclass(eq=False)
 class RnnCell(_Cell):
-    """Vanilla cell over RnnCellParams. State is the 1-tuple (h,)."""
+    """Vanilla cell: h_t = act(W [x_t ; h_prev] + b). State is the 1-tuple (h,)."""
+
+    W: np.ndarray  # [d, i+d]
+    b: np.ndarray  # [d]
+    activation: str = "tanh"
 
     param_names = ("W", "b")
 
+    def __post_init__(self):
+        if self.activation not in _ACTIVATIONS:
+            raise ValueError(f"activation must be one of {_ACTIVATIONS}")
+
+    @property
+    def hidden_dim(self):
+        return self.W.shape[0]
+
     @property
     def rests_at_zero(self):
-        return self.params.activation == "tanh"  # sigmoid(0) = 0.5
+        return self.activation == "tanh"  # sigmoid(0) = 0.5
 
     @property
     def sigmoid_width(self):
-        return self.hidden_dim if self.params.activation == "sigmoid" else 0
+        return self.hidden_dim if self.activation == "sigmoid" else 0
 
     def blocks(self):
-        return [(self.params.W, self.params.b)]
+        return [(self.W, self.b)]
 
     def tape_widths(self):
         return ()  # h_prev and h_t are the state buffer's rows
@@ -298,14 +247,14 @@ class RnnCell(_Cell):
     def recur(self, xp_t, wh, state, new_state, slots):
         pre = state[0] @ wh[0]
         pre += xp_t[0]
-        if self.params.activation == "tanh":
+        if self.activation == "tanh":
             np.tanh(pre, new_state[0])
         else:
             _sigmoid_of_halved(pre, new_state[0])
 
     def local_grads(self, h):
         h_prev, h = h[:-1], h[1:]
-        dact = 1.0 - h * h if self.params.activation == "tanh" else h * (1.0 - h)
+        dact = 1.0 - h * h if self.activation == "tanh" else h * (1.0 - h)
         return (h_prev,), (dact,)
 
     def recur_backward(self, factors, t, dstate, wh_t, dpre):
@@ -313,18 +262,26 @@ class RnnCell(_Cell):
         return (dpre @ wh_t[0],)
 
 
+@dataclass(eq=False)
 class LstmCell(_Cell):
-    """LSTM cell over LstmCellParams. State is (h, c)."""
+    """LSTM cell; W rows are the fused (i, f, o, candidate) blocks. State is (h, c)."""
+
+    W: np.ndarray  # [4d, i+d]
+    b: np.ndarray  # [4d]
 
     param_names = ("W", "b")
     n_state = 2
+
+    @property
+    def hidden_dim(self):
+        return self.W.shape[0] // 4
 
     @property
     def sigmoid_width(self):
         return 3 * self.hidden_dim  # (input, forget, output)
 
     def blocks(self):
-        return [(self.params.W, self.params.b)]
+        return [(self.W, self.b)]
 
     def tape_widths(self):
         d = self.hidden_dim
@@ -375,21 +332,31 @@ class LstmCell(_Cell):
         return dpre @ wh_t[0], dct * gf[t]
 
 
+@dataclass(eq=False)
 class GruCell(_Cell):
-    """GRU cell over GruCellParams. State is the 1-tuple (h,); the blocks are
-    (W_gates, b_gates) on [x ; h_prev] and (W_cand, b_cand) on [x ; r*h_prev],
-    so the reset gate scales h_prev inside the candidate's affine map. The
-    update gate blends h_t = z * h_prev + (1 - z) * candidate."""
+    """GRU cell; W_gates rows are the fused (z, r) blocks. State is the
+    1-tuple (h,); the blocks are (W_gates, b_gates) on [x ; h_prev] and
+    (W_cand, b_cand) on [x ; r*h_prev], so the reset gate scales h_prev inside
+    the candidate's affine map. The update gate blends
+    h_t = z * h_prev + (1 - z) * candidate."""
+
+    W_gates: np.ndarray  # [2d, i+d]
+    W_cand: np.ndarray  # [d, i+d]
+    b_gates: np.ndarray  # [2d]
+    b_cand: np.ndarray  # [d]
 
     param_names = ("W_gates", "W_cand", "b_gates", "b_cand")
+
+    @property
+    def hidden_dim(self):
+        return self.W_cand.shape[0]
 
     @property
     def sigmoid_width(self):
         return 2 * self.hidden_dim  # (z, r)
 
     def blocks(self):
-        p = self.params
-        return [(p.W_gates, p.b_gates), (p.W_cand, p.b_cand)]
+        return [(self.W_gates, self.b_gates), (self.W_cand, self.b_cand)]
 
     def tape_widths(self):
         d = self.hidden_dim
@@ -684,7 +651,7 @@ class BidirectionalLayer:
             raise DimensionError(
                 f"direction widths differ: {cell_fwd.hidden_dim} vs {cell_bwd.hidden_dim}"
             )
-        kinds = [(type(c).__name__, getattr(c.params, "activation", None)) for c in (cell_fwd, cell_bwd)]
+        kinds = [(type(c).__name__, getattr(c, "activation", None)) for c in (cell_fwd, cell_bwd)]
         if kinds[0] != kinds[1]:
             raise ConfigError(f"direction cells differ in kind: {kinds[0]} vs {kinds[1]}")
         self.cell_fwd = cell_fwd

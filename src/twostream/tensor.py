@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import ConfigError, DimensionError
 
 # The universal value type for activations, weights and gradients.
 Tensor = np.ndarray
@@ -30,6 +30,8 @@ class Rng:
 
     def __init__(self, seed: int):
         self.seed = int(seed)
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
 
     def derive(self, key: int) -> "Rng":

@@ -31,7 +31,7 @@ from twostream import (
 )
 from twostream.heads import init_dense
 from twostream.models import ModelSpec, build_model
-from twostream.recurrent import GruCell, GruCellParams, LstmCell, LstmCellParams, SequenceBatch
+from twostream.recurrent import GruCell, LstmCell, SequenceBatch
 from twostream.harness import (
     run_fusion,
     run_ladder,
@@ -132,7 +132,7 @@ def test_criterion_02_oracle_equivalence():
         lstm.b[...] = rng.normal(0.0, 0.5, size=lstm.b.shape)
         x = rng.normal(size=(2, 3))
         h0, c0 = rng.normal(size=(2, 4)), rng.normal(size=(2, 4))
-        h1, (_, c1) = LstmCell(lstm).step(x, (h0, c0))
+        h1, (_, c1) = lstm.step(x, (h0, c0))
         for row in range(2):
             hr, cr = scalar_lstm_step(
                 lstm.W.tolist(), lstm.b.tolist(), x[row].tolist(), h0[row].tolist(), c0[row].tolist()
@@ -141,7 +141,7 @@ def test_criterion_02_oracle_equivalence():
                              float(np.abs(c1[row] - cr).max()))
         gru = init_gru_cell(3, 4, rng)
         gru.b_gates[...] = rng.normal(0.0, 0.3, size=gru.b_gates.shape)
-        h1g, _ = GruCell(gru).step(x, (h0,))
+        h1g, _ = gru.step(x, (h0,))
         for row in range(2):
             ref = scalar_gru_step(
                 gru.W_gates.tolist(), gru.W_cand.tolist(), gru.b_gates.tolist(),
@@ -159,14 +159,14 @@ def test_criterion_03_gate_identities():
     d = 4
     worst = 0.0
     for _ in range(25):
-        lstm = LstmCellParams(W=np.zeros((4 * d, 3 + d)), b=np.zeros(4 * d))
+        lstm = LstmCell(W=np.zeros((4 * d, 3 + d)), b=np.zeros(4 * d))
         lstm.b[:d] = -50.0
         lstm.b[d : 2 * d] = 50.0
         c_prev = rng.normal(0.0, 2.0, size=(4, d))
-        _, (_, c_t) = LstmCell(lstm).step(rng.normal(size=(4, 3)), (rng.normal(size=(4, d)), c_prev))
+        _, (_, c_t) = lstm.step(rng.normal(size=(4, 3)), (rng.normal(size=(4, d)), c_prev))
         worst = max(worst, float(np.abs(c_t - c_prev).max()))
 
-        gru = GruCellParams(
+        gru = GruCell(
             W_gates=np.zeros((2 * d, 3 + d)),
             W_cand=rng.normal(size=(d, 3 + d)),
             b_gates=np.zeros(2 * d),
@@ -174,7 +174,7 @@ def test_criterion_03_gate_identities():
         )
         gru.b_gates[:d] = 50.0
         h_prev = rng.normal(0.0, 2.0, size=(4, d))
-        h_t, _ = GruCell(gru).step(rng.normal(size=(4, 3)), (h_prev,))
+        h_t, _ = gru.step(rng.normal(size=(4, 3)), (h_prev,))
         worst = max(worst, float(np.abs(h_t - h_prev).max()))
     report(3, worst <= 1e-10, f"worst passthrough deviation {worst:.1e} over 25 random states")
 

@@ -35,6 +35,7 @@ OUT_OF_RANGE_RULES = {
     "video_noise": ">= 0",
     "decay": "in [0, 1)",
     "video_shape": "CxTxHxW with every extent >= 1",
+    "split_mode": "cross_subject or cross_view",
 }
 
 
@@ -79,7 +80,7 @@ class TestConfigParsing:
             ("learning_rate", -0.5), ("svm_c", "nan"), ("keep_prob", 1.5), ("cnn_filters", "8, 0"),
             ("cnn_filters", ""), ("samples_per_class", 0), ("joints", 0), ("n_subjects", 1),
             ("n_views", 0), ("skeleton_noise", -0.01), ("video_noise", -0.01), ("decay", 1.0),
-            ("decay", -0.1), ("video_shape", "3x16x0x16"),
+            ("decay", -0.1), ("video_shape", "3x16x0x16"), ("seed", -1), ("split_mode", "bogus"),
         ],
     )
     def test_out_of_range_value_rejected_with_line_and_key(self, key, value):

@@ -12,6 +12,8 @@ from twostream import (
     generate_synthetic,
     make_splits,
     pad_sequences,
+    read_tensor,
+    write_tensor,
 )
 
 
@@ -228,4 +230,19 @@ class TestDatasetRoundtrip:
         lines.insert(2, bad_line)  # header is line 1, so this is line 3
         manifest.write_text("".join(lines))
         with pytest.raises(DataError, match=r"manifest\.tsv:3:"):
+            Dataset.load(tmp_path)
+
+    @pytest.mark.parametrize(
+        "suffix, cut, shapes",
+        [
+            ("sk", lambda a: a[:, :2], r"\(2, 3\), line 2's sample has \(3, 3\)"),  # a joint fewer
+            ("vd", lambda a: a[:, :, :4], r"\(2, 4, 6\), line 2's sample has \(2, 6, 6\)"),  # two rows fewer
+        ],
+        ids=["skeleton", "video"],
+    )
+    def test_sample_shape_unlike_line_two_names_line_and_file(self, tmp_path, suffix, cut, shapes):
+        _tiny_dataset(Rng(11)).save(tmp_path)
+        path = tmp_path / f"s00001_{suffix}.tsr"
+        write_tensor(path, cut(read_tensor(path)))
+        with pytest.raises(DataError, match=rf"manifest\.tsv:3: s00001_{suffix}\.tsr has frame shape {shapes}"):
             Dataset.load(tmp_path)

@@ -73,8 +73,8 @@ class TestLadderExpansion:
     def test_gru_variant_recurrent_params_are_three_quarters_of_lstm(self, rng):
         lstm = build_model(_spec("LSTM1"), rng)
         gru = build_model(_spec("GRU1-BN-DP"), rng)
-        lstm_rec = param_count(lstm.layers[0].cell.params)
-        gru_rec = param_count(gru.layers[0].cell.params)
+        lstm_rec = param_count(lstm.layers[0].cell)
+        gru_rec = param_count(gru.layers[0].cell)
         assert gru_rec * 4 == lstm_rec * 3
 
     def test_same_seed_identical_initial_checkpoints(self, tmp_path):
@@ -164,7 +164,45 @@ class TestForwardBackward:
         assert tap.shape == (2, 64)
 
 
+# The checkpoint contract at the default ModelSpec: every stored array's name
+# and shape, in order. Checkpoints written by earlier versions must keep
+# loading, so a renamed, reshaped or reordered array is a breaking change.
+CHECKPOINT_LAYOUTS = {
+    "RNN1": [("rec0.W", (16, 40)), ("rec0.b", (16,)), ("out.W", (6, 16)), ("out.b", (6,))],
+    "LSTM1": [("rec0.W", (64, 40)), ("rec0.b", (64,)), ("out.W", (6, 16)), ("out.b", (6,))],
+    "GRU1-BN-DP": [
+        ("rec0.W_gates", (32, 40)), ("rec0.W_cand", (16, 40)), ("rec0.b_gates", (32,)), ("rec0.b_cand", (16,)),
+        ("bn.gamma", (16,)), ("bn.beta", (16,)), ("out.W", (6, 16)), ("out.b", (6,)),
+        ("bn.running_mean", (16,)), ("bn.running_var", (16,)),
+    ],
+    "BI-GRU2-BN-DP-H": [
+        ("rec0.fwd.W_gates", (32, 40)), ("rec0.fwd.W_cand", (16, 40)),
+        ("rec0.fwd.b_gates", (32,)), ("rec0.fwd.b_cand", (16,)),
+        ("rec0.bwd.W_gates", (32, 40)), ("rec0.bwd.W_cand", (16, 40)),
+        ("rec0.bwd.b_gates", (32,)), ("rec0.bwd.b_cand", (16,)),
+        ("rec1.fwd.W_gates", (32, 48)), ("rec1.fwd.W_cand", (16, 48)),
+        ("rec1.fwd.b_gates", (32,)), ("rec1.fwd.b_cand", (16,)),
+        ("rec1.bwd.W_gates", (32, 48)), ("rec1.bwd.W_cand", (16, 48)),
+        ("rec1.bwd.b_gates", (32,)), ("rec1.bwd.b_cand", (16,)),
+        ("bn.gamma", (32,)), ("bn.beta", (32,)), ("hidden.W", (32, 32)), ("hidden.b", (32,)),
+        ("out.W", (6, 32)), ("out.b", (6,)), ("bn.running_mean", (32,)), ("bn.running_var", (32,)),
+    ],
+    "C3D-DESK": [
+        ("conv1a.kernels", (8, 3, 3, 3, 3)), ("conv1a.bias", (8,)),
+        ("conv2a.kernels", (16, 8, 3, 3, 3)), ("conv2a.bias", (16,)),
+        ("fc6.W", (64, 2048)), ("fc6.b", (64,)), ("fc7.W", (64, 64)), ("fc7.b", (64,)),
+        ("out.W", (6, 64)), ("out.b", (6,)),
+    ],
+}
+
+
 class TestCheckpointRoundtrip:
+    @pytest.mark.parametrize("name", list(CHECKPOINT_LAYOUTS))
+    def test_checkpoint_names_and_shapes_are_pinned(self, name, rng):
+        model = build_model(ModelSpec(name), rng)
+        layout = [(n, a.shape) for n, a in model.param_items() + model.state_items()]
+        assert layout == CHECKPOINT_LAYOUTS[name]
+
     @pytest.mark.parametrize("name", ["LSTM1-BN-DP", "BI-GRU2-BN-DP-H", "C3D-DESK"])
     def test_save_load_preserves_predictions(self, tmp_path, name, rng):
         spec = _spec(name)

@@ -10,12 +10,9 @@ from twostream import (
     ContractError,
     DimensionError,
     GruCell,
-    GruCellParams,
     LstmCell,
-    LstmCellParams,
     RecurrentLayer,
     RnnCell,
-    RnnCellParams,
     Rng,
     SequenceBatch,
     init_gru_cell,
@@ -143,22 +140,22 @@ def gru_step_reference_backward(p, cache, dh):
 
 class TestRnnCell:
     def test_zero_weights_give_zero_state(self):
-        p = RnnCellParams(W=np.zeros((3, 5)), b=np.zeros(3), activation="tanh")
-        h, _ = RnnCell(p).step(np.random.rand(4, 2), (np.random.rand(4, 3),))
+        cell = RnnCell(W=np.zeros((3, 5)), b=np.zeros(3), activation="tanh")
+        h, _ = cell.step(np.random.rand(4, 2), (np.random.rand(4, 3),))
         assert np.array_equal(h, np.zeros((4, 3)))
 
     def test_scalar_hand_evaluation(self):
-        p = RnnCellParams(W=np.array([[1.0, 0.0]]), b=np.zeros(1), activation="tanh")
-        h, _ = RnnCell(p).step(np.array([[0.5]]), (np.array([[0.0]]),))
+        cell = RnnCell(W=np.array([[1.0, 0.0]]), b=np.zeros(1), activation="tanh")
+        h, _ = cell.step(np.array([[0.5]]), (np.array([[0.0]]),))
         assert h[0, 0] == pytest.approx(0.46211715726, abs=1e-9)
 
     def test_sigmoid_saturates_on_large_recurrent_weight(self):
-        p = RnnCellParams(W=np.array([[0.0, 50.0]]), b=np.zeros(1), activation="sigmoid")
-        h, _ = RnnCell(p).step(np.array([[0.3]]), (np.array([[1.0]]),))
+        cell = RnnCell(W=np.array([[0.0, 50.0]]), b=np.zeros(1), activation="sigmoid")
+        h, _ = cell.step(np.array([[0.3]]), (np.array([[1.0]]),))
         assert h[0, 0] > 1.0 - 1e-12
 
     def test_shape_mismatch_rejected(self, rng):
-        cell = RnnCell(init_rnn_cell(3, 4, rng))
+        cell = init_rnn_cell(3, 4, rng)
         with pytest.raises(DimensionError, match="input_dim 3"):
             cell.step(np.zeros((2, 5)), (np.zeros((2, 4)),))
         with pytest.raises(DimensionError, match=r"\(n=2, d=4\)"):
@@ -169,38 +166,38 @@ class TestLstmCell:
     def test_memory_keep_identity(self, rng):
         # forget gate forced open, input gate forced closed
         d = 4
-        p = LstmCellParams(W=np.zeros((4 * d, 3 + d)), b=np.zeros(4 * d))
-        p.b[:d] = -50.0  # input gate shut
-        p.b[d : 2 * d] = 50.0  # forget gate open
+        cell = LstmCell(W=np.zeros((4 * d, 3 + d)), b=np.zeros(4 * d))
+        cell.b[:d] = -50.0  # input gate shut
+        cell.b[d : 2 * d] = 50.0  # forget gate open
         c_prev = rng.normal(size=(5, d))
-        _, (_, c_t) = LstmCell(p).step(rng.normal(size=(5, 3)), (rng.normal(size=(5, d)), c_prev))
+        _, (_, c_t) = cell.step(rng.normal(size=(5, 3)), (rng.normal(size=(5, d)), c_prev))
         assert np.abs(c_t - c_prev).max() <= 1e-12
 
     def test_closed_output_gate_zeroes_state(self, rng):
         d = 3
-        p = LstmCellParams(W=np.zeros((4 * d, 2 + d)), b=np.zeros(4 * d))
-        p.b[2 * d : 3 * d] = -50.0
-        h_t, _ = LstmCell(p).step(rng.normal(size=(4, 2)), (rng.normal(size=(4, d)), rng.normal(size=(4, d))))
+        cell = LstmCell(W=np.zeros((4 * d, 2 + d)), b=np.zeros(4 * d))
+        cell.b[2 * d : 3 * d] = -50.0
+        h_t, _ = cell.step(rng.normal(size=(4, 2)), (rng.normal(size=(4, d)), rng.normal(size=(4, d))))
         assert np.abs(h_t).max() <= 1e-12
 
     def test_cell_state_shape_mismatch_rejected(self, rng):
-        cell = LstmCell(init_lstm_cell(3, 4, rng))
+        cell = init_lstm_cell(3, 4, rng)
         with pytest.raises(DimensionError, match="c_prev shape"):
             cell.step(np.zeros((2, 3)), (np.zeros((2, 4)), np.zeros((2, 5))))
 
     def test_matches_scalar_oracle(self):
         rng = Rng(7)
         n, i, d = 2, 3, 4
-        p = init_lstm_cell(i, d, rng)
-        p.W[...] = rng.normal(0.0, 0.5, size=p.W.shape)
-        p.b[...] = rng.normal(0.0, 0.5, size=p.b.shape)
+        cell = init_lstm_cell(i, d, rng)
+        cell.W[...] = rng.normal(0.0, 0.5, size=cell.W.shape)
+        cell.b[...] = rng.normal(0.0, 0.5, size=cell.b.shape)
         x = rng.normal(size=(n, i))
         h0 = rng.normal(size=(n, d))
         c0 = rng.normal(size=(n, d))
-        h1, (_, c1) = LstmCell(p).step(x, (h0, c0))
+        h1, (_, c1) = cell.step(x, (h0, c0))
         for row in range(n):
             h_ref, c_ref = scalar_lstm_step(
-                p.W.tolist(), p.b.tolist(), x[row].tolist(), h0[row].tolist(), c0[row].tolist()
+                cell.W.tolist(), cell.b.tolist(), x[row].tolist(), h0[row].tolist(), c0[row].tolist()
             )
             assert np.abs(h1[row] - np.array(h_ref)).max() <= 1e-12
             assert np.abs(c1[row] - np.array(c_ref)).max() <= 1e-12
@@ -245,47 +242,47 @@ def test_step_equals_hand_written_step_with_reference_sigmoid(kind, rng):
 class TestGruCell:
     def test_update_gate_open_passes_state_through(self, rng):
         d = 4
-        p = GruCellParams(
+        cell = GruCell(
             W_gates=np.zeros((2 * d, 3 + d)),
             W_cand=rng.normal(size=(d, 3 + d)),
             b_gates=np.zeros(2 * d),
             b_cand=rng.normal(size=d),
         )
-        p.b_gates[:d] = 50.0  # z -> 1
+        cell.b_gates[:d] = 50.0  # z -> 1
         h_prev = rng.normal(size=(6, d))
-        h_t, _ = GruCell(p).step(rng.normal(size=(6, 3)), (h_prev,))
+        h_t, _ = cell.step(rng.normal(size=(6, 3)), (h_prev,))
         assert np.abs(h_t - h_prev).max() <= 1e-12
 
     def test_both_gates_closed_reduces_to_candidate_of_input_only(self, rng):
         d, i = 3, 2
-        p = GruCellParams(
+        cell = GruCell(
             W_gates=np.zeros((2 * d, i + d)),
             W_cand=rng.normal(size=(d, i + d)),
             b_gates=np.full(2 * d, -50.0),  # z -> 0, r -> 0
             b_cand=rng.normal(size=d),
         )
         x = rng.normal(size=(5, i))
-        h_t, _ = GruCell(p).step(x, (rng.normal(size=(5, d)),))
+        h_t, _ = cell.step(x, (rng.normal(size=(5, d)),))
         expected = np.tanh(
-            np.concatenate([x, np.zeros((5, d))], axis=1) @ p.W_cand.T + p.b_cand
+            np.concatenate([x, np.zeros((5, d))], axis=1) @ cell.W_cand.T + cell.b_cand
         )
         assert np.abs(h_t - expected).max() <= 1e-10
 
     def test_matches_scalar_oracle(self):
         rng = Rng(7)
         n, i, d = 2, 3, 4
-        p = init_gru_cell(i, d, rng)
-        p.b_gates[...] = rng.normal(0.0, 0.3, size=p.b_gates.shape)
-        p.b_cand[...] = rng.normal(0.0, 0.3, size=p.b_cand.shape)
+        cell = init_gru_cell(i, d, rng)
+        cell.b_gates[...] = rng.normal(0.0, 0.3, size=cell.b_gates.shape)
+        cell.b_cand[...] = rng.normal(0.0, 0.3, size=cell.b_cand.shape)
         x = rng.normal(size=(n, i))
         h0 = rng.normal(size=(n, d))
-        h1, _ = GruCell(p).step(x, (h0,))
+        h1, _ = cell.step(x, (h0,))
         for row in range(n):
             ref = scalar_gru_step(
-                p.W_gates.tolist(),
-                p.W_cand.tolist(),
-                p.b_gates.tolist(),
-                p.b_cand.tolist(),
+                cell.W_gates.tolist(),
+                cell.W_cand.tolist(),
+                cell.b_gates.tolist(),
+                cell.b_cand.tolist(),
                 x[row].tolist(),
                 h0[row].tolist(),
             )
@@ -293,16 +290,16 @@ class TestGruCell:
 
     def test_gate_identities_hold_for_many_random_states(self, rng):
         d = 3
-        p = GruCellParams(
+        cell = GruCell(
             W_gates=np.zeros((2 * d, 2 + d)),
             W_cand=rng.normal(size=(d, 2 + d)),
             b_gates=np.zeros(2 * d),
             b_cand=np.zeros(d),
         )
-        p.b_gates[:d] = 50.0
+        cell.b_gates[:d] = 50.0
         for _ in range(25):
             h_prev = rng.normal(0.0, 2.0, size=(3, d))
-            h_t, _ = GruCell(p).step(rng.normal(size=(3, 2)), (h_prev,))
+            h_t, _ = cell.step(rng.normal(size=(3, 2)), (h_prev,))
             assert np.abs(h_t - h_prev).max() <= 1e-10
 
 
@@ -325,12 +322,12 @@ class TestParamCount:
 
 def _random_cell(kind, i, d, rng):
     if kind == "rnn":
-        return RnnCell(init_rnn_cell(i, d, rng))
+        return init_rnn_cell(i, d, rng)
     if kind == "rnn_sigmoid":
-        return RnnCell(init_rnn_cell(i, d, rng, activation="sigmoid"))
+        return init_rnn_cell(i, d, rng, activation="sigmoid")
     if kind == "lstm":
-        return LstmCell(init_lstm_cell(i, d, rng))
-    return GruCell(init_gru_cell(i, d, rng))
+        return init_lstm_cell(i, d, rng)
+    return init_gru_cell(i, d, rng)
 
 
 def _random_biased_cell(kind, i, d, rng):
@@ -351,24 +348,22 @@ def _padded_rows_zeroed(x, lengths):
 
 
 def _reference_step(cell, x_t, state):
-    p = cell.params
     if isinstance(cell, LstmCell):
-        h, c, cache = lstm_step_reference(p, x_t, state[0], state[1])
+        h, c, cache = lstm_step_reference(cell, x_t, state[0], state[1])
         return (h, c), cache
     if isinstance(cell, GruCell):
-        h, cache = gru_step_reference(p, x_t, state[0])
+        h, cache = gru_step_reference(cell, x_t, state[0])
         return (h,), cache
-    h, cache = rnn_step_reference(p, x_t, state[0])
+    h, cache = rnn_step_reference(cell, x_t, state[0])
     return (h,), cache
 
 
 def _reference_step_backward(cell, cache, dstate):
-    p = cell.params
     if isinstance(cell, LstmCell):
-        dx, dh, dc, grads = lstm_step_reference_backward(p, cache, dstate[0], dstate[1])
+        dx, dh, dc, grads = lstm_step_reference_backward(cell, cache, dstate[0], dstate[1])
         return dx, (dh, dc), grads
     backward = gru_step_reference_backward if isinstance(cell, GruCell) else rnn_step_reference_backward
-    dx, dh, grads = backward(p, cache, dstate[0])
+    dx, dh, grads = backward(cell, cache, dstate[0])
     return dx, (dh,), grads
 
 
@@ -440,7 +435,7 @@ class TestUnroll:
         assert np.array_equal(outputs[:, 1:, :], np.zeros((2, 4, 4)))
 
     def test_zero_weights_zero_input_zero_output(self):
-        cell = RnnCell(RnnCellParams(W=np.zeros((2, 5)), b=np.zeros(2)))
+        cell = RnnCell(W=np.zeros((2, 5)), b=np.zeros(2))
         batch = SequenceBatch(np.zeros((3, 4, 3)), [4, 2, 3])
         outputs, last, _ = unroll(cell, batch)
         assert not outputs.any() and not last.any()
@@ -557,8 +552,8 @@ class TestBidirectional:
         assert last.shape == (2, 600)
 
     def test_zero_weight_cells_zero_output(self):
-        cf = RnnCell(RnnCellParams(W=np.zeros((2, 4)), b=np.zeros(2)))
-        cb = RnnCell(RnnCellParams(W=np.zeros((2, 4)), b=np.zeros(2)))
+        cf = RnnCell(W=np.zeros((2, 4)), b=np.zeros(2))
+        cb = RnnCell(W=np.zeros((2, 4)), b=np.zeros(2))
         batch = SequenceBatch(np.random.rand(2, 3, 2), [3, 2])
         outputs, last, _ = BidirectionalLayer(cf, cb).forward(batch)
         assert not outputs.any() and not last.any()
@@ -612,21 +607,21 @@ class TestStack:
         l1 = _random_cell("gru", 1, 1, rng)
         l2 = _random_cell("gru", 1, 1, rng)
         for cell in (l1, l2):
-            cell.params.b_gates[...] = rng.normal(0.0, 0.2, size=2)
-            cell.params.b_cand[...] = rng.normal(0.0, 0.2, size=1)
+            cell.b_gates[...] = rng.normal(0.0, 0.2, size=2)
+            cell.b_cand[...] = rng.normal(0.0, 0.2, size=1)
         x = rng.normal(size=(1, 3, 1))
         outputs, last, _ = stack([RecurrentLayer(l1), RecurrentLayer(l2)], SequenceBatch(x, [3]))
         h1 = h2 = 0.0
         mids, refs = [], []
         for t in range(3):
             h1 = scalar_gru_step(
-                l1.params.W_gates.tolist(), l1.params.W_cand.tolist(),
-                l1.params.b_gates.tolist(), l1.params.b_cand.tolist(), [x[0, t, 0]], [h1],
+                l1.W_gates.tolist(), l1.W_cand.tolist(),
+                l1.b_gates.tolist(), l1.b_cand.tolist(), [x[0, t, 0]], [h1],
             )[0]
             mids.append(h1)
             h2 = scalar_gru_step(
-                l2.params.W_gates.tolist(), l2.params.W_cand.tolist(),
-                l2.params.b_gates.tolist(), l2.params.b_cand.tolist(), [h1], [h2],
+                l2.W_gates.tolist(), l2.W_cand.tolist(),
+                l2.b_gates.tolist(), l2.b_cand.tolist(), [h1], [h2],
             )[0]
             refs.append(h2)
         assert np.abs(outputs[0][0, :, 0] - np.array(mids)).max() <= 1e-12
@@ -785,14 +780,13 @@ class TestBpttGradients:
 
     def test_gru_with_update_gate_forced_open_has_zero_candidate_gradient(self, rng):
         d, i = 3, 2
-        p = GruCellParams(
+        cell = GruCell(
             W_gates=np.zeros((2 * d, i + d)),
             W_cand=rng.normal(size=(d, i + d)),
             b_gates=np.zeros(2 * d),
             b_cand=np.zeros(d),
         )
-        p.b_gates[:d] = 50.0  # z == 1 at every step: candidate never used
-        cell = GruCell(p)
+        cell.b_gates[:d] = 50.0  # z == 1 at every step: candidate never used
         batch = SequenceBatch(rng.normal(size=(2, 5, i)), [5, 4])
         _, _, cache = unroll(cell, batch)
         grads, _ = unroll_backward(cell, cache, None, rng.normal(size=(2, d)))

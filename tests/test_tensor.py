@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from twostream import (
+    ConfigError,
     DimensionError,
     Rng,
     concat_last,
@@ -119,6 +120,11 @@ class TestRng:
         c = Rng(5).derive(2).normal(size=50)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    def test_negative_seed_rejected_with_its_value(self):
+        # numpy's own error names no seed, key or flag
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+            Rng(-1)
 
     def test_known_first_draws_frozen(self):
         # Frozen fixture: the documented PCG64 stream for seed 0.

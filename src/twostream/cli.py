@@ -12,15 +12,22 @@ import sys
 from .tensor import Rng
 from .errors import DataError
 from .fileio import write_tensor
-from .config import default_config, load_config
+from .config import SCHEMA, default_config, load_config
 from .data import Dataset, SynthConfig, generate_synthetic
 from .models import ModelSpec, load_model, save_model
 from . import harness
 
 
 def _dataset_config(cfg) -> SynthConfig:
-    keys = {f.name for f in dataclasses.fields(SynthConfig)} & cfg.keys()
-    return SynthConfig(**{k: cfg[k] for k in keys})
+    return SynthConfig(**{f.name: cfg[f.name] for f in dataclasses.fields(SynthConfig)})
+
+
+def _svm_c(text):
+    """`--svm-c` under the config file's `svm_c` rule."""
+    try:
+        return SCHEMA["svm_c"][0](text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _load_cfg(path):
@@ -166,7 +173,7 @@ def main(argv=None):
     p.add_argument("--run-rnn", required=True)
     p.add_argument("--run-cnn", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--svm-c", type=float)
+    p.add_argument("--svm-c", type=_svm_c)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_fuse)
 

@@ -3,6 +3,9 @@ are ignored; unknown keys are rejected."""
 
 from __future__ import annotations
 
+import dataclasses
+import math
+
 from . import data
 from .errors import ConfigError
 from .models import LADDER_VARIANTS
@@ -53,8 +56,8 @@ def _ints(text):
     return tuple(int(p) for p in text.replace(",", " ").split())
 
 
-_positive_float = _checked(float, lambda v: v > 0, "> 0")
-_nonnegative_float = _checked(float, lambda v: v >= 0, ">= 0")
+_positive_float = _checked(float, lambda v: 0 < v < math.inf, "> 0 and finite")
+_nonnegative_float = _checked(float, lambda v: 0 <= v < math.inf, ">= 0 and finite")
 _decay = _checked(float, lambda v: 0 <= v < 1, "in [0, 1)")
 _video_shape = _checked(_shape4, lambda v: min(v) >= 1, "CxTxHxW with every extent >= 1")
 _keep_prob = _checked(float, lambda v: 0 < v <= 1, "in (0, 1]")
@@ -78,29 +81,34 @@ def _pairs(text):
     return tuple(pairs)
 
 
-# key -> (parser, default). Reference-scale counterparts of the desk defaults:
-# 300 recurrent units per direction, batches of 1000 sequences, learning rate
-# 0.001 / decay 0.9 for the recurrent stream, 0.0001 with halving for the
-# convolutional stream, dropout keep 0.75, SVM C = 8.0.
+# Parsers for the synthetic-data keys, one per `data.SynthConfig` field.
+_SYNTH_PARSERS = {
+    "n_classes": _int_at_least(2),
+    "samples_per_class": _int_at_least(1),
+    "t_min": _int_at_least(1),
+    "t_max": int,
+    "joints": _int_at_least(1),
+    "video_shape": _video_shape,
+    "n_subjects": _int_at_least(2),
+    "n_views": _int_at_least(1),
+    "skeleton_noise": _nonnegative_float,
+    "video_noise": _nonnegative_float,
+    # class pair separable only by repeat-vs-alternate opening motions
+    "xor_pair": _optional_pair,
+    # class pairs whose skeleton / video signatures coincide by construction
+    "shared_skeleton_pairs": _pairs,
+    "shared_video_pairs": _pairs,
+}
+
+# key -> (parser, default). The synthetic-data defaults are SynthConfig's.
+# Reference-scale counterparts of the desk defaults: 300 recurrent units per
+# direction, batches of 1000 sequences, learning rate 0.001 / decay 0.9 for
+# the recurrent stream, 0.0001 with halving for the convolutional stream,
+# dropout keep 0.75, SVM C = 8.0.
 SCHEMA = {
     "seed": (_int_at_least(0), 0),
     "split_mode": (_split_mode, "cross_subject"),
-    # synthetic data
-    "n_classes": (_int_at_least(2), 6),
-    "samples_per_class": (_int_at_least(1), 90),
-    "t_min": (_int_at_least(1), 30),
-    "t_max": (int, 60),
-    "joints": (_int_at_least(1), 8),
-    "n_subjects": (_int_at_least(2), 20),
-    "n_views": (_int_at_least(1), 3),
-    "skeleton_noise": (_nonnegative_float, 0.05),
-    "video_noise": (_nonnegative_float, 0.05),
-    "video_shape": (_video_shape, (3, 16, 16, 16)),
-    # class pairs whose skeleton / video signatures coincide by construction
-    "shared_skeleton_pairs": (_pairs, ((0, 1),)),
-    "shared_video_pairs": (_pairs, ((2, 3),)),
-    # class pair separable only by repeat-vs-alternate opening motions
-    "xor_pair": (_optional_pair, (4, 5)),
+    **{f.name: (_SYNTH_PARSERS[f.name], f.default) for f in dataclasses.fields(data.SynthConfig)},
     # recurrent-stream training
     "hidden_dim": (_int_at_least(1), 16),
     "epochs": (_int_at_least(1), 60),

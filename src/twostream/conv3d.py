@@ -241,11 +241,9 @@ class Pool3dSpec:
     window: tuple  # (pt, ph, pw); stride equals the window
 
 
-def maxpool3d(spec: Pool3dSpec, x, argmax=True):
+def maxpool3d(spec: Pool3dSpec, x):
     """Non-overlapping window maxima over (t,h,w). Ties break toward the first
-    position in (t,h,w) scan order. Returns (y, cache). With argmax=False the
-    window positions the backward needs are not computed and the cache is
-    None: an inference forward takes only y.
+    position in (t,h,w) scan order. Returns (y, cache).
 
     Each sample goes through `_pool_max`, the rule `conv3d_forward` also
     applies to a pooled layer's samples, on an -inf padded copy where the
@@ -255,7 +253,7 @@ def maxpool3d(spec: Pool3dSpec, x, argmax=True):
     """
     if x.ndim != 5:
         raise DimensionError(f"maxpool3d expects [n,c,t,h,w], got {x.shape}")
-    y, idx, pad, padded_shape = _pool_buffers(x.shape, spec.window, x.dtype, argmax)
+    y, idx, pad, padded_shape = _pool_buffers(x.shape, spec.window, x.dtype, argmax=True)
     _, _, t, h, w = x.shape
     xt = x.transpose(0, 2, 3, 4, 1)
     for s in range(x.shape[0]):
@@ -263,11 +261,8 @@ def maxpool3d(spec: Pool3dSpec, x, argmax=True):
         if pad is not None:  # extents the window does not divide: -inf on the right
             pad[:t, :h, :w] = vol
             vol = pad
-        _pool_max(_pool_views(vol, spec.window), y[s], None if idx is None else idx[s])
-    y = y.transpose(0, 4, 1, 2, 3)
-    if not argmax:
-        return y, None
-    return y, (x.shape, padded_shape, idx.transpose(0, 4, 1, 2, 3), spec)
+        _pool_max(_pool_views(vol, spec.window), y[s], idx[s])
+    return y.transpose(0, 4, 1, 2, 3), (x.shape, padded_shape, idx.transpose(0, 4, 1, 2, 3), spec)
 
 
 def _pool_buffers(shape, window, dtype, argmax):
@@ -330,6 +325,9 @@ def maxpool3d_backward(cache, grad_y):
     return gx_pad.transpose(0, 4, 1, 2, 3)[:, :, :t, :h, :w]
 
 
+KERNEL_SIZE = (3, 3, 3)  # (kt, kh, kw) of every C3D conv layer
+
+
 @dataclass
 class C3dSpec:
     """Topology description: conv groups (filter counts per conv layer), one
@@ -340,7 +338,6 @@ class C3dSpec:
     pool_windows: list  # one (pt, ph, pw) per group
     fc_dims: tuple  # (fc6, fc7)
     n_classes: int
-    kernel_size: tuple = (3, 3, 3)
 
     def validate(self):
         if len(self.conv_groups) != len(self.pool_windows):
@@ -380,7 +377,7 @@ class C3dSpec:
         return int(np.prod(pooled))
 
     def param_count(self):
-        kt, kh, kw = self.kernel_size
+        kt, kh, kw = KERNEL_SIZE
         total = 0
         c = self.input_shape[0]
         for group in self.conv_groups:
@@ -513,13 +510,13 @@ class C3dModel:
 def build_c3d(spec: C3dSpec, rng: Rng) -> C3dModel:
     """Instantiate the spec with Glorot-uniform weights and zero biases."""
     spec.validate()
-    kt, kh, kw = spec.kernel_size
+    kt, kh, kw = KERNEL_SIZE
     pad = (kt // 2, kh // 2, kw // 2)  # same-padding: only pools shrink extents
     convs = []
     c = spec.input_shape[0]
     for group in spec.conv_groups:
         for filters in group:
-            convs.append(init_conv3d(filters, c, spec.kernel_size, pad, rng))
+            convs.append(init_conv3d(filters, c, KERNEL_SIZE, pad, rng))
             c = filters
     fc6 = init_dense(spec.flat_dim(), spec.fc_dims[0], rng, activation="relu")
     fc7 = init_dense(spec.fc_dims[0], spec.fc_dims[1], rng, activation="relu")

@@ -179,12 +179,12 @@ def pad_sequences(seqs, t_max) -> SequenceBatch:
 
 
 SPLIT_MODES = ("cross_subject", "cross_view")
+VAL_FRACTION = 0.1  # of training subjects, rounded up
 
 
 @dataclass
 class SplitSpec:
     mode: str = "cross_subject"  # or "cross_view"
-    val_fraction: float = 0.1  # of training subjects, rounded up
 
     def __post_init__(self):
         if self.mode not in SPLIT_MODES:
@@ -224,7 +224,7 @@ def make_splits(dataset: Dataset, spec: SplitSpec, rng: Rng) -> Splits:
             {s.skeleton.subject_id for s, out in zip(dataset.samples, held_out) if not out}
         )
         train_order = [train_subjects[i] for i in rng.permutation(len(train_subjects))]
-    n_val = max(1, int(np.ceil(spec.val_fraction * len(train_order))))
+    n_val = max(1, int(np.ceil(VAL_FRACTION * len(train_order))))
     val_subjects = set(train_order[:n_val])
     train_ids, val_ids, test_ids = [], [], []
     for i, (s, out) in enumerate(zip(dataset.samples, held_out)):
@@ -244,6 +244,9 @@ def make_splits(dataset: Dataset, spec: SplitSpec, rng: Rng) -> Splits:
 
 @dataclass
 class SynthConfig:
+    """The generator's settings. These defaults are the package's only table
+    of synthetic-data defaults: `config.SCHEMA` takes its own from them."""
+
     n_classes: int = 6
     samples_per_class: int = 90
     t_min: int = 30
@@ -252,12 +255,8 @@ class SynthConfig:
     video_shape: tuple = (3, 16, 16, 16)  # (c, t, h, w)
     n_subjects: int = 20
     n_views: int = 3
-    skeleton_noise: float = 0.03
+    skeleton_noise: float = 0.05
     video_noise: float = 0.05
-    subject_offset: float = 0.12  # per-subject rest-pose shift, in coordinate units
-    view_angle: float = np.pi / 18.0  # camera fan-out step around the frontal view
-    # optional difficulty dial: scale the opening segment's amplitude
-    first_segment_gain: float = 1.0
     # class pair separated only by repeat-vs-alternate opening segments
     # (set to None to disable)
     xor_pair: tuple = (4, 5)
@@ -322,6 +321,8 @@ _XOR_SAME = ((2, 2, _REST), (3, 3, _REST))
 _XOR_DIFF = ((2, 3, _REST), (3, 2, _REST))
 _N_SEGMENTS = 3
 _N_PRIMITIVES = 5
+_SUBJECT_OFFSET = 0.12  # spread of the per-subject rest-pose shift, in coordinate units
+_VIEW_ANGLE = np.pi / 18.0  # camera fan-out step around the frontal view
 # The wind-down takes the whole second half: class evidence never reaches the
 # most recent steps, so classifiers must carry it over dozens of time steps.
 _SEGMENT_FRACTIONS = (0.0, 0.25, 0.5, 1.0)
@@ -366,26 +367,25 @@ def _motion_primitives(joints, rng):
     return prims
 
 
-def _view_rotation(view_id, n_views, angle_step):
+def _view_rotation(view_id, n_views):
     # cameras fan out symmetrically around the frontal view
-    angle = (view_id - (n_views - 1) / 2.0) * angle_step
+    angle = (view_id - (n_views - 1) / 2.0) * _VIEW_ANGLE
     c, s = np.cos(angle), np.sin(angle)
     return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
 
 
-def _render_skeleton(word, prims, base_pose, t_true, rot, subject_offset, noise, rng, first_gain):
+def _render_skeleton(word, prims, base_pose, t_true, rot, subject_offset, noise, rng):
     coords = np.empty((t_true, base_pose.shape[0], 3), dtype=default_dtype())
     bounds = np.round(np.asarray(_SEGMENT_FRACTIONS) * t_true).astype(int)
     for seg in range(_N_SEGMENTS):
         prim = prims[word[seg]]
-        gain = first_gain if seg == 0 else 1.0
         lo, hi = bounds[seg], bounds[seg + 1]
         seg_len = max(hi - lo, 1)
         tau = np.arange(hi - lo) / seg_len
         wave = np.sin(
             2.0 * np.pi * prim["freq"] * tau[:, None] + prim["phase"][None, :]
         )  # [seg_len, J]
-        offset = gain * (prim["amp"][None, :, None] * wave[:, :, None]) * prim["dir"][None, :, :]
+        offset = prim["amp"][None, :, None] * wave[:, :, None] * prim["dir"][None, :, :]
         coords[lo:hi] = base_pose[None, :, :] + offset
     coords += subject_offset[None, None, :]
     coords = coords @ rot.T
@@ -442,7 +442,7 @@ def generate_synthetic(config: SynthConfig, rng: Rng) -> Dataset:
 
     prims = _motion_primitives(config.joints, rng)
     base_pose = rng.normal(0.0, 0.5, size=(config.joints, 3))  # sensor-centered coords
-    subject_offsets = rng.normal(0.0, config.subject_offset, size=(config.n_subjects, 3))
+    subject_offsets = rng.normal(0.0, _SUBJECT_OFFSET, size=(config.n_subjects, 3))
     textures = {
         sig: {
             "theta": float(rng.uniform(0.0, np.pi)),
@@ -453,7 +453,7 @@ def generate_synthetic(config: SynthConfig, rng: Rng) -> Dataset:
         for sig in sorted(set(video_sig))
     }
     rotations = {
-        v: _view_rotation(v, config.n_views, config.view_angle) for v in range(config.n_views)
+        v: _view_rotation(v, config.n_views) for v in range(config.n_views)
     }
 
     samples = []
@@ -474,7 +474,6 @@ def generate_synthetic(config: SynthConfig, rng: Rng) -> Dataset:
                 subject_offsets[subject],
                 config.skeleton_noise,
                 rng,
-                config.first_segment_gain,
             )
             pixels = _render_video(
                 textures[video_sig[label]],

@@ -96,7 +96,10 @@ def svm_objective(w, b, x, y, C):
     return 0.5 * float(w @ w) + C * float(np.maximum(0.0, 1.0 - margins).sum())
 
 
-def svm_train(features, labels, C, epochs=200) -> SvmModel:
+SVM_EPOCHS = 200  # full-batch subgradient steps per class
+
+
+def svm_train(features, labels, C) -> SvmModel:
     """Train one-vs-rest hinge-loss classifiers by full-batch subgradient descent.
 
     Per class the objective is 0.5*||w||^2 + C * sum_i hinge(y_i, w.x_i + b).
@@ -121,12 +124,12 @@ def svm_train(features, labels, C, epochs=200) -> SvmModel:
     t0 = int(np.ceil(C * n))
     W = np.zeros((k, d), dtype=x.dtype)
     b = np.zeros(k, dtype=x.dtype)
-    history = np.zeros((k, epochs), dtype=x.dtype)
+    history = np.zeros((k, SVM_EPOCHS), dtype=x.dtype)
     for cls in range(k):
         y = np.where(labels == cls, 1.0, -1.0)
         w_c = np.zeros(d, dtype=x.dtype)
         b_c = 0.0
-        for t in range(1, epochs + 1):
+        for t in range(1, SVM_EPOCHS + 1):
             eta = 1.0 / (lam * (t + t0))
             margins = y * (x @ w_c + b_c)
             viol = margins < 1.0

@@ -10,13 +10,16 @@ import numpy as np
 from .errors import ContractError, DataError, DimensionError
 from .tensor import Rng, default_dtype
 
+BN_EPSILON = 1e-5  # added to the variance under the root
+BN_MOMENTUM = 0.99
+
 
 @dataclass
 class BatchNormParams:
     """Per-feature scale/shift plus running statistics.
 
     Train mode standardizes by the batch mean and biased variance and folds
-    them into the running estimates with `momentum` (running <- momentum *
+    them into the running estimates with `BN_MOMENTUM` (running <- momentum *
     running + (1 - momentum) * batch). The very first train batch seeds the
     running estimates directly, so they never carry a startup bias. Inference
     uses the running estimates only, making it a fixed per-feature affine map.
@@ -26,26 +29,16 @@ class BatchNormParams:
     beta: np.ndarray
     running_mean: np.ndarray
     running_var: np.ndarray
-    epsilon: float = 1e-5
-    momentum: float = 0.99
     stats_seeded: bool = False
 
-    def __post_init__(self):
-        if not 0.0 < self.momentum < 1.0:
-            raise ValueError(f"momentum must lie in (0,1), got {self.momentum}")
-        if self.epsilon <= 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
 
-
-def init_batchnorm(dim, epsilon=1e-5, momentum=0.99) -> BatchNormParams:
+def init_batchnorm(dim) -> BatchNormParams:
     dt = default_dtype()
     return BatchNormParams(
         gamma=np.ones(dim, dtype=dt),
         beta=np.zeros(dim, dtype=dt),
         running_mean=np.zeros(dim, dtype=dt),
         running_var=np.ones(dim, dtype=dt),
-        epsilon=epsilon,
-        momentum=momentum,
     )
 
 
@@ -60,7 +53,7 @@ def batchnorm_forward(p: BatchNormParams, x, mode):
     if x.ndim != 2 or x.shape[1] != p.gamma.shape[0]:
         raise DimensionError(f"batchnorm expects [n,{p.gamma.shape[0]}], got {x.shape}")
     if mode == "inference":
-        inv = 1.0 / np.sqrt(p.running_var + p.epsilon)
+        inv = 1.0 / np.sqrt(p.running_var + BN_EPSILON)
         y = p.gamma * (x - p.running_mean) * inv + p.beta
         return y, ("inference",)
     n = x.shape[0]
@@ -69,7 +62,7 @@ def batchnorm_forward(p: BatchNormParams, x, mode):
     mean = x.mean(axis=0)
     centered = x - mean
     var = (centered * centered).mean(axis=0)
-    inv = 1.0 / np.sqrt(var + p.epsilon)
+    inv = 1.0 / np.sqrt(var + BN_EPSILON)
     xhat = centered * inv
     y = p.gamma * xhat + p.beta
     if not p.stats_seeded:
@@ -77,8 +70,8 @@ def batchnorm_forward(p: BatchNormParams, x, mode):
         p.running_var[...] = var
         p.stats_seeded = True
     else:
-        p.running_mean[...] = p.momentum * p.running_mean + (1.0 - p.momentum) * mean
-        p.running_var[...] = p.momentum * p.running_var + (1.0 - p.momentum) * var
+        p.running_mean[...] = BN_MOMENTUM * p.running_mean + (1.0 - BN_MOMENTUM) * mean
+        p.running_var[...] = BN_MOMENTUM * p.running_var + (1.0 - BN_MOMENTUM) * var
     return y, ("train", xhat, inv, p.gamma.copy())
 
 

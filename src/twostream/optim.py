@@ -12,6 +12,9 @@ import numpy as np
 
 from .errors import DimensionError
 
+RMSPROP_EPSILON = 1e-8  # inside the root; unrelated to batchnorm's epsilon
+HALVING_PATIENCE = 3  # evaluations in a row without improvement
+
 
 @dataclass
 class RmspropState:
@@ -20,7 +23,6 @@ class RmspropState:
 
     learning_rate: float = 0.001
     decay: float = 0.9
-    epsilon: float = 1e-8  # inside the root; unrelated to batchnorm's epsilon
     acc: dict = field(default_factory=dict)
 
 
@@ -38,17 +40,16 @@ def rmsprop_step(state: RmspropState, params: dict, grads: dict) -> dict:
             acc = state.acc[name] = np.zeros_like(p)
         acc *= state.decay
         acc += (1.0 - state.decay) * g * g
-        p -= state.learning_rate * g / np.sqrt(acc + state.epsilon)
+        p -= state.learning_rate * g / np.sqrt(acc + RMSPROP_EPSILON)
     return params
 
 
 @dataclass
 class SgdHalvingState:
-    """Plain SGD whose learning rate halves after `patience` evaluations in a
-    row without validation improvement."""
+    """Plain SGD whose learning rate halves after `HALVING_PATIENCE`
+    evaluations in a row without validation improvement."""
 
     learning_rate: float = 0.0001
-    patience: int = 3
     bad_evals: int = 0
 
     def __post_init__(self):
@@ -63,7 +64,7 @@ def sgd_halving_step(state: SgdHalvingState, params: dict, grads: dict, improved
         state.bad_evals = 0
     elif improved is False:
         state.bad_evals += 1
-        if state.bad_evals >= state.patience:
+        if state.bad_evals >= HALVING_PATIENCE:
             state.learning_rate *= 0.5
             state.bad_evals = 0
     for name, p in params.items():

@@ -60,18 +60,16 @@ import numpy as np
 from .errors import ConfigError, ContractError, DataError, DimensionError
 from .tensor import Rng, default_dtype
 
-_ACTIVATIONS = ("tanh", "sigmoid")
-
 
 def glorot_uniform(rng: Rng, rows: int, cols: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (rows + cols))
     return rng.uniform(-limit, limit, size=(rows, cols))
 
 
-def init_rnn_cell(input_dim, hidden_dim, rng: Rng, activation="tanh") -> RnnCell:
+def init_rnn_cell(input_dim, hidden_dim, rng: Rng) -> RnnCell:
     W = glorot_uniform(rng, hidden_dim, input_dim + hidden_dim)
     b = np.zeros(hidden_dim, dtype=default_dtype())
-    return RnnCell(W=W, b=b, activation=activation)
+    return RnnCell(W=W, b=b)
 
 
 def init_lstm_cell(input_dim, hidden_dim, rng: Rng) -> LstmCell:
@@ -126,8 +124,6 @@ class _Cell:
     * `tape_widths()`: the width of each array `recur` saves per step, in
       `slots` order. `sigmoid_width`: the number of leading fused columns
       that pass through a sigmoid.
-    * `rests_at_zero`: a zero state fed a zero projected input stays exactly
-      zero.
 
     The three methods index only the last axis and broadcast over the ones
     before it, so the same code runs one direction ([n, .] states, [d, G]
@@ -135,7 +131,6 @@ class _Cell:
     """
 
     n_state = 1
-    rests_at_zero = True  # tanh(0) = 0; sigmoid gates multiply zeros
 
     @property
     def input_dim(self):
@@ -214,29 +209,17 @@ def _sigmoid_of_halved(pre, out):
 
 @dataclass(eq=False)
 class RnnCell(_Cell):
-    """Vanilla cell: h_t = act(W [x_t ; h_prev] + b). State is the 1-tuple (h,)."""
+    """Vanilla cell: h_t = tanh(W [x_t ; h_prev] + b). State is the 1-tuple (h,)."""
 
     W: np.ndarray  # [d, i+d]
     b: np.ndarray  # [d]
-    activation: str = "tanh"
 
     param_names = ("W", "b")
-
-    def __post_init__(self):
-        if self.activation not in _ACTIVATIONS:
-            raise ValueError(f"activation must be one of {_ACTIVATIONS}")
+    sigmoid_width = 0
 
     @property
     def hidden_dim(self):
         return self.W.shape[0]
-
-    @property
-    def rests_at_zero(self):
-        return self.activation == "tanh"  # sigmoid(0) = 0.5
-
-    @property
-    def sigmoid_width(self):
-        return self.hidden_dim if self.activation == "sigmoid" else 0
 
     def blocks(self):
         return [(self.W, self.b)]
@@ -247,15 +230,11 @@ class RnnCell(_Cell):
     def recur(self, xp_t, wh, state, new_state, slots):
         pre = state[0] @ wh[0]
         pre += xp_t[0]
-        if self.activation == "tanh":
-            np.tanh(pre, new_state[0])
-        else:
-            _sigmoid_of_halved(pre, new_state[0])
+        np.tanh(pre, new_state[0])
 
     def local_grads(self, h):
         h_prev, h = h[:-1], h[1:]
-        dact = 1.0 - h * h if self.activation == "tanh" else h * (1.0 - h)
-        return (h_prev,), (dact,)
+        return (h_prev,), (1.0 - h * h,)
 
     def recur_backward(self, factors, t, dstate, wh_t, dpre):
         np.multiply(dstate[0], factors[0][t], out=dpre)
@@ -488,9 +467,8 @@ def unroll(cell, batch: SequenceBatch, direction="forward", train=True):
     Only a forward-running cell needs its state frozen at padded steps. A
     backward-running cell meets a row's padding before the row's first true
     step, from a zero state and with a zero projected input (the bias is added
-    at valid pairs only), so a cell that `rests_at_zero` stays exactly zero
-    there without a freeze. The sigmoid RNN does not rest at zero and is
-    frozen in both directions.
+    at valid pairs only), so it stays exactly zero there without a freeze:
+    tanh(0) = 0, and the sigmoid gates multiply zeros.
 
     The recurrent halves W_h^T are contiguous copies, [d, G] or stacked
     [2, d, G], and BPTT multiplies by their transposed views. numpy's stacked
@@ -526,8 +504,8 @@ def unroll(cell, batch: SequenceBatch, direction="forward", train=True):
         for xp_block, part in zip(xp, _column_blocks(x_valid @ w.T + b, w_h_halved)):
             _time_views(xp_block, reverse)[j][valid] = part
         del part  # a view of this direction's projection: free it before the next
-    kept = [valid if not (rev and step.rests_at_zero) else np.ones_like(valid) for rev in reverse]
-    frozen = ~_step_ordered(kept, reverse)[..., None]
+    # only a forward-running cell is frozen at padded steps
+    frozen = _stacked([np.zeros_like(valid) if rev else ~valid for rev in reverse], axis=1)[..., None]
     partial = frozen.any(axis=tuple(range(1, frozen.ndim))).tolist()
     states = step.zero_state(t_run + 1, *lead, n)
     tape = [np.empty((t_run if train else 1, *lead, n, w), dtype=x.dtype) for w in step.tape_widths()]
@@ -617,11 +595,10 @@ def unroll_backward(cell, cache, grad_outputs=None, grad_last=None):
 
 
 class RecurrentLayer:
-    """A single-direction recurrent layer usable inside a stack."""
+    """A forward-running recurrent layer usable inside a stack."""
 
-    def __init__(self, cell, direction="forward"):
+    def __init__(self, cell):
         self.cell = cell
-        self.direction = direction
 
     @property
     def out_dim(self):
@@ -635,7 +612,7 @@ class RecurrentLayer:
         return list(zip(self.cell.param_names, self.cell.param_arrays()))
 
     def forward(self, batch, train=True):
-        return unroll(self.cell, batch, self.direction, train)
+        return unroll(self.cell, batch, train=train)
 
     def backward(self, cache, grad_outputs=None, grad_last=None):
         param_grads, grad_x = unroll_backward(self.cell, cache, grad_outputs, grad_last)
@@ -651,7 +628,7 @@ class BidirectionalLayer:
             raise DimensionError(
                 f"direction widths differ: {cell_fwd.hidden_dim} vs {cell_bwd.hidden_dim}"
             )
-        kinds = [(type(c).__name__, getattr(c, "activation", None)) for c in (cell_fwd, cell_bwd)]
+        kinds = [type(c).__name__ for c in (cell_fwd, cell_bwd)]
         if kinds[0] != kinds[1]:
             raise ConfigError(f"direction cells differ in kind: {kinds[0]} vs {kinds[1]}")
         self.cell_fwd = cell_fwd

@@ -25,14 +25,14 @@ from twostream.cli import _load_run, _write_run, main
 
 
 OUT_OF_RANGE_RULES = {
-    "learning_rate": "> 0",
-    "cnn_learning_rate": "> 0",
-    "svm_c": "> 0",
+    "learning_rate": "> 0 and finite",
+    "cnn_learning_rate": "> 0 and finite",
+    "svm_c": "> 0 and finite",
     "keep_prob": "in (0, 1]",
     "cnn_filters": "one or more integers >= 1",
     "t_max": ">= t_min (30)",
-    "skeleton_noise": ">= 0",
-    "video_noise": ">= 0",
+    "skeleton_noise": ">= 0 and finite",
+    "video_noise": ">= 0 and finite",
     "decay": "in [0, 1)",
     "video_shape": "CxTxHxW with every extent >= 1",
     "split_mode": "cross_subject or cross_view",
@@ -40,6 +40,11 @@ OUT_OF_RANGE_RULES = {
 
 
 class TestConfigParsing:
+    def test_synthetic_data_defaults_are_synth_configs(self):
+        # one table of defaults: every generator field is a key with its default
+        defaults = {f.name: f.default for f in dataclasses.fields(SynthConfig)}
+        assert {k: SCHEMA[k][1] for k in defaults if k in SCHEMA} == defaults
+
     def test_defaults_cover_every_key(self):
         cfg = default_config()
         assert cfg["svm_c"] == 8.0
@@ -81,6 +86,8 @@ class TestConfigParsing:
             ("cnn_filters", ""), ("samples_per_class", 0), ("joints", 0), ("n_subjects", 1),
             ("n_views", 0), ("skeleton_noise", -0.01), ("video_noise", -0.01), ("decay", 1.0),
             ("decay", -0.1), ("video_shape", "3x16x0x16"), ("seed", -1), ("split_mode", "bogus"),
+            ("svm_c", "inf"), ("learning_rate", "inf"), ("cnn_learning_rate", "inf"),
+            ("skeleton_noise", "inf"), ("video_noise", "inf"),
         ],
     )
     def test_out_of_range_value_rejected_with_line_and_key(self, key, value):
@@ -269,6 +276,15 @@ class TestCli:
         save_model(model, tmp_path / "direct.ckpt")
         assert (run_dir / "model.ckpt").read_bytes() == (tmp_path / "direct.ckpt").read_bytes()
         assert json.loads((run_dir / "run.json").read_text())["result"] == json.loads(result.to_json())
+
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+    def test_fuse_checks_svm_c_when_parsing_arguments(self, value, tmp_path, capsys):
+        # the runs do not exist: the value is rejected before anything loads
+        missing = str(tmp_path / "missing")
+        with pytest.raises(SystemExit) as exc:
+            main(["fuse", "--run-rnn", missing, "--run-cnn", missing, "--data", missing, "--svm-c", value])
+        assert exc.value.code == 2
+        assert f"argument --svm-c: must be > 0 and finite, got {float(value)}" in capsys.readouterr().err
 
     def test_gradcheck_command_passes(self, capsys):
         main(["gradcheck"])

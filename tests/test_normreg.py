@@ -11,6 +11,7 @@ from twostream import (
     dropout,
     init_batchnorm,
 )
+from twostream.normreg import BN_EPSILON, BN_MOMENTUM
 
 from conftest import central_diff, max_rel_err
 
@@ -22,7 +23,7 @@ class TestBatchNormForward:
         y, _ = batchnorm_forward(p, x, "train")
         mean = y.mean(axis=0)
         var = y.var(axis=0)
-        expected_var = x.var(axis=0) / (x.var(axis=0) + p.epsilon)
+        expected_var = x.var(axis=0) / (x.var(axis=0) + BN_EPSILON)
         assert np.abs(mean).max() <= 1e-10
         assert np.abs(var - expected_var).max() <= 1e-6
 
@@ -39,7 +40,7 @@ class TestBatchNormForward:
         p = init_batchnorm(4)
         assert np.all(p.gamma == 1.0)
         assert np.all(p.beta == 0.0)
-        assert p.epsilon == 1e-5
+        assert BN_EPSILON == 1e-5
 
     def test_train_needs_two_rows(self):
         p = init_batchnorm(3)
@@ -56,15 +57,16 @@ class TestBatchNormForward:
         assert np.array_equal(y1, y2[:6])
 
     def test_first_batch_seeds_running_stats_then_momentum_applies(self, rng):
-        p = init_batchnorm(2, momentum=0.9)
+        p = init_batchnorm(2)
         x1 = rng.normal(1.5, 2.0, size=(50, 2))
         batchnorm_forward(p, x1, "train")
         assert np.allclose(p.running_mean, x1.mean(axis=0), atol=1e-12)
         assert np.allclose(p.running_var, x1.var(axis=0), atol=1e-12)
         x2 = rng.normal(-0.5, 1.0, size=(50, 2))
         batchnorm_forward(p, x2, "train")
-        expected_mean = 0.9 * x1.mean(axis=0) + 0.1 * x2.mean(axis=0)
-        expected_var = 0.9 * x1.var(axis=0) + 0.1 * x2.var(axis=0)
+        m = BN_MOMENTUM
+        expected_mean = m * x1.mean(axis=0) + (1.0 - m) * x2.mean(axis=0)
+        expected_var = m * x1.var(axis=0) + (1.0 - m) * x2.var(axis=0)
         assert np.allclose(p.running_mean, expected_mean, atol=1e-12)
         assert np.allclose(p.running_var, expected_var, atol=1e-12)
 

@@ -8,6 +8,7 @@ from twostream import (
     rmsprop_step,
     sgd_halving_step,
 )
+from twostream.optim import HALVING_PATIENCE
 
 
 class TestRmsprop:
@@ -65,21 +66,21 @@ class TestSgdHalving:
         assert params["p"][0] == pytest.approx(0.9)
 
     def test_always_improving_keeps_lr(self):
-        state = SgdHalvingState(learning_rate=0.25, patience=3)
+        state = SgdHalvingState(learning_rate=0.25)
         params = {"p": np.zeros(1)}
         for _ in range(20):
             sgd_halving_step(state, params, {"p": np.zeros(1)}, improved=True)
         assert state.learning_rate == 0.25
 
     def test_never_improving_halves_every_patience_window(self):
-        state = SgdHalvingState(learning_rate=0.8, patience=3)
+        state = SgdHalvingState(learning_rate=0.8)
         params = {"p": np.zeros(1)}
-        for _ in range(9):  # three windows of three failed evaluations
+        for _ in range(3 * HALVING_PATIENCE):  # three windows of failed evaluations
             sgd_halving_step(state, params, {"p": np.zeros(1)}, improved=False)
         assert state.learning_rate == pytest.approx(0.8 / 8.0)
 
     def test_no_signal_never_halves(self):
-        state = SgdHalvingState(learning_rate=0.5, patience=1)
+        state = SgdHalvingState(learning_rate=0.5)
         params = {"p": np.zeros(1)}
         for _ in range(10):
             sgd_halving_step(state, params, {"p": np.zeros(1)}, improved=None)

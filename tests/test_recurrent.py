@@ -65,17 +65,13 @@ def scalar_gru_step(Wg, Wc, bg, bc, x_row, h_row):
 
 def rnn_step_reference(p, x_t, h_prev):
     xh = np.concatenate([x_t, h_prev], axis=1)
-    pre = xh @ p.W.T + p.b
-    h_t = np.tanh(pre) if p.activation == "tanh" else sigmoid(pre)
+    h_t = np.tanh(xh @ p.W.T + p.b)
     return h_t, (xh, h_t)
 
 
 def rnn_step_reference_backward(p, cache, dh):
     xh, h_t = cache
-    if p.activation == "tanh":
-        dpre = dh * (1.0 - h_t * h_t)
-    else:
-        dpre = dh * h_t * (1.0 - h_t)
+    dpre = dh * (1.0 - h_t * h_t)
     dxh = dpre @ p.W
     i = p.input_dim
     return dxh[:, :i], dxh[:, i:], [dpre.T @ xh, dpre.sum(axis=0)]
@@ -140,19 +136,14 @@ def gru_step_reference_backward(p, cache, dh):
 
 class TestRnnCell:
     def test_zero_weights_give_zero_state(self):
-        cell = RnnCell(W=np.zeros((3, 5)), b=np.zeros(3), activation="tanh")
+        cell = RnnCell(W=np.zeros((3, 5)), b=np.zeros(3))
         h, _ = cell.step(np.random.rand(4, 2), (np.random.rand(4, 3),))
         assert np.array_equal(h, np.zeros((4, 3)))
 
     def test_scalar_hand_evaluation(self):
-        cell = RnnCell(W=np.array([[1.0, 0.0]]), b=np.zeros(1), activation="tanh")
+        cell = RnnCell(W=np.array([[1.0, 0.0]]), b=np.zeros(1))
         h, _ = cell.step(np.array([[0.5]]), (np.array([[0.0]]),))
         assert h[0, 0] == pytest.approx(0.46211715726, abs=1e-9)
-
-    def test_sigmoid_saturates_on_large_recurrent_weight(self):
-        cell = RnnCell(W=np.array([[0.0, 50.0]]), b=np.zeros(1), activation="sigmoid")
-        h, _ = cell.step(np.array([[0.3]]), (np.array([[1.0]]),))
-        assert h[0, 0] > 1.0 - 1e-12
 
     def test_shape_mismatch_rejected(self, rng):
         cell = init_rnn_cell(3, 4, rng)
@@ -214,14 +205,12 @@ def _hand_written_step(cell, x, state):
         cand = np.tanh(xp[:, 2 * d :] + (r * h) @ wh[1])
         return (z * h + (1.0 - z) * cand,)
     pre = xp + h @ wh[0]
-    if isinstance(cell, LstmCell):
-        gates = sigmoid(pre[:, : 3 * d])
-        c = gates[:, d : 2 * d] * state[1] + gates[:, :d] * np.tanh(pre[:, 3 * d :])
-        return gates[:, 2 * d :] * np.tanh(c), c
-    return (sigmoid(pre),)
+    gates = sigmoid(pre[:, : 3 * d])
+    c = gates[:, d : 2 * d] * state[1] + gates[:, :d] * np.tanh(pre[:, 3 * d :])
+    return gates[:, 2 * d :] * np.tanh(c), c
 
 
-@pytest.mark.parametrize("kind", ["rnn_sigmoid", "lstm", "gru"])
+@pytest.mark.parametrize("kind", ["lstm", "gru"])
 def test_step_equals_hand_written_step_with_reference_sigmoid(kind, rng):
     # pins the halved-weight sigmoid gates to tensor.sigmoid bit for bit,
     # including pre-activations far into saturation
@@ -323,8 +312,6 @@ class TestParamCount:
 def _random_cell(kind, i, d, rng):
     if kind == "rnn":
         return init_rnn_cell(i, d, rng)
-    if kind == "rnn_sigmoid":
-        return init_rnn_cell(i, d, rng, activation="sigmoid")
     if kind == "lstm":
         return init_lstm_cell(i, d, rng)
     return init_gru_cell(i, d, rng)
@@ -408,7 +395,7 @@ class TestSequenceBatch:
 
 class TestUnroll:
     @pytest.mark.parametrize("direction", ["forward", "backward"])
-    @pytest.mark.parametrize("kind", ["rnn", "rnn_sigmoid", "lstm", "gru"])
+    @pytest.mark.parametrize("kind", ["rnn", "lstm", "gru"])
     def test_matches_loop_over_cell_references(self, kind, direction, rng):
         cell = _random_cell(kind, 3, 4, rng)
         lengths = [7, 3, 5, 1]
@@ -423,7 +410,7 @@ class TestUnroll:
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-12
 
-    @pytest.mark.parametrize("kind", ["rnn", "rnn_sigmoid", "lstm", "gru"])
+    @pytest.mark.parametrize("kind", ["rnn", "lstm", "gru"])
     def test_length_one_sequence_is_a_single_cell_application(self, kind, rng):
         cell = _random_biased_cell(kind, 3, 4, rng)
         x = rng.normal(size=(2, 5, 3))
@@ -467,7 +454,7 @@ class TestUnroll:
         pytest.param("rnn", [4, 3], "forward", 2, id="rnn"),
         pytest.param("lstm", [4, 3], "forward", 2, id="lstm"),
         pytest.param("gru", [4, 3], "forward", 2, id="gru"),
-        pytest.param("rnn_sigmoid", [2, 4, 1, 3], "backward", 32, id="rnn_sigmoid-batch-backward"),
+        pytest.param("rnn", [2, 4, 1, 3], "backward", 32, id="rnn-batch-backward"),
         pytest.param("lstm", [2, 4, 1, 3], "backward", 32, id="lstm-batch-backward"),
         pytest.param("gru", [2, 4, 1, 3], "backward", 32, id="gru-batch-backward"),
         pytest.param("gru", [2, 4, 1, 3], "forward", 32, id="gru-batch-forward"),
@@ -498,7 +485,7 @@ class TestUnroll:
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(
-        kind=st.sampled_from(["rnn", "rnn_sigmoid", "lstm", "gru"]),
+        kind=st.sampled_from(["rnn", "lstm", "gru"]),
         layout=st.sampled_from(["forward", "backward", "bidirectional"]),
         lengths=st.lists(st.integers(1, 6), min_size=1, max_size=9),
         extra=st.integers(0, 40),
@@ -508,15 +495,16 @@ class TestUnroll:
     def test_padding_invariance_property(self, kind, layout, lengths, extra, i, seed):
         rng = Rng(seed)
         d = 4
+        # unroll runs a BidirectionalLayer's two cells whatever the direction
+        direction, w = ("forward", 2 * d) if layout == "bidirectional" else (layout, d)
+        cell = _random_biased_cell(kind, i, d, rng)
         if layout == "bidirectional":
-            layer = BidirectionalLayer(_random_biased_cell(kind, i, d, rng), _random_biased_cell(kind, i, d, rng))
-        else:
-            layer = RecurrentLayer(_random_biased_cell(kind, i, d, rng), layout)
-        n, T, w = len(lengths), max(lengths), layer.out_dim
+            cell = BidirectionalLayer(cell, _random_biased_cell(kind, i, d, rng))
+        n, T = len(lengths), max(lengths)
         x = _padded_rows_zeroed(rng.normal(size=(n, T, i)), lengths)
         x_padded = np.concatenate([x, np.zeros((n, extra, i))], axis=1)
-        out_a, last_a, cache_a = layer.forward(SequenceBatch(x, lengths))
-        out_b, last_b, cache_b = layer.forward(SequenceBatch(x_padded, lengths))
+        out_a, last_a, cache_a = unroll(cell, SequenceBatch(x, lengths), direction)
+        out_b, last_b, cache_b = unroll(cell, SequenceBatch(x_padded, lengths), direction)
         assert np.array_equal(out_a, out_b[:, :T])
         assert np.array_equal(out_a, _padded_rows_zeroed(out_a, lengths))
         assert not out_b[:, T:].any()
@@ -524,9 +512,9 @@ class TestUnroll:
         grad_out = rng.normal(size=(n, T, w))
         grad_out_padded = np.concatenate([grad_out, rng.normal(size=(n, extra, w))], axis=1)
         grad_last = rng.normal(size=(n, w))
-        gx_a, grads_a = layer.backward(cache_a, grad_out, grad_last)
-        gx_b, grads_b = layer.backward(cache_b, grad_out_padded, grad_last)
-        assert len(grads_a) == len(grads_b) == len(layer.param_items())
+        grads_a, gx_a = unroll_backward(cell, cache_a, grad_out, grad_last)
+        grads_b, gx_b = unroll_backward(cell, cache_b, grad_out_padded, grad_last)
+        assert len(grads_a) == len(grads_b) == len(cell.param_arrays())
         for ga, gb in zip(grads_a, grads_b):
             assert np.array_equal(ga, gb)
         assert np.array_equal(gx_a, gx_b[:, :T])
@@ -562,13 +550,13 @@ class TestBidirectional:
         with pytest.raises(DimensionError, match="3 vs 4"):
             BidirectionalLayer(_random_cell("gru", 2, 3, rng), _random_cell("gru", 2, 4, rng))
 
-    @pytest.mark.parametrize("kinds", [("gru", "lstm"), ("rnn", "rnn_sigmoid")])
+    @pytest.mark.parametrize("kinds", [("gru", "lstm")])
     def test_cells_of_different_kinds_rejected(self, kinds, rng):
         # one time loop runs both directions with one cell's step code
         with pytest.raises(ConfigError, match="differ in kind"):
             BidirectionalLayer(_random_cell(kinds[0], 2, 3, rng), _random_cell(kinds[1], 2, 3, rng))
 
-    @pytest.mark.parametrize("kind", ["rnn", "rnn_sigmoid", "lstm", "gru"])
+    @pytest.mark.parametrize("kind", ["rnn", "lstm", "gru"])
     def test_equals_two_single_direction_unrolls(self, kind, rng):
         n, T, i, d = 6, 9, 32, 16
         cf, cb = _random_biased_cell(kind, i, d, rng), _random_biased_cell(kind, i, d, rng)
@@ -734,23 +722,23 @@ class TestBpttGradients:
 
     @pytest.mark.parametrize(
         "kind, direction",
-        [(k, d) for k in ("rnn", "rnn_sigmoid", "lstm", "gru") for d in ("forward", "backward")] + [("bi_gru", None)],
+        [(k, d) for k in ("rnn", "lstm", "gru") for d in ("forward", "backward")] + [("bi_gru", None)],
     )
     def test_inference_unroll_keeps_no_tape_and_equals_train_outputs(self, kind, direction, rng):
         # inference reuses one tape slot; the forward direction also freezes rows
         if kind == "bi_gru":
-            layer = BidirectionalLayer(_random_cell("gru", 3, 4, rng), _random_cell("gru", 3, 4, rng))
+            cell = BidirectionalLayer(_random_cell("gru", 3, 4, rng), _random_cell("gru", 3, 4, rng))
         else:
-            layer = RecurrentLayer(_random_cell(kind, 3, 4, rng), direction)
+            cell = _random_cell(kind, 3, 4, rng)
         batch = SequenceBatch(rng.normal(size=(3, 6, 3)), [6, 2, 4])
-        out_t, last_t, cache_t = layer.forward(batch)
-        out_i, last_i, cache_i = layer.forward(batch, train=False)
+        out_t, last_t, cache_t = unroll(cell, batch, direction or "forward")
+        out_i, last_i, cache_i = unroll(cell, batch, direction or "forward", train=False)
         assert cache_t is not None and cache_i is None
         assert np.array_equal(out_i, out_t) and np.array_equal(last_i, last_t)
         with pytest.raises(ContractError, match="train=False"):
-            layer.backward(cache_i, None, np.ones_like(last_i))
+            unroll_backward(cell, cache_i, None, np.ones_like(last_i))
 
-    @pytest.mark.parametrize("kind", ["rnn", "rnn_sigmoid", "lstm", "gru", "bi_lstm"])
+    @pytest.mark.parametrize("kind", ["rnn", "lstm", "gru", "bi_lstm"])
     def test_unroll_and_backward_leave_the_weights_unchanged(self, kind, rng):
         # the forward loop halves the sigmoid columns in copies, never in params
         if kind == "bi_lstm":

@@ -12,7 +12,7 @@ import sys
 from .tensor import Rng
 from .errors import DataError
 from .fileio import write_tensor
-from .config import SCHEMA, default_config, load_config
+from .config import SCHEMA, config_from_values, default_config, load_config
 from .data import Dataset, SynthConfig, generate_synthetic
 from .models import ModelSpec, load_model, save_model
 from . import harness
@@ -62,10 +62,8 @@ def _load_run(run_dir):
     if unknown:
         raise DataError(f"{path}: unknown model_spec key(s) {unknown}")
     spec = ModelSpec(**{k: tuple(v) if isinstance(v, list) else v for k, v in run["model_spec"].items()})
-    model = load_model(spec, os.path.join(run_dir, "model.ckpt"))
-    cfg = run["config"]
-    cfg["video_shape"] = tuple(cfg["video_shape"])
-    return model, spec, cfg
+    cfg = config_from_values(run["config"], path)  # checked before the model loads
+    return load_model(spec, os.path.join(run_dir, "model.ckpt")), spec, cfg
 
 
 def cmd_gen_data(args):

@@ -148,8 +148,7 @@ def default_config() -> dict:
 
 
 def parse_config(text: str) -> dict:
-    cfg = default_config()
-    line_of = {}
+    entries = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -157,35 +156,66 @@ def parse_config(text: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
+        entries.append((f"line {lineno}", key, value))
+    return _checked_config(entries)
+
+
+def config_from_values(values: dict, source) -> dict:
+    """A config from typed values, as `run.json` stores them, under every
+    check `parse_config` makes; an error names `source` and the key."""
+    return _checked_config([(str(source), key, _as_text(key, value)) for key, value in values.items()])
+
+
+def _as_text(key, value):
+    """The config-file text of a typed value (JSON gives lists for tuples)."""
+    if value is None:
+        return "none"
+    if not isinstance(value, (list, tuple)):
+        return str(value)
+    if key == "xor_pair":
+        value = [value]
+    if key in ("xor_pair", "shared_skeleton_pairs", "shared_video_pairs"):
+        return ", ".join("-".join(map(str, p)) if isinstance(p, (list, tuple)) else str(p) for p in value)
+    return (", " if key == "ladder_models" else " ").join(map(str, value))
+
+
+def _checked_config(entries) -> dict:
+    """The defaults overridden by (place, key, value text) entries, in order;
+    an error starts with the offending entry's place."""
+    cfg = default_config()
+    place = {}
+    for where, key, value in entries:
         if key not in SCHEMA:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+            raise ConfigError(f"{where}: unknown key {key!r}")
         parser = SCHEMA[key][0]
         try:
             cfg[key] = parser(value)
         except ValueError as exc:  # ConfigError included
-            raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
-        line_of[key] = lineno
+            raise ConfigError(f"{where}: bad value for {key!r}: {exc}") from exc
+        place.pop(key, None)
+        place[key] = where  # insertion order: the last entry set last
     if cfg["t_max"] < cfg["t_min"]:
         _reject_later(
-            cfg, line_of, ("t_max", f">= t_min ({cfg['t_min']})"), ("t_min", f"<= t_max ({cfg['t_max']})")
+            cfg, place, ("t_max", f">= t_min ({cfg['t_min']})"), ("t_min", f"<= t_max ({cfg['t_max']})")
         )
-    # Pairs the text sets must name classes below n_classes. The defaults are
-    # left to SynthConfig.validate, so `n_classes = 2` alone still parses.
+    # Pairs the entries set must name classes below n_classes. The defaults
+    # are left to SynthConfig.validate, so `n_classes = 2` alone still parses.
     k = cfg["n_classes"]
     for key in ("shared_skeleton_pairs", "shared_video_pairs", "xor_pair"):
         pairs = (cfg[key],) if key == "xor_pair" else cfg[key]
         top = max((c for pair in pairs if pair is not None for c in pair), default=-1)
-        if key in line_of and top >= k:
+        if key in place and top >= k:
             _reject_later(
-                cfg, line_of, (key, f"classes below n_classes ({k})"), ("n_classes", f"> {top} for {key}")
+                cfg, place, (key, f"classes below n_classes ({k})"), ("n_classes", f"> {top} for {key}")
             )
     return cfg
 
 
-def _reject_later(cfg, line_of, *keys_and_rules):
-    """Raise for keys that conflict, blaming whichever the text set last."""
-    key, rule = max(keys_and_rules, key=lambda kr: line_of.get(kr[0], 0))
-    raise ConfigError(f"line {line_of[key]}: bad value for {key!r}: must be {rule}, got {cfg[key]}")
+def _reject_later(cfg, place, *keys_and_rules):
+    """Raise for keys that conflict, blaming whichever the entries set last."""
+    order = list(place)
+    key, rule = max(keys_and_rules, key=lambda kr: order.index(kr[0]) if kr[0] in place else -1)
+    raise ConfigError(f"{place[key]}: bad value for {key!r}: must be {rule}, got {cfg[key]}")
 
 
 def load_config(path) -> dict:

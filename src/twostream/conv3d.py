@@ -13,23 +13,30 @@ order the convolution works in: a conv output feeds the next pool and conv
 without a layout copy, and so does each gradient on its way back. Results do
 not depend on the memory order of the inputs (a test pins this).
 
-`conv3d_forward` / `conv3d_backward` work on a folded buffer
-xk [n, tp, hp, wo, kw·c]: the zero-padded input's kw shifted windows side by
+Every conv function runs its batch one sample at a time through
+`_ConvSamples`, which folds the sample into one reused buffer
+xk [tp, hp, wo, kw·c]: the zero-padded input's kw shifted windows side by
 side along the channel axis, so that the correlation is one matmul with
 K = kw·c per (kt, kh) offset instead of one with K = c per (kt, kh, kw)
 offset. The desk layers' matmuls are tiny (K = 9, N = 8 on conv1), so
-memory traffic, not arithmetic, bounds them, and the forward runs each
-sample from start to end while its data is in cache: it folds the sample
-just before its matmuls (into its slot of xk in training, which the backward
-reads; into one reused slot at inference), writes the first offset's product
-straight into the sample's accumulator, adds the others and then the bias,
-and, for a layer followed by a pool, reduces the accumulator through the
-pool window into the sample's slice of the pooled output. So no layer makes
-a whole-batch pass for zero-filling, the bias or the pool, and a pooled
-layer's full-resolution output never exists for the whole batch.
-`maxpool3d` applies the same pooling rule, `_pool_max`, to a given volume;
-both take the maximum over the window's strided views rather than over a
-transposed tile copy.
+memory traffic, not arithmetic, bounds them, and each sample's work is done
+while its data is in cache:
+- forward: fold, write the first offset's product straight into the
+  sample's accumulator, add the others and then the bias, and, for a layer
+  followed by a pool, reduce the accumulator through the pool window into
+  the sample's slice of the pooled output;
+- backward: fold the sample again from the cached input, add its share of
+  the bias and kernel gradients, and scatter and unfold its input gradient.
+So no layer makes a whole-batch pass for zero-filling, the bias or the pool,
+and neither a full-resolution output nor a full-resolution gradient exists
+for the whole batch. `C3dModel.backward` walks each sample down the whole
+conv stack at once, routing its pooled gradient through the first-max index
+(`_route`, as `maxpool3d_backward` does) into one reused buffer. The
+gradients sum in a fixed order, whichever caller runs the steps: the kernel
+gradient in (n, t) order and the bias gradient in NCDHW order.
+`maxpool3d` applies the same pooling rule as a pooled conv, `_pool_max`, to
+a given volume; both take the maximum over the window's strided views rather
+than over a transposed tile copy.
 
 `C3dModel` pools the last conv of each group before its ReLU, so that the
 ReLU and its mask run on the 4-8x smaller pooled volume. Max commutes with
@@ -82,52 +89,30 @@ def conv3d_forward(p: Conv3dParams, x, pool=None, train=True):
     it is a plain contiguous one.
 
     The correlation runs one sample at a time, from start to end while the
-    sample's data is in cache. For sample s:
-    - its kw shifted, zero-padded windows are copied side by side,
-      channels-last, into a folded slot [tp, hp, wo, kw·c]. With train=True
-      the slot is xk[s] of the batch buffer xk, which is the cache the
-      backward reads; otherwise one slot serves every sample, and its zero
-      padding is written once;
-    - kt·kh matmuls with K = kw·c, xk[s, i:i+to, j:j+ho] @ wk[i, j] with
-      wk [kt, kh, kw·c, f], run on the slot's views with (h, w) merged into
-      one row axis (no copy). The first offset's product is written straight
-      into the sample's accumulator [to, ho·wo, f], and each later one is
-      added to it through one reused temporary. The accumulator (262 KB on
-      the desk conv1 at f64) stays in cache across all offsets;
-    - the bias is added to the accumulator;
-    - with a pool, the accumulator is reduced through the pool window into
-      the sample's slice of the pooled y by `_pool_max`, the rule `maxpool3d`
-      applies (through an -inf padded copy where the window does not divide
-      an extent). Then one accumulator serves every sample, and the
-      full-resolution output is never stored for the whole batch.
+    sample's data is in cache (`_ConvSamples`): the sample is folded into one
+    reused slot, its kt·kh offset products are summed in its accumulator
+    [to, ho·wo, f], the first written straight into it, and the bias is
+    added. With a pool, the accumulator is then reduced through the pool
+    window into the sample's slice of the pooled y by `_pool_max`, the rule
+    `maxpool3d` applies (through an -inf padded copy where the window does
+    not divide an extent), so one accumulator serves every sample and the
+    full-resolution output is never stored for the whole batch.
 
     Every output element sums the same products in the same order whatever
-    the batch, the mode or the pool. The cache is (xk, x.shape, p) without a
-    pool, the pair of that and `maxpool3d`'s cache with one, and None with
-    train=False, when no first-max index is recorded either. The brute-force
-    oracles in the test suite pin the semantics.
+    the batch, the mode or the pool. With train=True the cache is (x, p)
+    without a pool and the pair of that and `maxpool3d`'s cache with one;
+    it holds x itself, which the backward folds again sample by sample, so
+    x must not change before the backward. With train=False it is None, and
+    no first-max index is recorded either. The brute-force oracles in the
+    test suite pin the semantics.
     """
     if x.ndim != 5 or x.shape[1] != p.kernels.shape[1]:
         raise DimensionError(
             f"conv3d expects [n,{p.kernels.shape[1]},t,h,w], got {x.shape}"
         )
-    f, c, kt, kh, kw = p.kernels.shape
-    n, _, t, h, w = x.shape
-    pt, ph, pw = p.padding
-    tp, hp, wp = t + 2 * pt, h + 2 * ph, w + 2 * pw
-    if tp < kt or hp < kh or wp < kw:
-        raise DimensionError(
-            f"padded input {(tp, hp, wp)} smaller than kernel {(kt, kh, kw)}"
-        )
-    to, ho, wo = tp - kt + 1, hp - kh + 1, wp - kw + 1
-    # Every view the loop reads or writes is made once, over the slot axis.
-    xk = np.zeros((n if train else 1, tp, hp, wo, kw * c), dtype=x.dtype)
-    inner = xk[:, pt : pt + t, ph : ph + h]
-    folds = [(inner[:, :, :, cols, k * c : (k + 1) * c], src) for k, cols, src in _kw_windows(w, pw, kw)]
-    wk = _folded_kernels(p.kernels)
-    (rows0, wk0), *offsets = [(_offset_rows(xk, i, j, to, ho), wk[i, j]) for i in range(kt) for j in range(kh)]
-    bias = np.tile(p.bias, (ho * wo, 1))  # one row per output (h, w): a long contiguous add
-    tmp = np.empty((to, ho * wo, f), dtype=x.dtype)
+    n, f = x.shape[0], p.n_filters
+    conv = _ConvSamples(p, x.shape, x.dtype)
+    to, ho, wo = conv.out_shape
     acc = np.empty((n if pool is None else 1, to, ho * wo, f), dtype=x.dtype)
     if pool is not None:
         y_shape = (n, f, to, ho, wo)
@@ -136,25 +121,157 @@ def conv3d_forward(p: Conv3dParams, x, pool=None, train=True):
         views = _pool_views(vol if pad is None else pad, pool.window)
     xt = x.transpose(0, 2, 3, 4, 1)
     for s in range(n):
-        slot = s if train else 0
-        for dst, src in folds:
-            dst[slot] = xt[s, :, :, src]
+        conv.fold(xt[s])
         a = acc[s] if pool is None else acc[0]
-        np.matmul(rows0[slot], wk0, out=a)
-        for rows, wij in offsets:
-            a += np.matmul(rows[slot], wij, out=tmp)
-        a += bias
+        conv.correlate(a)
         if pool is not None:
             if pad is not None:
                 pad[:to, :ho, :wo] = vol
             _pool_max(views, y[s], None if idx is None else idx[s])
-    ccache = (xk, x.shape, p) if train else None
+    ccache = (x, p) if train else None
     if pool is None:
         return acc.reshape(n, to, ho, wo, f).transpose(0, 4, 1, 2, 3), ccache
     y = y.transpose(0, 4, 1, 2, 3)
     if not train:
         return y, None
     return y, (ccache, (y_shape, padded_shape, idx.transpose(0, 4, 1, 2, 3), pool))
+
+
+class _ConvSamples:
+    """One conv layer's per-sample steps, for inputs of NCDHW shape x_shape,
+    through buffers that every sample reuses: `fold` and `correlate` for the
+    forward; with backward=True, `add_param_grads` and, with input_grad,
+    `input_grad` for the backward, with the kernel and bias gradients summed
+    so far. The slot's zero padding is written once, and xk[i:i+to, j:j+ho]
+    with (h, w) merged into one row axis is a view, so every matmul reads
+    the slot in place.
+    """
+
+    def __init__(self, p: Conv3dParams, x_shape, dtype, backward=False, input_grad=False):
+        f, c, kt, kh, kw = p.kernels.shape
+        n, _, t, h, w = x_shape
+        pt, ph, pw = p.padding
+        tp, hp, wp = t + 2 * pt, h + 2 * ph, w + 2 * pw
+        if tp < kt or hp < kh or wp < kw:
+            raise DimensionError(
+                f"padded input {(tp, hp, wp)} smaller than kernel {(kt, kh, kw)}"
+            )
+        to, ho, wo = tp - kt + 1, hp - kh + 1, wp - kw + 1
+        self.out_shape = (to, ho, wo)
+        self.p = p
+        offsets = [(i, j) for i in range(kt) for j in range(kh)]
+        self.xk = np.zeros((tp, hp, wo, kw * c), dtype=dtype)
+        inner = self.xk[pt : pt + t, ph : ph + h]
+        self._folds = [(inner[:, :, cols, k * c : (k + 1) * c], src) for k, cols, src in _kw_windows(w, pw, kw)]
+        self._rows = [_offset_rows(self.xk, i, j, to, ho) for i, j in offsets]
+        wk = _folded_kernels(p.kernels)
+        if not backward:
+            self._wk = [wk[i, j] for i, j in offsets]
+            self._bias = np.tile(p.bias, (ho * wo, 1))  # one row per output (h, w): a long contiguous add
+            self._tmp = np.empty((to, ho * wo, f), dtype=dtype)
+            return
+        self._grad_bias = np.zeros(f, dtype=dtype)
+        # numpy sums a one-channel NCDHW gradient over (n, t, h, w) as one run
+        # over the batch, so a one-filter layer keeps every sample's gradient.
+        self._bias_rows = np.empty((n, to * ho * wo), dtype=dtype) if f == 1 else None
+        self._grad_kernels = np.zeros((kt, kh, kw * c, f), dtype=p.kernels.dtype)
+        # Row 0 of each offset's product holds the sum over earlier samples.
+        self._prod = np.empty((kt, kh, to + 1, kw * c, f), dtype=p.kernels.dtype)
+        self._prod_rows = [self._prod[i, j, 1:] for i, j in offsets]
+        self._rows_t = [rows.transpose(0, 2, 1) for rows in self._rows]
+        self._gy = np.empty((to, ho, wo, f), dtype=dtype)
+        self._gy_ncdhw = np.empty((f, to, ho, wo), dtype=dtype)
+        if not input_grad:
+            return
+        wk_t = np.ascontiguousarray(wk.transpose(0, 1, 3, 2))
+        self._wk_t = [wk_t[i, j] for i, j in offsets]
+        # Each plane of the products has a row per padded input row: the
+        # matmul writes the first ho, and the rest stay zero. So an offset's
+        # products land at one flat offset of the folded input gradient, and
+        # each offset adds one contiguous run. Adding zero leaves a sum that
+        # starts at +0.0 unchanged, bit for bit; the last offsets' zero rows
+        # spill into one extra plane.
+        self._products = np.zeros((to, hp * wo, kw * c), dtype=dtype)
+        self._written = self._products[:, : ho * wo]
+        self._gxk = np.empty((tp + 1, hp, wo, kw * c), dtype=dtype)
+        run, row = self._products.size, wo * kw * c
+        flat = self._gxk.reshape(-1)
+        self._scatters = [flat[(i * hp + j) * row :][:run] for i, j in offsets]
+        inner = self._gxk[pt : pt + t, ph : ph + h]
+        self._unfolds = [(src, inner[:, :, cols, k * c : (k + 1) * c]) for k, cols, src in _kw_windows(w, pw, kw)]
+
+    def fold(self, xt_s):
+        """Fold one channels-last sample [t, h, w, c] into the slot xk."""
+        for dst, src in self._folds:
+            dst[...] = xt_s[:, :, src]
+
+    def correlate(self, acc):
+        """acc [to, ho·wo, f] = the folded sample correlated with the kernels,
+        plus the bias: the first offset's product written straight into acc,
+        each later one added through one reused temporary."""
+        (rows0, wk0), *rest = zip(self._rows, self._wk)
+        np.matmul(rows0, wk0, out=acc)
+        for rows, wij in rest:
+            acc += np.matmul(rows, wij, out=self._tmp)
+        acc += self._bias
+
+    def add_param_grads(self, s, g):
+        """Add the folded sample s's share of the kernel and bias gradients for
+        its output gradient g, a channels-last [to, ho, wo, f] view of any
+        memory order. Returns g as a contiguous [to, ho·wo, f] array.
+
+        The bias gradient adds the sum of an NCDHW-ordered copy of g. numpy's
+        sum over (t, h, w) adds in an order that follows memory, so this keeps
+        the bits of a sum over the whole batch's NCDHW gradient; added sample
+        by sample in sample order, the sums equal that sum over (n, t, h, w)
+        (a one-filter layer's are summed in `bias_grad`).
+        Each (kt, kh) offset's kernel-gradient product
+        xk[i:i+to, j:j+ho]^T @ g, one [kw·c, f] product per t plane, is
+        written after a row that holds the sum over the earlier samples, and
+        one reduction over that row axis adds the sample in, in the same
+        (n, t) order as a sum over the whole batch.
+        """
+        to, ho, wo = self.out_shape
+        np.copyto(self._gy_ncdhw, g.transpose(3, 0, 1, 2))
+        if self._bias_rows is None:
+            self._grad_bias += self._gy_ncdhw.reshape(len(self._gy_ncdhw), -1).sum(axis=1)
+        else:
+            self._bias_rows[s] = self._gy_ncdhw.reshape(-1)
+        if not g.flags.c_contiguous:
+            np.copyto(self._gy, g)
+            g = self._gy
+        gy = g.reshape(to, ho * wo, -1)
+        self._prod[:, :, 0] = self._grad_kernels
+        for rows_t, out in zip(self._rows_t, self._prod_rows):
+            np.matmul(rows_t, gy, out=out)
+        self._prod.sum(axis=2, out=self._grad_kernels)
+        return gy
+
+    def input_grad(self, gy, gx_s):
+        """The sample's input gradient into the channels-last [t, h, w, c]
+        gx_s, from its contiguous output gradient gy [to, ho·wo, f]: gy @ wk^T
+        per offset, added in offset order into a folded buffer, then unfolded
+        with kw slice adds."""
+        self._gxk.fill(0.0)
+        products = self._products.reshape(-1)
+        for into, wij in zip(self._scatters, self._wk_t):
+            np.matmul(gy, wij, out=self._written)
+            np.add(into, products, out=into)
+        gx_s.fill(0.0)
+        for src, part in self._unfolds:
+            gx_s[:, :, src] += part
+
+    def bias_grad(self):
+        """The bias gradient [f] summed so far."""
+        if self._bias_rows is None:
+            return self._grad_bias
+        return self._bias_rows.reshape(len(self._bias_rows), 1, -1).sum(axis=(0, 2))
+
+    def kernel_grad(self):
+        """The kernel gradient [f, c, kt, kh, kw] summed so far."""
+        kt, kh, _, f = self._grad_kernels.shape
+        c, kw = self.p.kernels.shape[1], self.p.kernels.shape[4]
+        return np.ascontiguousarray(self._grad_kernels.reshape(kt, kh, kw, c, f).transpose(4, 3, 0, 1, 2))
 
 
 def _kw_windows(w, pw, kw):
@@ -173,11 +290,11 @@ def _folded_kernels(kernels):
 
 
 def _offset_rows(a, i, j, to, ho):
-    """a[..., i:i+to, j:j+ho, :, :] of a folded buffer [..., tp, hp, wo, k]
-    as [..., to, ho·wo, k]. A view, not a copy: the slice keeps whole (w, k)
-    rows, so its ho rows of each t plane are contiguous."""
-    *lead, _, _, wo, k = a.shape
-    return a[..., i : i + to, j : j + ho, :, :].reshape(*lead, to, ho * wo, k)
+    """a[i:i+to, j:j+ho, :, :] of a folded buffer [tp, hp, wo, k] as
+    [to, ho·wo, k]. A view, not a copy: the slice keeps whole (w, k) rows, so
+    its ho rows of each t plane are contiguous."""
+    _, _, wo, k = a.shape
+    return a[i : i + to, j : j + ho, :, :].reshape(to, ho * wo, k)
 
 
 def conv3d_backward(cache, grad_y, input_grad=True):
@@ -185,55 +302,24 @@ def conv3d_backward(cache, grad_y, input_grad=True):
     input gradient is not computed and grad_x is None: a network's first
     layer, whose input is data, needs only its parameter gradients.
 
-    Both gradients run one sample at a time, like the forward. Per sample,
-    the kernel gradient of each (kt, kh) offset is the batched matmul
-    xk[s, i:i+to, j:j+ho]^T @ grad_y[s], one [kw·c, f] product per t plane,
-    written after a row that holds the sum over the earlier samples; one
-    reduction over that row axis then adds the sample in, in the same (n, t)
-    order as a sum over the whole batch. The input gradient is scattered
-    into a folded buffer gxk shaped like xk,
-    gxk[s, i:i+to, j:j+ho] += grad_y[s] @ wk[i, j].T through one reused
-    [to, ho·wo, kw·c] temporary, then unfolded with kw slice adds; grad_x,
-    like the forward's y, is an NCDHW view of channels-last memory.
-
-    The bias gradient sums an NCDHW-ordered copy of grad_y. numpy's sum over
-    (n, t, h, w) adds in an order that follows memory, so summing grad_y's
-    own channels-last memory would move the result by rounding (about 1e-16)
-    with the caller's layout.
+    Each sample is folded again from the cached input and goes through
+    `_ConvSamples.add_param_grads` and, with input_grad,
+    `_ConvSamples.input_grad`: the per-sample steps `C3dModel.backward` also
+    takes, so the two give the same bits. grad_x, like the forward's y, is
+    an NCDHW view of channels-last memory.
     """
-    xk, x_shape, p = cache
-    f, c, kt, kh, kw = p.kernels.shape
-    n, _, t, h, w = x_shape
-    to, ho, wo = grad_y.shape[2:]
-    grad_bias = np.ascontiguousarray(grad_y).sum(axis=(0, 2, 3, 4))
-    gy = np.ascontiguousarray(grad_y.transpose(0, 2, 3, 4, 1)).reshape(n, to, ho * wo, f)
-    gk = np.zeros((kt, kh, kw * c, f), dtype=p.kernels.dtype)
-    prod = np.empty((kt, kh, to + 1, kw * c, f), dtype=gk.dtype)
+    x, p = cache
+    n, c, t, h, w = x.shape
+    conv = _ConvSamples(p, x.shape, x.dtype, backward=True, input_grad=input_grad)
+    xt, gyt = x.transpose(0, 2, 3, 4, 1), grad_y.transpose(0, 2, 3, 4, 1)
+    gx_t = np.empty((n, t, h, w, c), dtype=x.dtype) if input_grad else None
     for s in range(n):
-        prod[:, :, 0] = gk
-        for i in range(kt):
-            for j in range(kh):
-                rows = _offset_rows(xk[s], i, j, to, ho).transpose(0, 2, 1)
-                np.matmul(rows, gy[s], out=prod[i, j, 1:])
-        prod.sum(axis=2, out=gk)
-    grad_kernels = np.ascontiguousarray(
-        gk.reshape(kt, kh, kw, c, f).transpose(4, 3, 0, 1, 2)
-    )
-    if not input_grad:
-        return grad_kernels, grad_bias, None
-    wk_t = np.ascontiguousarray(_folded_kernels(p.kernels).transpose(0, 1, 3, 2))
-    gxk = np.zeros_like(xk)
-    tmp = np.empty((to, ho * wo, kw * c), dtype=xk.dtype)
-    for s in range(n):
-        for i in range(kt):
-            for j in range(kh):
-                _offset_rows(gxk[s], i, j, to, ho)[...] += np.matmul(gy[s], wk_t[i, j], out=tmp)
-    pt, ph, pw = p.padding
-    inner = gxk[:, pt : pt + t, ph : ph + h]
-    gx_t = np.zeros((n, t, h, w, c), dtype=xk.dtype)
-    for k, cols, src in _kw_windows(w, pw, kw):
-        gx_t[:, :, :, src] += inner[:, :, :, cols, k * c : (k + 1) * c]
-    return grad_kernels, grad_bias, gx_t.transpose(0, 4, 1, 2, 3)
+        conv.fold(xt[s])
+        gy = conv.add_param_grads(s, gyt[s])
+        if input_grad:
+            conv.input_grad(gy, gx_t[s])
+    grad_x = None if gx_t is None else gx_t.transpose(0, 4, 1, 2, 3)
+    return conv.kernel_grad(), conv.bias_grad(), grad_x
 
 
 @dataclass
@@ -312,17 +398,24 @@ def _pool_max(views, y, idx):
 
 
 def maxpool3d_backward(cache, grad_y):
-    """Route each window's upstream gradient to its first maximum: every view
-    of the padded gradient is written once, as grad_y where idx selects that
-    view and zero elsewhere."""
+    """Route each window's upstream gradient to its first maximum, one sample
+    at a time through `_route`, the step `C3dModel.backward` also takes."""
     x_shape, xp_shape, idx, spec = cache
     _, _, t, h, w = x_shape
     n, c, tp, hp, wp = xp_shape
     gx_pad = np.empty((n, tp, hp, wp, c), dtype=grad_y.dtype)
     gy, idx = grad_y.transpose(0, 2, 3, 4, 1), idx.transpose(0, 2, 3, 4, 1)
-    for k, v in enumerate(_pool_views(gx_pad, spec.window)):
-        np.multiply(gy, idx == k, out=v)
+    for s in range(n):
+        _route(_pool_views(gx_pad[s], spec.window), gy[s], idx[s])
     return gx_pad.transpose(0, 4, 1, 2, 3)[:, :, :t, :h, :w]
+
+
+def _route(views, gy, idx):
+    """One sample's pooled gradient gy to the first maxima that idx records:
+    every window-position view of the (padded) full-resolution gradient is
+    written once, as gy where idx selects that view and zero elsewhere."""
+    for k, v in enumerate(views):
+        np.multiply(gy, idx == k, out=v)
 
 
 KERNEL_SIZE = (3, 3, 3)  # (kt, kh, kw) of every C3D conv layer
@@ -445,29 +538,26 @@ class C3dModel:
 
         Each group runs as conv stages whose last one is also the group's
         pool: `conv3d_forward` folds, correlates, adds the bias and pools one
-        sample at a time, so a pooled layer's full-resolution output never
-        exists for the whole batch, in training or inference. The pool comes
-        before the ReLU: max commutes with ReLU, so the outputs are those of
-        ReLU-then-pool, and the ReLU and its mask run at pooled resolution.
-        With train=False the cache is None: no ReLU mask, first-max index or
-        folded conv input is kept for a backward.
+        sample at a time through one reused slot, so a pooled layer's
+        full-resolution output never exists for the whole batch, in training
+        or inference. The pool comes before the ReLU: max commutes with ReLU,
+        so the outputs are those of ReLU-then-pool, and the ReLU and its mask
+        run at pooled resolution. A train-mode cache keeps, per conv, its
+        input (the clip batch, or the ReLU output of the stage below, which
+        exists anyway), its first-max index if it pools, and its ReLU mask.
+        With train=False the cache is None.
         """
-        caches = []
+        stages = []
         conv_iter = iter(self.convs)
         h = x
         for group, pool in zip(self.spec.conv_groups, self.pools):
             for li in range(len(group)):
                 pooled = li == len(group) - 1
                 h, cache = conv3d_forward(next(conv_iter), h, pool if pooled else None, train)
-                active = h > 0.0 if train else None  # ReLU masks, not activations, are kept
+                if train:  # ReLU masks, not activations, are kept
+                    ccache, pcache = cache if pooled else (cache, None)
+                    stages.append((ccache, pcache, h > 0.0))
                 np.maximum(h, 0.0, out=h)
-                if not train:
-                    continue
-                if pooled:
-                    ccache, pcache = cache
-                    caches += [("conv", ccache, None), ("pool", pcache, active)]
-                else:
-                    caches.append(("conv", cache, active))
         n = h.shape[0]
         flat_shape = h.shape
         flat = h.reshape(n, -1)
@@ -476,14 +566,27 @@ class C3dModel:
         logits, co = dense_forward(self.out, f7)
         if not train:
             return logits, f6, None
-        return logits, f6, (caches, flat_shape, c6, c7, co)
+        return logits, f6, (stages, flat_shape, c6, c7, co)
 
     def backward(self, cache, grad_logits):
         """Returns gradients as a dict aligned with `param_items` names. The
-        gradient with respect to the input clips is not computed."""
+        gradient with respect to the input clips is not computed.
+
+        After the fully-connected layers, one loop over the samples walks
+        each sample down the conv stack from the top (`_StageBackward`): per
+        conv, mask the gradient of its ReLU output, route it through the
+        first-max index into one reused full-resolution buffer if the conv
+        pools, add the sample's bias and kernel gradients from its input
+        folded again, and, above the first conv, scatter and unfold its
+        input gradient for the conv below. So no full-resolution gradient
+        exists for the whole batch, and each sample's gradients are made
+        while its data is in cache. The per-sample steps are those of
+        `maxpool3d_backward` and `conv3d_backward`, and the parameter
+        gradients sum in the same order as theirs.
+        """
         if cache is None:
             raise ContractError("C3dModel.backward got the cache of a forward that ran in inference mode")
-        caches, flat_shape, c6, c7, co = cache
+        stages, flat_shape, c6, c7, co = cache
         grads = {}
         dWo, dbo, d7 = dense_backward(self.out, co, grad_logits)
         dW7, db7, d6 = dense_backward(self.fc7, c7, d7)
@@ -491,20 +594,55 @@ class C3dModel:
         grads["out.W"], grads["out.b"] = dWo, dbo
         grads["fc7.W"], grads["fc7.b"] = dW7, db7
         grads["fc6.W"], grads["fc6.b"] = dW6, db6
-        dh = dflat.reshape(flat_shape)
-        conv_idx = len(self.convs) - 1
-        for kind, lcache, active in reversed(caches):
-            if active is not None:
-                dh *= active
-            if kind == "pool":
-                dh = maxpool3d_backward(lcache, dh)
-            else:
-                dk, db, dh = conv3d_backward(lcache, dh, input_grad=conv_idx > 0)
-                name = self._conv_names[conv_idx]
-                grads[name + ".kernels"] = dk
-                grads[name + ".bias"] = db
-                conv_idx -= 1
+        top_down = [_StageBackward(*stage, input_grad=k > 0) for k, stage in enumerate(stages)][::-1]
+        dh = dflat.reshape(flat_shape).transpose(0, 2, 3, 4, 1)
+        for s in range(dh.shape[0]):
+            d = dh[s]
+            for stage in top_down:
+                d = stage.backward(s, d)
+        for name, stage in zip(self._conv_names, reversed(top_down)):
+            grads[name + ".kernels"] = stage.conv.kernel_grad()
+            grads[name + ".bias"] = stage.conv.bias_grad()
         return grads
+
+
+class _StageBackward:
+    """The backward of one conv stage of `C3dModel` (a conv, its pool if it
+    has one, and the ReLU after), one sample at a time, through buffers
+    reused by every sample."""
+
+    def __init__(self, ccache, pcache, active, input_grad):
+        x, p = ccache
+        self.conv = _ConvSamples(p, x.shape, x.dtype, backward=True, input_grad=input_grad)
+        self.xt = x.transpose(0, 2, 3, 4, 1)
+        self.active = active.transpose(0, 2, 3, 4, 1)
+        self.masked = np.empty(self.active.shape[1:], dtype=x.dtype)
+        self.views = None
+        if pcache is not None:
+            _, padded_shape, idx, pool = pcache
+            self.idx = idx.transpose(0, 2, 3, 4, 1)
+            routed = np.empty((*padded_shape[2:], p.n_filters), dtype=x.dtype)
+            self.views = _pool_views(routed, pool.window)
+            to, ho, wo = self.conv.out_shape
+            self.routed = routed[:to, :ho, :wo]
+        _, c, t, h, w = x.shape
+        self.gx = np.empty((t, h, w, c), dtype=x.dtype) if input_grad else None
+
+    def backward(self, s, d):
+        """Sample s's gradient of the stage's ReLU output, d (channels-last),
+        into the stage's parameter gradients; returns the sample's gradient
+        of the stage's input, channels-last, or None for the first stage."""
+        np.multiply(d, self.active[s], out=self.masked)
+        g = self.masked
+        if self.views is not None:
+            _route(self.views, g, self.idx[s])
+            g = self.routed
+        self.conv.fold(self.xt[s])
+        gy = self.conv.add_param_grads(s, g)
+        if self.gx is None:
+            return None
+        self.conv.input_grad(gy, self.gx)
+        return self.gx
 
 
 def build_c3d(spec: C3dSpec, rng: Rng) -> C3dModel:

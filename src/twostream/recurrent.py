@@ -156,10 +156,13 @@ class _Cell:
         return w_x, b, [np.ascontiguousarray(W[:, i:].T) for W, _ in blocks]
 
     def forward_weights(self, w_x, b, wh):
-        """New arrays of `split_weights`' (W_x, b, wh) for `recur`, with the
-        first `sigmoid_width` fused columns halved. Halving is exact (outside
-        the subnormal range), so the projections come out as exactly half the
-        pre-activations and the sigmoid's own halving is saved."""
+        """`split_weights`' (W_x, b, wh) for `recur`, with the first
+        `sigmoid_width` fused columns halved. Halving is exact (outside the
+        subnormal range), so the projections come out as exactly half the
+        pre-activations and the sigmoid's own halving is saved. A cell with no
+        sigmoid columns gets the given arrays back, not scaled copies."""
+        if not self.sigmoid_width:
+            return w_x, b, wh
         scale = np.ones_like(b)
         scale[: self.sigmoid_width] = 0.5
         halved = [w * s for w, s in zip(wh, _column_blocks(scale, wh))]

@@ -250,6 +250,40 @@ class TestCli:
         with pytest.raises(DataError, match=re.escape(f"{run_json}: unknown model_spec key(s) ['hidden_units']")):
             _load_run(tmp_path)
 
+    @pytest.mark.parametrize("text", [GEN_DATA_CFG, "xor_pair = none\nladder_models = RNN1, C3D-DESK\ncnn_filters = 4 6"])
+    def test_run_config_round_trips_through_its_checks(self, tmp_path, text):
+        cfg = parse_config(text)
+        spec = ModelSpec(name="RNN1", input_dim=5, n_classes=3, hidden_dim=4)
+        _write_run(tmp_path, spec, cfg, build_model(spec, Rng(0)), None)
+        assert _load_run(tmp_path)[2] == cfg
+
+    @pytest.mark.parametrize("key, value, rule", [
+        ("svm_c", -1.0, "must be > 0 and finite, got -1.0"),
+        ("cnn_filters", [8, 0], "must be one or more integers >= 1, got (8, 0)"),
+        ("split_mode", "bogus", "must be cross_subject or cross_view, got bogus"),
+        ("xor_pair", 5, "expected pairs like 0-1, got '5'"),
+    ])
+    def test_bad_run_config_value_names_file_and_key_before_loading(self, tmp_path, key, value, rule):
+        spec = ModelSpec(name="RNN1", input_dim=5, n_classes=3, hidden_dim=4)
+        _write_run(tmp_path, spec, default_config(), build_model(spec, Rng(0)), None)
+        (tmp_path / "model.ckpt").unlink()  # the check must come before the model loads
+        run_json = tmp_path / "run.json"
+        run = json.loads(run_json.read_text())
+        run["config"][key] = value
+        run_json.write_text(json.dumps(run))
+        with pytest.raises(ConfigError, match=re.escape(f"{run_json}: bad value for {key!r}: {rule}")):
+            _load_run(tmp_path)
+
+    def test_unknown_run_config_key_names_file_and_key(self, tmp_path):
+        spec = ModelSpec(name="RNN1", input_dim=5, n_classes=3, hidden_dim=4)
+        _write_run(tmp_path, spec, default_config(), build_model(spec, Rng(0)), None)
+        run_json = tmp_path / "run.json"
+        run = json.loads(run_json.read_text())
+        run["config"]["svm_cost"] = 1.0
+        run_json.write_text(json.dumps(run))
+        with pytest.raises(ConfigError, match=re.escape(f"{run_json}: unknown key 'svm_cost'")):
+            _load_run(tmp_path)
+
     def test_gen_data_equals_generate_synthetic(self, tmp_path, capsys):
         synth_keys = {f.name for f in dataclasses.fields(SynthConfig)} & SCHEMA.keys()
         cfg = parse_config(GEN_DATA_CFG)

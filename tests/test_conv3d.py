@@ -24,7 +24,7 @@ from twostream import (
     maxpool3d_backward,
 )
 from twostream.conv3d import init_conv3d
-from twostream.heads import dense_backward, dense_forward
+from twostream.heads import dense_backward, dense_forward, softmax_xent
 from twostream.models import ConvClassifier, ModelSpec, build_model
 
 from conftest import central_diff, max_rel_err
@@ -270,6 +270,22 @@ class TestConv3dBatchInvariance:
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+class TestConv3dBiasOrder:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bias_gradient_is_the_ncdhw_sum(self, seed):
+        """Summed sample by sample, the bias gradient keeps the bits of numpy's
+        sum over the whole batch's NCDHW gradient, one-filter layers included
+        (numpy sums those as one run over the batch)."""
+        rng = Rng(4100 + seed)
+        f, c = 1 + seed % 3, int(rng.integers(1, 4))
+        p = Conv3dParams(kernels=rng.normal(size=(f, c, 3, 3, 3)), bias=rng.normal(size=f), padding=(1, 1, 1))
+        x = rng.normal(size=(int(rng.integers(2, 10)), c, 4, 5, 6))
+        y, cache = conv3d_forward(p, x)
+        gy = rng.normal(size=y.shape)
+        _, gb, _ = conv3d_backward(cache, channels_last(gy) if seed % 2 else gy)
+        assert np.array_equal(gb, gy.sum(axis=(0, 2, 3, 4)))
+
+
 class TestConvPoolStage:
     """A conv stage given a pool equals maxpool3d of the unpooled conv output,
     in both modes, down to the first-max index the backward reads."""
@@ -313,6 +329,31 @@ class TestInferenceMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 8e6
+
+
+class TestTrainStepMemory:
+    def test_desk_batch_train_step_peak_stays_under_12_mb(self):
+        """A 32-clip C3D-DESK train forward and backward keep each conv's
+        input, first-max index and ReLU mask, but no folded input or
+        full-resolution gradient for the batch (a train step that kept them
+        peaked at 40.5 MB)."""
+        model = build_model(ModelSpec("C3D-DESK"), Rng(0))
+        clips = Rng(1).normal(size=(32, 3, 16, 16, 16))
+        labels = np.arange(32) % 6
+
+        def step(x, y):
+            logits, _, cache = model.forward(x, mode="train")
+            _, grad = softmax_xent(logits, y)
+            return model.backward(cache, grad)
+
+        step(clips[:2], labels[:2])
+        tracemalloc.start()
+        try:
+            step(clips, labels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12e6
 
 
 def channels_last(a):
@@ -530,6 +571,25 @@ class TestC3dModelEquivalence:
         assert cache_i is None
         assert np.array_equal(logits_i, ref_logits)
         assert np.array_equal(f6_i, ref_f6)
+
+    @pytest.mark.parametrize("conv_groups, clip_shape", C3D_CASES)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_normal_values_pin_the_summation_order(self, conv_groups, clip_shape, seed):
+        """With normally distributed kernels, biases and clips, sums round, so
+        a changed summation order in the stack's backward shows up here."""
+        rng = Rng(80 + seed)
+        model, _, _ = tied_c3d(conv_groups, 80 + seed, clip_shape)
+        for conv in model.convs:
+            conv.kernels[...] = rng.normal(size=conv.kernels.shape)
+            conv.bias[...] = rng.normal(size=conv.bias.shape)
+        clips = rng.normal(size=(9, *clip_shape[1:]))
+        r = rng.normal(size=(9, 3))
+        _, _, ref_grads, _ = relu_before_pool_reference(model, clips, r)
+        _, _, cache = model.forward(clips)
+        grads = model.backward(cache, r)
+        assert sorted(grads) == sorted(ref_grads)
+        for name, g in grads.items():
+            assert np.array_equal(g, ref_grads[name]), name
 
     @pytest.mark.parametrize("conv_groups, clip_shape", C3D_CASES)
     def test_inference_forward_equals_train_forward(self, conv_groups, clip_shape):

@@ -152,6 +152,13 @@ class TestRnnCell:
         with pytest.raises(DimensionError, match=r"\(n=2, d=4\)"):
             cell.step(np.zeros((2, 3)), (np.zeros((3, 4)),))
 
+    def test_forward_weights_are_the_split_weights_themselves(self, rng):
+        # no sigmoid columns to halve, so no scaled copies either
+        cell = init_rnn_cell(3, 4, rng)
+        split = cell.split_weights()
+        w_x, b, wh = cell.forward_weights(*split)
+        assert w_x is split[0] and b is split[1] and wh is split[2]
+
 
 class TestLstmCell:
     def test_memory_keep_identity(self, rng):

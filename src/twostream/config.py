@@ -143,6 +143,24 @@ SCHEMA = {
 }
 
 
+def _pair_text(pair):
+    return "-".join(map(str, pair)) if isinstance(pair, (list, tuple)) else str(pair)
+
+
+def _join(sep):
+    return lambda values: sep.join(map(str, values))
+
+
+# The config text of a list or tuple value, for each parser that reads one.
+_SEQUENCE_TEXT = {
+    _video_shape: _join("x"),
+    _filter_counts: _join(" "),
+    _names: _join(", "),
+    _pairs: lambda pairs: ", ".join(map(_pair_text, pairs)),
+    _optional_pair: _pair_text,
+}
+
+
 def default_config() -> dict:
     return {key: default for key, (_, default) in SCHEMA.items()}
 
@@ -163,20 +181,18 @@ def parse_config(text: str) -> dict:
 def config_from_values(values: dict, source) -> dict:
     """A config from typed values, as `run.json` stores them, under every
     check `parse_config` makes; an error names `source` and the key."""
-    return _checked_config([(str(source), key, _as_text(key, value)) for key, value in values.items()])
+    return _checked_config([(str(source), key, _value_text(key, value)) for key, value in values.items()])
 
 
-def _as_text(key, value):
-    """The config-file text of a typed value (JSON gives lists for tuples)."""
-    if value is None:
-        return "none"
-    if not isinstance(value, (list, tuple)):
+def _value_text(key, value):
+    """The text that `key`'s parser reads back as value (JSON gives lists for
+    tuples, and None reads back as 'none'). Scalars, and lists where the
+    parser reads none, are written with str: the parser reads a scalar back
+    and rejects the rest."""
+    text = _SEQUENCE_TEXT.get(SCHEMA[key][0]) if key in SCHEMA else None
+    if text is None or not isinstance(value, (list, tuple)):
         return str(value)
-    if key == "xor_pair":
-        value = [value]
-    if key in ("xor_pair", "shared_skeleton_pairs", "shared_video_pairs"):
-        return ", ".join("-".join(map(str, p)) if isinstance(p, (list, tuple)) else str(p) for p in value)
-    return (", " if key == "ladder_models" else " ").join(map(str, value))
+    return text(value)
 
 
 def _checked_config(entries) -> dict:

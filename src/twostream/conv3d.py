@@ -13,30 +13,28 @@ order the convolution works in: a conv output feeds the next pool and conv
 without a layout copy, and so does each gradient on its way back. Results do
 not depend on the memory order of the inputs (a test pins this).
 
-Every conv function runs its batch one sample at a time through
-`_ConvSamples`, which folds the sample into one reused buffer
-xk [tp, hp, wo, kw·c]: the zero-padded input's kw shifted windows side by
-side along the channel axis, so that the correlation is one matmul with
-K = kw·c per (kt, kh) offset instead of one with K = c per (kt, kh, kw)
-offset. The desk layers' matmuls are tiny (K = 9, N = 8 on conv1), so
-memory traffic, not arithmetic, bounds them, and each sample's work is done
-while its data is in cache:
-- forward: fold, write the first offset's product straight into the
-  sample's accumulator, add the others and then the bias, and, for a layer
-  followed by a pool, reduce the accumulator through the pool window into
-  the sample's slice of the pooled output;
-- backward: fold the sample again from the cached input, add its share of
+Both conv functions run their batch one sample at a time, folding the
+sample into one reused buffer xk [tp, hp, wo, kw·c] (`_ConvSamples`): the
+zero-padded input's kw shifted windows side by side along the channel axis,
+so that the correlation is one matmul with K = kw·c per (kt, kh) offset
+instead of one with K = c per (kt, kh, kw) offset. The desk layers' matmuls
+are tiny (K = 9, N = 8 on conv1), so memory traffic, not arithmetic, bounds
+them, and each sample's work is done while its data is in cache:
+- forward (`_ConvForward`): fold, write the first offset's product straight
+  into the sample's accumulator, add the others and then the bias, and, for
+  a layer followed by a pool, reduce the accumulator through the pool window
+  into the sample's slice of the pooled output;
+- backward (`_ConvBackward`): for a pooled layer, route the sample's pooled
+  gradient through its first-max index (`maxpool3d_backward` on the one
+  sample); fold the sample again from the cached input, add its share of
   the bias and kernel gradients, and scatter and unfold its input gradient.
 So no layer makes a whole-batch pass for zero-filling, the bias or the pool,
-and neither a full-resolution output nor a full-resolution gradient exists
-for the whole batch. `C3dModel.backward` walks each sample down the whole
-conv stack at once, routing its pooled gradient through the first-max index
-(`_route`, as `maxpool3d_backward` does) into one reused buffer. The
-gradients sum in a fixed order, whichever caller runs the steps: the kernel
-gradient in (n, t) order and the bias gradient in NCDHW order.
-`maxpool3d` applies the same pooling rule as a pooled conv, `_pool_max`, to
-a given volume; both take the maximum over the window's strided views rather
-than over a transposed tile copy.
+and a pooled layer's full-resolution output and output gradient never exist
+for the whole batch. The gradients sum in a fixed order, whatever the batch
+or the pool: the kernel gradient in (n, t) order and the bias gradient in
+NCDHW order. `maxpool3d` applies the same pooling rule as a pooled conv,
+`_pool_max`, to a given volume; both take the maximum over the window's
+strided views rather than over a transposed tile copy.
 
 `C3dModel` pools the last conv of each group before its ReLU, so that the
 ReLU and its mask run on the 4-8x smaller pooled volume. Max commutes with
@@ -89,7 +87,7 @@ def conv3d_forward(p: Conv3dParams, x, pool=None, train=True):
     it is a plain contiguous one.
 
     The correlation runs one sample at a time, from start to end while the
-    sample's data is in cache (`_ConvSamples`): the sample is folded into one
+    sample's data is in cache (`_ConvForward`): the sample is folded into one
     reused slot, its kt·kh offset products are summed in its accumulator
     [to, ho·wo, f], the first written straight into it, and the bias is
     added. With a pool, the accumulator is then reduced through the pool
@@ -100,18 +98,19 @@ def conv3d_forward(p: Conv3dParams, x, pool=None, train=True):
 
     Every output element sums the same products in the same order whatever
     the batch, the mode or the pool. With train=True the cache is (x, p)
-    without a pool and the pair of that and `maxpool3d`'s cache with one;
-    it holds x itself, which the backward folds again sample by sample, so
-    x must not change before the backward. With train=False it is None, and
-    no first-max index is recorded either. The brute-force oracles in the
-    test suite pin the semantics.
+    without a pool and the pair of that and `maxpool3d`'s cache with one,
+    which `conv3d_backward` takes whole; it holds x itself, which the
+    backward folds again sample by sample, so x must not change before the
+    backward. With train=False it is None, and no first-max index is
+    recorded either. The brute-force oracles in the test suite pin the
+    semantics.
     """
     if x.ndim != 5 or x.shape[1] != p.kernels.shape[1]:
         raise DimensionError(
             f"conv3d expects [n,{p.kernels.shape[1]},t,h,w], got {x.shape}"
         )
     n, f = x.shape[0], p.n_filters
-    conv = _ConvSamples(p, x.shape, x.dtype)
+    conv = _ConvForward(p, x.shape, x.dtype)
     to, ho, wo = conv.out_shape
     acc = np.empty((n if pool is None else 1, to, ho * wo, f), dtype=x.dtype)
     if pool is not None:
@@ -138,18 +137,16 @@ def conv3d_forward(p: Conv3dParams, x, pool=None, train=True):
 
 
 class _ConvSamples:
-    """One conv layer's per-sample steps, for inputs of NCDHW shape x_shape,
-    through buffers that every sample reuses: `fold` and `correlate` for the
-    forward; with backward=True, `add_param_grads` and, with input_grad,
-    `input_grad` for the backward, with the kernel and bias gradients summed
-    so far. The slot's zero padding is written once, and xk[i:i+to, j:j+ho]
-    with (h, w) merged into one row axis is a view, so every matmul reads
-    the slot in place.
+    """One conv layer's folded slot for inputs of NCDHW shape x_shape, which
+    every sample reuses: `fold` writes a sample into it. The slot's zero
+    padding is written once, and each (kt, kh) offset's rows
+    xk[i:i+to, j:j+ho], with (h, w) merged into one row axis, are a view, so
+    every matmul reads the slot in place.
     """
 
-    def __init__(self, p: Conv3dParams, x_shape, dtype, backward=False, input_grad=False):
-        f, c, kt, kh, kw = p.kernels.shape
-        n, _, t, h, w = x_shape
+    def __init__(self, p: Conv3dParams, x_shape, dtype):
+        _, c, kt, kh, kw = p.kernels.shape
+        _, _, t, h, w = x_shape
         pt, ph, pw = p.padding
         tp, hp, wp = t + 2 * pt, h + 2 * ph, w + 2 * pw
         if tp < kt or hp < kh or wp < kw:
@@ -159,17 +156,52 @@ class _ConvSamples:
         to, ho, wo = tp - kt + 1, hp - kh + 1, wp - kw + 1
         self.out_shape = (to, ho, wo)
         self.p = p
-        offsets = [(i, j) for i in range(kt) for j in range(kh)]
+        self.offsets = [(i, j) for i in range(kt) for j in range(kh)]
         self.xk = np.zeros((tp, hp, wo, kw * c), dtype=dtype)
         inner = self.xk[pt : pt + t, ph : ph + h]
         self._folds = [(inner[:, :, cols, k * c : (k + 1) * c], src) for k, cols, src in _kw_windows(w, pw, kw)]
-        self._rows = [_offset_rows(self.xk, i, j, to, ho) for i, j in offsets]
+        self._rows = [_offset_rows(self.xk, i, j, to, ho) for i, j in self.offsets]
+
+    def fold(self, xt_s):
+        """Fold one channels-last sample [t, h, w, c] into the slot xk."""
+        for dst, src in self._folds:
+            dst[...] = xt_s[:, :, src]
+
+
+class _ConvForward(_ConvSamples):
+    """The forward's per-sample correlation, through one reused temporary."""
+
+    def __init__(self, p: Conv3dParams, x_shape, dtype):
+        super().__init__(p, x_shape, dtype)
+        to, ho, wo = self.out_shape
         wk = _folded_kernels(p.kernels)
-        if not backward:
-            self._wk = [wk[i, j] for i, j in offsets]
-            self._bias = np.tile(p.bias, (ho * wo, 1))  # one row per output (h, w): a long contiguous add
-            self._tmp = np.empty((to, ho * wo, f), dtype=dtype)
-            return
+        self._wk = [wk[i, j] for i, j in self.offsets]
+        self._bias = np.tile(p.bias, (ho * wo, 1))  # one row per output (h, w): a long contiguous add
+        self._tmp = np.empty((to, ho * wo, p.n_filters), dtype=dtype)
+
+    def correlate(self, acc):
+        """acc [to, ho·wo, f] = the folded sample correlated with the kernels,
+        plus the bias: the first offset's product written straight into acc,
+        each later one added through one reused temporary."""
+        (rows0, wk0), *rest = zip(self._rows, self._wk)
+        np.matmul(rows0, wk0, out=acc)
+        for rows, wij in rest:
+            acc += np.matmul(rows, wij, out=self._tmp)
+        acc += self._bias
+
+
+class _ConvBackward(_ConvSamples):
+    """The backward's per-sample steps: `add_param_grads` adds a folded
+    sample's share to the kernel and bias gradients summed so far, and, with
+    input_grad, `input_grad` makes its input gradient."""
+
+    def __init__(self, p: Conv3dParams, x_shape, dtype, input_grad):
+        super().__init__(p, x_shape, dtype)
+        f, c, kt, kh, kw = p.kernels.shape
+        n, _, t, h, w = x_shape
+        pt, ph, pw = p.padding
+        to, ho, wo = self.out_shape
+        tp, hp = self.xk.shape[:2]
         self._grad_bias = np.zeros(f, dtype=dtype)
         # numpy sums a one-channel NCDHW gradient over (n, t, h, w) as one run
         # over the batch, so a one-filter layer keeps every sample's gradient.
@@ -177,14 +209,14 @@ class _ConvSamples:
         self._grad_kernels = np.zeros((kt, kh, kw * c, f), dtype=p.kernels.dtype)
         # Row 0 of each offset's product holds the sum over earlier samples.
         self._prod = np.empty((kt, kh, to + 1, kw * c, f), dtype=p.kernels.dtype)
-        self._prod_rows = [self._prod[i, j, 1:] for i, j in offsets]
+        self._prod_rows = [self._prod[i, j, 1:] for i, j in self.offsets]
         self._rows_t = [rows.transpose(0, 2, 1) for rows in self._rows]
         self._gy = np.empty((to, ho, wo, f), dtype=dtype)
         self._gy_ncdhw = np.empty((f, to, ho, wo), dtype=dtype)
         if not input_grad:
             return
-        wk_t = np.ascontiguousarray(wk.transpose(0, 1, 3, 2))
-        self._wk_t = [wk_t[i, j] for i, j in offsets]
+        wk_t = np.ascontiguousarray(_folded_kernels(p.kernels).transpose(0, 1, 3, 2))
+        self._wk_t = [wk_t[i, j] for i, j in self.offsets]
         # Each plane of the products has a row per padded input row: the
         # matmul writes the first ho, and the rest stay zero. So an offset's
         # products land at one flat offset of the folded input gradient, and
@@ -196,24 +228,9 @@ class _ConvSamples:
         self._gxk = np.empty((tp + 1, hp, wo, kw * c), dtype=dtype)
         run, row = self._products.size, wo * kw * c
         flat = self._gxk.reshape(-1)
-        self._scatters = [flat[(i * hp + j) * row :][:run] for i, j in offsets]
+        self._scatters = [flat[(i * hp + j) * row :][:run] for i, j in self.offsets]
         inner = self._gxk[pt : pt + t, ph : ph + h]
         self._unfolds = [(src, inner[:, :, cols, k * c : (k + 1) * c]) for k, cols, src in _kw_windows(w, pw, kw)]
-
-    def fold(self, xt_s):
-        """Fold one channels-last sample [t, h, w, c] into the slot xk."""
-        for dst, src in self._folds:
-            dst[...] = xt_s[:, :, src]
-
-    def correlate(self, acc):
-        """acc [to, ho·wo, f] = the folded sample correlated with the kernels,
-        plus the bias: the first offset's product written straight into acc,
-        each later one added through one reused temporary."""
-        (rows0, wk0), *rest = zip(self._rows, self._wk)
-        np.matmul(rows0, wk0, out=acc)
-        for rows, wij in rest:
-            acc += np.matmul(rows, wij, out=self._tmp)
-        acc += self._bias
 
     def add_param_grads(self, s, g):
         """Add the folded sample s's share of the kernel and bias gradients for
@@ -298,24 +315,39 @@ def _offset_rows(a, i, j, to, ho):
 
 
 def conv3d_backward(cache, grad_y, input_grad=True):
-    """Returns (grad_kernels, grad_bias, grad_x). With input_grad=False the
-    input gradient is not computed and grad_x is None: a network's first
-    layer, whose input is data, needs only its parameter gradients.
+    """Returns (grad_kernels, grad_bias, grad_x) for the gradient grad_y of
+    `conv3d_forward`'s y. With input_grad=False the input gradient is not
+    computed and grad_x is None: a network's first layer, whose input is
+    data, needs only its parameter gradients.
 
-    Each sample is folded again from the cached input and goes through
-    `_ConvSamples.add_param_grads` and, with input_grad,
-    `_ConvSamples.input_grad`: the per-sample steps `C3dModel.backward` also
-    takes, so the two give the same bits. grad_x, like the forward's y, is
-    an NCDHW view of channels-last memory.
+    The backward runs one sample at a time, like the forward, through one
+    reused folded slot (`_ConvBackward`). Given the cache of a pooled
+    forward, grad_y is the gradient of the pooled y: `maxpool3d_backward`
+    routes each sample's share through the first-max index just before the
+    sample's conv steps, so the full-resolution gradient exists for one
+    sample at a time. Each sample is then folded again from the cached
+    input; it adds its share to the bias gradient and to the kernel
+    gradient, and, with input_grad, its input gradient is scattered and
+    unfolded. grad_x, like the forward's y, is an NCDHW view of
+    channels-last memory.
+
+    The sums keep a fixed order, whatever the batch or the pool: the kernel
+    gradient in (n, t) order and the bias gradient in NCDHW order.
     """
-    x, p = cache
+    (x, p), pcache = cache if isinstance(cache[0], tuple) else (cache, None)
     n, c, t, h, w = x.shape
-    conv = _ConvSamples(p, x.shape, x.dtype, backward=True, input_grad=input_grad)
+    conv = _ConvBackward(p, x.shape, x.dtype, input_grad)
     xt, gyt = x.transpose(0, 2, 3, 4, 1), grad_y.transpose(0, 2, 3, 4, 1)
     gx_t = np.empty((n, t, h, w, c), dtype=x.dtype) if input_grad else None
     for s in range(n):
+        if pcache is None:
+            g = gyt[s]
+        else:
+            y_shape, padded_shape, idx, pool = pcache
+            sample = ((1, *y_shape[1:]), (1, *padded_shape[1:]), idx[s : s + 1], pool)
+            g = maxpool3d_backward(sample, grad_y[s : s + 1])[0].transpose(1, 2, 3, 0)
         conv.fold(xt[s])
-        gy = conv.add_param_grads(s, gyt[s])
+        gy = conv.add_param_grads(s, g)
         if input_grad:
             conv.input_grad(gy, gx_t[s])
     grad_x = None if gx_t is None else gx_t.transpose(0, 4, 1, 2, 3)
@@ -398,24 +430,17 @@ def _pool_max(views, y, idx):
 
 
 def maxpool3d_backward(cache, grad_y):
-    """Route each window's upstream gradient to its first maximum, one sample
-    at a time through `_route`, the step `C3dModel.backward` also takes."""
+    """Route each window's upstream gradient to its first maximum: every view
+    of the padded gradient is written once, as grad_y where idx selects that
+    view and zero elsewhere."""
     x_shape, xp_shape, idx, spec = cache
     _, _, t, h, w = x_shape
     n, c, tp, hp, wp = xp_shape
     gx_pad = np.empty((n, tp, hp, wp, c), dtype=grad_y.dtype)
     gy, idx = grad_y.transpose(0, 2, 3, 4, 1), idx.transpose(0, 2, 3, 4, 1)
-    for s in range(n):
-        _route(_pool_views(gx_pad[s], spec.window), gy[s], idx[s])
-    return gx_pad.transpose(0, 4, 1, 2, 3)[:, :, :t, :h, :w]
-
-
-def _route(views, gy, idx):
-    """One sample's pooled gradient gy to the first maxima that idx records:
-    every window-position view of the (padded) full-resolution gradient is
-    written once, as gy where idx selects that view and zero elsewhere."""
-    for k, v in enumerate(views):
+    for k, v in enumerate(_pool_views(gx_pad, spec.window)):
         np.multiply(gy, idx == k, out=v)
+    return gx_pad.transpose(0, 4, 1, 2, 3)[:, :, :t, :h, :w]
 
 
 KERNEL_SIZE = (3, 3, 3)  # (kt, kh, kw) of every C3D conv layer
@@ -555,8 +580,7 @@ class C3dModel:
                 pooled = li == len(group) - 1
                 h, cache = conv3d_forward(next(conv_iter), h, pool if pooled else None, train)
                 if train:  # ReLU masks, not activations, are kept
-                    ccache, pcache = cache if pooled else (cache, None)
-                    stages.append((ccache, pcache, h > 0.0))
+                    stages.append((cache, h > 0.0))
                 np.maximum(h, 0.0, out=h)
         n = h.shape[0]
         flat_shape = h.shape
@@ -572,17 +596,13 @@ class C3dModel:
         """Returns gradients as a dict aligned with `param_items` names. The
         gradient with respect to the input clips is not computed.
 
-        After the fully-connected layers, one loop over the samples walks
-        each sample down the conv stack from the top (`_StageBackward`): per
-        conv, mask the gradient of its ReLU output, route it through the
-        first-max index into one reused full-resolution buffer if the conv
-        pools, add the sample's bias and kernel gradients from its input
-        folded again, and, above the first conv, scatter and unfold its
-        input gradient for the conv below. So no full-resolution gradient
-        exists for the whole batch, and each sample's gradients are made
-        while its data is in cache. The per-sample steps are those of
-        `maxpool3d_backward` and `conv3d_backward`, and the parameter
-        gradients sum in the same order as theirs.
+        After the fully-connected layers, each conv from the top down masks
+        the gradient of its ReLU output and hands it to `conv3d_backward`
+        with the conv's cache. For a group's last conv that is the pooled
+        gradient, which `conv3d_backward` routes one sample at a time, so the
+        conv's full-resolution gradient never exists for the whole batch;
+        each sample's parameter and input gradients are made while its data
+        is in cache.
         """
         if cache is None:
             raise ContractError("C3dModel.backward got the cache of a forward that ran in inference mode")
@@ -594,55 +614,15 @@ class C3dModel:
         grads["out.W"], grads["out.b"] = dWo, dbo
         grads["fc7.W"], grads["fc7.b"] = dW7, db7
         grads["fc6.W"], grads["fc6.b"] = dW6, db6
-        top_down = [_StageBackward(*stage, input_grad=k > 0) for k, stage in enumerate(stages)][::-1]
-        dh = dflat.reshape(flat_shape).transpose(0, 2, 3, 4, 1)
-        for s in range(dh.shape[0]):
-            d = dh[s]
-            for stage in top_down:
-                d = stage.backward(s, d)
-        for name, stage in zip(self._conv_names, reversed(top_down)):
-            grads[name + ".kernels"] = stage.conv.kernel_grad()
-            grads[name + ".bias"] = stage.conv.bias_grad()
+        dh = dflat.reshape(flat_shape)
+        for k in reversed(range(len(stages))):
+            lcache, active = stages[k]
+            dh *= active
+            dk, db, dh = conv3d_backward(lcache, dh, input_grad=k > 0)
+            name = self._conv_names[k]
+            grads[name + ".kernels"] = dk
+            grads[name + ".bias"] = db
         return grads
-
-
-class _StageBackward:
-    """The backward of one conv stage of `C3dModel` (a conv, its pool if it
-    has one, and the ReLU after), one sample at a time, through buffers
-    reused by every sample."""
-
-    def __init__(self, ccache, pcache, active, input_grad):
-        x, p = ccache
-        self.conv = _ConvSamples(p, x.shape, x.dtype, backward=True, input_grad=input_grad)
-        self.xt = x.transpose(0, 2, 3, 4, 1)
-        self.active = active.transpose(0, 2, 3, 4, 1)
-        self.masked = np.empty(self.active.shape[1:], dtype=x.dtype)
-        self.views = None
-        if pcache is not None:
-            _, padded_shape, idx, pool = pcache
-            self.idx = idx.transpose(0, 2, 3, 4, 1)
-            routed = np.empty((*padded_shape[2:], p.n_filters), dtype=x.dtype)
-            self.views = _pool_views(routed, pool.window)
-            to, ho, wo = self.conv.out_shape
-            self.routed = routed[:to, :ho, :wo]
-        _, c, t, h, w = x.shape
-        self.gx = np.empty((t, h, w, c), dtype=x.dtype) if input_grad else None
-
-    def backward(self, s, d):
-        """Sample s's gradient of the stage's ReLU output, d (channels-last),
-        into the stage's parameter gradients; returns the sample's gradient
-        of the stage's input, channels-last, or None for the first stage."""
-        np.multiply(d, self.active[s], out=self.masked)
-        g = self.masked
-        if self.views is not None:
-            _route(self.views, g, self.idx[s])
-            g = self.routed
-        self.conv.fold(self.xt[s])
-        gy = self.conv.add_param_grads(s, g)
-        if self.gx is None:
-            return None
-        self.conv.input_grad(gy, self.gx)
-        return self.gx
 
 
 def build_c3d(spec: C3dSpec, rng: Rng) -> C3dModel:

@@ -187,6 +187,40 @@ xor_pair = 0-1
 """
 
 
+# Every key set away from its default.
+ALL_KEYS_CFG = """
+seed = 3
+split_mode = cross_view
+n_classes = 7
+samples_per_class = 5
+t_min = 4
+t_max = 9
+joints = 6
+video_shape = 2x8x6x6
+n_subjects = 3
+n_views = 2
+skeleton_noise = 0.125
+video_noise = 0.3
+xor_pair = 5-6
+shared_skeleton_pairs = 0-1, 2-3
+shared_video_pairs = 4-5
+hidden_dim = 12
+epochs = 7
+batch_size = 4
+learning_rate = 0.003
+decay = 0.5
+keep_prob = 1.0
+eval_every = 2
+cnn_epochs = 2
+cnn_batch_size = 8
+cnn_learning_rate = 0.01
+cnn_filters = 4 6
+cnn_fc_dim = 10
+svm_c = 0.5
+ladder_models = RNN1, C3D-DESK
+"""
+
+
 def _dir_bytes(path):
     return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
 
@@ -250,9 +284,12 @@ class TestCli:
         with pytest.raises(DataError, match=re.escape(f"{run_json}: unknown model_spec key(s) ['hidden_units']")):
             _load_run(tmp_path)
 
-    @pytest.mark.parametrize("text", [GEN_DATA_CFG, "xor_pair = none\nladder_models = RNN1, C3D-DESK\ncnn_filters = 4 6"])
+    @pytest.mark.parametrize(
+        "text", [ALL_KEYS_CFG, ALL_KEYS_CFG.replace("xor_pair = 5-6", "xor_pair = none")], ids=["every_key", "no_xor_pair"]
+    )
     def test_run_config_round_trips_through_its_checks(self, tmp_path, text):
         cfg = parse_config(text)
+        assert [k for k in SCHEMA if cfg[k] == SCHEMA[k][1]] == []  # every key is written and read back
         spec = ModelSpec(name="RNN1", input_dim=5, n_classes=3, hidden_dim=4)
         _write_run(tmp_path, spec, cfg, build_model(spec, Rng(0)), None)
         assert _load_run(tmp_path)[2] == cfg

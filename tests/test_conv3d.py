@@ -257,7 +257,10 @@ class TestConv3dBatchInvariance:
         x = rng.normal(size=(int(rng.integers(2, 6)), c, t, h, w))
         y, cache = conv3d_forward(p, x)
         gy = rng.normal(size=y.shape)
-        gk, gb, gx = conv3d_backward(cache, gy)
+        gk, gb, gx = conv3d_backward(cache, channels_last(gy) if seed % 2 else gy)
+        # added sample by sample, the bias gradient keeps the bits of the
+        # whole batch's NCDHW sum, one-filter layers included
+        assert np.array_equal(gb, gy.sum(axis=(0, 2, 3, 4)))
         singles = []
         for s in range(x.shape[0]):
             ys, cs = conv3d_forward(p, x[s : s + 1])
@@ -270,25 +273,10 @@ class TestConv3dBatchInvariance:
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-class TestConv3dBiasOrder:
-    @pytest.mark.parametrize("seed", range(6))
-    def test_bias_gradient_is_the_ncdhw_sum(self, seed):
-        """Summed sample by sample, the bias gradient keeps the bits of numpy's
-        sum over the whole batch's NCDHW gradient, one-filter layers included
-        (numpy sums those as one run over the batch)."""
-        rng = Rng(4100 + seed)
-        f, c = 1 + seed % 3, int(rng.integers(1, 4))
-        p = Conv3dParams(kernels=rng.normal(size=(f, c, 3, 3, 3)), bias=rng.normal(size=f), padding=(1, 1, 1))
-        x = rng.normal(size=(int(rng.integers(2, 10)), c, 4, 5, 6))
-        y, cache = conv3d_forward(p, x)
-        gy = rng.normal(size=y.shape)
-        _, gb, _ = conv3d_backward(cache, channels_last(gy) if seed % 2 else gy)
-        assert np.array_equal(gb, gy.sum(axis=(0, 2, 3, 4)))
-
-
 class TestConvPoolStage:
     """A conv stage given a pool equals maxpool3d of the unpooled conv output,
-    in both modes, down to the first-max index the backward reads."""
+    in both modes, down to the first-max index the backward reads; its
+    backward equals the conv backward of the routed gradient."""
 
     @pytest.mark.parametrize("seed", range(8))
     def test_equals_maxpool_of_conv_output(self, seed):
@@ -303,11 +291,17 @@ class TestConvPoolStage:
         x = rng.integers(0, 3, size=(int(rng.integers(1, 5)), c, t, h, w)) * 0.5
         z, ccache = conv3d_forward(p, x)
         ref, pcache = maxpool3d(Pool3dSpec(window), z)
-        y, (stage_ccache, stage_pcache) = conv3d_forward(p, x, Pool3dSpec(window))
+        y, stage_cache = conv3d_forward(p, x, Pool3dSpec(window))
+        stage_ccache, stage_pcache = stage_cache
         assert np.array_equal(y, ref)
         assert np.array_equal(stage_ccache[0], ccache[0])
         for got, want in zip(stage_pcache, pcache):
             assert np.array_equal(got, want) if isinstance(got, np.ndarray) else got == want
+        # given the stage's cache, the backward takes the pooled gradient
+        gp = rng.normal(size=y.shape)
+        routed = conv3d_backward(ccache, maxpool3d_backward(pcache, gp))
+        for got, want in zip(conv3d_backward(stage_cache, gp), routed):
+            assert np.array_equal(got, want)
         y_inf, cache_inf = conv3d_forward(p, x, Pool3dSpec(window), train=False)
         assert cache_inf is None and np.array_equal(y_inf, ref)
         z_inf, cache_inf = conv3d_forward(p, x, train=False)

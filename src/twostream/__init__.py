@@ -7,10 +7,8 @@ combined by confidence voting or by feature concatenation into a linear SVM.
 
 from .tensor import (
     Rng,
-    Tensor,
     concat_last,
     l2_normalize,
-    sigmoid,
     softmax,
 )
 from .errors import (
@@ -25,7 +23,6 @@ from .recurrent import (
     BidirectionalLayer,
     GruCell,
     LstmCell,
-    RecurrentLayer,
     RnnCell,
     SequenceBatch,
     init_gru_cell,

@@ -133,8 +133,11 @@ class Dataset:
                 n_classes = k
                 if not 0 <= label < n_classes:
                     raise DataError(f"{manifest}:{lineno}: label {label} outside [0, {n_classes})")
-                coords = read_tensor(os.path.join(directory, sk_name))
-                pixels = read_tensor(os.path.join(directory, vd_name))
+                try:
+                    coords = read_tensor(os.path.join(directory, sk_name))
+                    pixels = read_tensor(os.path.join(directory, vd_name))
+                except (OSError, DataError) as e:  # DataError names the file, as OSError does
+                    raise DataError(f"{manifest}:{lineno}: {e}") from e
                 # per-frame shapes: [J, 3] joints and the video's (c, h, w)
                 frames = (coords.shape[1:], pixels.shape[:1] + pixels.shape[2:])
                 if not samples:

@@ -45,29 +45,27 @@ def write_tensor(path, array: np.ndarray) -> None:
 
 
 def read_tensor_from(fh) -> np.ndarray:
-    line = bytearray()
-    while True:
-        ch = fh.read(1)
-        if not ch:
-            raise DataError("truncated TSR1 header")
-        if ch == b"\n":
-            break
-        line += ch
-    parts = line.decode("ascii").split()
-    if len(parts) < 3 or parts[0] != "TSR1":
-        raise DataError(f"not a TSR1 record: {line[:32]!r}")
-    ndim = int(parts[1])
-    if len(parts) != 2 + ndim + 1:
-        raise DataError(f"malformed TSR1 header: {line!r}")
-    shape = tuple(int(d) for d in parts[2 : 2 + ndim])
-    tag = parts[-1]
+    """Read one TSR1 record from an open binary file. A record that is not
+    well formed raises a DataError that names the file."""
+    source = getattr(fh, "name", "<stream>")
+    line = fh.readline()
+    if not line.endswith(b"\n"):
+        raise DataError(f"{source}: truncated TSR1 header")
+    try:
+        magic, ndim, *dims, tag = line.decode("ascii").split()
+        shape = tuple(int(d) for d in dims)
+        well_formed = magic == "TSR1" and int(ndim) == len(shape) and min(shape, default=0) >= 0
+    except ValueError:  # too few fields, a non-ASCII byte or a non-integer
+        well_formed = False
+    if not well_formed:
+        raise DataError(f"{source}: malformed TSR1 header {line[:64]!r}")
     if tag not in _TAG_TO_DTYPE:
-        raise DataError(f"unknown TSR1 dtype tag {tag!r}")
+        raise DataError(f"{source}: unknown TSR1 dtype tag {tag!r}")
     dtype = _TAG_TO_DTYPE[tag]
     count = int(np.prod(shape, dtype=np.int64)) if shape else 1
     raw = fh.read(count * dtype.itemsize)
     if len(raw) != count * dtype.itemsize:
-        raise DataError("truncated TSR1 payload")
+        raise DataError(f"{source}: truncated TSR1 payload")
     return np.frombuffer(raw, dtype=dtype).reshape(shape).astype(dtype.newbyteorder("="))
 
 
@@ -99,19 +97,24 @@ def write_checkpoint(path, named_tensors) -> None:
             fh.write(blob)
 
 
+def _name_and_number(fh, path, what):
+    """The next line of a CKPT1 file's head, `<name> <count or offset>`."""
+    try:
+        name, number = fh.readline().decode("ascii").split()
+    except ValueError:  # a wrong field count or a non-ASCII byte
+        number = ""
+    if not number.isdigit():
+        raise DataError(f"{path}: malformed CKPT1 {what}")
+    return name, int(number)
+
+
 def read_checkpoint(path) -> dict:
     """Read a CKPT1 file into an ordered dict name -> tensor."""
     with open(path, "rb") as fh:
-        head = fh.readline().decode("ascii").split()
-        if len(head) != 2 or head[0] != "CKPT1":
-            raise DataError(f"not a CKPT1 file: {path}")
-        count = int(head[1])
-        entries = []
-        for _ in range(count):
-            parts = fh.readline().decode("ascii").split()
-            if len(parts) != 2:
-                raise DataError(f"malformed CKPT1 manifest line in {path}")
-            entries.append((parts[0], int(parts[1])))
+        magic, count = _name_and_number(fh, path, "header")
+        if magic != "CKPT1":
+            raise DataError(f"{path}: not a CKPT1 file")
+        entries = [_name_and_number(fh, path, "manifest line") for _ in range(count)]
         payload_start = fh.tell()
         out = {}
         for name, offset in entries:

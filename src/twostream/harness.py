@@ -14,13 +14,14 @@ from .errors import ConfigError, ContractError, DataError, DivergenceError
 from .tensor import Rng, softmax
 from .recurrent import (
     BidirectionalLayer,
-    RecurrentLayer,
     SequenceBatch,
     init_gru_cell,
     init_lstm_cell,
     init_rnn_cell,
     stack,
     stack_backward,
+    unroll,
+    unroll_backward,
 )
 from .normreg import DropoutConfig, batchnorm_backward, batchnorm_forward, dropout, init_batchnorm
 from .conv3d import (
@@ -376,19 +377,19 @@ def _weighted_sum_loss(out, weights):
 
 
 def _check_unroll(name, layer, rng, n=2, t=4, i=3):
-    """Gradcheck a RecurrentLayer or BidirectionalLayer over a full unroll."""
+    """Gradcheck a cell or BidirectionalLayer over a full unroll."""
     x = rng.normal(0.0, 0.8, size=(n, t, i))
     lengths = [t, t - 1]
     r_out = rng.normal(size=(n, t, layer.out_dim))
     r_last = rng.normal(size=(n, layer.out_dim))
-    arrays = [a for _, a in layer.param_items()] + [x]
+    arrays = layer.param_arrays() + [x]
 
     def loss_fn():
-        out, last, _ = layer.forward(SequenceBatch(x, lengths))
+        out, last, _ = unroll(layer, SequenceBatch(x, lengths))
         return _weighted_sum_loss(out, r_out) + _weighted_sum_loss(last, r_last)
 
-    _, _, cache = layer.forward(SequenceBatch(x, lengths))
-    grad_x, pgrads = layer.backward(cache, r_out, r_last)
+    _, _, cache = unroll(layer, SequenceBatch(x, lengths))
+    pgrads, grad_x = unroll_backward(layer, cache, r_out, r_last)
     return check_gradients(name, loss_fn, arrays, pgrads + [grad_x])
 
 
@@ -453,20 +454,17 @@ def gradcheck_all(rng=None) -> GradcheckReport:
     add(check_gradients("dropout", drop_loss, [xd], [rd * mask]))
 
     # recurrent cells through full unrolls (masked lengths included)
-    add(_check_unroll("rnn_tanh", RecurrentLayer(init_rnn_cell(3, 4, rng)), rng))
-    add(_check_unroll("lstm", RecurrentLayer(init_lstm_cell(3, 4, rng)), rng))
-    add(_check_unroll("gru", RecurrentLayer(init_gru_cell(3, 4, rng)), rng))
+    add(_check_unroll("rnn_tanh", init_rnn_cell(3, 4, rng), rng))
+    add(_check_unroll("lstm", init_lstm_cell(3, 4, rng), rng))
+    add(_check_unroll("gru", init_gru_cell(3, 4, rng), rng))
     bigru = BidirectionalLayer(init_gru_cell(3, 3, rng), init_gru_cell(3, 3, rng))
     add(_check_unroll("bidirectional_gru", bigru, rng))
 
     # two-layer stack feeding a classifier-style loss on the last state
-    layers = [
-        RecurrentLayer(init_gru_cell(3, 3, rng)),
-        RecurrentLayer(init_gru_cell(3, 2, rng)),
-    ]
+    layers = [init_gru_cell(3, 3, rng), init_gru_cell(3, 2, rng)]
     xs = rng.normal(0.0, 0.8, size=(2, 4, 3))
     rs = rng.normal(size=(2, 2))
-    stack_arrays = [a for L in layers for _, a in L.param_items()] + [xs]
+    stack_arrays = [a for L in layers for a in L.param_arrays()] + [xs]
 
     def stack_loss():
         batch = SequenceBatch(xs, [4, 3])

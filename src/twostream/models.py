@@ -15,7 +15,6 @@ from .errors import ConfigError
 from .tensor import Rng
 from .recurrent import (
     BidirectionalLayer,
-    RecurrentLayer,
     SequenceBatch,
     init_gru_cell,
     init_lstm_cell,
@@ -179,11 +178,11 @@ def _recurrent_stack(name, spec, rng):
     d = spec.hidden_dim
     i = spec.input_dim
     if name == "RNN1":
-        return [RecurrentLayer(init_rnn_cell(i, d, rng))]
+        return [init_rnn_cell(i, d, rng)]
     if name.startswith("LSTM1"):
-        return [RecurrentLayer(init_lstm_cell(i, d, rng))]
+        return [init_lstm_cell(i, d, rng)]
     if name == "GRU1-BN-DP":
-        return [RecurrentLayer(init_gru_cell(i, d, rng))]
+        return [init_gru_cell(i, d, rng)]
     if name == "BI-GRU1-BN-DP":
         return [BidirectionalLayer(init_gru_cell(i, d, rng), init_gru_cell(i, d, rng))]
     # two stacked bidirectional layers; layer 2 consumes the 2d-wide sequence

@@ -1,6 +1,9 @@
 """Recurrent cells (vanilla, LSTM, GRU), sequence unrolling with length
-masking, bidirectional wrapping, layer stacking, and exact backpropagation
+masking, bidirectional layers, layer stacking, and exact backpropagation
 through time.
+
+A cell is a one-direction layer and `BidirectionalLayer` pairs two cells of
+one kind; `unroll`/`unroll_backward` run either, and `stack` chains them.
 
 Conventions shared by every cell:
 
@@ -33,8 +36,8 @@ arrays into a step-ordered tape, so BPTT reads both as they are, with no
 per-step list and no stacking. The sigmoid columns' weights and biases are
 halved once per unroll (`_Cell.forward_weights`), so a sigmoid gate is tanh
 of the pre-activation as it comes plus one in-place affine; halving is exact,
-so every output bit is what `tensor.sigmoid` of the unhalved pre-activation
-gives.
+so every output bit is what (1 + tanh(p / 2)) / 2 of the unhalved
+pre-activation p gives.
 
 The hoisted GEMMs run over the valid pairs only, never over all T*n padded
 rows: OpenBLAS can round a row differently when a GEMM's row count changes,
@@ -141,10 +144,17 @@ class _Cell:
         shape = (*lead, self.hidden_dim)
         return tuple(np.zeros(shape, dtype=default_dtype()) for _ in range(self.n_state))
 
+    @property
+    def out_dim(self):
+        return self.hidden_dim
+
     def param_arrays(self):
         """Every block's W, then every block's b: the order of `param_names`."""
         blocks = self.blocks()
         return [W for W, _ in blocks] + [b for _, b in blocks]
+
+    def param_items(self):
+        return list(zip(self.param_names, self.param_arrays()))
 
     def split_weights(self):
         """The fused blocks split at the input columns: (W_x, b, wh), with the
@@ -203,8 +213,8 @@ _ONE, _HALF = np.array(1.0), np.array(0.5)
 
 
 def _sigmoid_of_halved(pre, out):
-    """sigmoid(2 * pre) into `out`, as `tensor.sigmoid` forms it from the
-    unhalved pre-activation."""
+    """sigmoid(2 * pre) into `out`, formed as (1 + tanh(pre)) / 2: tanh never
+    overflows, so no sign split."""
     np.tanh(pre, out)
     out += _ONE
     out *= _HALF
@@ -597,31 +607,6 @@ def unroll_backward(cell, cache, grad_outputs=None, grad_last=None):
     return param_grads, grad_x.transpose(1, 0, 2)
 
 
-class RecurrentLayer:
-    """A forward-running recurrent layer usable inside a stack."""
-
-    def __init__(self, cell):
-        self.cell = cell
-
-    @property
-    def out_dim(self):
-        return self.cell.hidden_dim
-
-    @property
-    def in_dim(self):
-        return self.cell.input_dim
-
-    def param_items(self):
-        return list(zip(self.cell.param_names, self.cell.param_arrays()))
-
-    def forward(self, batch, train=True):
-        return unroll(self.cell, batch, train=train)
-
-    def backward(self, cache, grad_outputs=None, grad_last=None):
-        param_grads, grad_x = unroll_backward(self.cell, cache, grad_outputs, grad_last)
-        return grad_x, param_grads
-
-
 class BidirectionalLayer:
     """Forward and backward cells of one kind over the same input, outputs
     concatenated; `unroll` runs both in one time loop."""
@@ -642,7 +627,7 @@ class BidirectionalLayer:
         return 2 * self.cell_fwd.hidden_dim
 
     @property
-    def in_dim(self):
+    def input_dim(self):
         return self.cell_fwd.input_dim
 
     def param_arrays(self):
@@ -652,29 +637,21 @@ class BidirectionalLayer:
         names = ["fwd." + n for n in self.cell_fwd.param_names] + ["bwd." + n for n in self.cell_bwd.param_names]
         return list(zip(names, self.param_arrays()))
 
-    def forward(self, batch, train=True):
-        """Forward features in columns [0,d), backward in [d,2d). Returns
-        (outputs [n×T×2d], last_valid [n×2d], cache)."""
-        return unroll(self, batch, train=train)
-
-    def backward(self, cache, grad_outputs=None, grad_last=None):
-        param_grads, grad_x = unroll_backward(self, cache, grad_outputs, grad_last)
-        return grad_x, param_grads
-
 
 def stack(layers, batch: SequenceBatch, train=True):
-    """Run a list of recurrent layers; layer l consumes the full output
-    sequence of layer l-1. Returns (per-layer outputs, top last_valid, caches);
-    with train=False every cache is None."""
+    """Unroll a list of layers (cells, which run forward, or
+    BidirectionalLayers); layer l consumes the full output sequence of layer
+    l-1. Returns (per-layer outputs, top last_valid, caches); with
+    train=False every cache is None."""
     outputs = []
     caches = []
     current = batch
     for idx, layer in enumerate(layers):
-        if layer.in_dim != current.data.shape[2]:
+        if layer.input_dim != current.data.shape[2]:
             raise DimensionError(
-                f"layer {idx} expects width {layer.in_dim}, got {current.data.shape[2]}"
+                f"layer {idx} expects width {layer.input_dim}, got {current.data.shape[2]}"
             )
-        out, last, cache = layer.forward(current, train)
+        out, last, cache = unroll(layer, current, train=train)
         outputs.append(out)
         caches.append(cache)
         current = SequenceBatch(out, batch.lengths)
@@ -688,8 +665,6 @@ def stack_backward(layers, caches, grad_top_outputs=None, grad_top_last=None):
     grad_seq = grad_top_outputs
     grad_last = grad_top_last
     for idx in range(len(layers) - 1, -1, -1):
-        grad_x, pgrads = layers[idx].backward(caches[idx], grad_seq, grad_last)
-        per_layer[idx] = pgrads
-        grad_seq = grad_x
+        per_layer[idx], grad_seq = unroll_backward(layers[idx], caches[idx], grad_seq, grad_last)
         grad_last = None
     return grad_seq, per_layer

@@ -1,6 +1,6 @@
-"""The array type, the few numeric functions shared across layers (sigmoid,
-softmax, feature concatenation and L2 normalization), and a seeded portable
-random source.
+"""The float type, the few numeric functions shared across layers (softmax,
+feature concatenation and L2 normalization), and a seeded portable random
+source.
 
 Arrays are plain numpy ndarrays in row-major (C) order, always float64.
 """
@@ -10,9 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, DimensionError
-
-# The universal value type for activations, weights and gradients.
-Tensor = np.ndarray
 
 
 def default_dtype():
@@ -57,15 +54,7 @@ class Rng:
         return self._gen.permutation(n)
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    # 1/(1+e^-x) == (1 + tanh(x/2)) / 2: tanh never overflows, so no sign split.
-    out = np.tanh(np.multiply(x, 0.5))
-    out += 1.0
-    out *= 0.5
-    return out
-
-
-def softmax(logits: Tensor) -> Tensor:
+def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise exp-normalization with max subtraction for stability.
 
     Accepts a vector or an [n×k] matrix; each row of the result sums to 1.
@@ -76,7 +65,7 @@ def softmax(logits: Tensor) -> Tensor:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def concat_last(a: Tensor, b: Tensor) -> Tensor:
+def concat_last(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Concatenate along the last axis; a's columns come first."""
     a = np.asarray(a)
     b = np.asarray(b)
@@ -85,7 +74,7 @@ def concat_last(a: Tensor, b: Tensor) -> Tensor:
     return np.concatenate([a, b], axis=-1)
 
 
-def l2_normalize(v: Tensor) -> Tensor:
+def l2_normalize(v: np.ndarray) -> np.ndarray:
     """Divide each row by its Euclidean norm; all-zero rows pass through unchanged."""
     v = np.asarray(v, dtype=np.float64)
     norms = np.sqrt((v * v).sum(axis=-1, keepdims=True))

@@ -233,6 +233,21 @@ class TestDatasetRoundtrip:
             Dataset.load(tmp_path)
 
     @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda path: path.unlink(),
+            lambda path: path.write_bytes(b"TSR1 x 3 f64\n"),
+            lambda path: path.write_bytes(path.read_bytes()[:-8]),
+        ],
+        ids=["missing", "bad-header", "truncated"],
+    )
+    def test_unreadable_tensor_names_line_and_file(self, tmp_path, damage):
+        _tiny_dataset(Rng(11)).save(tmp_path)
+        damage(tmp_path / "s00001_vd.tsr")
+        with pytest.raises(DataError, match=r"manifest\.tsv:3: .*s00001_vd\.tsr"):
+            Dataset.load(tmp_path)
+
+    @pytest.mark.parametrize(
         "suffix, cut, shapes",
         [
             ("sk", lambda a: a[:, :2], r"\(2, 3\), line 2's sample has \(3, 3\)"),  # a joint fewer

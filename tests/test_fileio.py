@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -83,6 +85,26 @@ def test_truncated_file_rejected(tmp_path):
         read_tensor(path)
 
 
+@pytest.mark.parametrize(
+    "header",
+    [
+        b"TSR1 x 3 f64",  # ndim not an integer
+        b"TSR1 1 3q f64",  # a dimension not an integer
+        b"TSR1 1 \xc3\xa9 f64",  # not ASCII
+        b"TSR1 2 3 f64",  # ndim 2, one dimension
+        b"TSR1 1 -3 f64",
+        b"TSR1 f64",
+        b"TSR2 1 3 f64",
+        b"TSR1 1 3 f16",
+    ],
+)
+def test_malformed_header_names_the_file(tmp_path, header):
+    path = tmp_path / "a.tsr"
+    path.write_bytes(header + b"\n" + bytes(24))
+    with pytest.raises(DataError, match=re.escape(f"{path}: ")):
+        read_tensor(path)
+
+
 def test_checkpoint_roundtrip_preserves_order_and_values(tmp_path, rng):
     path = tmp_path / "model.ckpt"
     items = [
@@ -113,3 +135,28 @@ def test_checkpoint_manifest_offsets_are_exact(tmp_path):
     assert (name_a, int(off_a)) == (b"a", 0)
     # record a = header "TSR1 1 2 f64\n" (13 bytes) + 16 payload bytes
     assert (name_b, int(off_b)) == (b"b", 13 + 16)
+
+
+@pytest.mark.parametrize(
+    "head, payload",
+    [
+        (b"CKPT1 two\n", b""),
+        (b"CKPT1\n", b""),
+        (b"CKPT2 1\nw 0\n", b""),
+        (b"CKPT1 1\nw zz\n", b""),
+        (b"CKPT1 1\nw -5\n", b""),
+        (b"CKPT1 1\n\xc3\xa9 0\n", b""),
+        (b"CKPT1 2\nw 0\n", b"TSR1 1 2 f64\n" + bytes(16)),
+        (b"CKPT1 1\nw 0\n", b"TSR1 x 2 f64\n" + bytes(16)),
+        (b"CKPT1 1\nw 0\n", b"TSR1 1 2 f64\n" + bytes(8)),
+    ],
+    ids=[
+        "count-not-int", "no-count", "wrong-magic", "offset-not-int", "negative-offset",
+        "name-not-ascii", "manifest-short", "record-header", "record-truncated",
+    ],
+)
+def test_malformed_checkpoint_names_the_file(tmp_path, head, payload):
+    path = tmp_path / "m.ckpt"
+    path.write_bytes(head + payload)
+    with pytest.raises(DataError, match=re.escape(f"{path}: ")):
+        read_checkpoint(path)

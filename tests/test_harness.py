@@ -466,7 +466,10 @@ class TestBenchmarkHooks:
                 harness.train_variant(name, dataset, splits, cfg, seed=0)
         finally:
             spans.uninstall(undo)
-        stale = {"recurrent.bidirectional", "recurrent.bidirectional_backward", "harness._batched_probs"}
+        stale = {
+            "recurrent.bidirectional", "recurrent.bidirectional_backward", "harness._batched_probs",
+            "tensor.sigmoid",
+        }
         assert set(missing) <= stale
         assert tracer.step_ms["GRU1-BN-DP"] and tracer.step_ms["C3D-DESK"]
         assert "harness.validate" in tracer.names

@@ -59,7 +59,7 @@ class TestLadderExpansion:
         assert m1.layers[0].out_dim == 10
         m2 = build_model(_spec("BI-GRU2-BN-DP-H"), rng)
         assert len(m2.layers) == 2
-        assert m2.layers[1].in_dim == 10
+        assert m2.layers[1].input_dim == 10
         assert m2.hidden.W.shape == (10, 10)  # hidden layer matches recurrent width
         assert m2.out.W.shape == (4, 10)
 
@@ -73,8 +73,8 @@ class TestLadderExpansion:
     def test_gru_variant_recurrent_params_are_three_quarters_of_lstm(self, rng):
         lstm = build_model(_spec("LSTM1"), rng)
         gru = build_model(_spec("GRU1-BN-DP"), rng)
-        lstm_rec = param_count(lstm.layers[0].cell)
-        gru_rec = param_count(gru.layers[0].cell)
+        lstm_rec = param_count(lstm.layers[0])
+        gru_rec = param_count(gru.layers[0])
         assert gru_rec * 4 == lstm_rec * 3
 
     def test_same_seed_identical_initial_checkpoints(self, tmp_path):

@@ -11,7 +11,6 @@ from twostream import (
     DimensionError,
     GruCell,
     LstmCell,
-    RecurrentLayer,
     RnnCell,
     Rng,
     SequenceBatch,
@@ -19,13 +18,12 @@ from twostream import (
     init_lstm_cell,
     init_rnn_cell,
     param_count,
-    sigmoid,
     stack,
     unroll,
 )
 from twostream.recurrent import stack_backward, unroll_backward
 
-from conftest import central_diff, max_rel_err
+from conftest import central_diff, max_rel_err, sigmoid
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +200,7 @@ class TestLstmCell:
 
 
 def _hand_written_step(cell, x, state):
-    """One step from the unhalved split weights with `tensor.sigmoid`."""
+    """One step from the unhalved split weights with the reference sigmoid."""
     w_x, b, wh = cell.split_weights()
     xp = x @ w_x.T + b
     h, d = state[0], cell.hidden_dim
@@ -219,7 +217,7 @@ def _hand_written_step(cell, x, state):
 
 @pytest.mark.parametrize("kind", ["lstm", "gru"])
 def test_step_equals_hand_written_step_with_reference_sigmoid(kind, rng):
-    # pins the halved-weight sigmoid gates to tensor.sigmoid bit for bit,
+    # pins the halved-weight sigmoid gates to the reference sigmoid bit for bit,
     # including pre-activations far into saturation
     i, d, n = 8, 6, 40
     cell = _random_cell(kind, i, d, rng)
@@ -535,14 +533,14 @@ class TestBidirectional:
         half = rng.normal(size=(1, 3, 2))
         x = np.concatenate([half, half[:, ::-1, :]], axis=1)  # palindrome, T=6
         batch = SequenceBatch(x, [6])
-        _, last, _ = BidirectionalLayer(cell, cell).forward(batch)
+        _, last, _ = unroll(BidirectionalLayer(cell, cell), batch)
         assert np.abs(last[:, :3] - last[:, 3:]).max() <= 1e-12
 
     def test_output_width_doubles(self, rng):
         cf = _random_cell("gru", 5, 300, rng)
         cb = _random_cell("gru", 5, 300, rng)
         batch = SequenceBatch(rng.normal(size=(2, 4, 5)), [4, 4])
-        outputs, last, _ = BidirectionalLayer(cf, cb).forward(batch)
+        outputs, last, _ = unroll(BidirectionalLayer(cf, cb), batch)
         assert outputs.shape == (2, 4, 600)
         assert last.shape == (2, 600)
 
@@ -550,7 +548,7 @@ class TestBidirectional:
         cf = RnnCell(W=np.zeros((2, 4)), b=np.zeros(2))
         cb = RnnCell(W=np.zeros((2, 4)), b=np.zeros(2))
         batch = SequenceBatch(np.random.rand(2, 3, 2), [3, 2])
-        outputs, last, _ = BidirectionalLayer(cf, cb).forward(batch)
+        outputs, last, _ = unroll(BidirectionalLayer(cf, cb), batch)
         assert not outputs.any() and not last.any()
 
     def test_width_mismatch_rejected(self, rng):
@@ -572,8 +570,8 @@ class TestBidirectional:
         r_out = rng.normal(size=(n, T, 2 * d))
         r_last = rng.normal(size=(n, 2 * d))
         layer = BidirectionalLayer(cf, cb)
-        out, last, cache = layer.forward(batch)
-        gx, grads = layer.backward(cache, r_out, r_last)
+        out, last, cache = unroll(layer, batch)
+        grads, gx = unroll_backward(layer, cache, r_out, r_last)
         out_f, last_f, cache_f = unroll(cf, batch, "forward")
         out_b, last_b, cache_b = unroll(cb, batch, "backward")
         grads_f, gx_f = unroll_backward(cf, cache_f, r_out[:, :, :d], r_last[:, :d])
@@ -591,7 +589,7 @@ class TestStack:
     def test_single_layer_stack_equals_unroll(self, rng):
         cell = _random_cell("lstm", 3, 4, rng)
         batch = SequenceBatch(rng.normal(size=(2, 5, 3)), [5, 3])
-        outputs, last, _ = stack([RecurrentLayer(cell)], batch)
+        outputs, last, _ = stack([cell], batch)
         ref_out, ref_last, _ = unroll(cell, batch)
         assert np.array_equal(outputs[-1], ref_out)
         assert np.array_equal(last, ref_last)
@@ -605,7 +603,7 @@ class TestStack:
             cell.b_gates[...] = rng.normal(0.0, 0.2, size=2)
             cell.b_cand[...] = rng.normal(0.0, 0.2, size=1)
         x = rng.normal(size=(1, 3, 1))
-        outputs, last, _ = stack([RecurrentLayer(l1), RecurrentLayer(l2)], SequenceBatch(x, [3]))
+        outputs, last, _ = stack([l1, l2], SequenceBatch(x, [3]))
         h1 = h2 = 0.0
         mids, refs = [], []
         for t in range(3):
@@ -632,10 +630,12 @@ class TestStack:
         assert last.shape == (1, 600)
 
     def test_dimension_chain_mismatch_rejected(self, rng):
-        l1 = RecurrentLayer(_random_cell("gru", 3, 4, rng))
-        l2 = RecurrentLayer(_random_cell("gru", 5, 2, rng))
-        with pytest.raises(DimensionError, match="layer 1"):
-            stack([l1, l2], SequenceBatch(np.zeros((1, 2, 3)), [2]))
+        cell = _random_cell("gru", 3, 4, rng)
+        l2 = _random_cell("gru", 5, 2, rng)
+        # a BidirectionalLayer's out_dim is 8, twice its cells' width
+        for l1 in (cell, BidirectionalLayer(cell, _random_cell("gru", 3, 4, rng))):
+            with pytest.raises(DimensionError, match=f"layer 1 expects width 5, got {l1.out_dim}"):
+                stack([l1, l2], SequenceBatch(np.zeros((1, 2, 3)), [2]))
 
 
 # ---------------------------------------------------------------------------
@@ -690,25 +690,22 @@ class TestBpttGradients:
         layer = BidirectionalLayer(cf, cb)
 
         def loss():
-            _, last, _ = layer.forward(SequenceBatch(x, lengths))
+            _, last, _ = unroll(layer, SequenceBatch(x, lengths))
             return float((last * r_last).sum())
 
-        _, _, cache = layer.forward(SequenceBatch(x, lengths))
-        gx, pgrads = layer.backward(cache, None, r_last)
+        _, _, cache = unroll(layer, SequenceBatch(x, lengths))
+        pgrads, gx = unroll_backward(layer, cache, None, r_last)
         numeric = central_diff(loss, cf.param_arrays() + cb.param_arrays() + [x])
         assert max_rel_err(pgrads + [gx], numeric) <= 1e-4
 
     def test_stack_gradients_match_finite_differences(self):
         rng = Rng(13)
-        layers = [
-            RecurrentLayer(_random_cell("lstm", 2, 3, rng)),
-            RecurrentLayer(_random_cell("gru", 3, 2, rng)),
-        ]
+        layers = [_random_cell("lstm", 2, 3, rng), _random_cell("gru", 3, 2, rng)]
         x = rng.normal(0.0, 0.8, size=(2, 4, 2))
         lengths = [4, 3]
         x[1, 3:, :] = 0.0
         r_last = rng.normal(size=(2, 2))
-        arrays = [a for L in layers for _, a in L.param_items()] + [x]
+        arrays = [a for L in layers for a in L.param_arrays()] + [x]
 
         def loss():
             _, last, _ = stack(layers, SequenceBatch(x, lengths))
@@ -722,10 +719,10 @@ class TestBpttGradients:
     def test_second_backward_on_one_cache_rejected(self, rng):
         # the first backward frees the forward's per-step tape
         layer = BidirectionalLayer(_random_cell("gru", 2, 3, rng), _random_cell("gru", 2, 3, rng))
-        _, last, cache = layer.forward(SequenceBatch(rng.normal(size=(2, 4, 2)), [4, 2]))
-        layer.backward(cache, None, np.ones_like(last))
+        _, last, cache = unroll(layer, SequenceBatch(rng.normal(size=(2, 4, 2)), [4, 2]))
+        unroll_backward(layer, cache, None, np.ones_like(last))
         with pytest.raises(ContractError, match="already ran on this cache"):
-            layer.backward(cache, None, np.ones_like(last))
+            unroll_backward(layer, cache, None, np.ones_like(last))
 
     @pytest.mark.parametrize(
         "kind, direction",
@@ -750,21 +747,20 @@ class TestBpttGradients:
         # the forward loop halves the sigmoid columns in copies, never in params
         if kind == "bi_lstm":
             layer = BidirectionalLayer(_random_biased_cell("lstm", 3, 4, rng), _random_biased_cell("lstm", 3, 4, rng))
-            arrays = layer.param_arrays()
         else:
-            layer = RecurrentLayer(_random_biased_cell(kind, 3, 4, rng))
-            arrays = layer.cell.param_arrays()
+            layer = _random_biased_cell(kind, 3, 4, rng)
+        arrays = layer.param_arrays()
         before = [a.copy() for a in arrays]
         batch = SequenceBatch(_padded_rows_zeroed(rng.normal(size=(3, 5, 3)), [5, 2, 4]), [5, 2, 4])
-        out, last, cache = layer.forward(batch)
-        layer.backward(cache, np.ones_like(out), np.ones_like(last))
-        layer.forward(batch, train=False)
+        out, last, cache = unroll(layer, batch)
+        unroll_backward(layer, cache, np.ones_like(out), np.ones_like(last))
+        unroll(layer, batch, train=False)
         assert all(np.array_equal(a, b) for a, b in zip(arrays, before))
 
     def test_inference_stack_returns_no_caches(self, rng):
         layers = [
             BidirectionalLayer(_random_cell("gru", 3, 2, rng), _random_cell("gru", 3, 2, rng)),
-            RecurrentLayer(_random_cell("lstm", 4, 3, rng)),
+            _random_cell("lstm", 4, 3, rng),
         ]
         batch = SequenceBatch(rng.normal(size=(2, 5, 3)), [5, 3])
         outs_t, last_t, _ = stack(layers, batch)

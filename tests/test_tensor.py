@@ -9,9 +9,10 @@ from twostream import (
     Rng,
     concat_last,
     l2_normalize,
-    sigmoid,
     softmax,
 )
+
+from conftest import sigmoid
 
 
 class TestElementwise:

@@ -109,12 +109,15 @@ class Dataset:
             raise DataError(f"no manifest.tsv under {directory}")
         samples = []
         n_classes = 0
-        with open(manifest) as fh:
+        with open(manifest, "rb") as fh:  # decoded line by line, so a bad byte names its line
             header = fh.readline()
-            if not header.startswith("sample_id\t"):
+            if not header.startswith(b"sample_id\t"):
                 raise DataError(f"unrecognized manifest header in {manifest}")
             for lineno, line in enumerate(fh, start=2):
-                fields = line.rstrip("\n").split("\t")
+                try:
+                    fields = line.decode("utf-8").rstrip("\n").split("\t")
+                except UnicodeDecodeError:
+                    raise DataError(f"{manifest}:{lineno}: not UTF-8 text") from None
                 if len(fields) != 7:
                     raise DataError(
                         f"{manifest}:{lineno}: expected 7 tab-separated fields, got {len(fields)}"

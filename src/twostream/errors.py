@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import math
+
 
 class DimensionError(ValueError):
     """Array shapes are incompatible with the requested operation."""
@@ -11,6 +13,13 @@ class DataError(ValueError):
 
 class ConfigError(ValueError):
     """A configuration value or model/layer description is invalid."""
+
+
+def check_positive(name, value):
+    """Raise a ConfigError naming `name` unless value is positive and finite
+    (NaN is neither)."""
+    if not 0 < value < math.inf:
+        raise ConfigError(f"{name} must be positive and finite, got {value}")
 
 
 class ContractError(RuntimeError):

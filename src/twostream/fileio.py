@@ -77,24 +77,27 @@ def read_tensor(path) -> np.ndarray:
 def write_checkpoint(path, named_tensors) -> None:
     """Write a CKPT1 file from an ordered mapping (or pair list) of name -> tensor."""
     items = list(named_tensors.items()) if hasattr(named_tensors, "items") else list(named_tensors)
-    records = []
-    offset = 0
-    manifest = []
+    records = {}
     for name, array in items:
         if not name or any(c.isspace() for c in name):
             raise DataError(f"checkpoint names must be non-empty and whitespace-free: {name!r}")
+        _check_new_name(path, name, records)
         buf = io.BytesIO()
         write_tensor_to(buf, array)
-        blob = buf.getvalue()
-        manifest.append(f"{name} {offset}\n")
-        records.append(blob)
-        offset += len(blob)
+        records[name] = buf.getvalue()
     with open(path, "wb") as fh:
-        fh.write(f"CKPT1 {len(items)}\n".encode("ascii"))
-        for line in manifest:
-            fh.write(line.encode("ascii"))
-        for blob in records:
-            fh.write(blob)
+        fh.write(f"CKPT1 {len(records)}\n".encode("ascii"))
+        offset = 0
+        for name, blob in records.items():
+            fh.write(f"{name} {offset}\n".encode("ascii"))
+            offset += len(blob)
+        fh.writelines(records.values())
+
+
+def _check_new_name(path, name, seen):
+    """A CKPT1 file maps each name to one tensor: refuse a name already in `seen`."""
+    if name in seen:
+        raise DataError(f"{path}: checkpoint name {name!r} appears more than once")
 
 
 def _name_and_number(fh, path, what):
@@ -118,6 +121,7 @@ def read_checkpoint(path) -> dict:
         payload_start = fh.tell()
         out = {}
         for name, offset in entries:
+            _check_new_name(path, name, out)
             fh.seek(payload_start + offset)
             out[name] = read_tensor_from(fh)
     return out

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DimensionError
+from .errors import DataError, DimensionError, check_positive
 from .tensor import concat_last, default_dtype, l2_normalize
 
 
@@ -45,8 +45,8 @@ class TrustWeights:
     w_c: float = 1.0
 
     def __post_init__(self):
-        if self.w_r <= 0 or self.w_c <= 0:
-            raise ValueError(f"trust weights must be positive, got ({self.w_r}, {self.w_c})")
+        check_positive("w_r", self.w_r)
+        check_positive("w_c", self.w_c)
 
 
 def decision_fuse(w: TrustWeights, rnn_pred: Prediction, cnn_pred: Prediction) -> Prediction:

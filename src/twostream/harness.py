@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DataError, DivergenceError
+from .errors import ConfigError, ContractError, DataError, DivergenceError, check_positive
 from .tensor import Rng, softmax
 from .recurrent import (
     BidirectionalLayer,
@@ -37,7 +37,7 @@ from .conv3d import (
 from .heads import dense_backward, dense_forward, init_dense, softmax_xent
 from .optim import RmspropState, SgdHalvingState, rmsprop_step, sgd_halving_step
 from .fusion import decision_fuse, feature_fuse, search_trust_weights
-from .heads import svm_predict, svm_train
+from .heads import svm_objective, svm_predict, svm_train
 from .data import Dataset, Splits, SplitSpec, make_splits, pad_sequences
 from .models import ModelSpec, build_model, LADDER_VARIANTS
 from .parallel import ordered_map
@@ -62,6 +62,9 @@ class TrainConfig:
             raise ConfigError(f"eval_every must be at least 1, got {self.eval_every}")
         if self.optimizer not in ("rmsprop", "sgd_halving"):
             raise ConfigError(f"unknown optimizer {self.optimizer!r}; use rmsprop or sgd_halving")
+        check_positive("learning_rate", self.learning_rate)
+        if not 0 <= self.decay < 1:
+            raise ConfigError(f"decay must be in [0, 1), got {self.decay}")
 
 
 @dataclass
@@ -516,8 +519,7 @@ def gradcheck_all(rng=None) -> GradcheckReport:
         wf *= 1.1
 
     def svm_loss():
-        m = yf * (xf @ wf + bf[0])
-        return 0.5 * float(wf @ wf) + c_svm * float(np.maximum(0.0, 1.0 - m).sum())
+        return svm_objective(wf, bf[0], xf, yf, c_svm)
 
     m = yf * (xf @ wf + bf[0])
     viol = m < 1.0

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DimensionError
+from .errors import DataError, DimensionError, check_positive
 from .tensor import Rng, default_dtype, softmax
 from .recurrent import glorot_uniform
 
@@ -116,8 +116,7 @@ def svm_train(features, labels, C) -> SvmModel:
     classes = np.unique(labels)
     if classes.size < 2:
         raise DataError(f"one-vs-rest training needs >= 2 classes, got {classes.size}")
-    if C <= 0:
-        raise ValueError(f"C must be positive, got {C}")
+    check_positive("C", C)
     n, d = x.shape
     k = int(labels.max()) + 1
     lam = 1.0 / (C * n)

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, check_positive
 
 RMSPROP_EPSILON = 1e-8  # inside the root; unrelated to batchnorm's epsilon
 HALVING_PATIENCE = 3  # evaluations in a row without improvement
@@ -53,8 +53,7 @@ class SgdHalvingState:
     bad_evals: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning rate must be positive, got {self.learning_rate}")
+        check_positive("learning_rate", self.learning_rate)
 
 
 def sgd_halving_step(state: SgdHalvingState, params: dict, grads: dict, improved=None) -> dict:

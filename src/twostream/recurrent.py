@@ -45,12 +45,15 @@ so projecting padded rows too would let extra padding change the bits of
 real outputs. Restricted to valid pairs, extra padding adds no rows, and
 outputs and gradients stay bit-identical however far a batch is padded.
 
-A bidirectional layer runs both of its cells in that one loop, batching the
+Every direction steps forward through its own reading order: a forward
+cell's step s reads a row's true step s, a backward cell's reads true step
+L-1-s, where L is the row's true length. So in every direction a row's valid
+steps are s < L, and one mask freezes every direction past them. A
+bidirectional layer runs both of its cells in that one loop, batching the
 two directions' independent per-step GEMMs as Appleyard et al. do: states
-carry a leading direction axis ([2, n, d]) and the recurrent weight halves
-are stacked [2, d, G], so each step makes one round of small numpy calls for
-both directions instead of two. A one-direction unroll keeps plain [n, d]
-arrays; the step methods are written for either.
+carry a direction axis ([k, n, d], k = 1 or 2) and the recurrent weight
+halves are stacked [k, d, G], so each step makes one round of small numpy
+calls for both directions instead of two.
 """
 
 from __future__ import annotations
@@ -129,8 +132,9 @@ class _Cell:
       that pass through a sigmoid.
 
     The three methods index only the last axis and broadcast over the ones
-    before it, so the same code runs one direction ([n, .] states, [d, G]
-    weights) or two stacked ([2, n, .] states, [2, d, G] weights).
+    before it, so the same code runs `step`'s [n, .] states and [d, G]
+    weights and `unroll`'s direction-stacked [k, n, .] states and [k, d, G]
+    weights.
     """
 
     n_state = 1
@@ -166,14 +170,15 @@ class _Cell:
         return w_x, b, [np.ascontiguousarray(W[:, i:].T) for W, _ in blocks]
 
     def forward_weights(self, w_x, b, wh):
-        """`split_weights`' (W_x, b, wh) for `recur`, with the first
-        `sigmoid_width` fused columns halved. Halving is exact (outside the
-        subnormal range), so the projections come out as exactly half the
-        pre-activations and the sigmoid's own halving is saved. A cell with no
-        sigmoid columns gets the given arrays back, not scaled copies."""
+        """`split_weights`' (W_x, b, wh), one cell's or stacked on a leading
+        direction axis, for `recur`, with the first `sigmoid_width` fused
+        columns halved. Halving is exact (outside the subnormal range), so the
+        projections come out as exactly half the pre-activations and the
+        sigmoid's own halving is saved. A cell with no sigmoid columns gets
+        the given arrays back, not scaled copies."""
         if not self.sigmoid_width:
             return w_x, b, wh
-        scale = np.ones_like(b)
+        scale = np.ones(b.shape[-1], dtype=b.dtype)
         scale[: self.sigmoid_width] = 0.5
         halved = [w * s for w, s in zip(wh, _column_blocks(scale, wh))]
         return w_x * scale[:, None], b * scale, halved
@@ -422,8 +427,8 @@ class SequenceBatch:
         return SequenceBatch(self.data[rows], np.asarray(self.lengths)[rows])
 
 
-def _directions(cell, direction):
-    """The cells `unroll` runs and, for each, whether it walks time backwards."""
+def _directions(cell, direction="forward"):
+    """The cells `unroll` runs and, for each, whether it reads time backwards."""
     if isinstance(cell, BidirectionalLayer):
         return (cell.cell_fwd, cell.cell_bwd), (False, True)
     if direction not in ("forward", "backward"):
@@ -431,65 +436,38 @@ def _directions(cell, direction):
     return (cell,), (direction == "backward",)
 
 
-def _stacked(arrays, axis=0):
-    """One direction's array as it is; two stacked on a new direction axis."""
-    return arrays[0] if len(arrays) == 1 else np.stack(arrays, axis=axis)
-
-
-def _time_views(a, reverse):
-    """Split a step-ordered array [t_run, (2,) n, ...] into one time-ordered
-    [t_run, n, ...] view per direction."""
-    if len(reverse) == 1:
-        return [a[::-1] if reverse[0] else a]
-    return [a[::-1, j] if rev else a[:, j] for j, rev in enumerate(reverse)]
-
-
-def _step_ordered(parts, reverse):
-    """The inverse of `_time_views`: per-direction time-ordered arrays as one
-    step-ordered array."""
-    return _stacked([p[::-1] if rev else p for p, rev in zip(parts, reverse)], axis=1)
-
-
-def _split_columns(a, parts):
-    """Split the last axis into `parts` equal blocks, one per direction."""
-    w = a.shape[-1] // parts
-    return [a[..., j * w : (j + 1) * w] for j in range(parts)]
-
-
 def unroll(cell, batch: SequenceBatch, direction="forward", train=True):
     """Run a cell across time. Returns (outputs [n×T×d], last_valid [n×d], cache).
     With train=False the cache is None: no per-step tape is kept for BPTT.
 
-    Forward direction iterates t = 1..T, backward t = T..1; in both cases a
-    row's state only updates at steps inside its true length, so last_valid is
-    the state at the final true step (forward) or at step 1 (backward).
+    Forward direction reads t = 1..L of each row, backward t = L..1, where L
+    is the row's true length; last_valid is the state after the row's final
+    true step (forward) or after step 1 (backward).
 
     `cell` may also be a BidirectionalLayer (`direction` then does not
-    apply). Its two cells run in the same loop over states stacked [2, n, d]:
-    step k advances the forward cell at t = k and the backward cell at
-    t = t_run-1-k, and outputs and last_valid hold the two directions side by
-    side, forward first ([n×T×2d], [n×2d]).
+    apply). Its two cells run in the same loop, and outputs and last_valid
+    hold the two directions side by side, forward first ([n×T×2d], [n×2d]).
 
-    Every array the loop writes is allocated once per call, step-ordered: one
-    state buffer per state, [t_run+1, (2,) n, d] with row 0 the zero start,
-    and one tape array per `tape_widths` entry, [t_run, (2,) n, w] (one slot
-    that every step reuses when train=False). Step k reads state row k and
-    writes row k+1, so the states before each step, which BPTT needs, are the
-    buffer's first t_run rows and the outputs are its last t_run.
+    Every direction steps forward through its own reading order: step s reads
+    true step t = s of a row in a forward cell and t = L-1-s in a backward
+    one. So in every direction a row's steps s < L are its true steps, and
+    one `valid` mask [s, row] freezes every direction's state at s >= L. The
+    arrays the loop writes carry a direction axis of k = 1 or 2 entries and
+    are allocated once per call, step-ordered: one state buffer per state,
+    [t_run+1, k, n, d] with row 0 the zero start, and one tape array per
+    `tape_widths` entry, [t_run, k, n, w] (one slot that every step reuses
+    when train=False). Step s reads state row s and writes row s+1, so the
+    states before each step, which BPTT needs, are the buffer's first t_run
+    rows. Each valid (t, row) pair's step slot, per direction, is worked out
+    once from `np.nonzero(valid)` and moves rows between time order and step
+    order in both passes.
 
-    Only a forward-running cell needs its state frozen at padded steps. A
-    backward-running cell meets a row's padding before the row's first true
-    step, from a zero state and with a zero projected input (the bias is added
-    at valid pairs only), so it stays exactly zero there without a freeze:
-    tanh(0) = 0, and the sigmoid gates multiply zeros.
-
-    The recurrent halves W_h^T are contiguous copies, [d, G] or stacked
-    [2, d, G], and BPTT multiplies by their transposed views. numpy's stacked
-    matmul then makes the same GEMM call for each direction's slice as a
-    one-direction unroll makes, so both directions come out bit-identical to
-    two separate unrolls. Either operand laid out the other way (a transposed
-    view forward, a contiguous W_h backward) flips BLAS's transpose flag, and
-    the products round differently.
+    The recurrent halves W_h^T are contiguous copies stacked [k, d, G], and
+    BPTT multiplies by their transposed views. numpy's stacked matmul then
+    makes the same GEMM call for each direction's slice, so both directions
+    come out bit-identical to two separate unrolls. Either operand laid out
+    the other way (a transposed view forward, a contiguous W_h backward)
+    flips BLAS's transpose flag, and the products round differently.
     """
     cells, reverse = _directions(cell, direction)
     x = batch.data
@@ -499,50 +477,48 @@ def unroll(cell, batch: SequenceBatch, direction="forward", train=True):
             raise DimensionError(f"input width {i} does not match input_dim {c.input_dim}")
     lengths = np.asarray(batch.lengths)
     t_run = int(lengths.max())  # later steps are padding in every row
-    valid = np.arange(t_run)[:, None] < lengths  # [t, row]
+    valid = np.arange(t_run)[:, None] < lengths  # [s, row], in every direction
+    frozen = ~valid[:, :, None]  # broadcasts over a step's [k, n, d] states
+    partial = frozen.any(axis=(1, 2)).tolist()
+    # Every valid (t, row) pair, t-major, and per direction its flat row in a
+    # step-ordered [t_run, k, n] buffer: slot_of [k, V].
+    t_of, row_of = np.nonzero(valid)
+    k = len(cells)
+    steps = [lengths[row_of] - 1 - t_of if rev else t_of for rev in reverse]
+    slot_of = np.array([(s * k + j) * n + row_of for j, s in enumerate(steps)])
     step = cells[0]  # both cells are of one kind, so one runs the steps
     d = step.hidden_dim
-    lead = (2,) if len(cells) == 2 else ()  # the direction axis
     split = [c.split_weights() for c in cells]
-    halved = [c.forward_weights(*weights) for c, weights in zip(cells, split)]
-    w_x = [w for w, _, _ in split]
-    w_h = [_stacked(same) for same in zip(*(wh for _, _, wh in split))]
-    w_h_halved = [_stacked(same) for same in zip(*(wh for _, _, wh in halved))]
-    x_valid = x.transpose(1, 0, 2)[:t_run][valid]
-    # One step-ordered buffer per block, so each step reads contiguous rows:
-    # each direction's projections go straight into their slots, the backward
-    # direction's through a reversed time view.
-    xp = [np.zeros((t_run, *lead, n, w.shape[-1]), dtype=x.dtype) for w in w_h_halved]
-    for j, (w, b, _) in enumerate(halved):
-        for xp_block, part in zip(xp, _column_blocks(x_valid @ w.T + b, w_h_halved)):
-            _time_views(xp_block, reverse)[j][valid] = part
+    w_x, b = np.array([w for w, _, _ in split]), np.array([bias for _, bias, _ in split])
+    w_h = [np.array(same) for same in zip(*(wh for _, _, wh in split))]
+    w_x_halved, b_halved, w_h_halved = step.forward_weights(w_x, b, w_h)
+    x_valid = x[row_of, t_of]
+    # One step-ordered buffer per block, so each step reads contiguous rows.
+    xp = [np.zeros((t_run, k, n, w.shape[-1]), dtype=x.dtype) for w in w_h_halved]
+    for j in range(k):
+        for xp_block, part in zip(xp, _column_blocks(x_valid @ w_x_halved[j].T + b_halved[j], w_h_halved)):
+            xp_block.reshape(-1, part.shape[1])[slot_of[j]] = part
         del part  # a view of this direction's projection: free it before the next
-    # only a forward-running cell is frozen at padded steps
-    frozen = _stacked([np.zeros_like(valid) if rev else ~valid for rev in reverse], axis=1)[..., None]
-    partial = frozen.any(axis=tuple(range(1, frozen.ndim))).tolist()
-    states = step.zero_state(t_run + 1, *lead, n)
-    tape = [np.empty((t_run if train else 1, *lead, n, w), dtype=x.dtype) for w in step.tape_widths()]
+    states = step.zero_state(t_run + 1, k, n)
+    tape = [np.empty((t_run if train else 1, k, n, w), dtype=x.dtype) for w in step.tape_widths()]
     # Per-step rows come from iterating the buffers, which costs less than
     # indexing each one every step; an empty or one-slot tape repeats its slot.
     slots = zip(*tape) if train and tape else repeat([a[0] for a in tape])
     rows = zip(zip(*xp), zip(*states), zip(*(s[1:] for s in states)), slots, partial, frozen)
-    for xp_k, state, new_state, slots_k, is_partial, frozen_k in rows:
-        step.recur(xp_k, w_h_halved, state, new_state, slots_k)
+    for xp_s, state, new_state, slots_s, is_partial, frozen_s in rows:
+        step.recur(xp_s, w_h_halved, state, new_state, slots_s)
         if is_partial:  # frozen rows keep their state
-            for s_new, s in zip(new_state, state):
-                np.copyto(s_new, s, where=frozen_k)
+            for new, old in zip(new_state, state):
+                np.copyto(new, old, where=frozen_s)
     # xp is spent; free it, and the loop's views of it, before the outputs are assembled
-    del xp, rows, xp_k
+    del xp, rows, xp_s
     h = states[0]
-    out = np.zeros((T, n, len(cells) * d), dtype=x.dtype)
-    for cols, h_j in zip(_split_columns(out[:t_run], len(cells)), _time_views(h[1:], reverse)):
-        cols[...] = h_j
-    out[:t_run][~valid] = 0.0
-    # a copy: the cache's tape holds the buffer
-    last = np.concatenate(h[-1], axis=1) if lead else h[-1].copy()
+    out = np.zeros((T, n, k * d), dtype=x.dtype)
+    out[t_of, row_of] = np.take(h[1:].reshape(-1, d), slot_of.T, axis=0).reshape(-1, k * d)
+    last = np.concatenate(h[-1], axis=1)  # a copy: the cache's tape holds the buffer
     if not train:
         return out.transpose(1, 0, 2), last, None
-    return out.transpose(1, 0, 2), last, ([*states, *tape], frozen, partial, valid, x_valid, w_x, w_h, direction, T)
+    return out.transpose(1, 0, 2), last, ([*states, *tape], frozen, partial, t_of, row_of, slot_of, x_valid, w_x, w_h, T)
 
 
 def unroll_backward(cell, cache, grad_outputs=None, grad_last=None):
@@ -556,54 +532,56 @@ def unroll_backward(cell, cache, grad_outputs=None, grad_last=None):
     """
     if cache is None:
         raise ContractError("unroll_backward got the cache of an unroll that ran with train=False")
-    saved, frozen, partial, valid, x_valid, w_x, w_h, direction, T = cache
+    saved, frozen, partial, t_of, row_of, slot_of, x_valid, w_x, w_h, T = cache
     if not saved:
         raise ContractError("unroll_backward already ran on this cache; run unroll again")
-    cells, reverse = _directions(cell, direction)
-    step = cells[0]
-    t_run, n = valid.shape
-    lead = frozen.shape[1:-2]
+    step = _directions(cell)[0][0]  # the cell that ran the steps
+    t_run, n = frozen.shape[:2]
+    k, d = len(slot_of), step.hidden_dim
     dtype = default_dtype()
     hins, factors = step.local_grads(*saved)
     saved.clear()
-    dstate = step.zero_state(*lead, n)
+    dstate = step.zero_state(k, n)
     if grad_last is not None:
-        np.add(dstate[0], _stacked(_split_columns(grad_last, len(cells))), dstate[0])
+        np.add(dstate[0], grad_last.reshape(n, k, d).swapaxes(0, 1), dstate[0])
     grad_tm = None
     if grad_outputs is not None:
-        grad_tm = grad_outputs.transpose(1, 0, 2)[:t_run] * valid[:, :, None]
-        grad_tm = _step_ordered(_split_columns(grad_tm, len(cells)), reverse)
-    dpre = np.empty((t_run, *lead, n, w_x[0].shape[0]), dtype=dtype)
+        grad_tm = np.zeros((t_run, k, n, d), dtype=dtype)
+        grad_tm.reshape(-1, d)[slot_of.T] = grad_outputs[row_of, t_of].reshape(-1, k, d)
+    dpre = np.empty((t_run, k, n, w_x.shape[1]), dtype=dtype)
     wh_t = [w.swapaxes(-1, -2) for w in w_h]
-    for k in range(t_run - 1, -1, -1):
+    for s in range(t_run - 1, -1, -1):
         if grad_tm is not None:
-            np.add(dstate[0], grad_tm[k], dstate[0])
-        dstate_prev = step.recur_backward(factors, k, dstate, wh_t, dpre[k])
-        if partial[k]:  # frozen rows: discard the step, pass the gradient through
+            np.add(dstate[0], grad_tm[s], dstate[0])
+        dstate_prev = step.recur_backward(factors, s, dstate, wh_t, dpre[s])
+        if partial[s]:  # frozen rows: discard the step, pass the gradient through
             for dp, ds in zip(dstate_prev, dstate):
-                np.copyto(dp, ds, where=frozen[k])
+                np.copyto(dp, ds, where=frozen[s])
         dstate = dstate_prev
     # Both directions' factors are held at once; drop them before the gathers.
     del factors, grad_tm
-    # One GEMM each over all valid row-steps instead of one per step.
+    # One GEMM each over all valid row-steps instead of one per step, each
+    # direction's rows gathered back into t-major order.
     widths = [w.shape[-1] for w in w_h]
-    hins_by_direction = zip(*(_time_views(hin, reverse) for hin in hins))
+    dpre = dpre.reshape(-1, dpre.shape[-1])
+    hins = [hin.reshape(-1, hin.shape[-1]) for hin in hins]
     param_grads, grad_x_valid = [], []
-    for dpre_j, hins_j, w_x_j in zip(_time_views(dpre, reverse), hins_by_direction, w_x):
-        dpre_valid = dpre_j[valid]
+    for slot_of_j, w_x_j in zip(slot_of, w_x):
+        dpre_valid = np.take(dpre, slot_of_j, axis=0)
         grad_x_valid.append(dpre_valid @ w_x_j)
         dW_x = dpre_valid.T @ x_valid
         db = dpre_valid.sum(axis=0)
         weights, biases = [], []
         lo = 0
-        for hin, width in zip(hins_j, widths):
+        for hin, width in zip(hins, widths):
             hi = lo + width
-            weights.append(np.concatenate([dW_x[lo:hi], dpre_valid[:, lo:hi].T @ hin[valid]], axis=1))
+            dW_h = dpre_valid[:, lo:hi].T @ np.take(hin, slot_of_j, axis=0)
+            weights.append(np.concatenate([dW_x[lo:hi], dW_h], axis=1))
             biases.append(db[lo:hi])
             lo = hi
         param_grads += weights + biases
     grad_x = np.zeros((T, n, x_valid.shape[1]), dtype=dtype)
-    grad_x[:t_run][valid] = sum(grad_x_valid[1:], grad_x_valid[0])
+    grad_x[t_of, row_of] = sum(grad_x_valid[1:], grad_x_valid[0])
     return param_grads, grad_x.transpose(1, 0, 2)
 
 

@@ -221,14 +221,15 @@ class TestDatasetRoundtrip:
             "s9\t4\t0\t0\ta_sk.tsr\ta_vd.tsr\t4\n",  # label == n_classes
             "s9\t-1\t0\t0\ta_sk.tsr\ta_vd.tsr\t4\n",
             "s9\t0\t0\t0\ta_sk.tsr\ta_vd.tsr\t5\n",  # line 2 says 4
+            "s\xff\t0\t0\t0\ta_sk.tsr\ta_vd.tsr\t4\n",  # byte 0xff: not UTF-8
         ],
     )
     def test_malformed_manifest_line_names_its_line(self, tmp_path, bad_line):
         _tiny_dataset(Rng(11)).save(tmp_path)
         manifest = tmp_path / "manifest.tsv"
-        lines = manifest.read_text().splitlines(keepends=True)
+        lines = manifest.read_text(encoding="latin-1").splitlines(keepends=True)
         lines.insert(2, bad_line)  # header is line 1, so this is line 3
-        manifest.write_text("".join(lines))
+        manifest.write_text("".join(lines), encoding="latin-1")  # one byte per character
         with pytest.raises(DataError, match=r"manifest\.tsv:3:"):
             Dataset.load(tmp_path)
 

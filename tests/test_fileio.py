@@ -125,6 +125,13 @@ def test_checkpoint_rejects_whitespace_names(tmp_path):
         write_checkpoint(tmp_path / "x.ckpt", [("bad name", np.zeros(2))])
 
 
+def test_checkpoint_rejects_repeated_names(tmp_path):
+    path = tmp_path / "x.ckpt"
+    with pytest.raises(DataError, match=re.escape(f"{path}: checkpoint name 'w'")):
+        write_checkpoint(path, [("w", np.ones(2)), ("w", np.zeros(3))])
+    assert not path.exists()
+
+
 def test_checkpoint_manifest_offsets_are_exact(tmp_path):
     path = tmp_path / "m.ckpt"
     write_checkpoint(path, [("a", np.zeros(2)), ("b", np.ones(3))])
@@ -149,10 +156,11 @@ def test_checkpoint_manifest_offsets_are_exact(tmp_path):
         (b"CKPT1 2\nw 0\n", b"TSR1 1 2 f64\n" + bytes(16)),
         (b"CKPT1 1\nw 0\n", b"TSR1 x 2 f64\n" + bytes(16)),
         (b"CKPT1 1\nw 0\n", b"TSR1 1 2 f64\n" + bytes(8)),
+        (b"CKPT1 2\nw 0\nw 29\n", b"TSR1 1 2 f64\n" + bytes(16) + b"TSR1 1 3 f64\n" + bytes(24)),
     ],
     ids=[
         "count-not-int", "no-count", "wrong-magic", "offset-not-int", "negative-offset",
-        "name-not-ascii", "manifest-short", "record-header", "record-truncated",
+        "name-not-ascii", "manifest-short", "record-header", "record-truncated", "name-repeated",
     ],
 )
 def test_malformed_checkpoint_names_the_file(tmp_path, head, payload):

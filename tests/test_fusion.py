@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from twostream import (
+    ConfigError,
     DataError,
     DimensionError,
     Prediction,
@@ -86,6 +87,12 @@ class TestDecisionFuse:
     def test_class_count_mismatch_rejected(self):
         with pytest.raises(DimensionError):
             decision_fuse(TrustWeights(), _pred(0.9, k=3), _pred(0.9, k=4))
+
+    @pytest.mark.parametrize("field", ["w_r", "w_c"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_weight_rejected_naming_the_field(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            TrustWeights(**{field: value})
 
 
 class TestSearchTrustWeights:

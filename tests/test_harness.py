@@ -119,6 +119,12 @@ class TestTrainLoop:
             ("optimizer", "adam"),
             ("epochs", 0),
             ("epochs", -1),
+            ("learning_rate", 0.0),
+            ("learning_rate", float("nan")),
+            ("learning_rate", float("inf")),
+            ("decay", 1.0),
+            ("decay", -0.1),
+            ("decay", float("nan")),
         ],
     )
     def test_bad_config_rejected_naming_the_field(self, field, value):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from twostream import (
+    ConfigError,
     DataError,
     DenseParams,
     Rng,
@@ -130,6 +131,12 @@ class TestSvm:
     def test_single_class_data_rejected(self, rng):
         with pytest.raises(DataError):
             svm_train(rng.normal(size=(10, 3)), np.zeros(10, dtype=int), C=1.0)
+
+    @pytest.mark.parametrize("C", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_c_rejected_naming_the_field(self, C):
+        x, y = _separable_clouds(Rng(3), n_per=4)
+        with pytest.raises(ConfigError, match="C must be"):
+            svm_train(x, y, C=C)
 
     def test_zero_weights_predict_class_zero(self):
         model = svm_train(

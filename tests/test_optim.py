@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from twostream import (
+    ConfigError,
     DimensionError,
     RmspropState,
     SgdHalvingState,
@@ -59,6 +60,11 @@ class TestRmsprop:
 
 
 class TestSgdHalving:
+    @pytest.mark.parametrize("value", [0.0, -0.1, float("nan"), float("inf")])
+    def test_bad_learning_rate_rejected_naming_the_field(self, value):
+        with pytest.raises(ConfigError, match="learning_rate"):
+            SgdHalvingState(learning_rate=value)
+
     def test_single_step_arithmetic(self):
         state = SgdHalvingState(learning_rate=0.1)
         params = {"p": np.array([1.0])}

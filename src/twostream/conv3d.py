@@ -642,6 +642,14 @@ def build_c3d(spec: C3dSpec, rng: Rng) -> C3dModel:
     return C3dModel(spec, convs, fc6, fc7, out)
 
 
+def clip_count(t, clip_len=16):
+    """How many clips `clip_split` cuts from a video of t frames."""
+    if t == 0:
+        raise DataError("cannot split an empty video")
+    whole, rem = divmod(t, clip_len)
+    return max(1, whole + (2 * rem >= clip_len))
+
+
 def clip_split(pixels, clip_len=16):
     """Partition a video [c,T,h,w] into non-overlapping fixed-length clips.
 
@@ -651,24 +659,16 @@ def clip_split(pixels, clip_len=16):
     """
     if pixels.ndim != 4:
         raise DimensionError(f"expected [c,T,h,w] pixels, got {pixels.shape}")
-    t = pixels.shape[1]
-    if t == 0:
-        raise DataError("cannot split an empty video")
 
-    def pad_to(block, n_frames):
-        short = n_frames - block.shape[1]
+    def clip(k):
+        block = pixels[:, k * clip_len : (k + 1) * clip_len]
+        short = clip_len - block.shape[1]
         if short <= 0:
             return block
         tail = np.repeat(block[:, -1:], short, axis=1)
         return np.concatenate([block, tail], axis=1)
 
-    if t < clip_len:
-        return [pad_to(pixels, clip_len)]
-    clips = [pixels[:, s : s + clip_len] for s in range(0, t - clip_len + 1, clip_len)]
-    rem = t % clip_len
-    if rem * 2 >= clip_len:
-        clips.append(pad_to(pixels[:, t - rem :], clip_len))
-    return clips
+    return [clip(k) for k in range(clip_count(pixels.shape[1], clip_len))]
 
 
 def clip_average(predictions):

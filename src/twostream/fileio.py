@@ -81,6 +81,8 @@ def write_checkpoint(path, named_tensors) -> None:
     for name, array in items:
         if not name or any(c.isspace() for c in name):
             raise DataError(f"checkpoint names must be non-empty and whitespace-free: {name!r}")
+        if not name.isascii():
+            raise DataError(f"{path}: checkpoint name {name!r} is not ASCII")
         _check_new_name(path, name, records)
         buf = io.BytesIO()
         write_tensor_to(buf, array)

@@ -27,6 +27,7 @@ from .normreg import DropoutConfig, batchnorm_backward, batchnorm_forward, dropo
 from .conv3d import (
     Pool3dSpec,
     clip_average,
+    clip_count,
     clip_split,
     conv3d_backward,
     conv3d_forward,
@@ -114,36 +115,66 @@ _INFERENCE_CHUNK = {"skeleton": 64, "video": 32}
 _TAP_STREAM = {"rnn_fc": "skeleton", "cnn_fc6": "video"}
 
 
+class _Rows:
+    """The model rows of selected samples, built only when indexed. Each row
+    keeps a reference: the position in `indices` of its sample, and for
+    video its clip number. `rows[s:e]` or `rows[index_array]` builds just the
+    rows picked, as the model reads them: a SequenceBatch padded to the
+    dataset's longest sequence, or a clip array [n,c,t,h,w]."""
+
+    def __init__(self, samples, refs, clip_len=None, t_max=None):
+        self.samples = samples  # per position: a SkeletonSequence or video pixels
+        self.refs = refs  # per row: (position, clip number)
+        self.clip_len = clip_len
+        self.t_max = t_max
+
+    def __len__(self):
+        return len(self.refs)
+
+    def __getitem__(self, rows):
+        refs = self.refs[rows] if isinstance(rows, slice) else [self.refs[r] for r in rows]
+        if self.clip_len is None:
+            return pad_sequences([self.samples[pos] for pos, _ in refs], self.t_max)
+        clips, last = [], None
+        for pos, k in refs:  # a video's clips are cut once for its consecutive rows
+            if pos != last:
+                last, cut = pos, clip_split(self.samples[pos], self.clip_len)
+            clips.append(cut[k])
+        return np.stack(clips)
+
+
 def _stream_rows(model, dataset: Dataset, indices):
-    """The model rows of the selected samples and, for each row, the position
-    in `indices` of the sample it came from: one sequence per sample, padded
-    to the dataset's longest, or every clip of each video."""
+    """The model rows of the selected samples as `_Rows`, which build them a
+    batch or a chunk at a time, and, for each row, the position in `indices`
+    of the sample it came from: one sequence per sample, or every clip of
+    each video. Rows hold references, not data, so memory follows the batch,
+    not the split."""
     if model.stream == "skeleton":
         t_max = max(s.skeleton.t_true for s in dataset.samples)
-        inputs = pad_sequences([dataset[i].skeleton for i in indices], t_max)
-        return inputs, np.arange(len(indices))
-    clips, owners = [], []
-    for pos, i in enumerate(indices):
-        for clip in clip_split(dataset[i].video.pixels, model.clip_len):
-            clips.append(clip)
-            owners.append(pos)
-    return np.stack(clips), np.asarray(owners)
+        refs = [(pos, 0) for pos in range(len(indices))]
+        rows = _Rows([dataset[i].skeleton for i in indices], refs, t_max=t_max)
+    else:
+        videos = [dataset[i].video.pixels for i in indices]
+        refs = [(pos, k) for pos, v in enumerate(videos) for k in range(clip_count(v.shape[1], model.clip_len))]
+        rows = _Rows(videos, refs, clip_len=model.clip_len)
+    return rows, np.array([pos for pos, _ in rows.refs])
 
 
-def _chunked(model, inputs, chunk):
+def _chunked(model, rows, chunk):
     """The model's inference forward over consecutive chunks of at most
-    `chunk` rows of inputs (the rows `_stream_rows` builds: a SequenceBatch or
-    a clip array [n,c,t,h,w]): the probability rows and the tap rows (None
-    when the model has no tap), each concatenated. The chunks are
-    independent, so `ordered_map` spreads them over the usable cores. Every
-    chunk runs; then the first whose output is not finite, in row order,
-    raises DivergenceError naming the model and its rows."""
+    `chunk` of the given `_Rows`: the probability rows and the tap rows
+    (None when the model has no tap), each concatenated. The chunks are
+    independent, so `ordered_map` spreads them over the usable cores; each
+    chunk's rows are built inside the process that forwards them, so no
+    process holds more than one chunk's input at a time. Every chunk runs;
+    then the first whose output is not finite, in row order, raises
+    DivergenceError naming the model and its rows."""
 
     def forward(s):
-        logits, tap, _ = model.forward(inputs[s : s + chunk])
+        logits, tap, _ = model.forward(rows[s : s + chunk])
         return softmax(logits), tap
 
-    n = len(inputs)
+    n = len(rows)
     starts = range(0, n, chunk)
     outs = ordered_map(forward, starts)
     for s, (probs, tap) in zip(starts, outs):
@@ -161,8 +192,8 @@ def _inference_pass(model, dataset: Dataset, indices):
     rows, the tap rows (None when the model has no tap), and the row bounds
     that split both into per-sample groups (a sample's rows are consecutive:
     its clips for video, its one sequence for skeleton)."""
-    inputs, owners = _stream_rows(model, dataset, indices)
-    probs, taps = _chunked(model, inputs, _INFERENCE_CHUNK[model.stream])
+    rows, owners = _stream_rows(model, dataset, indices)
+    probs, taps = _chunked(model, rows, _INFERENCE_CHUNK[model.stream])
     return probs, taps, np.searchsorted(owners, np.arange(1, len(indices)))
 
 
@@ -182,7 +213,9 @@ def infer_dataset(model, dataset: Dataset, indices):
     """One inference pass over the selected samples. Returns the per-sample
     Prediction list, each the mean of the sample's probability rows (its
     clips for video, its one sequence for skeleton), and the per-sample mean
-    tap rows, [n, width] (None when the model has no tap)."""
+    tap rows, [n, width] (None when the model has no tap). The model input is
+    built one chunk at a time (`_chunked`), so memory follows the chunk, not
+    the split."""
     probs, taps, bounds = _inference_pass(model, dataset, indices)
     return _sample_predictions(probs, bounds), _sample_taps(taps, bounds)
 
@@ -229,7 +262,9 @@ def extract_features(model, dataset: Dataset, indices, tap):
 
 def train(model, dataset: Dataset, splits: Splits, cfg: TrainConfig) -> RunResult:
     """Mini-batch training over the training split's model rows, with
-    validation accuracy from `evaluate` every `eval_every` epochs.
+    validation accuracy from `evaluate` every `eval_every` epochs. Each
+    batch's rows are padded or stacked from `_stream_rows`' references when
+    its step is taken, so memory follows the batch, not the split.
     Deterministic given the seed; aborts with a diagnostic if the loss goes
     non-finite."""
     shuffle_rng = Rng(cfg.seed).derive(101)
@@ -240,9 +275,9 @@ def train(model, dataset: Dataset, splits: Splits, cfg: TrainConfig) -> RunResul
     else:
         state = SgdHalvingState(learning_rate=cfg.learning_rate)
 
-    inputs, owners = _stream_rows(model, dataset, splits.train)
+    rows, owners = _stream_rows(model, dataset, splits.train)
     train_labels = dataset.labels(splits.train)[owners]
-    n_train = len(inputs)
+    n_train = len(rows)
 
     result = RunResult(model=model.spec.name, seed=cfg.seed, eval_every=cfg.eval_every)
     steps_per_epoch = int(np.ceil(n_train / cfg.batch_size))
@@ -259,7 +294,7 @@ def train(model, dataset: Dataset, splits: Splits, cfg: TrainConfig) -> RunResul
             idx = perm[start : start + cfg.batch_size]
             if idx.size < 2:  # batch statistics need at least two rows
                 continue
-            xb = inputs[idx]
+            xb = rows[idx]
             yb = train_labels[idx]
             tic = time.perf_counter()
             logits, _, cache = model.forward(xb, mode="train", rng=dropout_rng)

@@ -134,7 +134,7 @@ class RecurrentClassifier:
         if self.bn is not None:
             dfeat, dgamma, dbeta = batchnorm_backward(bn_cache, dfeat)
             grads["bn.gamma"], grads["bn.beta"] = dgamma, dbeta
-        _, per_layer = stack_backward(self.layers, stack_caches, None, dfeat)
+        _, per_layer = stack_backward(self.layers, stack_caches, None, dfeat, input_grad=False)
         for li, (layer, pgrads) in enumerate(zip(self.layers, per_layer)):
             for (n, _), g in zip(layer.param_items(), pgrads):
                 grads[f"rec{li}.{n}"] = g

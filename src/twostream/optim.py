@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, check_positive
+from .errors import ConfigError, DimensionError, check_positive
 
 RMSPROP_EPSILON = 1e-8  # inside the root; unrelated to batchnorm's epsilon
 HALVING_PATIENCE = 3  # evaluations in a row without improvement
@@ -24,6 +24,11 @@ class RmspropState:
     learning_rate: float = 0.001
     decay: float = 0.9
     acc: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        check_positive("learning_rate", self.learning_rate)
+        if not 0 <= self.decay < 1:
+            raise ConfigError(f"decay must be in [0, 1), got {self.decay}")
 
 
 def rmsprop_step(state: RmspropState, params: dict, grads: dict) -> dict:

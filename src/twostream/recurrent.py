@@ -521,8 +521,11 @@ def unroll(cell, batch: SequenceBatch, direction="forward", train=True):
     return out.transpose(1, 0, 2), last, ([*states, *tape], frozen, partial, t_of, row_of, slot_of, x_valid, w_x, w_h, T)
 
 
-def unroll_backward(cell, cache, grad_outputs=None, grad_last=None):
+def unroll_backward(cell, cache, grad_outputs=None, grad_last=None, input_grad=True):
     """Exact gradients for `unroll`. Returns (param_grads, grad_input [n×T×i]).
+    With input_grad=False the input gradient is not computed and grad_input
+    is None: a stack's bottom layer, whose input is data, needs only its
+    parameter gradients.
 
     `cell` is what was passed to `unroll`; a BidirectionalLayer's gradients
     are the forward cell's followed by the backward cell's. Either upstream
@@ -568,7 +571,8 @@ def unroll_backward(cell, cache, grad_outputs=None, grad_last=None):
     param_grads, grad_x_valid = [], []
     for slot_of_j, w_x_j in zip(slot_of, w_x):
         dpre_valid = np.take(dpre, slot_of_j, axis=0)
-        grad_x_valid.append(dpre_valid @ w_x_j)
+        if input_grad:
+            grad_x_valid.append(dpre_valid @ w_x_j)
         dW_x = dpre_valid.T @ x_valid
         db = dpre_valid.sum(axis=0)
         weights, biases = [], []
@@ -580,6 +584,8 @@ def unroll_backward(cell, cache, grad_outputs=None, grad_last=None):
             biases.append(db[lo:hi])
             lo = hi
         param_grads += weights + biases
+    if not input_grad:
+        return param_grads, None
     grad_x = np.zeros((T, n, x_valid.shape[1]), dtype=dtype)
     grad_x[t_of, row_of] = sum(grad_x_valid[1:], grad_x_valid[0])
     return param_grads, grad_x.transpose(1, 0, 2)
@@ -636,13 +642,17 @@ def stack(layers, batch: SequenceBatch, train=True):
     return outputs, last, caches
 
 
-def stack_backward(layers, caches, grad_top_outputs=None, grad_top_last=None):
+def stack_backward(layers, caches, grad_top_outputs=None, grad_top_last=None, input_grad=True):
     """Backprop through a stack. Returns (grad wrt the original input sequence,
-    per-layer param gradient lists, ordered like `layers`)."""
+    per-layer param gradient lists, ordered like `layers`). With
+    input_grad=False the bottom layer skips its input gradient and the first
+    entry is None."""
     per_layer = [None] * len(layers)
     grad_seq = grad_top_outputs
     grad_last = grad_top_last
     for idx in range(len(layers) - 1, -1, -1):
-        per_layer[idx], grad_seq = unroll_backward(layers[idx], caches[idx], grad_seq, grad_last)
+        per_layer[idx], grad_seq = unroll_backward(
+            layers[idx], caches[idx], grad_seq, grad_last, input_grad=input_grad or idx > 0
+        )
         grad_last = None
     return grad_seq, per_layer

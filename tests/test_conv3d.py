@@ -23,7 +23,7 @@ from twostream import (
     maxpool3d,
     maxpool3d_backward,
 )
-from twostream.conv3d import init_conv3d
+from twostream.conv3d import clip_count, init_conv3d
 from twostream.heads import dense_backward, dense_forward, softmax_xent
 from twostream.models import ConvClassifier, ModelSpec, build_model
 
@@ -633,7 +633,7 @@ class TestClips:
         video = np.broadcast_to(frames[:, :, None, None], (2, t, 3, 2))
         clips = clip_split(video, clip_len)
         whole, rem = divmod(t, clip_len)
-        assert len(clips) == max(1, whole + (2 * rem >= clip_len))
+        assert len(clips) == clip_count(t, clip_len) == max(1, whole + (2 * rem >= clip_len))
         for k, clip in enumerate(clips):
             assert clip.shape == (2, clip_len, 3, 2)
             start = k * clip_len

@@ -132,6 +132,13 @@ def test_checkpoint_rejects_repeated_names(tmp_path):
     assert not path.exists()
 
 
+def test_checkpoint_rejects_non_ascii_names_before_opening_the_file(tmp_path):
+    path, name = tmp_path / "x.ckpt", "w\xe9"
+    with pytest.raises(DataError, match=re.escape(f"{path}: checkpoint name {name!r}")):
+        write_checkpoint(path, [("w", np.ones(2)), (name, np.zeros(3))])
+    assert not path.exists()
+
+
 def test_checkpoint_manifest_offsets_are_exact(tmp_path):
     path = tmp_path / "m.ckpt"
     write_checkpoint(path, [("a", np.zeros(2)), ("b", np.ones(3))])

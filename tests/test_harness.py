@@ -2,6 +2,7 @@ import dataclasses
 import importlib.util
 import json
 import re
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -28,8 +29,11 @@ from twostream import (
     train,
 )
 from twostream import harness
+from twostream.conv3d import clip_split
+from twostream.data import pad_sequences
 from twostream.harness import (
     RunResult,
+    _Rows,
     _chunked,
     _stream_rows,
     check_gradients,
@@ -331,8 +335,10 @@ class TestFusionRuns:
         splits_used = (splits.val, splits.test, splits.train)
         for model in (rnn_model, cnn_model):
             assert set(model.forward.modes) == {"inference"}
+            chunk = harness._INFERENCE_CHUNK[model.stream]
             one_pass = [len(_stream_rows(model, dataset, idx)[0]) for idx in splits_used]
-            assert sum(model.forward.rows) == sum(one_pass)  # val, test and train once each
+            # val, test and train once each, every forward one chunk built on its own
+            assert model.forward.rows == [min(chunk, n - s) for n in one_pass for s in range(0, n, chunk)]
 
 
 def _forward_spy(model):
@@ -420,9 +426,12 @@ class TestWorkerCountKeepsResults:
 
     @pytest.mark.filterwarnings("ignore:invalid value")
     def test_first_non_finite_chunk_in_row_order_is_named(self, workers):
-        clips = np.arange(10.0).reshape(10, 1, 1, 1, 1)
+        # ten one-frame videos, video k all k: row k's clip holds k
+        videos = [np.full((1, 1, 1, 1), float(k)) for k in range(10)]
+        clips = _Rows(videos, [(k, 0) for k in range(10)], clip_len=1)
 
         def poisoned_from_row_2(sub, mode="inference", rng=None):
+            assert sub.shape == (2, 1, 1, 1, 1)  # one chunk, built for this call
             rows = sub.reshape(len(sub), 1)
             return np.where(rows >= 2.0, np.inf, rows), None, None
 
@@ -448,6 +457,105 @@ class TestWorkerCountKeepsResults:
         b = (tmp_path / "2" / "ladder_results.json").read_bytes()
         assert a == b
         assert {"DECISION-FUSION", "FEATURE-FUSION"} <= set(json.loads(a))
+
+
+@pytest.fixture(scope="module")
+def two_clip():
+    """24-frame videos, which a 16-frame clip length cuts into two clips
+    each, the second padded."""
+    return generate_synthetic(dataclasses.replace(TINY_SYNTH, video_shape=(2, 24, 6, 6)), Rng(12))
+
+
+def _two_clip_spec(name, dataset):
+    return dataclasses.replace(_tiny_model_spec(name, dataset), video_shape=(2, 16, 6, 6))
+
+
+def _rows_stacked_up_front(model, dataset, indices):
+    """Every row of the selected samples padded or stacked at once, with its
+    owner: the split-sized input that `_Rows` builds a batch at a time."""
+    if model.stream == "skeleton":
+        t_max = max(s.skeleton.t_true for s in dataset.samples)
+        return pad_sequences([dataset[i].skeleton for i in indices], t_max), np.arange(len(indices))
+    clips = [clip_split(dataset[i].video.pixels, model.clip_len) for i in indices]
+    owners = np.repeat(np.arange(len(indices)), [len(c) for c in clips])
+    return np.stack([c for cs in clips for c in cs]), owners
+
+
+class TestStreamedRows:
+    """Rows built a batch or a chunk at a time give the bits of rows built
+    for the whole split up front, and memory follows the chunk."""
+
+    def test_video_rows_reference_two_clips_per_video(self, two_clip):
+        model = build_model(_two_clip_spec("C3D-DESK", two_clip), Rng(3))
+        rows, owners = _stream_rows(model, two_clip, [4, 0, 9])
+        assert rows.refs == [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]
+        assert owners.tolist() == [0, 0, 1, 1, 2, 2]
+        stacked, _ = _rows_stacked_up_front(model, two_clip, [4, 0, 9])
+        assert np.array_equal(rows[1:4], stacked[1:4])
+        assert np.array_equal(rows[np.array([5, 0, 3])], stacked[[5, 0, 3]])
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    @pytest.mark.parametrize("name", ["BI-GRU2-BN-DP-H", "C3D-DESK"])
+    def test_infer_dataset_matches_rows_stacked_up_front(self, two_clip, workers, monkeypatch, name, n_workers):
+        # 5-row chunks: every other chunk boundary splits a video's two clips
+        monkeypatch.setitem(harness._INFERENCE_CHUNK, "video", 5)
+        monkeypatch.setitem(harness._INFERENCE_CHUNK, "skeleton", 5)
+        model = build_model(_two_clip_spec(name, two_clip), Rng(3))
+        indices = list(range(len(two_clip)))
+        forks = workers(n_workers)
+        preds, taps = infer_dataset(model, two_clip, indices)
+        assert bool(forks) == (n_workers == 2)
+        monkeypatch.setattr(harness, "_stream_rows", _rows_stacked_up_front)
+        preds_up_front, taps_up_front = infer_dataset(model, two_clip, indices)
+        assert np.array_equal(np.stack([p.probs for p in preds]), np.stack([p.probs for p in preds_up_front]))
+        assert np.array_equal(taps, taps_up_front)
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    @pytest.mark.parametrize("name", ["BI-GRU2-BN-DP-H", "C3D-DESK"])
+    def test_train_matches_rows_stacked_up_front(self, two_clip, workers, monkeypatch, name, n_workers):
+        monkeypatch.setitem(harness._INFERENCE_CHUNK, "video", 5)
+        splits = make_splits(two_clip, SplitSpec("cross_subject"), Rng(4).derive(7))
+        optimizer = "sgd_halving" if name == "C3D-DESK" else "rmsprop"
+        cfg = TrainConfig(epochs=2, batch_size=7, optimizer=optimizer, learning_rate=0.01, seed=5)
+        workers(n_workers)
+        runs = []
+        for stream_rows in (_stream_rows, _rows_stacked_up_front):
+            monkeypatch.setattr(harness, "_stream_rows", stream_rows)
+            model = build_model(_two_clip_spec(name, two_clip), Rng(3))
+            result = train(model, two_clip, splits, cfg)
+            runs.append((result.to_json(), model.param_items()))
+        (json_a, params_a), (json_b, params_b) = runs
+        assert json_a == json_b
+        assert [n for n, _ in params_a] == [n for n, _ in params_b]
+        assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(params_a, params_b))
+
+    def test_inference_pass_peaks_near_one_chunk_not_the_split(self, workers):
+        # 144 two-clip videos: 288 clips, 9 chunks of 32
+        dataset = generate_synthetic(
+            dataclasses.replace(TINY_SYNTH, samples_per_class=48, video_shape=(2, 24, 8, 8)), Rng(13)
+        )
+        model = build_model(
+            dataclasses.replace(_tiny_model_spec("C3D-DESK", dataset), video_shape=(2, 16, 8, 8)), Rng(3)
+        )
+        workers(1)  # every chunk runs in this process, where tracemalloc sees it
+        indices = list(range(len(dataset)))
+        rows, _ = _stream_rows(model, dataset, indices)
+        chunk = harness._INFERENCE_CHUNK["video"]
+        assert len(rows) >= 8 * chunk
+        clip_bytes = rows[0:1].nbytes
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one_chunk = peak(lambda: model.forward(rows[0:chunk]))  # its input included
+        whole_pass = peak(lambda: infer_dataset(model, dataset, indices))
+        assert whole_pass <= one_chunk + 2 * chunk * clip_bytes
+        assert whole_pass < len(rows) * clip_bytes / 2
 
 
 class TestBenchmarkHooks:

@@ -58,6 +58,19 @@ class TestRmsprop:
         with pytest.raises(DimensionError):
             rmsprop_step(RmspropState(), {"w": np.zeros(3)}, {"w": np.zeros(4)})
 
+    @pytest.mark.parametrize("value", [0.0, -0.1, float("nan"), float("inf")])
+    def test_bad_learning_rate_rejected_naming_the_field(self, value):
+        with pytest.raises(ConfigError, match="learning_rate"):
+            RmspropState(learning_rate=value)
+
+    @pytest.mark.parametrize("value", [-0.1, 1.0, 1.5, float("nan"), float("inf")])
+    def test_decay_outside_unit_interval_rejected_naming_the_field(self, value):
+        with pytest.raises(ConfigError, match="decay"):
+            RmspropState(decay=value)
+
+    def test_decay_zero_accepted(self):
+        assert RmspropState(decay=0.0).decay == 0.0
+
 
 class TestSgdHalving:
     @pytest.mark.parametrize("value", [0.0, -0.1, float("nan"), float("inf")])

@@ -716,6 +716,27 @@ class TestBpttGradients:
         analytic = [g for pg in per_layer for g in pg] + [gseq]
         assert max_rel_err(analytic, central_diff(loss, arrays)) <= 1e-4
 
+    @pytest.mark.parametrize("bottom", ["rnn", "lstm", "gru", "bi_gru"])
+    def test_skipped_input_gradient_keeps_every_other_gradient_bit_for_bit(self, bottom, rng):
+        if bottom == "bi_gru":
+            first = BidirectionalLayer(_random_cell("gru", 3, 2, rng), _random_cell("gru", 3, 2, rng))
+        else:
+            first = _random_cell(bottom, 3, 4, rng)
+        layers = [first, _random_cell("gru", first.out_dim, 3, rng)]
+        batch = SequenceBatch(_padded_rows_zeroed(rng.normal(size=(3, 5, 3)), [5, 2, 4]), [5, 2, 4])
+        r_last = rng.normal(size=(3, 3))
+        runs = []
+        for input_grad in (True, False):
+            _, _, caches = stack(layers, batch)
+            runs.append(stack_backward(layers, caches, None, r_last, input_grad=input_grad))
+        (gseq, per_layer), (skipped, per_layer_skipped) = runs
+        assert gseq.shape == batch.data.shape and skipped is None
+        for grads, grads_skipped in zip(per_layer, per_layer_skipped):
+            assert all(np.array_equal(a, b) for a, b in zip(grads, grads_skipped, strict=True))
+        _, _, cache = unroll(first, batch)
+        pgrads, gx = unroll_backward(first, cache, None, rng.normal(size=(3, first.out_dim)), input_grad=False)
+        assert gx is None and len(pgrads) == len(first.param_arrays())
+
     def test_second_backward_on_one_cache_rejected(self, rng):
         # the first backward frees the forward's per-step tape
         layer = BidirectionalLayer(_random_cell("gru", 2, 3, rng), _random_cell("gru", 2, 3, rng))

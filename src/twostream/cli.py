@@ -12,13 +12,16 @@ import sys
 from .tensor import Rng
 from .errors import DataError
 from .fileio import write_tensor
-from .config import SCHEMA, config_from_values, default_config, load_config
+from .config import SCHEMA, check_dataset_keys, config_from_values, default_config, load_config
 from .data import Dataset, SynthConfig, generate_synthetic
 from .models import ModelSpec, load_model, save_model
 from . import harness
 
 
 def _dataset_config(cfg) -> SynthConfig:
+    """The generator settings of a config that makes a dataset, checked
+    across keys first."""
+    check_dataset_keys(cfg)
     return SynthConfig(**{f.name: cfg[f.name] for f in dataclasses.fields(SynthConfig)})
 
 

@@ -227,6 +227,22 @@ def _checked_config(entries) -> dict:
     return cfg
 
 
+def check_dataset_keys(cfg):
+    """The cross-field rule for a dataset made from a config, checked by the
+    commands that make one before any generation: every subject sees every
+    class from every view. Sample j of a class goes to subject
+    (j // n_views) % n_subjects, so with fewer samples some subjects get
+    fewer views of a class or none, and a split by subject can come out
+    empty. `generate_synthetic` itself allows it (the benchmark's data
+    leaves subjects out)."""
+    need = cfg["n_views"] * cfg["n_subjects"]
+    if cfg["samples_per_class"] < need:
+        raise ConfigError(
+            f"samples_per_class ({cfg['samples_per_class']}) must be at least n_views * n_subjects "
+            f"({cfg['n_views']} * {cfg['n_subjects']} = {need}), or some subjects get fewer views of a class or none"
+        )
+
+
 def _reject_later(cfg, place, *keys_and_rules):
     """Raise for keys that conflict, blaming whichever the entries set last."""
     order = list(place)

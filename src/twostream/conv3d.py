@@ -41,10 +41,14 @@ ReLU and its mask run on the 4-8x smaller pooled volume. Max commutes with
 ReLU, so the outputs equal ReLU-then-pool. So do the gradients: where a
 window's maximum is positive, the first maximum of relu(z) is the first
 maximum of z; where it is not, both orders pass the window a zero gradient.
+While `clip_helper` is open, a training batch's later clips run in a forked
+helper, and `GradSums` hands the gradient sums over in clip order, so the
+bits stay those of one process.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +56,7 @@ import numpy as np
 from .errors import ConfigError, ContractError, DataError, DimensionError
 from .tensor import Rng, default_dtype
 from .heads import dense_backward, dense_forward, init_dense
-from . import fusion
+from . import fusion, parallel
 
 
 @dataclass
@@ -190,26 +194,95 @@ class _ConvForward(_ConvSamples):
         acc += self._bias
 
 
+class GradSums:
+    """One conv layer's kernel and bias gradients over a run of clips, added
+    clip by clip in clip order as `conv3d_backward` makes them: the kernel
+    gradient `kernels` [kt, kh, kw·c, f], and the bias gradient `bias` [f]
+    or, for a one-filter layer, `bias_rows`, every clip's NCDHW output
+    gradient (numpy sums a one-channel gradient over (n, t, h, w) as one run
+    over the batch, so its bits need every row).
+
+    A deferred GradSums keeps each clip's share instead: its kernel-gradient
+    products (one [kw·c, f] product per (kt, kh) offset and t plane) and its
+    bias sum. `after` adds them in clip order to the sums of the clips that
+    come before, once those are known, with the calls that would have added
+    them at once. So the clips of one batch may run in two processes, and
+    every gradient keeps the bits of the serial order (`C3dModel`)."""
+
+    def __init__(self, deferred=False):
+        self.deferred = deferred
+        self.kernels = self.bias = self.bias_rows = None
+
+    def start(self, kernels_shape, out_shape, n, kernels_dtype, dtype):
+        """Zero the sums and make room for the shares of n clips."""
+        f, c, kt, kh, kw = self._kernels_shape = kernels_shape
+        to, ho, wo = out_shape
+        slots = n if self.deferred else 1
+        # Row 0 of each offset's product holds the sum over earlier clips.
+        self._prod = np.empty((slots, kt, kh, to + 1, kw * c, f), dtype=kernels_dtype)
+        self.kernels = np.zeros((kt, kh, kw * c, f), dtype=kernels_dtype)
+        if f == 1:
+            self.bias_rows = np.empty((n, to * ho * wo), dtype=dtype)
+        else:
+            self.bias = np.zeros(f, dtype=dtype)
+            self._clip_bias = np.empty((slots, f), dtype=dtype)
+
+    def share(self, s):
+        """Where clip s's share goes: its products [kt, kh, to+1, kw·c, f],
+        row 0 left for the running sum, and its bias sum [f] or, for one
+        filter, its bias row."""
+        slot = s if self.deferred else 0
+        bias = self.bias_rows[s] if self.bias is None else self._clip_bias[slot]
+        return self._prod[slot], bias
+
+    def add(self, slot=0):
+        """Add the share written in `slot` to the sums."""
+        prod = self._prod[slot]
+        prod[:, :, 0] = self.kernels
+        prod.sum(axis=2, out=self.kernels)
+        if self.bias is not None:
+            self.bias += self._clip_bias[slot]
+
+    def running(self):
+        """The sums so far, as `after` takes them in another process."""
+        return self.kernels, self.bias, self.bias_rows
+
+    def after(self, earlier):
+        """Add the kept shares, in clip order, to `earlier`, the `running()`
+        sums of the clips before these. The sums are then those of every
+        clip, and no longer deferred."""
+        self.kernels, bias, bias_rows = earlier
+        if bias_rows is None:
+            self.bias = bias
+        else:
+            self.bias_rows = np.concatenate([bias_rows, self.bias_rows])
+        for slot in range(len(self._prod)):
+            self.add(slot)
+        self.deferred = False
+
+    def finished(self):
+        """(grad_kernels [f, c, kt, kh, kw], grad_bias [f])."""
+        f, c, kt, kh, kw = self._kernels_shape
+        kernels = np.ascontiguousarray(self.kernels.reshape(kt, kh, kw, c, f).transpose(4, 3, 0, 1, 2))
+        if self.bias_rows is None:
+            return kernels, self.bias
+        return kernels, self.bias_rows.reshape(len(self.bias_rows), 1, -1).sum(axis=(0, 2))
+
+
 class _ConvBackward(_ConvSamples):
-    """The backward's per-sample steps: `add_param_grads` adds a folded
-    sample's share to the kernel and bias gradients summed so far, and, with
+    """The backward's per-sample steps: `add_param_grads` writes a folded
+    sample's share of the kernel and bias gradients to a GradSums, and, with
     input_grad, `input_grad` makes its input gradient."""
 
-    def __init__(self, p: Conv3dParams, x_shape, dtype, input_grad):
+    def __init__(self, p: Conv3dParams, x_shape, dtype, input_grad, sums):
         super().__init__(p, x_shape, dtype)
         f, c, kt, kh, kw = p.kernels.shape
         n, _, t, h, w = x_shape
         pt, ph, pw = p.padding
         to, ho, wo = self.out_shape
         tp, hp = self.xk.shape[:2]
-        self._grad_bias = np.zeros(f, dtype=dtype)
-        # numpy sums a one-channel NCDHW gradient over (n, t, h, w) as one run
-        # over the batch, so a one-filter layer keeps every sample's gradient.
-        self._bias_rows = np.empty((n, to * ho * wo), dtype=dtype) if f == 1 else None
-        self._grad_kernels = np.zeros((kt, kh, kw * c, f), dtype=p.kernels.dtype)
-        # Row 0 of each offset's product holds the sum over earlier samples.
-        self._prod = np.empty((kt, kh, to + 1, kw * c, f), dtype=p.kernels.dtype)
-        self._prod_rows = [self._prod[i, j, 1:] for i, j in self.offsets]
+        self.sums = sums
+        sums.start(p.kernels.shape, self.out_shape, n, p.kernels.dtype, dtype)
         self._rows_t = [rows.transpose(0, 2, 1) for rows in self._rows]
         self._gy = np.empty((to, ho, wo, f), dtype=dtype)
         self._gy_ncdhw = np.empty((f, to, ho, wo), dtype=dtype)
@@ -233,35 +306,37 @@ class _ConvBackward(_ConvSamples):
         self._unfolds = [(src, inner[:, :, cols, k * c : (k + 1) * c]) for k, cols, src in _kw_windows(w, pw, kw)]
 
     def add_param_grads(self, s, g):
-        """Add the folded sample s's share of the kernel and bias gradients for
-        its output gradient g, a channels-last [to, ho, wo, f] view of any
-        memory order. Returns g as a contiguous [to, ho·wo, f] array.
+        """Write the folded sample s's share of the kernel and bias gradients
+        for its output gradient g, a channels-last [to, ho, wo, f] view of any
+        memory order, and add it to the sums unless they are deferred.
+        Returns g as a contiguous [to, ho·wo, f] array.
 
-        The bias gradient adds the sum of an NCDHW-ordered copy of g. numpy's
-        sum over (t, h, w) adds in an order that follows memory, so this keeps
+        The bias share is the sum of an NCDHW-ordered copy of g. numpy's sum
+        over (t, h, w) adds in an order that follows memory, so this keeps
         the bits of a sum over the whole batch's NCDHW gradient; added sample
         by sample in sample order, the sums equal that sum over (n, t, h, w)
-        (a one-filter layer's are summed in `bias_grad`).
+        (a one-filter layer's rows are summed in `GradSums.finished`).
         Each (kt, kh) offset's kernel-gradient product
         xk[i:i+to, j:j+ho]^T @ g, one [kw·c, f] product per t plane, is
-        written after a row that holds the sum over the earlier samples, and
-        one reduction over that row axis adds the sample in, in the same
+        written after a row that will hold the sum over the earlier samples,
+        and one reduction over that row axis adds the sample in, in the same
         (n, t) order as a sum over the whole batch.
         """
         to, ho, wo = self.out_shape
+        prod, bias = self.sums.share(s)
         np.copyto(self._gy_ncdhw, g.transpose(3, 0, 1, 2))
-        if self._bias_rows is None:
-            self._grad_bias += self._gy_ncdhw.reshape(len(self._gy_ncdhw), -1).sum(axis=1)
+        if self.sums.bias is None:
+            bias[...] = self._gy_ncdhw.reshape(-1)
         else:
-            self._bias_rows[s] = self._gy_ncdhw.reshape(-1)
+            bias[...] = self._gy_ncdhw.reshape(len(self._gy_ncdhw), -1).sum(axis=1)
         if not g.flags.c_contiguous:
             np.copyto(self._gy, g)
             g = self._gy
         gy = g.reshape(to, ho * wo, -1)
-        self._prod[:, :, 0] = self._grad_kernels
-        for rows_t, out in zip(self._rows_t, self._prod_rows):
-            np.matmul(rows_t, gy, out=out)
-        self._prod.sum(axis=2, out=self._grad_kernels)
+        for (i, j), rows_t in zip(self.offsets, self._rows_t):
+            np.matmul(rows_t, gy, out=prod[i, j, 1:])
+        if not self.sums.deferred:
+            self.sums.add()
         return gy
 
     def input_grad(self, gy, gx_s):
@@ -277,18 +352,6 @@ class _ConvBackward(_ConvSamples):
         gx_s.fill(0.0)
         for src, part in self._unfolds:
             gx_s[:, :, src] += part
-
-    def bias_grad(self):
-        """The bias gradient [f] summed so far."""
-        if self._bias_rows is None:
-            return self._grad_bias
-        return self._bias_rows.reshape(len(self._bias_rows), 1, -1).sum(axis=(0, 2))
-
-    def kernel_grad(self):
-        """The kernel gradient [f, c, kt, kh, kw] summed so far."""
-        kt, kh, _, f = self._grad_kernels.shape
-        c, kw = self.p.kernels.shape[1], self.p.kernels.shape[4]
-        return np.ascontiguousarray(self._grad_kernels.reshape(kt, kh, kw, c, f).transpose(4, 3, 0, 1, 2))
 
 
 def _kw_windows(w, pw, kw):
@@ -314,11 +377,14 @@ def _offset_rows(a, i, j, to, ho):
     return a[i : i + to, j : j + ho, :, :].reshape(to, ho * wo, k)
 
 
-def conv3d_backward(cache, grad_y, input_grad=True):
+def conv3d_backward(cache, grad_y, input_grad=True, sums=None):
     """Returns (grad_kernels, grad_bias, grad_x) for the gradient grad_y of
     `conv3d_forward`'s y. With input_grad=False the input gradient is not
     computed and grad_x is None: a network's first layer, whose input is
-    data, needs only its parameter gradients.
+    data, needs only its parameter gradients. Given a `GradSums`, the call
+    leaves the parameter gradients in it instead, and returns None for both:
+    a deferred one keeps them per sample, for a batch whose samples run in
+    two processes (`C3dModel`).
 
     The backward runs one sample at a time, like the forward, through one
     reused folded slot (`_ConvBackward`). Given the cache of a pooled
@@ -336,7 +402,9 @@ def conv3d_backward(cache, grad_y, input_grad=True):
     """
     (x, p), pcache = cache if isinstance(cache[0], tuple) else (cache, None)
     n, c, t, h, w = x.shape
-    conv = _ConvBackward(p, x.shape, x.dtype, input_grad)
+    given = sums is not None
+    sums = sums if given else GradSums()
+    conv = _ConvBackward(p, x.shape, x.dtype, input_grad, sums)
     xt, gyt = x.transpose(0, 2, 3, 4, 1), grad_y.transpose(0, 2, 3, 4, 1)
     gx_t = np.empty((n, t, h, w, c), dtype=x.dtype) if input_grad else None
     for s in range(n):
@@ -351,7 +419,9 @@ def conv3d_backward(cache, grad_y, input_grad=True):
         if input_grad:
             conv.input_grad(gy, gx_t[s])
     grad_x = None if gx_t is None else gx_t.transpose(0, 4, 1, 2, 3)
-    return conv.kernel_grad(), conv.bias_grad(), grad_x
+    if given:
+        return None, None, grad_x
+    return (*sums.finished(), grad_x)
 
 
 @dataclass
@@ -534,7 +604,17 @@ def desk_scale_c3d_spec(n_classes, input_shape=(3, 16, 16, 16), filters=(8, 16),
 
 class C3dModel:
     """The assembled conv/pool/fc stack. `forward` exposes the first
-    fully-connected layer's activations as the feature tap."""
+    fully-connected layer's activations as the feature tap.
+
+    While `clip_helper` is open, each training batch runs on two cores: the
+    caller runs the conv stack for the batch's first ⌈n/2⌉ clips and a
+    forked helper runs it for the rest. The dense layers and the loss run in
+    the caller on all n rows, since a dense GEMM's bits depend on its row
+    count. Both sides then run their clips' conv backward; the helper keeps
+    its clips' kernel-gradient products and bias sums (`GradSums`) until the
+    caller sends its sums after its last clip, then adds its own in clip
+    order and returns the finished gradients. So every output and gradient
+    has the bits of the one-process step."""
 
     def __init__(self, spec: C3dSpec, convs, fc6, fc7, out):
         self.spec = spec
@@ -543,6 +623,7 @@ class C3dModel:
         self.fc6 = fc6
         self.fc7 = fc7
         self.out = out
+        self.helper = None  # the open `clip_helper`'s ClipHelper, else None
         self._conv_names = []
         for gi, group in enumerate(spec.conv_groups):
             for li in range(len(group)):
@@ -571,7 +652,26 @@ class C3dModel:
         input (the clip batch, or the ReLU output of the stage below, which
         exists anyway), its first-max index if it pools, and its ReLU mask.
         With train=False the cache is None.
+
+        With a helper open, a train-mode x holds the first clips of the batch
+        whose rest `ClipHelper.start` handed to the helper, and the logits,
+        activations and gradients cover the whole batch, x's rows first.
         """
+        h, stages = self._conv_stack(x, train)
+        flat = h.reshape(len(h), -1)
+        helper = self.helper if train else None
+        if helper is not None:
+            flat = np.concatenate([flat, helper.pooled()])
+        f6, c6 = dense_forward(self.fc6, flat)
+        f7, c7 = dense_forward(self.fc7, f6)
+        logits, co = dense_forward(self.out, f7)
+        if not train:
+            return logits, f6, None
+        return logits, f6, (stages, h.shape, c6, c7, co, helper)
+
+    def _conv_stack(self, x, train):
+        """The conv stages over clips x: (the top stage's ReLU output, per
+        conv its cache and ReLU mask when training)."""
         stages = []
         conv_iter = iter(self.convs)
         h = x
@@ -582,15 +682,7 @@ class C3dModel:
                 if train:  # ReLU masks, not activations, are kept
                     stages.append((cache, h > 0.0))
                 np.maximum(h, 0.0, out=h)
-        n = h.shape[0]
-        flat_shape = h.shape
-        flat = h.reshape(n, -1)
-        f6, c6 = dense_forward(self.fc6, flat)
-        f7, c7 = dense_forward(self.fc7, f6)
-        logits, co = dense_forward(self.out, f7)
-        if not train:
-            return logits, f6, None
-        return logits, f6, (stages, flat_shape, c6, c7, co)
+        return h, stages
 
     def backward(self, cache, grad_logits):
         """Returns gradients as a dict aligned with `param_items` names. The
@@ -602,11 +694,13 @@ class C3dModel:
         gradient, which `conv3d_backward` routes one sample at a time, so the
         conv's full-resolution gradient never exists for the whole batch;
         each sample's parameter and input gradients are made while its data
-        is in cache.
+        is in cache. With a helper open, the helper gets its rows of the
+        gradient first, and finishes the conv parameter gradients from the
+        sums after this process's clips.
         """
         if cache is None:
             raise ContractError("C3dModel.backward got the cache of a forward that ran in inference mode")
-        stages, flat_shape, c6, c7, co = cache
+        stages, own_shape, c6, c7, co, helper = cache
         grads = {}
         dWo, dbo, d7 = dense_backward(self.out, co, grad_logits)
         dW7, db7, d6 = dense_backward(self.fc7, c7, d7)
@@ -614,15 +708,108 @@ class C3dModel:
         grads["out.W"], grads["out.b"] = dWo, dbo
         grads["fc7.W"], grads["fc7.b"] = dW7, db7
         grads["fc6.W"], grads["fc6.b"] = dW6, db6
-        dh = dflat.reshape(flat_shape)
-        for k in reversed(range(len(stages))):
-            lcache, active = stages[k]
-            dh *= active
-            dk, db, dh = conv3d_backward(lcache, dh, input_grad=k > 0)
+        m = own_shape[0]
+        if helper is not None:
+            helper.backward(dflat[m:])
+        sums = self._conv_backward(stages, dflat[:m].reshape(own_shape), deferred=False)
+        finished = [s.finished() for s in sums] if helper is None else helper.finish(sums)
+        for k, (dk, db) in zip(reversed(range(len(stages))), finished):
             name = self._conv_names[k]
             grads[name + ".kernels"] = dk
             grads[name + ".bias"] = db
         return grads
+
+    def _conv_backward(self, stages, dh, deferred):
+        """The conv stages' backward from the gradient dh of the top stage's
+        ReLU output: one GradSums per conv, from the top down."""
+        sums = []
+        for k in reversed(range(len(stages))):
+            lcache, active = stages[k]
+            dh *= active
+            sums.append(GradSums(deferred))
+            _, _, dh = conv3d_backward(lcache, dh, input_grad=k > 0, sums=sums[-1])
+        return sums
+
+
+class ClipHelper:
+    """The caller's side of the helper that `clip_helper` opens: one
+    training batch at a time, in step with `C3dModel.forward` and
+    `backward`."""
+
+    def __init__(self, helper, net):
+        self._helper = helper
+        self._net = net
+
+    def start(self, ids):
+        """Hand the helper the row ids after the first ⌈n/2⌉ of a batch's n,
+        with the current conv kernels and biases (the caller's are the live
+        ones), and return the first ⌈n/2⌉, whose clips the caller forwards."""
+        m = -(-len(ids) // 2)
+        self._helper.send(("forward", (ids[m:], [(c.kernels, c.bias) for c in self._net.convs])))
+        return ids[:m]
+
+    def pooled(self):
+        """The helper's clips' top ReLU output, one flat row per clip."""
+        return self._helper.receive()
+
+    def backward(self, dflat):
+        """Send the helper the gradient of its rows of the flat activations."""
+        self._helper.send(("backward", dflat))
+
+    def finish(self, sums):
+        """The finished (kernel, bias) gradients per conv, from the top down,
+        given this process's GradSums after its clips."""
+        self._helper.receive()  # the helper's backward is done
+        return self._helper.call(("finish", [s.running() for s in sums]))
+
+
+def _serve_clips(net, clips_of):
+    """The helper's side: the conv stack over the clips of the row ids it is
+    handed, and its conv backward, with the sums deferred until the
+    caller's arrive."""
+    state = {}
+
+    def serve(request):
+        kind, payload = request
+        if kind == "forward":
+            ids, params = payload
+            for conv, (kernels, bias) in zip(net.convs, params):
+                conv.kernels[...] = kernels
+                conv.bias[...] = bias
+            h, state["stages"] = net._conv_stack(clips_of(ids), train=True)
+            state["shape"] = h.shape
+            return h.reshape(len(h), -1)
+        if kind == "backward":
+            dh = payload.reshape(state["shape"])
+            state["sums"] = net._conv_backward(state.pop("stages"), dh, deferred=True)
+            return None
+        finished = []  # "finish": payload holds the caller's running sums
+        for sums, earlier in zip(state.pop("sums"), payload):
+            sums.after(earlier)
+            finished.append(sums.finished())
+        return finished
+
+    return serve
+
+
+@contextlib.contextmanager
+def clip_helper(net: C3dModel, clips_of):
+    """Open a forked helper that runs the later clips of each of `net`'s
+    training batches, building them with `clips_of(row ids)` from its copy
+    of the caller's rows. Yields the ClipHelper, or None where
+    `parallel.start_helper` starts none (one process's worth of CPUs, or
+    inside an `ordered_map` share); without one, every clip runs here. The
+    helper is closed and waited for however the block is left."""
+    helper = parallel.start_helper(_serve_clips(net, clips_of))
+    if helper is None:
+        yield None
+        return
+    with helper:
+        net.helper = ClipHelper(helper, net)
+        try:
+            yield net.helper
+        finally:
+            net.helper = None
 
 
 def build_c3d(spec: C3dSpec, rng: Rng) -> C3dModel:

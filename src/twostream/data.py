@@ -12,6 +12,7 @@ the same way. Neither stream alone can reach 100%, their union can.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 from dataclasses import dataclass
 
@@ -300,7 +301,14 @@ class SynthConfig:
         if min(a, b) < 0:
             raise ConfigError(f"{key}: ({a}, {b}) needs non-negative classes")
         if max(a, b) >= self.n_classes:
-            raise ConfigError(f"{key}: ({a}, {b}) needs classes below n_classes ({self.n_classes})")
+            default = getattr(self, key) == _SYNTH_DEFAULTS[key]
+            raise ConfigError(
+                f"{key}: ({a}, {b}) needs classes below n_classes ({self.n_classes})"
+                + (f"; the default {key} assumes 6 classes, so set {key} too" if default else "")
+            )
+
+
+_SYNTH_DEFAULTS = {f.name: f.default for f in dataclasses.fields(SynthConfig)}
 
 
 # Motion primitives 0-3 carry class evidence; primitive 4 is the rest pose.

@@ -63,10 +63,11 @@ def read_tensor_from(fh) -> np.ndarray:
         raise DataError(f"{source}: unknown TSR1 dtype tag {tag!r}")
     dtype = _TAG_TO_DTYPE[tag]
     count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-    raw = fh.read(count * dtype.itemsize)
-    if len(raw) != count * dtype.itemsize:
+    payload = bytearray(count * dtype.itemsize)  # read once, into memory the array keeps
+    if fh.readinto(payload) != len(payload):
         raise DataError(f"{source}: truncated TSR1 payload")
-    return np.frombuffer(raw, dtype=dtype).reshape(shape).astype(dtype.newbyteorder("="))
+    array = np.frombuffer(payload, dtype=dtype).reshape(shape)  # writable: a bytearray's view
+    return array if dtype.isnative else array.astype(dtype.newbyteorder("="))
 
 
 def read_tensor(path) -> np.ndarray:

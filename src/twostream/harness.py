@@ -3,6 +3,7 @@ finite-difference gradient checker, and metrics emission."""
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import time
@@ -28,6 +29,7 @@ from .conv3d import (
     Pool3dSpec,
     clip_average,
     clip_count,
+    clip_helper,
     clip_split,
     conv3d_backward,
     conv3d_forward,
@@ -264,7 +266,10 @@ def train(model, dataset: Dataset, splits: Splits, cfg: TrainConfig) -> RunResul
     """Mini-batch training over the training split's model rows, with
     validation accuracy from `evaluate` every `eval_every` epochs. Each
     batch's rows are padded or stacked from `_stream_rows`' references when
-    its step is taken, so memory follows the batch, not the split.
+    its step is taken, so memory follows the batch, not the split. A video
+    model trains each batch on two cores where a helper may start
+    (`conv3d.clip_helper`): the helper builds the later half of the batch's
+    clips from its copy of the rows, and the bits are those of one process.
     Deterministic given the seed; aborts with a diagnostic if the loss goes
     non-finite."""
     shuffle_rng = Rng(cfg.seed).derive(101)
@@ -287,37 +292,39 @@ def train(model, dataset: Dataset, splits: Splits, cfg: TrainConfig) -> RunResul
     best_val = -1.0
     step_seconds = []
     improved = None
-    for epoch in range(cfg.epochs):
-        perm = shuffle_rng.permutation(n_train)
-        losses = []
-        for start in range(0, n_train, cfg.batch_size):
-            idx = perm[start : start + cfg.batch_size]
-            if idx.size < 2:  # batch statistics need at least two rows
-                continue
-            xb = rows[idx]
-            yb = train_labels[idx]
-            tic = time.perf_counter()
-            logits, _, cache = model.forward(xb, mode="train", rng=dropout_rng)
-            loss, grad_logits = softmax_xent(logits, yb)
-            if not np.isfinite(loss):
-                raise DivergenceError(
-                    f"{model.spec.name}: non-finite loss at epoch {epoch} "
-                    f"step {start // cfg.batch_size}"
-                )
-            grads = model.backward(cache, grad_logits)
-            if cfg.optimizer == "rmsprop":
-                rmsprop_step(state, params, grads)
-            else:
-                sgd_halving_step(state, params, grads, improved)
-                improved = None
-            step_seconds.append(time.perf_counter() - tic)
-            losses.append(loss)
-        result.epoch_losses.append(float(np.mean(losses)))
-        if (epoch + 1) % cfg.eval_every == 0:
-            acc = evaluate(model, dataset, splits.val).test_accuracy
-            result.val_accuracies.append(acc)
-            improved = acc > best_val + 1e-12
-            best_val = max(best_val, acc)
+    helping = clip_helper(model.net, rows.__getitem__) if model.stream == "video" else contextlib.nullcontext()
+    with helping as helper:
+        for epoch in range(cfg.epochs):
+            perm = shuffle_rng.permutation(n_train)
+            losses = []
+            for start in range(0, n_train, cfg.batch_size):
+                idx = perm[start : start + cfg.batch_size]
+                if idx.size < 2:  # batch statistics need at least two rows
+                    continue
+                xb = rows[idx if helper is None else helper.start(idx)]
+                yb = train_labels[idx]
+                tic = time.perf_counter()
+                logits, _, cache = model.forward(xb, mode="train", rng=dropout_rng)
+                loss, grad_logits = softmax_xent(logits, yb)
+                if not np.isfinite(loss):
+                    raise DivergenceError(
+                        f"{model.spec.name}: non-finite loss at epoch {epoch} "
+                        f"step {start // cfg.batch_size}"
+                    )
+                grads = model.backward(cache, grad_logits)
+                if cfg.optimizer == "rmsprop":
+                    rmsprop_step(state, params, grads)
+                else:
+                    sgd_halving_step(state, params, grads, improved)
+                    improved = None
+                step_seconds.append(time.perf_counter() - tic)
+                losses.append(loss)
+            result.epoch_losses.append(float(np.mean(losses)))
+            if (epoch + 1) % cfg.eval_every == 0:
+                acc = evaluate(model, dataset, splits.val).test_accuracy
+                result.val_accuracies.append(acc)
+                improved = acc > best_val + 1e-12
+                best_val = max(best_val, acc)
     test = evaluate(model, dataset, splits.test)
     result.test_accuracy = test.test_accuracy
     result.confusion = test.confusion

@@ -1,9 +1,21 @@
-"""Independent calls on every usable core.
+"""Independent calls on every usable core, and one helper process that
+lives across calls.
 
 `ordered_map(fn, items)` returns `[fn(x) for x in items]`. When the machine
 has cores to spare it forks workers: with w processes the caller runs items
 0::w itself and forked worker k runs items k::w, sends back its results (or
 its first failure) pickled through a pipe and leaves with `os._exit`.
+
+`start_helper(serve)` forks one `Helper` that answers the caller's requests
+with `serve(request)`, one reply per request, in order, until the caller
+closes it. Work that keeps state from one request to the next then needs one
+fork per run instead of one per phase: `conv3d.clip_helper` trains a video
+model's batches with the caller running the conv stack for the first ⌈n/2⌉
+clips and the helper for the rest, and the helper adds its clips' kernel and
+bias gradients after the caller's sums arrive, in clip order. The helper
+starts only where `ordered_map` would fork two processes, and never inside
+an `ordered_map` share, so the processes never outnumber the ones counted; a
+map worker forked while a helper is open closes the helper's pipe ends.
 
 Fork rather than a `multiprocessing` pool: a worker starts as a copy of the
 caller, so `fn` may be a closure over live models and arrays, which a pool
@@ -31,10 +43,15 @@ import traceback
 # Read in this order, as OpenBLAS reads them.
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
-# True while this process runs its share of a forked map: a nested map then
-# runs serially, so the processes never outnumber the ones counted for the
-# outer map.
+# True while this process runs its share of a forked map, or is a helper: a
+# nested map then runs serially, so the processes never outnumber the ones
+# counted for the outer map.
 _inside_map = False
+
+# The caller's pipe ends of the helpers this process has open. A process
+# forked while a helper is open closes them, so that the helper sees the end
+# of its requests exactly when the caller closes it.
+_helper_fds = set()
 
 
 def usable_cpus():
@@ -58,13 +75,19 @@ def blas_threads(cpus):
     return cpus
 
 
-def worker_count(n_items):
-    """Processes `ordered_map` uses for `n_items` items. Each gets at least
-    two items, since a fork costs more than one short item saves."""
+def _spare_processes():
+    """Processes that fit on the usable CPUs at each one's BLAS thread
+    count; 1 inside an `ordered_map` share or a helper."""
     if _inside_map:
         return 1
     cpus = usable_cpus()
-    return max(1, min(n_items // 2, cpus // blas_threads(cpus)))
+    return cpus // blas_threads(cpus)
+
+
+def worker_count(n_items):
+    """Processes `ordered_map` uses for `n_items` items. Each gets at least
+    two items, since a fork costs more than one short item saves."""
+    return max(1, min(n_items // 2, _spare_processes()))
 
 
 def _run_share(fn, share):
@@ -86,8 +109,9 @@ def _worker(fn, share, write_fd, inherited_fds):
     _inside_map = True
     status = 1
     try:
-        for fd in inherited_fds:
+        for fd in [*inherited_fds, *_helper_fds]:
             os.close(fd)
+        _helper_fds.clear()
         outcome = _run_share(fn, share)
         try:
             payload = pickle.dumps(outcome, protocol=pickle.HIGHEST_PROTOCOL)
@@ -168,3 +192,124 @@ def _gather(outcomes, w, n):
     for k, (share, _) in outcomes.items():
         results[k::w] = share
     return results
+
+
+def start_helper(serve):
+    """A `Helper` that answers requests with `serve`, or None where
+    `ordered_map` would not fork two processes: too few usable CPUs for one
+    more process at the BLAS thread count, or inside an `ordered_map` share."""
+    return Helper(serve) if _spare_processes() >= 2 else None
+
+
+class Helper:
+    """One forked process that answers the caller's requests with
+    `serve(request)`: one reply per request, in order, each pickled through a
+    pipe. `send` and `receive` may be apart, so that the caller works while
+    the helper does. The helper starts as a copy of the caller, so `serve`
+    may close over live state; only requests and replies cross the pipes.
+
+    A failure inside `serve` comes back from `receive` with its type and
+    message, as `ordered_map` raises it, and the helper goes on serving. A
+    helper that died raises ChildProcessError. `close`, or leaving a `with`
+    block however it is left, ends the helper and waits for it."""
+
+    def __init__(self, serve):
+        sys.stdout.flush()  # else the helper would inherit the buffers and flush them again
+        sys.stderr.flush()
+        request_r, request_w = os.pipe()
+        reply_r, reply_w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            for fd in (request_r, request_w, reply_r, reply_w):
+                os.close(fd)
+            raise
+        if pid == 0:
+            _serve_requests(serve, request_r, reply_w, [request_w, reply_r])
+        os.close(request_r)
+        os.close(reply_w)
+        self.pid = pid
+        self._fds = {request_w, reply_r}
+        _helper_fds.update(self._fds)
+        self._requests = os.fdopen(request_w, "wb")
+        self._replies = os.fdopen(reply_r, "rb")
+
+    def send(self, request):
+        try:
+            self._requests.write(pickle.dumps(request, protocol=pickle.HIGHEST_PROTOCOL))
+            self._requests.flush()
+        except BrokenPipeError:
+            raise ChildProcessError(f"helper (pid {self.pid}) exited") from None
+
+    def receive(self):
+        """The reply to the oldest request not yet received."""
+        try:
+            value, failure = pickle.load(self._replies)
+        except (EOFError, pickle.UnpicklingError):
+            raise ChildProcessError(f"helper (pid {self.pid}) exited without a reply") from None
+        if failure:
+            exc, tb = failure
+            if hasattr(exc, "add_note"):  # notes arrived in Python 3.11
+                exc.add_note(f"raised in helper (pid {self.pid}):\n{tb}")
+            raise exc
+        return value
+
+    def call(self, request):
+        self.send(request)
+        return self.receive()
+
+    def close(self):
+        """Close both pipes, which ends the helper (one blocked writing a
+        reply as well as one waiting for a request), and wait for it."""
+        if self.pid is None:
+            return
+        _helper_fds.difference_update(self._fds)
+        for fh in (self._replies, self._requests):
+            try:
+                fh.close()
+            except OSError:  # a request left unflushed by a helper that died
+                pass
+        os.waitpid(self.pid, 0)
+        self.pid = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
+
+
+def _serve_requests(serve, read_fd, write_fd, inherited_fds):
+    """The helper's loop: answer each request until the caller closes the
+    pipe, then exit, whatever happens."""
+    global _inside_map
+    _inside_map = True
+    status = 1
+    try:
+        for fd in [*inherited_fds, *_helper_fds]:
+            os.close(fd)
+        _helper_fds.clear()
+        with os.fdopen(read_fd, "rb") as requests, os.fdopen(write_fd, "wb") as replies:
+            while True:
+                try:
+                    request = pickle.load(requests)
+                except EOFError:
+                    break
+                try:
+                    reply = (serve(request), None)
+                except Exception as exc:
+                    reply = (None, (exc, traceback.format_exc()))
+                try:
+                    payload = pickle.dumps(reply, protocol=pickle.HIGHEST_PROTOCOL)
+                except Exception as exc:  # a reply or an exception that does not pickle
+                    failure = (RuntimeError(f"helper reply does not pickle: {exc!r}"), traceback.format_exc())
+                    payload = pickle.dumps((None, failure), protocol=pickle.HIGHEST_PROTOCOL)
+                replies.write(payload)
+                replies.flush()
+        status = 0
+    finally:
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        finally:
+            os._exit(status)

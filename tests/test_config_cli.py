@@ -153,7 +153,7 @@ samples_per_class = 12
 t_min = 8
 t_max = 12
 joints = 3
-n_subjects = 6
+n_subjects = 4
 n_views = 3
 video_shape = 2x8x6x6
 shared_skeleton_pairs = 0-1
@@ -172,7 +172,7 @@ ladder_models = RNN1, LSTM1-BN
 GEN_DATA_CFG = """
 seed = 11
 n_classes = 4
-samples_per_class = 3
+samples_per_class = 6
 t_min = 5
 t_max = 9
 joints = 3
@@ -329,7 +329,7 @@ class TestCli:
         cfg_path.write_text(GEN_DATA_CFG)
         main(["gen-data", "--config", str(cfg_path), "--out", str(tmp_path / "cli")])
         expected = SynthConfig(
-            n_classes=4, samples_per_class=3, t_min=5, t_max=9, joints=3, n_subjects=3,
+            n_classes=4, samples_per_class=6, t_min=5, t_max=9, joints=3, n_subjects=3,
             n_views=2, skeleton_noise=0.07, video_noise=0.02, video_shape=(2, 4, 5, 6),
             shared_skeleton_pairs=((2, 3),), shared_video_pairs=((0, 1),), xor_pair=(0, 1),
         )
@@ -356,6 +356,29 @@ class TestCli:
             main(["fuse", "--run-rnn", missing, "--run-cnn", missing, "--data", missing, "--svm-c", value])
         assert exc.value.code == 2
         assert f"argument --svm-c: must be > 0 and finite, got {float(value)}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["gen-data", "ladder"])
+    @pytest.mark.parametrize("n_classes", [2, 3, 4, 5])
+    def test_too_few_classes_for_the_default_pairs_rejected_before_any_work(self, tmp_path, command, n_classes):
+        cfg_path = tmp_path / "few.cfg"
+        cfg_path.write_text(f"n_classes = {n_classes}\n")
+        pair_key = "shared_video_pairs" if n_classes < 4 else "xor_pair"
+        message = (
+            rf"{pair_key}: .* needs classes below n_classes \({n_classes}\); "
+            rf"the default {pair_key} assumes 6 classes, so set {pair_key} too"
+        )
+        with pytest.raises(ConfigError, match=message):
+            main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["gen-data", "ladder"])
+    def test_fewer_samples_than_views_times_subjects_rejected_before_any_work(self, tmp_path, command):
+        cfg_path = tmp_path / "sparse.cfg"
+        cfg_path.write_text("samples_per_class = 8\nn_subjects = 4\n")
+        message = re.escape("samples_per_class (8) must be at least n_views * n_subjects (3 * 4 = 12)")
+        with pytest.raises(ConfigError, match=message):
+            main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert not (tmp_path / "out").exists()
 
     def test_gradcheck_command_passes(self, capsys):
         main(["gradcheck"])

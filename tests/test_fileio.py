@@ -17,6 +17,16 @@ def test_tensor_roundtrip_f64(tmp_path, rng):
     assert np.array_equal(back, original)
 
 
+def test_read_tensor_is_a_writable_view_of_the_bytes_read(tmp_path, rng):
+    path = tmp_path / "a.tsr"
+    write_tensor(path, rng.normal(size=(3, 4)))
+    back = read_tensor(path)
+    assert back.dtype.isnative
+    assert back.flags.writeable and not back.flags.owndata  # no second copy of the payload
+    back[0, 0] = 1.5
+    assert back[0, 0] == 1.5
+
+
 def test_tensor_roundtrip_f32(tmp_path):
     path = tmp_path / "a.tsr"
     original = np.arange(6, dtype=np.float32).reshape(2, 3)

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib.util
 import json
+import os
 import re
 import tracemalloc
 from pathlib import Path
@@ -28,7 +29,7 @@ from twostream import (
     softmax,
     train,
 )
-from twostream import harness
+from twostream import conv3d, harness
 from twostream.conv3d import clip_split
 from twostream.data import pad_sequences
 from twostream.harness import (
@@ -45,6 +46,7 @@ from twostream.harness import (
     train_variant,
 )
 from twostream.config import default_config
+from twostream.parallel import ordered_map
 
 
 TINY_SYNTH = SynthConfig(
@@ -457,6 +459,70 @@ class TestWorkerCountKeepsResults:
         b = (tmp_path / "2" / "ladder_results.json").read_bytes()
         assert a == b
         assert {"DECISION-FUSION", "FEATURE-FUSION"} <= set(json.loads(a))
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+_START = conv3d.ClipHelper.start
+
+
+class TestClipHelper:
+    """A video model trains each batch's later clips in a forked helper where
+    two processes fit, with the bits of the one-process run."""
+
+    def _train(self, dataset, filters, batch_size, monkeypatch):
+        spec = dataclasses.replace(_tiny_model_spec("C3D-DESK", dataset), cnn_filters=filters)
+        model = build_model(spec, Rng(3))
+        cfg = TrainConfig(epochs=2, batch_size=batch_size, optimizer="sgd_halving", learning_rate=0.05, seed=5)
+        splits = make_splits(dataset, SplitSpec("cross_subject"), Rng(4).derive(7))
+        shares = []
+        monkeypatch.setattr(conv3d.ClipHelper, "start", lambda self, ids: shares.append(len(ids)) or _START(self, ids))
+        result = train(model, dataset, splits, cfg)
+        return result, model.param_items(), shares
+
+    @pytest.mark.parametrize("filters", [(8, 16), (1, 2)], ids=["filters_8_16", "one_filter"])
+    @pytest.mark.parametrize("batch_size", [32, 7, 2])
+    def test_helper_run_is_bit_identical_to_one_process(self, wide, workers, monkeypatch, filters, batch_size):
+        runs = []
+        for n in (1, 2):
+            workers(n)
+            runs.append(self._train(wide, filters, batch_size, monkeypatch))
+        (res_1, params_1, shares_1), (res_2, params_2, shares_2) = runs
+        assert shares_1 == [] and shares_2 and batch_size in shares_2  # the helper took part at 2
+        assert res_1.epoch_losses == res_2.epoch_losses
+        assert res_1.val_accuracies == res_2.val_accuracies
+        assert res_1.test_accuracy == res_2.test_accuracy
+        assert [n for n, _ in params_1] == [n for n, _ in params_2]
+        assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(params_1, params_2))
+        _assert_no_child_left()
+
+    def test_training_inside_a_map_share_runs_inline(self, tiny, workers, monkeypatch):
+        dataset, _ = tiny
+        forks = workers(2)
+
+        def forks_during_train(_):
+            before = len(forks)
+            _, _, shares = self._train(dataset, (8, 16), 8, monkeypatch)
+            return len(forks) - before, shares
+
+        assert ordered_map(forks_during_train, range(4)) == [(0, [])] * 4
+        assert len(forks) == 1  # the map's one worker
+        _assert_no_child_left()
+
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_no_child_left_when_training_raises(self, tiny, workers):
+        dataset, splits = tiny
+        workers(2)
+        model = build_model(_tiny_model_spec("C3D-DESK", dataset), Rng(3))
+        model.param_items()[0][1].flat[0] = np.nan
+        cfg = TrainConfig(epochs=1, batch_size=8, optimizer="sgd_halving", learning_rate=0.05)
+        with pytest.raises(DivergenceError, match="non-finite loss at epoch 0 step 0"):
+            train(model, dataset, splits, cfg)
+        _assert_no_child_left()
+        assert model.net.helper is None
 
 
 @pytest.fixture(scope="module")

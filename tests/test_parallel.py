@@ -127,3 +127,97 @@ class TestWorkerCount:
         for n in (4, 10, 100):
             w = worker_count(n)
             assert w == 1 or w * threads <= cpus
+
+
+def counter():
+    """A serve function with state that lives across requests."""
+    total = []
+
+    def serve(request):
+        if request == "die":
+            os._exit(3)
+        if request == "fail":
+            raise DivergenceError("request failed")
+        total.append(request)
+        return sum(total), os.getpid()
+
+    return serve
+
+
+class TestHelper:
+    def test_replies_come_in_request_order_with_state_kept(self, workers):
+        forks = workers(2)
+        with parallel.start_helper(counter()) as helper:
+            helper.send(1)
+            helper.send(2)
+            assert helper.receive() == (1, forks[0])
+            assert helper.receive() == (3, forks[0])
+            assert helper.call(4) == (7, forks[0])
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    def test_failure_arrives_with_type_and_message_and_the_helper_goes_on(self, workers):
+        workers(2)
+        with parallel.start_helper(counter()) as helper:
+            with pytest.raises(DivergenceError) as info:
+                helper.call("fail")
+            assert str(info.value) == "request failed"
+            assert helper.call(5)[0] == 5
+        assert_no_child_left()
+
+    def test_unpicklable_reply_fails_loudly(self, workers):
+        workers(2)
+        with parallel.start_helper(lambda x: (lambda: x)) as helper:
+            with pytest.raises(RuntimeError, match="does not pickle"):
+                helper.call(1)
+        assert_no_child_left()
+
+    def test_helper_that_dies_is_reported_and_reaped(self, workers):
+        workers(2)
+        with pytest.raises(ChildProcessError, match=r"helper \(pid \d+\) exited"):
+            with parallel.start_helper(counter()) as helper:
+                helper.call("die")
+        assert_no_child_left()
+
+    def test_exception_in_the_caller_closes_and_reaps_the_helper(self, workers):
+        workers(2)
+        with pytest.raises(KeyError):
+            with parallel.start_helper(counter()) as helper:
+                helper.send(1)  # its reply is never read
+                raise KeyError("caller failed")
+        assert_no_child_left()
+        assert parallel._helper_fds == set()
+
+    def test_no_helper_without_a_spare_core_or_inside_a_map(self, workers, monkeypatch):
+        forks = workers(1)
+        assert parallel.start_helper(counter()) is None
+        for name in parallel.BLAS_THREAD_VARIABLES:
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+        assert parallel.start_helper(counter()) is None  # 2 BLAS threads fill both CPUs
+        workers(2)
+        assert ordered_map(lambda x: parallel.start_helper(counter()) is None, range(4)) == [True] * 4
+        assert len(forks) == 1  # the map's worker; no helper in either share
+        assert_no_child_left()
+
+    def test_map_worker_closes_the_helpers_pipe_ends(self, workers):
+        workers(2)
+        with parallel.start_helper(counter()) as helper:
+            fds = sorted(parallel._helper_fds)
+            assert len(fds) == 2
+
+            def open_fds(_):
+                still_open = []
+                for fd in fds:
+                    try:
+                        os.fstat(fd)
+                        still_open.append(fd)
+                    except OSError:
+                        pass
+                return os.getpid(), still_open
+
+            (pid_a, open_a), (pid_b, open_b) = ordered_map(open_fds, range(4))[:2]
+            assert pid_a == os.getpid() and open_a == fds
+            assert pid_b != os.getpid() and open_b == []
+            assert helper.call(2)[0] == 2  # the helper still serves the caller
+        assert_no_child_left()

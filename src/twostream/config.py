@@ -20,9 +20,13 @@ def _shape4(text):
 
 def _names(text):
     names = [p.strip() for p in text.split(",") if p.strip()]
-    for n in names:
+    if not names:
+        raise ConfigError("expected one or more ladder models")
+    for i, n in enumerate(names):
         if n not in LADDER_VARIANTS:
             raise ConfigError(f"unknown ladder model {n!r}")
+        if n in names[:i]:
+            raise ConfigError(f"ladder model {n!r} appears more than once")
     return names
 
 
@@ -228,18 +232,28 @@ def _checked_config(entries) -> dict:
 
 
 def check_dataset_keys(cfg):
-    """The cross-field rule for a dataset made from a config, checked by the
-    commands that make one before any generation: every subject sees every
+    """The cross-field rules for a dataset made from a config, checked by the
+    commands that make one before any generation: the split mode can leave
+    training, validation and test subjects, and every subject sees every
     class from every view. Sample j of a class goes to subject
     (j // n_views) % n_subjects, so with fewer samples some subjects get
     fewer views of a class or none, and a split by subject can come out
     empty. `generate_synthetic` itself allows it (the benchmark's data
     leaves subjects out)."""
-    need = cfg["n_views"] * cfg["n_subjects"]
+    mode, n_views, n_subjects = cfg["split_mode"], cfg["n_views"], cfg["n_subjects"]
+    if mode == "cross_view" and n_views < 2:
+        raise ConfigError(f"split_mode = cross_view holds one view out, so it needs n_views >= 2, got n_views = {n_views}")
+    fewest = data.fewest_subjects(mode)
+    if n_subjects < fewest:
+        raise ConfigError(
+            f"split_mode = {mode} needs n_subjects >= {fewest} to leave training, validation and test subjects, "
+            f"got n_subjects = {n_subjects}"
+        )
+    need = n_views * n_subjects
     if cfg["samples_per_class"] < need:
         raise ConfigError(
             f"samples_per_class ({cfg['samples_per_class']}) must be at least n_views * n_subjects "
-            f"({cfg['n_views']} * {cfg['n_subjects']} = {need}), or some subjects get fewer views of a class or none"
+            f"({n_views} * {n_subjects} = {need}), or some subjects get fewer views of a class or none"
         )
 
 

@@ -13,6 +13,8 @@ the same way. Neither stream alone can reach 100%, their union can.
 from __future__ import annotations
 
 import dataclasses
+import itertools
+import math
 import os
 from dataclasses import dataclass
 
@@ -189,6 +191,23 @@ SPLIT_MODES = ("cross_subject", "cross_view")
 VAL_FRACTION = 0.1  # of training subjects, rounded up
 
 
+def _train_side(mode, n_subjects):
+    """Subjects on the training side of a split: cross_subject holds out
+    half of them, cross_view holds out a view and no subject."""
+    return n_subjects // 2 if mode == "cross_subject" else n_subjects
+
+
+def _val_subjects(n_train_side):
+    """Subjects carved from the training side for validation."""
+    return max(1, math.ceil(VAL_FRACTION * n_train_side))
+
+
+def fewest_subjects(mode):
+    """The fewest subjects, each seen in every view, that `make_splits`
+    leaves training, validation and test subjects with in `mode`."""
+    return next(n for n in itertools.count(2) if _train_side(mode, n) > _val_subjects(_train_side(mode, n)))
+
+
 @dataclass
 class SplitSpec:
     mode: str = "cross_subject"  # or "cross_view"
@@ -220,7 +239,7 @@ def make_splits(dataset: Dataset, spec: SplitSpec, rng: Rng) -> Splits:
 
     if spec.mode == "cross_subject":
         order = [subjects[i] for i in rng.permutation(len(subjects))]
-        half = len(order) // 2
+        half = _train_side(spec.mode, len(order))
         test_subjects = set(order[half:])
         held_out = [s.skeleton.subject_id in test_subjects for s in dataset.samples]
         train_order = order[:half]
@@ -231,7 +250,7 @@ def make_splits(dataset: Dataset, spec: SplitSpec, rng: Rng) -> Splits:
             {s.skeleton.subject_id for s, out in zip(dataset.samples, held_out) if not out}
         )
         train_order = [train_subjects[i] for i in rng.permutation(len(train_subjects))]
-    n_val = max(1, int(np.ceil(VAL_FRACTION * len(train_order))))
+    n_val = _val_subjects(len(train_order))
     val_subjects = set(train_order[:n_val])
     train_ids, val_ids, test_ids = [], [], []
     for i, (s, out) in enumerate(zip(dataset.samples, held_out)):

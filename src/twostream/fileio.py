@@ -13,6 +13,10 @@ CKPT1 — a checkpoint of named tensors:
 from __future__ import annotations
 
 import io
+import math
+import os
+import stat
+
 import numpy as np
 
 from .errors import DataError
@@ -62,12 +66,33 @@ def read_tensor_from(fh) -> np.ndarray:
     if tag not in _TAG_TO_DTYPE:
         raise DataError(f"{source}: unknown TSR1 dtype tag {tag!r}")
     dtype = _TAG_TO_DTYPE[tag]
-    count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-    payload = bytearray(count * dtype.itemsize)  # read once, into memory the array keeps
-    if fh.readinto(payload) != len(payload):
-        raise DataError(f"{source}: truncated TSR1 payload")
-    array = np.frombuffer(payload, dtype=dtype).reshape(shape)  # writable: a bytearray's view
+    nbytes = math.prod(shape) * dtype.itemsize  # Python ints, so no extent wraps around
+    if math.prod(max(d, 1) for d in shape) * dtype.itemsize > np.iinfo(np.intp).max:
+        raise DataError(f"{source}: TSR1 extents {shape} are too large for an array")
+    array = np.frombuffer(_payload(fh, nbytes, source), dtype=dtype).reshape(shape)  # writable: a bytearray's view
     return array if dtype.isnative else array.astype(dtype.newbyteorder("="))
+
+
+def _payload(fh, nbytes, source):
+    """The next `nbytes` bytes of `fh`, read once into a bytearray, and never
+    more memory than the file holds: a regular file's bytes left are checked
+    before the allocation, and any other stream is read in bounded chunks."""
+    try:
+        st = os.fstat(fh.fileno())
+        left = st.st_size - fh.tell() if stat.S_ISREG(st.st_mode) else None
+    except (AttributeError, OSError):  # no descriptor (io.UnsupportedOperation is an OSError)
+        left = None
+    if left is None:
+        payload = bytearray()
+        while len(payload) < nbytes and (chunk := fh.read(min(nbytes - len(payload), 1 << 20))):
+            payload += chunk
+        got = len(payload)
+    else:
+        payload = bytearray(nbytes if nbytes <= left else 0)  # nothing for a file too short
+        got = fh.readinto(payload)
+    if got != nbytes:
+        raise DataError(f"{source}: truncated TSR1 payload: the header asks for {nbytes} bytes")
+    return payload
 
 
 def read_tensor(path) -> np.ndarray:

@@ -1,28 +1,32 @@
-"""Independent calls on every usable core, and one helper process that
-lives across calls.
+"""Independent calls on every usable core, through forked helper processes.
+
+Every process this module forks is a `Helper`: a copy of the caller that
+answers the caller's requests with `serve(request)`, one reply per request,
+in order, each pickled through a pipe, until the caller closes it.
 
 `ordered_map(fn, items)` returns `[fn(x) for x in items]`. When the machine
-has cores to spare it forks workers: with w processes the caller runs items
-0::w itself and forked worker k runs items k::w, sends back its results (or
-its first failure) pickled through a pipe and leaves with `os._exit`.
+has cores to spare it uses w processes: the caller opens w−1 helpers, sends
+helper k its share number k, runs items 0::w itself, and helper k runs items
+k::w and replies with their results (or its first failure).
 
-`start_helper(serve)` forks one `Helper` that answers the caller's requests
-with `serve(request)`, one reply per request, in order, until the caller
-closes it. Work that keeps state from one request to the next then needs one
-fork per run instead of one per phase: `conv3d.clip_helper` trains a video
-model's batches with the caller running the conv stack for the first ⌈n/2⌉
-clips and the helper for the rest, and the helper adds its clips' kernel and
-bias gradients after the caller's sums arrive, in clip order. The helper
-starts only where `ordered_map` would fork two processes, and never inside
-an `ordered_map` share, so the processes never outnumber the ones counted; a
-map worker forked while a helper is open closes the helper's pipe ends.
+`start_helper(serve)` opens one helper that lives across calls. Work that
+keeps state from one request to the next then needs one fork per run instead
+of one per phase: `conv3d.clip_helper` trains a video model's batches with
+the caller running the conv stack for the first ⌈n/2⌉ clips and the helper
+for the rest, and the helper adds its clips' kernel and bias gradients after
+the caller's sums arrive, in clip order. It starts only where `ordered_map`
+would fork two processes, and never inside an `ordered_map` share, so the
+processes never outnumber the ones counted. A helper closes the caller's
+ends of every other helper's pipes, so each helper sees the end of its
+requests exactly when the caller closes it.
 
-Fork rather than a `multiprocessing` pool: a worker starts as a copy of the
-caller, so `fn` may be a closure over live models and arrays, which a pool
-would have to pickle. Only the results cross the pipe, so they must pickle.
-Nothing a worker does to its copy of the caller's state comes back. The
-package starts no threads, and OpenBLAS shuts its own thread pool down
-before a fork (a pthread_atfork handler), so no lock is copied mid-use.
+Fork rather than a `multiprocessing` pool: a helper starts as a copy of the
+caller, so `fn` or `serve` may be a closure over live models and arrays,
+which a pool would have to pickle. Only requests and replies cross the
+pipes, so they must pickle. Nothing a helper does to its copy of the
+caller's state comes back. The package starts no threads, and OpenBLAS shuts
+its own thread pool down before a fork (a pthread_atfork handler), so no
+lock is copied mid-use.
 
 The worker count never lets processes times BLAS threads exceed the usable
 CPUs. OpenBLAS starts one thread per CPU unless `OPENBLAS_NUM_THREADS` (or
@@ -35,6 +39,7 @@ than either alone: on a 2-vCPU VM the 14 acceptance trainings took 179 s on
 
 from __future__ import annotations
 
+import contextlib
 import os
 import pickle
 import sys
@@ -48,8 +53,8 @@ BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_TH
 # counted for the outer map.
 _inside_map = False
 
-# The caller's pipe ends of the helpers this process has open. A process
-# forked while a helper is open closes them, so that the helper sees the end
+# The caller's pipe ends of the helpers this process has open. A helper
+# forked while others are open closes them, so that each helper sees the end
 # of its requests exactly when the caller closes it.
 _helper_fds = set()
 
@@ -102,80 +107,31 @@ def _run_share(fn, share):
     return results, None
 
 
-def _worker(fn, share, write_fd, inherited_fds):
-    """Run `share` in a forked worker, write the pickled outcome to
-    `write_fd` and exit, whatever happens."""
-    global _inside_map
-    _inside_map = True
-    status = 1
-    try:
-        for fd in [*inherited_fds, *_helper_fds]:
-            os.close(fd)
-        _helper_fds.clear()
-        outcome = _run_share(fn, share)
-        try:
-            payload = pickle.dumps(outcome, protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception as exc:  # a result or an exception that does not pickle
-            failure = (0, RuntimeError(f"worker outcome does not pickle: {exc!r}"), traceback.format_exc())
-            payload = pickle.dumps(([], failure), protocol=pickle.HIGHEST_PROTOCOL)
-        with os.fdopen(write_fd, "wb") as fh:
-            fh.write(payload)
-        status = 0
-    finally:
-        try:
-            sys.stdout.flush()
-            sys.stderr.flush()
-        finally:
-            os._exit(status)
-
-
-def _read_to_eof(fd):
-    chunks = []
-    while chunk := os.read(fd, 1 << 20):
-        chunks.append(chunk)
-    return b"".join(chunks)
-
-
 def ordered_map(fn, items):
     """`[fn(x) for x in items]`, with the items spread over `worker_count`
     processes. On failure it raises the exception of the lowest-index item
     that failed, with its type and message, as the serial loop would, once
-    every worker has exited and been waited for."""
+    every helper has exited and been waited for."""
     global _inside_map
     items = list(items)
     w = worker_count(len(items))
     if w < 2:
         return [fn(x) for x in items]
-    sys.stdout.flush()  # else every worker would inherit the buffer and flush it again
-    sys.stderr.flush()
-    workers = []  # (share index, pid, read end of its pipe)
-    try:
+    with contextlib.ExitStack() as stack:
+        helpers = []
         for k in range(1, w):
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_fd)
-                os.close(write_fd)
-                raise
-            if pid == 0:
-                _worker(fn, items[k::w], write_fd, [read_fd] + [fd for _, _, fd in workers])
-            os.close(write_fd)
-            workers.append((k, pid, read_fd))
+            helpers.append(stack.enter_context(Helper(lambda share: _run_share(fn, items[share::w]))))
+            helpers[-1].send(k)
         _inside_map = True
         try:
             outcomes = {0: _run_share(fn, items[0::w])}
         finally:
             _inside_map = False
-        for k, pid, fd in workers:
-            data = _read_to_eof(fd)
-            if not data:
-                raise ChildProcessError(f"ordered_map worker {k} (pid {pid}) exited without a result")
-            outcomes[k] = pickle.loads(data)
-    finally:
-        for _, pid, fd in workers:
-            os.close(fd)
-            os.waitpid(pid, 0)
+        for k, helper in enumerate(helpers, start=1):
+            try:
+                outcomes[k] = helper.receive()
+            except ChildProcessError:
+                raise ChildProcessError(f"ordered_map worker {k} (pid {helper.pid}) exited without a result") from None
     return _gather(outcomes, w, len(items))
 
 

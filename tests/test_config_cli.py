@@ -19,7 +19,7 @@ from twostream import (
     read_tensor,
     save_model,
 )
-from twostream import harness
+from twostream import data, harness
 from twostream.config import SCHEMA, default_config, load_config, parse_config
 from twostream.cli import _load_run, _write_run, main
 
@@ -116,6 +116,9 @@ class TestConfigParsing:
             ("xor_pair", "1-2-3", "expected pairs like 0-1, got '1-2-3'"),
             ("shared_video_pairs", "2-2", "a pair needs two different classes, got '2-2'"),
             ("ladder_models", "RNN1, GRU9000", "unknown ladder model 'GRU9000'"),
+            ("ladder_models", "", "expected one or more ladder models"),
+            ("ladder_models", " , ", "expected one or more ladder models"),
+            ("ladder_models", "RNN1, LSTM1, RNN1", "ladder model 'RNN1' appears more than once"),
         ],
     )
     def test_malformed_value_rejected_with_line_and_key(self, key, value, detail):
@@ -168,9 +171,12 @@ ladder_models = RNN1, LSTM1-BN
 """
 
 
+TOO_FEW_SUBJECTS = "split_mode = cross_subject needs n_subjects >= 4 to leave training, validation and test subjects"
+
 # every SynthConfig-backed key away from its default
 GEN_DATA_CFG = """
 seed = 11
+split_mode = cross_view
 n_classes = 4
 samples_per_class = 6
 t_min = 5
@@ -379,6 +385,41 @@ class TestCli:
         with pytest.raises(ConfigError, match=message):
             main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["gen-data", "ladder"])
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            ("n_subjects = 2", f"{TOO_FEW_SUBJECTS}, got n_subjects = 2"),
+            ("n_subjects = 3", f"{TOO_FEW_SUBJECTS}, got n_subjects = 3"),
+            (
+                "split_mode = cross_view\nn_views = 1",
+                "split_mode = cross_view holds one view out, so it needs n_views >= 2, got n_views = 1",
+            ),
+        ],
+    )
+    def test_unsatisfiable_split_rejected_before_any_work(self, tmp_path, command, settings, message):
+        cfg_path = tmp_path / "split.cfg"
+        cfg_path.write_text(settings + "\n")
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("mode, fewest", [("cross_subject", 4), ("cross_view", 2)])
+    def test_fewest_subjects_is_where_make_splits_starts_to_succeed(self, mode, fewest):
+        assert data.fewest_subjects(mode) == fewest
+
+        def split(n_subjects):
+            synth = SynthConfig(
+                n_classes=2, samples_per_class=2 * n_subjects, t_min=3, t_max=4, joints=2, video_shape=(1, 2, 2, 2),
+                n_subjects=n_subjects, n_views=2, shared_skeleton_pairs=(), shared_video_pairs=(), xor_pair=None,
+            )
+            return make_splits(generate_synthetic(synth, Rng(0)), SplitSpec(mode), Rng(1))
+
+        assert split(fewest).train
+        if fewest > 2:  # n_subjects parses only from 2 up
+            with pytest.raises(DataError, match="unsatisfiable split"):
+                split(fewest - 1)
 
     def test_gradcheck_command_passes(self, capsys):
         main(["gradcheck"])

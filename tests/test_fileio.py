@@ -1,4 +1,6 @@
+import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from twostream import DataError, read_checkpoint, read_tensor, write_checkpoint, write_tensor
+from twostream.fileio import read_tensor_from
 
 
 def test_tensor_roundtrip_f64(tmp_path, rng):
@@ -113,6 +116,36 @@ def test_malformed_header_names_the_file(tmp_path, header):
     path.write_bytes(header + b"\n" + bytes(24))
     with pytest.raises(DataError, match=re.escape(f"{path}: ")):
         read_tensor(path)
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        b"TSR1 2 4294967296 4294967296 f64",  # the extents' int64 product wraps to 0
+        b"TSR1 2 3037000500 3037000500 f64",  # their int64 product overflows
+        b"TSR1 1 144115188075855872 f64",  # asks for 2**60 payload bytes
+        b"TSR1 2 0 4611686018427387904 f64",  # no payload, but extents no array can have
+    ],
+)
+def test_header_asking_for_more_than_the_file_holds_fails_before_allocating(tmp_path, header):
+    record = header + b"\n" + bytes(16)
+    path, ckpt = tmp_path / "a.tsr", tmp_path / "m.ckpt"
+    path.write_bytes(record)
+    ckpt.write_bytes(b"CKPT1 1\nw 0\n" + record)
+    read_fd, write_fd = os.pipe()
+    os.write(write_fd, record)
+    os.close(write_fd)
+    with os.fdopen(read_fd, "rb") as pipe:  # no size to check: a bounded read
+        tracemalloc.start()
+        try:
+            reads = [(read_tensor, path, path), (read_checkpoint, ckpt, ckpt), (read_tensor_from, pipe, read_fd)]
+            for read, source, name in reads:
+                with pytest.raises(DataError, match=re.escape(f"{name}: ")):
+                    read(source)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 def test_checkpoint_roundtrip_preserves_order_and_values(tmp_path, rng):

@@ -1,5 +1,7 @@
 import os
+import stat
 
+import numpy as np
 import pytest
 
 from twostream import parallel
@@ -63,10 +65,24 @@ class TestOrderedMap:
             ordered_map(lambda x: (lambda: x), range(4))
         assert_no_child_left()
 
-    def test_worker_that_dies_is_reported_and_reaped(self, workers):
-        workers(2)
-        with pytest.raises(ChildProcessError, match="worker 1 .* exited without a result"):
-            ordered_map(lambda x: os._exit(3) if x == 1 else x, range(4))
+    @pytest.mark.parametrize("n_workers", [2, 3])
+    def test_worker_that_dies_is_reported_and_reaped(self, workers, n_workers):
+        workers(n_workers)
+        last = n_workers - 1  # the dying item runs in the last worker's share
+        with pytest.raises(ChildProcessError, match=f"worker {last} .* exited without a result"):
+            ordered_map(lambda x: os._exit(3) if x == last else x, range(2 * n_workers))
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("n_workers", [2, 3])
+    def test_results_larger_than_a_pipe_buffer_arrive_whole(self, workers, n_workers):
+        def fn(x):
+            return np.random.default_rng(x).standard_normal((1 << 17) + x)  # over 1 MB each
+
+        forks = workers(n_workers)
+        out = ordered_map(fn, range(2 * n_workers))
+        assert len(forks) == n_workers - 1
+        expected = [fn(x) for x in range(2 * n_workers)]
+        assert all(np.array_equal(a, b) for a, b in zip(out, expected, strict=True))
         assert_no_child_left()
 
     def test_nested_call_runs_serially_in_parent_and_worker(self, workers):
@@ -220,4 +236,38 @@ class TestHelper:
             assert pid_a == os.getpid() and open_a == fds
             assert pid_b != os.getpid() and open_b == []
             assert helper.call(2)[0] == 2  # the helper still serves the caller
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("n_workers", [2, 3])
+    def test_no_worker_holds_another_workers_pipe_ends(self, workers, n_workers):
+        """Pipes are told apart by inode, since fd numbers are reused: a
+        worker's own ends may carry the numbers of a later worker's ends in
+        the parent."""
+
+        def pipes_open(_):
+            inodes = set()
+            for fd in range(1024):
+                try:
+                    st = os.fstat(fd)
+                except OSError:
+                    continue
+                if stat.S_ISFIFO(st.st_mode):
+                    inodes.add(st.st_ino)
+            return os.getpid(), inodes, {os.fstat(fd).st_ino for fd in parallel._helper_fds}
+
+        workers(n_workers)
+        with parallel.start_helper(counter()) as helper:
+            clip_pipes = {os.fstat(fd).st_ino for fd in parallel._helper_fds}
+            out = ordered_map(pipes_open, range(2 * n_workers))
+            _, parent_pipes, helper_pipes = out[0]  # item 0 ran in the parent, with every pipe open
+            worker_pipes = helper_pipes - clip_pipes
+            assert len(worker_pipes) == 2 * (n_workers - 1) and worker_pipes <= parent_pipes
+            seen = []
+            for pid, pipes, _ in out[1:n_workers]:
+                assert pid != os.getpid()
+                assert not pipes & clip_pipes
+                seen.append(pipes & worker_pipes)
+                assert len(seen[-1]) == 2  # its own request and reply pipes
+            assert set().union(*seen) == worker_pipes  # so no two workers share a pipe
+            assert helper.call(2)[0] == 2
         assert_no_child_left()

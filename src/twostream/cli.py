@@ -10,7 +10,7 @@ import os
 import sys
 
 from .tensor import Rng
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .fileio import write_tensor
 from .config import SCHEMA, check_dataset_keys, config_from_values, default_config, load_config
 from .data import Dataset, SynthConfig, generate_synthetic
@@ -192,5 +192,18 @@ def main(argv=None):
     args.fn(args)
 
 
+def console_main(argv=None):
+    """The `twostream` command: `main`, with the package's own input errors
+    (`ConfigError`, `DataError`) printed as `twostream: error: <message>` on
+    stderr and exit status 2, as argparse reports a bad command line. Any
+    other exception keeps its traceback. Returns the exit status."""
+    try:
+        main(argv)
+    except (ConfigError, DataError) as exc:
+        print(f"twostream: error: {exc}", file=sys.stderr)
+        return 2
+    return 0
+
+
 if __name__ == "__main__":
-    main()
+    sys.exit(console_main())

@@ -41,9 +41,10 @@ ReLU and its mask run on the 4-8x smaller pooled volume. Max commutes with
 ReLU, so the outputs equal ReLU-then-pool. So do the gradients: where a
 window's maximum is positive, the first maximum of relu(z) is the first
 maximum of z; where it is not, both orders pass the window a zero gradient.
-While `clip_helper` is open, a training batch's later clips run in a forked
-helper, and `GradSums` hands the gradient sums over in clip order, so the
-bits stay those of one process.
+While `clip_helper` is open, the later clips of a training batch or an
+inference chunk run in a forked helper, the one two-core path for C3D clips;
+`GradSums` hands the gradient sums over in clip order, and the dense layers
+run in the caller on every row, so the bits stay those of one process.
 """
 
 from __future__ import annotations
@@ -606,15 +607,17 @@ class C3dModel:
     """The assembled conv/pool/fc stack. `forward` exposes the first
     fully-connected layer's activations as the feature tap.
 
-    While `clip_helper` is open, each training batch runs on two cores: the
-    caller runs the conv stack for the batch's first ⌈n/2⌉ clips and a
-    forked helper runs it for the rest. The dense layers and the loss run in
-    the caller on all n rows, since a dense GEMM's bits depend on its row
-    count. Both sides then run their clips' conv backward; the helper keeps
-    its clips' kernel-gradient products and bias sums (`GradSums`) until the
-    caller sends its sums after its last clip, then adds its own in clip
-    order and returns the finished gradients. So every output and gradient
-    has the bits of the one-process step."""
+    While `clip_helper` is open, each training batch and inference chunk
+    that `ClipHelper.start` splits runs on two cores: the caller runs the
+    conv stack for its first ⌈n/2⌉ clips and a forked helper runs it for the
+    rest. The conv stack works clip by clip, so each clip's rows are those of
+    one process. The dense layers (and, in training, the loss) run in the
+    caller on all n rows, since a dense GEMM's bits depend on its row count.
+    After a training forward both sides run their clips' conv backward; the
+    helper keeps its clips' kernel-gradient products and bias sums
+    (`GradSums`) until the caller sends its sums after its last clip, then
+    adds its own in clip order and returns the finished gradients. So every
+    probability, fc6 tap and gradient has the bits of one process."""
 
     def __init__(self, spec: C3dSpec, convs, fc6, fc7, out):
         self.spec = spec
@@ -653,13 +656,14 @@ class C3dModel:
         exists anyway), its first-max index if it pools, and its ReLU mask.
         With train=False the cache is None.
 
-        With a helper open, a train-mode x holds the first clips of the batch
-        whose rest `ClipHelper.start` handed to the helper, and the logits,
-        activations and gradients cover the whole batch, x's rows first.
+        After `ClipHelper.start`, x holds the first clips of the batch or
+        chunk whose rest went to the helper, and the logits, activations and
+        gradients cover all of it, x's rows first. A forward not started
+        through the helper runs every clip here, with the helper open or not.
         """
         h, stages = self._conv_stack(x, train)
         flat = h.reshape(len(h), -1)
-        helper = self.helper if train else None
+        helper = self.helper if self.helper is not None and self.helper.started else None
         if helper is not None:
             flat = np.concatenate([flat, helper.pooled()])
         f6, c6 = dense_forward(self.fc6, flat)
@@ -732,24 +736,49 @@ class C3dModel:
 
 
 class ClipHelper:
-    """The caller's side of the helper that `clip_helper` opens: one
-    training batch at a time, in step with `C3dModel.forward` and
-    `backward`."""
+    """The caller's side of the helper that `clip_helper` opens, in step
+    with `C3dModel.forward` and, for a training batch, `backward`. Replies
+    come in request order, so each forward takes the oldest started one:
+    an inference pass may start the next chunk before it forwards this one
+    (`harness._chunked`), while a training batch is started, forwarded and
+    finished before the next."""
 
     def __init__(self, helper, net):
         self._helper = helper
         self._net = net
+        self._indices = None  # the samples whose rows the helper built last
+        self._open = 0  # forwards started and not yet pooled
 
-    def start(self, ids):
-        """Hand the helper the row ids after the first ⌈n/2⌉ of a batch's n,
-        with the current conv kernels and biases (the caller's are the live
-        ones), and return the first ⌈n/2⌉, whose clips the caller forwards."""
+    def start(self, indices, ids, train=True):
+        """Hand the helper the row ids after the first ⌈n/2⌉ of n, rows of
+        the samples `indices`, and return the first ⌈n/2⌉, whose clips the
+        caller forwards. `indices` crosses the pipe only when it is not the
+        object sent last, which starts a pass: the helper then builds those
+        samples' rows from its copy of the data. The current conv kernels and
+        biases (the caller's are the live ones) go with a training request
+        and with a pass's first request, so the weights must not change
+        within an inference pass; a request without them stays small, so
+        that it fits in the pipe while the helper writes an earlier reply.
+        Fewer than two ids are all returned, and nothing is sent."""
+        if len(ids) < 2:
+            return ids
         m = -(-len(ids) // 2)
-        self._helper.send(("forward", (ids[m:], [(c.kernels, c.bias) for c in self._net.convs])))
+        fresh = None if indices is self._indices else indices
+        self._indices = indices
+        params = [(c.kernels, c.bias) for c in self._net.convs] if train or fresh is not None else None
+        self._helper.send(("forward", (fresh, ids[m:], params, train)))
+        self._open += 1
         return ids[:m]
 
+    @property
+    def started(self):
+        """Whether a started forward's reply is still to be taken."""
+        return self._open > 0
+
     def pooled(self):
-        """The helper's clips' top ReLU output, one flat row per clip."""
+        """The oldest started forward's top ReLU output from the helper, one
+        flat row per clip."""
+        self._open -= 1
         return self._helper.receive()
 
     def backward(self, dflat):
@@ -763,21 +792,24 @@ class ClipHelper:
         return self._helper.call(("finish", [s.running() for s in sums]))
 
 
-def _serve_clips(net, clips_of):
+def _serve_clips(net, rows_for):
     """The helper's side: the conv stack over the clips of the row ids it is
-    handed, and its conv backward, with the sums deferred until the
-    caller's arrive."""
+    handed, and, after a training forward, its conv backward, with the sums
+    deferred until the caller's arrive. An inference forward keeps nothing."""
     state = {}
 
     def serve(request):
         kind, payload = request
         if kind == "forward":
-            ids, params = payload
-            for conv, (kernels, bias) in zip(net.convs, params):
+            indices, ids, params, train = payload
+            if indices is not None:
+                state["rows"] = rows_for(indices)
+            for conv, (kernels, bias) in zip(net.convs, params or ()):
                 conv.kernels[...] = kernels
                 conv.bias[...] = bias
-            h, state["stages"] = net._conv_stack(clips_of(ids), train=True)
-            state["shape"] = h.shape
+            h, stages = net._conv_stack(state["rows"][ids], train)
+            if train:
+                state["stages"], state["shape"] = stages, h.shape
             return h.reshape(len(h), -1)
         if kind == "backward":
             dh = payload.reshape(state["shape"])
@@ -793,14 +825,16 @@ def _serve_clips(net, clips_of):
 
 
 @contextlib.contextmanager
-def clip_helper(net: C3dModel, clips_of):
+def clip_helper(net: C3dModel, rows_for):
     """Open a forked helper that runs the later clips of each of `net`'s
-    training batches, building them with `clips_of(row ids)` from its copy
-    of the caller's rows. Yields the ClipHelper, or None where
-    `parallel.start_helper` starts none (one process's worth of CPUs, or
-    inside an `ordered_map` share); without one, every clip runs here. The
-    helper is closed and waited for however the block is left."""
-    helper = parallel.start_helper(_serve_clips(net, clips_of))
+    batches and chunks that `ClipHelper.start` splits, in training and in
+    inference. It builds their clips from its copy of the caller's data:
+    `rows_for(indices)` gives the rows of the samples `indices`, which row
+    ids index. Yields the ClipHelper, or None where `parallel.start_helper`
+    starts none (one process's worth of CPUs, or inside an `ordered_map`
+    share); without one, every clip runs here. The helper is closed and
+    waited for however the block is left."""
+    helper = parallel.start_helper(_serve_clips(net, rows_for))
     if helper is None:
         yield None
         return

@@ -164,12 +164,14 @@ class Dataset:
         return cls(samples, n_classes)
 
 
-def pad_sequences(seqs, t_max) -> SequenceBatch:
-    """Flatten joint coordinates and zero-pad every sequence to t_max steps,
-    recording true lengths. Sequences longer than t_max are an error, never
-    silently truncated."""
+def pad_sequences(seqs, t_max=None) -> SequenceBatch:
+    """Flatten joint coordinates and zero-pad every sequence to t_max steps
+    (by default the longest sequence's), recording true lengths. Sequences
+    longer than t_max are an error, never silently truncated."""
     if not seqs:
         raise DataError("cannot pad an empty sequence list")
+    if t_max is None:
+        t_max = max(seq.t_true for seq in seqs)
     width = seqs[0].feature_width
     data = np.zeros((len(seqs), t_max, width), dtype=default_dtype())
     lengths = []

@@ -4,6 +4,7 @@ finite-difference gradient checker, and metrics emission."""
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import os
 import time
@@ -120,15 +121,15 @@ _TAP_STREAM = {"rnn_fc": "skeleton", "cnn_fc6": "video"}
 class _Rows:
     """The model rows of selected samples, built only when indexed. Each row
     keeps a reference: the position in `indices` of its sample, and for
-    video its clip number. `rows[s:e]` or `rows[index_array]` builds just the
-    rows picked, as the model reads them: a SequenceBatch padded to the
-    dataset's longest sequence, or a clip array [n,c,t,h,w]."""
+    video its clip number. `rows[s:e]`, `rows[range]` or `rows[index_array]`
+    builds just the rows picked, as the model reads them: a SequenceBatch
+    padded to its own longest sequence (padding does not change a recurrent
+    result's bits), or a clip array [n,c,t,h,w]."""
 
-    def __init__(self, samples, refs, clip_len=None, t_max=None):
+    def __init__(self, samples, refs, clip_len=None):
         self.samples = samples  # per position: a SkeletonSequence or video pixels
         self.refs = refs  # per row: (position, clip number)
         self.clip_len = clip_len
-        self.t_max = t_max
 
     def __len__(self):
         return len(self.refs)
@@ -136,7 +137,7 @@ class _Rows:
     def __getitem__(self, rows):
         refs = self.refs[rows] if isinstance(rows, slice) else [self.refs[r] for r in rows]
         if self.clip_len is None:
-            return pad_sequences([self.samples[pos] for pos, _ in refs], self.t_max)
+            return pad_sequences([self.samples[pos] for pos, _ in refs])
         clips, last = [], None
         for pos, k in refs:  # a video's clips are cut once for its consecutive rows
             if pos != last:
@@ -152,9 +153,8 @@ def _stream_rows(model, dataset: Dataset, indices):
     each video. Rows hold references, not data, so memory follows the batch,
     not the split."""
     if model.stream == "skeleton":
-        t_max = max(s.skeleton.t_true for s in dataset.samples)
         refs = [(pos, 0) for pos in range(len(indices))]
-        rows = _Rows([dataset[i].skeleton for i in indices], refs, t_max=t_max)
+        rows = _Rows([dataset[i].skeleton for i in indices], refs)
     else:
         videos = [dataset[i].video.pixels for i in indices]
         refs = [(pos, k) for pos, v in enumerate(videos) for k in range(clip_count(v.shape[1], model.clip_len))]
@@ -162,40 +162,78 @@ def _stream_rows(model, dataset: Dataset, indices):
     return rows, np.array([pos for pos, _ in rows.refs])
 
 
-def _chunked(model, rows, chunk):
+def _chunked(model, rows, chunk, split=None):
     """The model's inference forward over consecutive chunks of at most
-    `chunk` of the given `_Rows`: the probability rows and the tap rows
-    (None when the model has no tap), each concatenated. The chunks are
-    independent, so `ordered_map` spreads them over the usable cores; each
-    chunk's rows are built inside the process that forwards them, so no
-    process holds more than one chunk's input at a time. Every chunk runs;
-    then the first whose output is not finite, in row order, raises
-    DivergenceError naming the model and its rows."""
+    `chunk` of the given rows: the probability rows and the tap rows (None
+    when the model has no tap), each concatenated. Each chunk's rows are
+    built inside the process that forwards them, so no process holds more
+    than one chunk's input at a time.
 
-    def forward(s):
-        logits, tap, _ = model.forward(rows[s : s + chunk])
+    Skeleton chunks are independent, so `ordered_map` spreads them over the
+    usable cores, as `run_ladder` spreads the ladder's variants. C3D clips
+    run on two cores through the clip helper instead, in training and in
+    inference, and never through `ordered_map`: video chunks run here one
+    after another, and when `split` is given, `split(row ids)` hands the
+    helper each chunk's later clips and returns the ids of those this
+    process forwards (`conv3d.ClipHelper.start`). The next chunk is split
+    before this one is forwarded, so the helper goes on while this process
+    runs the dense layers. Only the last chunk can be shorter than the
+    rest, so a chunk too short to split is never forwarded while a later
+    one waits at the helper.
+    Every chunk runs; then the first whose output is not finite, in row
+    order, raises DivergenceError naming the model and its rows."""
+
+    def forward(ids):
+        logits, tap, _ = model.forward(rows[ids])
         return softmax(logits), tap
 
     n = len(rows)
-    starts = range(0, n, chunk)
-    outs = ordered_map(forward, starts)
-    for s, (probs, tap) in zip(starts, outs):
+    chunks = [range(s, min(s + chunk, n)) for s in range(0, n, chunk)]
+    if model.stream == "skeleton":
+        outs = ordered_map(forward, chunks)
+    else:
+        split = split or (lambda ids: ids)
+        outs, own = [], split(chunks[0])
+        for k in range(len(chunks)):
+            here = own
+            if k + 1 < len(chunks):
+                own = split(chunks[k + 1])
+            outs.append(forward(here))
+    for ids, (probs, tap) in zip(chunks, outs):
         if not (np.isfinite(probs).all() and (tap is None or np.isfinite(tap).all())):
             raise DivergenceError(
-                f"{model.spec.name}: non-finite inference output "
-                f"in rows {s}..{min(s + chunk, n) - 1}"
+                f"{model.spec.name}: non-finite inference output in rows {ids[0]}..{ids[-1]}"
             )
     probs, taps = zip(*outs)
     return np.concatenate(probs), None if taps[0] is None else np.concatenate(taps)
+
+
+def _clip_helper(model, dataset: Dataset, n_rows=2):
+    """A context for a video model's forwards over `dataset`: the clip
+    helper open on the model (the one `train` holds), else a new one for the
+    block (`conv3d.clip_helper`, which may start none), and none for fewer
+    than two rows. Yields the ClipHelper or None."""
+    if model.net.helper is not None:
+        return contextlib.nullcontext(model.net.helper)
+    if n_rows < 2:
+        return contextlib.nullcontext()
+    return clip_helper(model.net, lambda indices: _stream_rows(model, dataset, indices)[0])
 
 
 def _inference_pass(model, dataset: Dataset, indices):
     """One chunked inference pass over the selected samples: the probability
     rows, the tap rows (None when the model has no tap), and the row bounds
     that split both into per-sample groups (a sample's rows are consecutive:
-    its clips for video, its one sequence for skeleton)."""
+    its clips for video, its one sequence for skeleton). A video pass splits
+    each chunk through the clip helper (`_clip_helper`)."""
     rows, owners = _stream_rows(model, dataset, indices)
-    probs, taps = _chunked(model, rows, _INFERENCE_CHUNK[model.stream])
+    chunk = _INFERENCE_CHUNK[model.stream]
+    if model.stream == "skeleton":
+        probs, taps = _chunked(model, rows, chunk)
+    else:
+        with _clip_helper(model, dataset, len(rows)) as helper:
+            split = None if helper is None else functools.partial(helper.start, indices, train=False)
+            probs, taps = _chunked(model, rows, chunk, split)
     return probs, taps, np.searchsorted(owners, np.arange(1, len(indices)))
 
 
@@ -267,11 +305,12 @@ def train(model, dataset: Dataset, splits: Splits, cfg: TrainConfig) -> RunResul
     validation accuracy from `evaluate` every `eval_every` epochs. Each
     batch's rows are padded or stacked from `_stream_rows`' references when
     its step is taken, so memory follows the batch, not the split. A video
-    model trains each batch on two cores where a helper may start
-    (`conv3d.clip_helper`): the helper builds the later half of the batch's
-    clips from its copy of the rows, and the bits are those of one process.
-    Deterministic given the seed; aborts with a diagnostic if the loss goes
-    non-finite."""
+    model runs every training batch and every validation and test chunk on
+    two cores where a helper may start: one clip helper (`_clip_helper`)
+    stays open for the whole call, builds the later half of each batch's or
+    chunk's clips from its copy of the dataset, and the bits are those of
+    one process. Deterministic given the seed; aborts with a diagnostic if
+    the loss goes non-finite."""
     shuffle_rng = Rng(cfg.seed).derive(101)
     dropout_rng = Rng(cfg.seed).derive(202)
     params = dict(model.param_items())
@@ -292,7 +331,7 @@ def train(model, dataset: Dataset, splits: Splits, cfg: TrainConfig) -> RunResul
     best_val = -1.0
     step_seconds = []
     improved = None
-    helping = clip_helper(model.net, rows.__getitem__) if model.stream == "video" else contextlib.nullcontext()
+    helping = _clip_helper(model, dataset) if model.stream == "video" else contextlib.nullcontext()
     with helping as helper:
         for epoch in range(cfg.epochs):
             perm = shuffle_rng.permutation(n_train)
@@ -301,7 +340,7 @@ def train(model, dataset: Dataset, splits: Splits, cfg: TrainConfig) -> RunResul
                 idx = perm[start : start + cfg.batch_size]
                 if idx.size < 2:  # batch statistics need at least two rows
                     continue
-                xb = rows[idx if helper is None else helper.start(idx)]
+                xb = rows[idx if helper is None else helper.start(splits.train, idx)]
                 yb = train_labels[idx]
                 tic = time.perf_counter()
                 logits, _, cache = model.forward(xb, mode="train", rng=dropout_rng)
@@ -325,7 +364,7 @@ def train(model, dataset: Dataset, splits: Splits, cfg: TrainConfig) -> RunResul
                 result.val_accuracies.append(acc)
                 improved = acc > best_val + 1e-12
                 best_val = max(best_val, acc)
-    test = evaluate(model, dataset, splits.test)
+        test = evaluate(model, dataset, splits.test)
     result.test_accuracy = test.test_accuracy
     result.confusion = test.confusion
     result.wall_clock_per_step = float(np.mean(step_seconds)) if step_seconds else 0.0

@@ -9,16 +9,23 @@ has cores to spare it uses w processes: the caller opens w−1 helpers, sends
 helper k its share number k, runs items 0::w itself, and helper k runs items
 k::w and replies with their results (or its first failure).
 
+The package's two-core paths: skeleton inference chunks and ladder variants
+go through `ordered_map`; C3D clips, in training and in inference, go
+through `conv3d.clip_helper`.
+
 `start_helper(serve)` opens one helper that lives across calls. Work that
 keeps state from one request to the next then needs one fork per run instead
-of one per phase: `conv3d.clip_helper` trains a video model's batches with
-the caller running the conv stack for the first ⌈n/2⌉ clips and the helper
-for the rest, and the helper adds its clips' kernel and bias gradients after
-the caller's sums arrive, in clip order. It starts only where `ordered_map`
-would fork two processes, and never inside an `ordered_map` share, so the
-processes never outnumber the ones counted. A helper closes the caller's
-ends of every other helper's pipes, so each helper sees the end of its
-requests exactly when the caller closes it.
+of one per phase: `conv3d.clip_helper` runs each of a video model's training
+batches and inference chunks with the caller running the conv stack for the
+first ⌈n/2⌉ clips and the helper for the rest, and after a training forward
+the helper adds its clips' kernel and bias gradients after the caller's sums
+arrive, in clip order. A C3D `harness.train` call keeps one helper open
+through every step, validation pass and its test pass, and a standalone
+video inference pass opens one for the pass. It starts only where
+`ordered_map` would fork two processes, and never inside an `ordered_map`
+share, so the processes never outnumber the ones counted. A helper closes
+the caller's ends of every other helper's pipes, so each helper sees the end
+of its requests exactly when the caller closes it.
 
 Fork rather than a `multiprocessing` pool: a helper starts as a copy of the
 caller, so `fn` or `serve` may be a closure over live models and arrays,
@@ -52,6 +59,12 @@ BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_TH
 # nested map then runs serially, so the processes never outnumber the ones
 # counted for the outer map.
 _inside_map = False
+
+# Bytes each helper pipe is grown to where the platform allows (Linux's
+# F_SETPIPE_SZ). A clip helper's reply for 16 desk clips is 128 KB, twice a
+# default pipe: in a grown pipe the helper writes it whole and goes on to its
+# next request without waiting for the caller to read.
+PIPE_BYTES = 1 << 20
 
 # The caller's pipe ends of the helpers this process has open. A helper
 # forked while others are open closes them, so that each helper sees the end
@@ -174,6 +187,8 @@ class Helper:
         sys.stderr.flush()
         request_r, request_w = os.pipe()
         reply_r, reply_w = os.pipe()
+        for fd in (request_w, reply_w):
+            _grow_pipe(fd)
         try:
             pid = os.fork()
         except OSError:
@@ -233,6 +248,15 @@ class Helper:
 
     def __exit__(self, *exc_info):
         self.close()
+
+
+def _grow_pipe(fd):
+    """Grow the pipe behind fd to PIPE_BYTES; where the platform has no
+    F_SETPIPE_SZ, or refuses the size, it keeps its own."""
+    import fcntl  # POSIX only, as os.fork is
+
+    with contextlib.suppress(AttributeError, OSError):
+        fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, PIPE_BYTES)
 
 
 def _serve_requests(serve, read_fd, write_fd, inherited_fds):

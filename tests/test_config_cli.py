@@ -1,6 +1,10 @@
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +23,7 @@ from twostream import (
     read_tensor,
     save_model,
 )
-from twostream import data, harness
+from twostream import cli, data, harness
 from twostream.config import SCHEMA, default_config, load_config, parse_config
 from twostream.cli import _load_run, _write_run, main
 
@@ -457,3 +461,44 @@ class TestCli:
         assert rows["DECISION-FUSION"]["w_r"] == 1.0
         assert rows["FEATURE-FUSION"]["svm_c"] == 8.0
         assert json.loads((tmp_path / "fused.json").read_text()) == rows
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+class TestConsoleErrors:
+    """The `twostream` command reports the package's own input errors in one
+    line on stderr and exits 2; `main` still raises them."""
+
+    @pytest.mark.parametrize(
+        "command, settings, message",
+        [
+            ("gen-data", "n_subjects = 2", TOO_FEW_SUBJECTS),
+            ("ladder", "ladder_models =", "expected one or more ladder models"),
+        ],
+    )
+    def test_package_error_exits_2_without_a_traceback(self, tmp_path, command, settings, message):
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(settings + "\n")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "twostream.cli", command, "--config", str(cfg_path), "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("twostream: error: ")
+        assert message in proc.stderr and len(proc.stderr.splitlines()) == 1
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
+
+    def test_entry_point_is_the_console_wrapper(self):
+        scripts = (SRC.parent / "pyproject.toml").read_text().split("[project.scripts]\n")[1]
+        assert scripts.startswith('twostream = "twostream.cli:console_main"\n')
+
+    def test_other_errors_keep_their_traceback(self, monkeypatch):
+        def boom(argv):
+            raise RuntimeError("not an input error")
+
+        monkeypatch.setattr(cli, "main", boom)
+        with pytest.raises(RuntimeError, match="not an input error"):
+            cli.console_main([])

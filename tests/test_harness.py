@@ -29,9 +29,9 @@ from twostream import (
     softmax,
     train,
 )
-from twostream import conv3d, harness
+from twostream import conv3d, harness, parallel
 from twostream.conv3d import clip_split
-from twostream.data import pad_sequences
+from twostream.data import SkeletonSequence, pad_sequences
 from twostream.harness import (
     RunResult,
     _Rows,
@@ -428,20 +428,21 @@ class TestWorkerCountKeepsResults:
 
     @pytest.mark.filterwarnings("ignore:invalid value")
     def test_first_non_finite_chunk_in_row_order_is_named(self, workers):
-        # ten one-frame videos, video k all k: row k's clip holds k
-        videos = [np.full((1, 1, 1, 1), float(k)) for k in range(10)]
-        clips = _Rows(videos, [(k, 0) for k in range(10)], clip_len=1)
+        # ten one-step sequences, sequence k all k: row k holds k
+        seqs = [SkeletonSequence(np.full((1, 1, 3), float(k)), 0, 0, 0) for k in range(10)]
+        rows = _Rows(seqs, [(k, 0) for k in range(10)])
 
-        def poisoned_from_row_2(sub, mode="inference", rng=None):
-            assert sub.shape == (2, 1, 1, 1, 1)  # one chunk, built for this call
-            rows = sub.reshape(len(sub), 1)
-            return np.where(rows >= 2.0, np.inf, rows), None, None
+        def poisoned_from_row_2(batch, mode="inference", rng=None):
+            assert batch.data.shape == (2, 1, 3)  # one chunk, built for this call
+            values = batch.data[:, 0, :1]
+            return np.where(values >= 2.0, np.inf, values), None, None
 
-        model = SimpleNamespace(spec=SimpleNamespace(name="M"), forward=poisoned_from_row_2)
+        model = SimpleNamespace(spec=SimpleNamespace(name="M"), stream="skeleton", forward=poisoned_from_row_2)
         for n in (1, 2):  # at 2 workers, rows 2..3 are the worker's first chunk
-            workers(n)
+            forks = workers(n)
             with pytest.raises(DivergenceError, match=r"^M: non-finite inference output in rows 2\.\.3$"):
-                _chunked(model, clips, 2)
+                _chunked(model, rows, 2)
+        assert len(forks) == 1  # skeleton chunks went through ordered_map at 2
 
     def test_ladder_results_bytes_identical(self, tiny, workers, tmp_path):
         dataset, _ = tiny
@@ -469,17 +470,29 @@ def _assert_no_child_left():
 _START = conv3d.ClipHelper.start
 
 
+def _spy_on_start(monkeypatch):
+    """Record (train, row count) of every `ClipHelper.start` call."""
+    shares = []
+
+    def start(self, indices, ids, train=True):
+        shares.append((train, len(ids)))
+        return _START(self, indices, ids, train)
+
+    monkeypatch.setattr(conv3d.ClipHelper, "start", start)
+    return shares
+
+
 class TestClipHelper:
-    """A video model trains each batch's later clips in a forked helper where
-    two processes fit, with the bits of the one-process run."""
+    """A video model runs each training batch's and each inference chunk's
+    later clips in a forked helper where two processes fit, with the bits of
+    the one-process run."""
 
     def _train(self, dataset, filters, batch_size, monkeypatch):
         spec = dataclasses.replace(_tiny_model_spec("C3D-DESK", dataset), cnn_filters=filters)
         model = build_model(spec, Rng(3))
         cfg = TrainConfig(epochs=2, batch_size=batch_size, optimizer="sgd_halving", learning_rate=0.05, seed=5)
         splits = make_splits(dataset, SplitSpec("cross_subject"), Rng(4).derive(7))
-        shares = []
-        monkeypatch.setattr(conv3d.ClipHelper, "start", lambda self, ids: shares.append(len(ids)) or _START(self, ids))
+        shares = _spy_on_start(monkeypatch)
         result = train(model, dataset, splits, cfg)
         return result, model.param_items(), shares
 
@@ -488,10 +501,13 @@ class TestClipHelper:
     def test_helper_run_is_bit_identical_to_one_process(self, wide, workers, monkeypatch, filters, batch_size):
         runs = []
         for n in (1, 2):
-            workers(n)
+            forks = workers(n)
             runs.append(self._train(wide, filters, batch_size, monkeypatch))
         (res_1, params_1, shares_1), (res_2, params_2, shares_2) = runs
-        assert shares_1 == [] and shares_2 and batch_size in shares_2  # the helper took part at 2
+        assert shares_1 == []
+        # at 2 the helper took part in training and in the validation and test chunks
+        assert (True, batch_size) in shares_2 and (False, 32) in shares_2
+        assert len(forks) == 1  # one helper for the whole train call
         assert res_1.epoch_losses == res_2.epoch_losses
         assert res_1.val_accuracies == res_2.val_accuracies
         assert res_1.test_accuracy == res_2.test_accuracy
@@ -524,6 +540,47 @@ class TestClipHelper:
         _assert_no_child_left()
         assert model.net.helper is None
 
+    def test_train_forks_one_process(self, two_clip, workers, monkeypatch):
+        # 5-clip chunks: every validation and test pass has several chunks
+        monkeypatch.setitem(harness._INFERENCE_CHUNK, "video", 5)
+        splits = make_splits(two_clip, SplitSpec("cross_subject"), Rng(4).derive(7))
+        assert len(splits.val) * 2 > 2 * 5 and len(splits.test) * 2 > 2 * 5
+        model = build_model(_two_clip_spec("C3D-DESK", two_clip), Rng(3))
+        cfg = TrainConfig(epochs=2, batch_size=8, optimizer="sgd_halving", learning_rate=0.05, seed=5)
+        forks = workers(2)
+        shares = _spy_on_start(monkeypatch)
+        train(model, two_clip, splits, cfg)
+        assert len(forks) == 1
+        assert (False, 5) in shares and (True, 8) in shares
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("mode", ["inference", "train"])
+    def test_forward_not_started_runs_every_clip_here(self, tiny, workers, mode):
+        dataset, splits = tiny
+        model = build_model(_tiny_model_spec("C3D-DESK", dataset), Rng(3))
+        x = harness._stream_rows(model, dataset, splits.val)[0][range(6)]
+        grad_logits = Rng(2).normal(size=(6, dataset.n_classes))
+
+        def step():
+            logits, tap, cache = model.forward(x, mode=mode)
+            grads = model.backward(cache, grad_logits) if mode == "train" else {}
+            return [logits, tap, *grads.values()]
+
+        alone, inference = step(), model.forward(x)[:2]
+        forks = workers(2)
+        with harness._clip_helper(model, dataset) as helper:
+            assert helper is not None and not helper.started
+            with_helper_open = step()
+            assert not helper.started
+            # the helper is still in step: a started forward splits the clips
+            own = helper.start(splits.val, range(6), train=False)
+            assert own == range(3) and helper.started
+            split = model.forward(x[:3])[:2]
+            assert not helper.started
+        assert len(forks) == 1
+        assert all(np.array_equal(a, b) for a, b in zip(alone, with_helper_open))
+        assert all(np.array_equal(a, b) for a, b in zip(inference, split))
+        _assert_no_child_left()
 
 @pytest.fixture(scope="module")
 def two_clip():
@@ -622,6 +679,112 @@ class TestStreamedRows:
         whole_pass = peak(lambda: infer_dataset(model, dataset, indices))
         assert whole_pass <= one_chunk + 2 * chunk * clip_bytes
         assert whole_pass < len(rows) * clip_bytes / 2
+
+
+class TestVideoInferenceOnTwoCores:
+    """A standalone video pass splits each chunk's clips through one clip
+    helper for the pass, with the bits of one process."""
+
+    @pytest.fixture
+    def two_clip_model(self, two_clip, monkeypatch):
+        # 25 two-clip videos, 7-clip chunks: odd chunks and a one-clip last chunk
+        monkeypatch.setitem(harness._INFERENCE_CHUNK, "video", 7)
+        indices = list(range(25))
+        assert len(_stream_rows(build_model(_two_clip_spec("C3D-DESK", two_clip), Rng(3)), two_clip, indices)[0]) % 7 == 1
+        return build_model(_two_clip_spec("C3D-DESK", two_clip), Rng(3)), indices
+
+    def test_infer_dataset_and_evaluate_identical_at_one_and_two_processes(
+        self, two_clip, two_clip_model, workers, monkeypatch
+    ):
+        model, indices = two_clip_model
+        outputs = []
+        for n in (1, 2):
+            forks = workers(n)
+            shares = _spy_on_start(monkeypatch)
+            preds, taps = infer_dataset(model, two_clip, indices)
+            result = evaluate(model, two_clip, indices)
+            outputs.append((np.stack([p.probs for p in preds]), taps, [p.label for p in preds], result.to_json()))
+        assert len(forks) == 2  # one helper per pass at 2, none at 1
+        assert shares == [(False, 7)] * 7 + [(False, 1)] + [(False, 7)] * 7 + [(False, 1)]
+        (probs_1, taps_1, labels_1, json_1), (probs_2, taps_2, labels_2, json_2) = outputs
+        assert np.array_equal(probs_1, probs_2)
+        assert np.array_equal(taps_1, taps_2)
+        assert labels_1 == labels_2
+        assert json_1 == json_2
+        _assert_no_child_left()
+
+    def test_next_chunk_goes_to_the_helper_before_this_one_is_forwarded(
+        self, two_clip, two_clip_model, workers, monkeypatch
+    ):
+        model, indices = two_clip_model
+        workers(2)
+        open_at_pool, sent = [], []
+        real_pooled, real_send = conv3d.ClipHelper.pooled, parallel.Helper.send
+
+        def pooled(self):
+            open_at_pool.append(self._open)
+            return real_pooled(self)
+
+        def send(self, request):
+            sent.append(request[1][2] is not None)  # conv weights in this request
+            return real_send(self, request)
+
+        monkeypatch.setattr(conv3d.ClipHelper, "pooled", pooled)
+        monkeypatch.setattr(parallel.Helper, "send", send)
+        infer_dataset(model, two_clip, indices)
+        # 7 chunks of 7 clips, then one of 1 that stays here: one chunk ahead until the last split one
+        assert open_at_pool == [2] * 6 + [1]
+        assert sent == [True] + [False] * 6  # the weights go once per pass
+
+    @pytest.mark.parametrize(
+        "infer",
+        [
+            lambda m, d, i: infer_dataset(m, d, i),
+            lambda m, d, i: predict_dataset(m, d, i),
+            lambda m, d, i: extract_features(m, d, i, "cnn_fc6"),
+            lambda m, d, i: evaluate(m, d, i),
+        ],
+        ids=["infer_dataset", "predict_dataset", "extract_features", "evaluate"],
+    )
+    def test_each_standalone_pass_forks_one_helper(self, two_clip, two_clip_model, workers, infer):
+        model, indices = two_clip_model
+        forks = workers(2)
+        infer(model, two_clip, indices)
+        assert len(forks) == 1
+        infer(model, two_clip, indices[:1])  # two clips: still split
+        assert len(forks) == 2
+        _assert_no_child_left()
+
+    def test_one_clip_pass_forks_nothing(self, tiny, workers):
+        dataset, splits = tiny
+        model = build_model(_tiny_model_spec("C3D-DESK", dataset), Rng(3))
+        forks = workers(2)
+        predict_dataset(model, dataset, splits.val[:1])
+        assert forks == []
+
+    def test_pass_inside_a_map_share_forks_nothing(self, two_clip, two_clip_model, workers):
+        model, indices = two_clip_model
+        forks = workers(2)
+
+        def forks_during_pass(_):
+            before = len(forks)
+            infer_dataset(model, two_clip, indices)
+            return len(forks) - before
+
+        assert ordered_map(forks_during_pass, range(4)) == [0] * 4
+        assert len(forks) == 1  # the map's one worker
+        _assert_no_child_left()
+
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_no_child_left_after_a_diverging_chunk(self, two_clip, two_clip_model, workers):
+        model, indices = two_clip_model
+        model.param_items()[0][1].flat[0] = np.nan
+        forks = workers(2)
+        with pytest.raises(DivergenceError, match=r"C3D-DESK: non-finite inference output in rows 0\.\.6$"):
+            predict_dataset(model, two_clip, indices)
+        assert len(forks) == 1
+        _assert_no_child_left()
+        assert model.net.helper is None
 
 
 class TestBenchmarkHooks:

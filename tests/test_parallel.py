@@ -1,5 +1,9 @@
+import fcntl
 import os
 import stat
+import struct
+import termios
+import time
 
 import numpy as np
 import pytest
@@ -12,6 +16,11 @@ from twostream.parallel import ordered_map, worker_count
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def _bytes_waiting(fh):
+    """Bytes written to the pipe behind fh and not yet read."""
+    return struct.unpack("i", fcntl.ioctl(fh.fileno(), termios.FIONREAD, b"\0" * 4))[0]
 
 
 def failing_at(bad, exc_type=ValueError):
@@ -170,6 +179,18 @@ class TestHelper:
             assert helper.receive() == (3, forks[0])
             assert helper.call(4) == (7, forks[0])
         assert len(forks) == 1
+        assert_no_child_left()
+
+    @pytest.mark.skipif(not hasattr(fcntl, "F_SETPIPE_SZ"), reason="pipes cannot grow on this platform")
+    def test_a_reply_twice_a_default_pipe_is_written_whole_before_it_is_read(self, workers):
+        workers(2)
+        with parallel.start_helper(np.ones) as helper:
+            helper.send(16 * 1024)  # a 128 KB array; a default pipe holds 64 KB
+            deadline = time.monotonic() + 10
+            while (waiting := _bytes_waiting(helper._replies)) <= 128 * 1024 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert waiting > 128 * 1024
+            assert np.array_equal(helper.receive(), np.ones(16 * 1024))
         assert_no_child_left()
 
     def test_failure_arrives_with_type_and_message_and_the_helper_goes_on(self, workers):

@@ -11,7 +11,7 @@ import sys
 
 from .tensor import Rng
 from .errors import ConfigError, DataError
-from .fileio import write_tensor
+from .fileio import write_json, write_tensor
 from .config import SCHEMA, check_dataset_keys, config_from_values, default_config, load_config
 from .data import Dataset, SynthConfig, generate_synthetic
 from .models import ModelSpec, load_model, save_model
@@ -45,16 +45,10 @@ def _write_run(out_dir, spec: ModelSpec, cfg, model, result):
         "config": {k: (list(v) if isinstance(v, tuple) else v) for k, v in cfg.items()},
         "result": result.canonical_dict() if result else None,
     }
-    with open(os.path.join(out_dir, "run.json"), "w", newline="\n") as fh:
-        fh.write(json.dumps(run, sort_keys=True, indent=2) + "\n")
+    write_json(os.path.join(out_dir, "run.json"), run)
     if result is not None:
-        harness.emit_confusion(
-            result.confusion,
-            list(range(spec.n_classes)),
-            os.path.join(out_dir, "confusion.csv"),
-        )
-        with open(os.path.join(out_dir, "timing.json"), "w", newline="\n") as fh:
-            fh.write(json.dumps({"wall_clock_per_step": result.wall_clock_per_step}) + "\n")
+        harness.emit_confusion(result.confusion, os.path.join(out_dir, "confusion.csv"))
+        write_json(os.path.join(out_dir, "timing.json"), {"wall_clock_per_step": result.wall_clock_per_step})
 
 
 def _load_run(run_dir):
@@ -67,6 +61,14 @@ def _load_run(run_dir):
     spec = ModelSpec(**{k: tuple(v) if isinstance(v, list) else v for k, v in run["model_spec"].items()})
     cfg = config_from_values(run["config"], path)  # checked before the model loads
     return load_model(spec, os.path.join(run_dir, "model.ckpt")), spec, cfg
+
+
+def _run_and_split(args):
+    """The trained run `--run`, the dataset `--data` and the indices of
+    `--split` under the run's config."""
+    model, _, cfg = _load_run(args.run)
+    dataset = Dataset.load(args.data)
+    return model, dataset, getattr(harness.splits_for(cfg, dataset), args.split)
 
 
 def cmd_gen_data(args):
@@ -88,37 +90,32 @@ def cmd_train(args):
 
 
 def cmd_extract(args):
-    model, _, cfg = _load_run(args.run)
-    dataset = Dataset.load(args.data)
-    splits = harness.splits_for(cfg, dataset)
-    indices = getattr(splits, args.split)
+    model, dataset, indices = _run_and_split(args)
     feats = harness.extract_features(model, dataset, indices, args.tap)
     write_tensor(args.out, feats)
     print(f"wrote {feats.shape[0]}x{feats.shape[1]} features to {args.out}")
 
 
 def cmd_eval(args):
-    model, spec, cfg = _load_run(args.run)
-    dataset = Dataset.load(args.data)
-    splits = harness.splits_for(cfg, dataset)
-    indices = getattr(splits, args.split)
-    result = harness.evaluate(model, dataset, indices)
+    result = harness.evaluate(*_run_and_split(args))
     print(json.dumps(result.canonical_dict(), sort_keys=True, indent=2))
 
 
 def cmd_fuse(args):
     rnn_model, _, cfg = _load_run(args.run_rnn)
-    cnn_model, _, _ = _load_run(args.run_cnn)
+    cnn_model, _, cnn_cfg = _load_run(args.run_cnn)
+    for key in ("seed", "split_mode"):  # both runs must have held out the same test samples
+        if cfg[key] != cnn_cfg[key]:
+            files = " and ".join(os.path.join(run, "run.json") for run in (args.run_rnn, args.run_cnn))
+            raise ConfigError(f"{files} differ in {key!r}: {cfg[key]!r} vs {cnn_cfg[key]!r}")
     dataset = Dataset.load(args.data)
     splits = harness.splits_for(cfg, dataset)
     svm_c = args.svm_c if args.svm_c is not None else cfg["svm_c"]
     rows = harness.run_fusion(rnn_model, cnn_model, dataset, splits, svm_c)
-    text = json.dumps(rows, sort_keys=True, indent=2)
     if args.out:
         os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write(text + "\n")
-    print(text)
+        write_json(args.out, rows)
+    print(json.dumps(rows, sort_keys=True, indent=2))
 
 
 def cmd_gradcheck(args):

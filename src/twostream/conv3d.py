@@ -627,10 +627,7 @@ class C3dModel:
         self.fc7 = fc7
         self.out = out
         self.helper = None  # the open `clip_helper`'s ClipHelper, else None
-        self._conv_names = []
-        for gi, group in enumerate(spec.conv_groups):
-            for li in range(len(group)):
-                self._conv_names.append(f"conv{gi + 1}{'abc'[li]}")
+        self._conv_names = [name for name, _ in spec.shape_chain() if name.startswith("conv")]
 
     def param_items(self):
         items = []

@@ -461,8 +461,7 @@ def generate_synthetic(config: SynthConfig, rng: Rng) -> Dataset:
 
     # every class owns a set of signature words; one is played per sample
     xor_classes = set(config.xor_pair) if config.xor_pair is not None else set()
-    unique_sk = sorted(s for c, s in enumerate(skeleton_sig) if c not in xor_classes)
-    unique_sk = sorted(set(unique_sk))
+    unique_sk = sorted({s for c, s in enumerate(skeleton_sig) if c not in xor_classes})
     if len(unique_sk) > len(_SEGMENT_WORDS):
         raise ConfigError(
             f"at most {len(_SEGMENT_WORDS)} distinct motion signatures supported, "

@@ -1,5 +1,8 @@
 """On-disk interchange formats.
 
+JSON — every results file (`run.json`, `ladder_results.json`, `timing.json`,
+`fuse --out`): sorted keys, a 2-space indent and one final newline.
+
 TSR1 — a single tensor: ASCII header line
     ``TSR1 <ndim> <d1> ... <dn> <f32|f64>\\n``
 followed by the little-endian binary payload in row-major order.
@@ -13,6 +16,7 @@ CKPT1 — a checkpoint of named tensors:
 from __future__ import annotations
 
 import io
+import json
 import math
 import os
 import stat
@@ -23,6 +27,11 @@ from .errors import DataError
 
 _DTYPE_TO_TAG = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
 _TAG_TO_DTYPE = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
+
+
+def write_json(path, obj) -> None:
+    with open(path, "w", newline="\n") as fh:
+        fh.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 def _tsr1_header(array: np.ndarray) -> bytes:

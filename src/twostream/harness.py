@@ -4,8 +4,8 @@ finite-difference gradient checker, and metrics emission."""
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import functools
-import json
 import os
 import time
 from dataclasses import dataclass, field
@@ -45,6 +45,7 @@ from .heads import svm_objective, svm_predict, svm_train
 from .data import Dataset, Splits, SplitSpec, make_splits, pad_sequences
 from .models import ModelSpec, build_model, LADDER_VARIANTS
 from .parallel import ordered_map
+from .fileio import write_json
 
 
 @dataclass
@@ -73,9 +74,9 @@ class TrainConfig:
 
 @dataclass
 class RunResult:
-    """Everything one training/evaluation run produced. The canonical dict
-    (and JSON) excludes wall-clock timing so reruns with one seed are
-    bit-identical; timing travels separately."""
+    """Everything one training/evaluation run produced. `canonical_dict`
+    holds every field but the wall-clock timing, so reruns with one seed
+    give the same dict; timing travels separately."""
 
     model: str
     seed: int
@@ -88,19 +89,10 @@ class RunResult:
     wall_clock_per_step: float = 0.0
 
     def canonical_dict(self):
-        return {
-            "model": self.model,
-            "seed": self.seed,
-            "epoch_losses": [float(v) for v in self.epoch_losses],
-            "val_accuracies": [float(v) for v in self.val_accuracies],
-            "eval_every": self.eval_every,
-            "steps_per_epoch": self.steps_per_epoch,
-            "test_accuracy": float(self.test_accuracy),
-            "confusion": self.confusion.astype(int).tolist() if self.confusion is not None else None,
-        }
-
-    def to_json(self):
-        return json.dumps(self.canonical_dict(), sort_keys=True, indent=2)
+        out = dataclasses.asdict(self)
+        del out["wall_clock_per_step"]
+        out["confusion"] = None if self.confusion is None else self.confusion.tolist()
+        return out
 
 
 def steps_to_threshold(result: RunResult, threshold: float):
@@ -209,10 +201,13 @@ def _chunked(model, rows, chunk, split=None):
 
 
 def _clip_helper(model, dataset: Dataset, n_rows=2):
-    """A context for a video model's forwards over `dataset`: the clip
-    helper open on the model (the one `train` holds), else a new one for the
-    block (`conv3d.clip_helper`, which may start none), and none for fewer
-    than two rows. Yields the ClipHelper or None."""
+    """A context for the model's forwards over `dataset`: none for a
+    skeleton model; for a video model, the clip helper open on the model
+    (the one `train` holds), else a new one for the block
+    (`conv3d.clip_helper`, which may start none), and none for fewer than
+    two rows. Yields the ClipHelper or None."""
+    if model.stream == "skeleton":
+        return contextlib.nullcontext()
     if model.net.helper is not None:
         return contextlib.nullcontext(model.net.helper)
     if n_rows < 2:
@@ -225,15 +220,14 @@ def _inference_pass(model, dataset: Dataset, indices):
     rows, the tap rows (None when the model has no tap), and the row bounds
     that split both into per-sample groups (a sample's rows are consecutive:
     its clips for video, its one sequence for skeleton). A video pass splits
-    each chunk through the clip helper (`_clip_helper`)."""
+    each chunk through the clip helper (`_clip_helper`). No samples raise
+    DataError."""
+    if len(indices) == 0:
+        raise DataError(f"{model.spec.name}: inference needs at least one sample")
     rows, owners = _stream_rows(model, dataset, indices)
-    chunk = _INFERENCE_CHUNK[model.stream]
-    if model.stream == "skeleton":
-        probs, taps = _chunked(model, rows, chunk)
-    else:
-        with _clip_helper(model, dataset, len(rows)) as helper:
-            split = None if helper is None else functools.partial(helper.start, indices, train=False)
-            probs, taps = _chunked(model, rows, chunk, split)
+    with _clip_helper(model, dataset, len(rows)) as helper:
+        split = None if helper is None else functools.partial(helper.start, indices, train=False)
+        probs, taps = _chunked(model, rows, _INFERENCE_CHUNK[model.stream], split)
     return probs, taps, np.searchsorted(owners, np.arange(1, len(indices)))
 
 
@@ -260,13 +254,6 @@ def infer_dataset(model, dataset: Dataset, indices):
     return _sample_predictions(probs, bounds), _sample_taps(taps, bounds)
 
 
-def _require_tap(model):
-    """Raise ContractError for a model without a tap: a skeleton variant
-    without the hidden layer (`-H`). Callers check before any inference."""
-    if model.stream == "skeleton" and model.hidden is None:
-        raise ContractError(f"model {model.spec.name} has no hidden layer to tap")
-
-
 def predict_dataset(model, dataset: Dataset, indices):
     """The per-sample Prediction list of `infer_dataset`, without averaging
     the taps."""
@@ -279,23 +266,22 @@ def evaluate(model, dataset: Dataset, indices) -> RunResult:
     samples (inference mode)."""
     preds = predict_dataset(model, dataset, indices)
     confusion = _confusion_of([p.label for p in preds], dataset.labels(indices), dataset.n_classes)
-    result = RunResult(model=getattr(model.spec, "name", "?"), seed=-1)
-    result.confusion = confusion
-    result.test_accuracy = _accuracy_of(confusion)
-    return result
+    return RunResult(model=model.spec.name, seed=-1, test_accuracy=_accuracy_of(confusion), confusion=confusion)
 
 
 def extract_features(model, dataset: Dataset, indices, tap):
     """One feature row per sample, the mean of its rows at the tap: the
     hidden layer of the skeleton stream (`rnn_fc`) or the first
     fully-connected layer of the video stream, averaged over clips
-    (`cnn_fc6`)."""
+    (`cnn_fc6`). A model without a tap, a skeleton variant without the
+    hidden layer (`-H`), raises ContractError before any inference."""
     stream = _TAP_STREAM.get(tap)
     if stream is None:
         raise ConfigError(f"unknown tap {tap!r}; expected rnn_fc or cnn_fc6")
     if model.stream != stream:
         raise ContractError(f"{tap} tap requires the {stream}-stream model")
-    _require_tap(model)
+    if stream == "skeleton" and model.hidden is None:
+        raise ContractError(f"model {model.spec.name} has no hidden layer to tap")
     _, taps, bounds = _inference_pass(model, dataset, indices)
     return _sample_taps(taps, bounds)
 
@@ -331,8 +317,7 @@ def train(model, dataset: Dataset, splits: Splits, cfg: TrainConfig) -> RunResul
     best_val = -1.0
     step_seconds = []
     improved = None
-    helping = _clip_helper(model, dataset) if model.stream == "video" else contextlib.nullcontext()
-    with helping as helper:
+    with _clip_helper(model, dataset) as helper:
         for epoch in range(cfg.epochs):
             perm = shuffle_rng.permutation(n_train)
             losses = []
@@ -371,13 +356,10 @@ def train(model, dataset: Dataset, splits: Splits, cfg: TrainConfig) -> RunResul
     return result
 
 
-def emit_confusion(confusion, class_names, path):
-    """K x K counts as CSV; the header row carries the class names."""
-    k = confusion.shape[0]
-    if len(class_names) != k:
-        raise DataError(f"{len(class_names)} names for a {k}x{k} matrix")
+def emit_confusion(confusion, path):
+    """K x K counts as CSV; the header row carries the class indices 0..K-1."""
     with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(str(c) for c in class_names) + "\n")
+        fh.write(",".join(str(c) for c in range(len(confusion))) + "\n")
         for row in confusion:
             fh.write(",".join(str(int(v)) for v in row) + "\n")
 
@@ -460,6 +442,16 @@ def _weighted_sum_loss(out, weights):
     return float((out * weights).sum())
 
 
+def _check_layer(name, forward, backward, arrays, r):
+    """Gradcheck the loss sum(y * r) of `forward() -> (y, cache)` over
+    `arrays` against `backward(cache, r)`, one gradient per array in order."""
+
+    def loss_fn():
+        return _weighted_sum_loss(forward()[0], r)
+
+    return check_gradients(name, loss_fn, arrays, list(backward(forward()[1], r)))
+
+
 def _check_unroll(name, layer, rng, n=2, t=4, i=3):
     """Gradcheck a cell or BidirectionalLayer over a full unroll."""
     x = rng.normal(0.0, 0.8, size=(n, t, i))
@@ -491,14 +483,7 @@ def gradcheck_all(rng=None) -> GradcheckReport:
     p.b[...] = rng.normal(0.0, 0.3, size=p.b.shape)
     x = rng.normal(size=(5, 4))
     r = rng.normal(size=(5, 3))
-
-    def dense_loss():
-        y, _ = dense_forward(p, x)
-        return _weighted_sum_loss(y, r)
-
-    y, cache = dense_forward(p, x)
-    dW, db, dx = dense_backward(p, cache, r)
-    add(check_gradients("dense_relu", dense_loss, [p.W, p.b, x], [dW, db, dx]))
+    add(_check_layer("dense_relu", lambda: dense_forward(p, x), functools.partial(dense_backward, p), [p.W, p.b, x], r))
 
     # softmax cross-entropy
     logits = rng.normal(0.0, 2.0, size=(6, 5))
@@ -517,25 +502,17 @@ def gradcheck_all(rng=None) -> GradcheckReport:
     xb = rng.normal(1.0, 2.0, size=(6, 4))
     rb = rng.normal(size=(6, 4))
 
-    def bn_loss():
-        yb, _ = batchnorm_forward(bn, xb, "train")
-        return _weighted_sum_loss(yb, rb)
+    def bn_grads(cache, r):
+        gx, ggamma, gbeta = batchnorm_backward(cache, r)
+        return ggamma, gbeta, gx
 
-    _, bcache = batchnorm_forward(bn, xb, "train")
-    gx, ggamma, gbeta = batchnorm_backward(bcache, rb)
-    add(check_gradients("batchnorm", bn_loss, [bn.gamma, bn.beta, xb], [ggamma, gbeta, gx]))
+    add(_check_layer("batchnorm", lambda: batchnorm_forward(bn, xb, "train"), bn_grads, [bn.gamma, bn.beta, xb], rb))
 
     # dropout, its mask frozen by re-seeding the Rng on each call
     xd = rng.normal(size=(3, 4))
     rd = rng.normal(size=(3, 4))
     drop_cfg = DropoutConfig(keep_prob=0.75)
-
-    def drop_loss():
-        yd, _ = dropout(xd, drop_cfg, Rng(5))
-        return _weighted_sum_loss(yd, rd)
-
-    _, mask = dropout(xd, drop_cfg, Rng(5))
-    add(check_gradients("dropout", drop_loss, [xd], [rd * mask]))
+    add(_check_layer("dropout", lambda: dropout(xd, drop_cfg, Rng(5)), lambda mask, r: [r * mask], [xd], rd))
 
     # recurrent cells through full unrolls (masked lengths included)
     add(_check_unroll("rnn_tanh", init_rnn_cell(3, 4, rng), rng))
@@ -565,29 +542,14 @@ def gradcheck_all(rng=None) -> GradcheckReport:
     conv.kernels[...] = rng.normal(0.0, 0.4, size=conv.kernels.shape)
     conv.bias[...] = rng.normal(0.0, 0.2, size=conv.bias.shape)
     xc = rng.normal(size=(1, 2, 3, 4, 4))
-    rc_shape = conv3d_forward(conv, xc)[0].shape
-    rc = rng.normal(size=rc_shape)
-
-    def conv_loss():
-        yc, _ = conv3d_forward(conv, xc)
-        return _weighted_sum_loss(yc, rc)
-
-    _, ccache = conv3d_forward(conv, xc)
-    gk, gb, gx = conv3d_backward(ccache, rc)
-    add(check_gradients("conv3d", conv_loss, [conv.kernels, conv.bias, xc], [gk, gb, gx]))
+    rc = rng.normal(size=xc.shape)  # same padding keeps the shape
+    add(_check_layer("conv3d", lambda: conv3d_forward(conv, xc), conv3d_backward, [conv.kernels, conv.bias, xc], rc))
 
     # 3D max pooling (random values sit far from ties)
     spec = Pool3dSpec((2, 2, 2))
     xpool = rng.normal(size=(1, 2, 4, 4, 4))
     rp = rng.normal(size=(1, 2, 2, 2, 2))
-
-    def pool_loss():
-        yp, _ = maxpool3d(spec, xpool)
-        return _weighted_sum_loss(yp, rp)
-
-    _, pcache = maxpool3d(spec, xpool)
-    gxp = maxpool3d_backward(pcache, rp)
-    add(check_gradients("maxpool3d", pool_loss, [xpool], [gxp]))
+    add(_check_layer("maxpool3d", lambda: maxpool3d(spec, xpool), lambda c, r: [maxpool3d_backward(c, r)], [xpool], rp))
 
     # linear SVM head: hinge objective at a point with no margin near the kink
     xf = rng.normal(size=(8, 3))
@@ -633,8 +595,14 @@ def run_fusion(rnn_model, cnn_model, dataset: Dataset, splits: Splits, svm_c) ->
     per (stream, split). Decision fusion tunes trust weights on validation and
     votes on the test set. Feature fusion concatenates the two streams' taps,
     L2 normalizes them, and classifies the test set with a one-vs-rest linear
-    SVM trained on the training split."""
-    _require_tap(rnn_model)
+    SVM trained on the training split. The streams are checked first: a
+    ConfigError names the side and the model unless `rnn_model` is a
+    skeleton model with a tap and `cnn_model` a video model."""
+    for side, model, stream in (("rnn_model", rnn_model, "skeleton"), ("cnn_model", cnn_model, "video")):
+        if model.stream != stream:
+            raise ConfigError(f"fusion's {side} must be a {stream}-stream model, got {model.spec.name}")
+    if rnn_model.hidden is None:
+        raise ConfigError(f"fusion's rnn_model {rnn_model.spec.name} has no hidden layer to tap")
     passes = {
         split: [infer_dataset(m, dataset, getattr(splits, split)) for m in (rnn_model, cnn_model)]
         for split in ("val", "test", "train")
@@ -737,18 +705,9 @@ def run_ladder(dataset: Dataset, cfg: dict, out_dir=None):
         )
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "ladder_results.json"), "w", newline="\n") as fh:
-            fh.write(json.dumps(results, sort_keys=True, indent=2))
-            fh.write("\n")
-        with open(os.path.join(out_dir, "timing.json"), "w", newline="\n") as fh:
-            fh.write(json.dumps(timing, sort_keys=True, indent=2))
-            fh.write("\n")
-        names = list(range(dataset.n_classes))
+        write_json(os.path.join(out_dir, "ladder_results.json"), results)
+        write_json(os.path.join(out_dir, "timing.json"), timing)
         for name, res in results.items():
             if res.get("confusion") is not None:
-                emit_confusion(
-                    np.asarray(res["confusion"]),
-                    names,
-                    os.path.join(out_dir, f"confusion_{name}.csv"),
-                )
+                emit_confusion(res["confusion"], os.path.join(out_dir, f"confusion_{name}.csv"))
     return results, timing, trained, splits

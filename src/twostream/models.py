@@ -52,15 +52,14 @@ class ModelSpec:
     """A ladder variant plus the width knobs that scale it up or down.
 
     hidden_dim is the units per recurrent direction (reference scale: 300);
-    hidden_fc_dim defaults to the recurrent output width. video_shape and
-    n_classes size the convolutional variants.
+    the hidden fully-connected layer of `-H` is as wide as the recurrent
+    output. video_shape and n_classes size the convolutional variants.
     """
 
     name: str
     input_dim: int = 24
     n_classes: int = 6
     hidden_dim: int = 16
-    hidden_fc_dim: int = None
     keep_prob: float = 0.75
     video_shape: tuple = (3, 16, 16, 16)
     cnn_filters: tuple = (8, 16)
@@ -206,11 +205,7 @@ def build_model(spec: ModelSpec, rng: Rng):
     feat_dim = layers[-1].out_dim
     bn = init_batchnorm(feat_dim) if "-BN" in name or name.endswith("-H") else None
     drop_cfg = DropoutConfig(keep_prob=spec.keep_prob) if "-DP" in name else None
-    hidden = None
-    if name.endswith("-H"):
-        width = spec.hidden_fc_dim or feat_dim
-        hidden = init_dense(feat_dim, width, rng, activation="relu")
-        feat_dim = width
+    hidden = init_dense(feat_dim, feat_dim, rng, activation="relu") if name.endswith("-H") else None
     out = init_dense(feat_dim, spec.n_classes, rng, activation="none")
     return RecurrentClassifier(spec, layers, bn, drop_cfg, hidden, out)
 

@@ -235,6 +235,19 @@ def _dir_bytes(path):
     return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
 
 
+def _assert_json_layout(path):
+    """Sorted keys, a 2-space indent and exactly one trailing newline."""
+    text = Path(path).read_text()
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+
+def _untrained_run(run_dir, name, cfg):
+    """A run directory with an untrained model, as `twostream train` lays it out."""
+    spec = ModelSpec(name=name, input_dim=9, n_classes=3, hidden_dim=4, video_shape=(2, 8, 6, 6))
+    _write_run(run_dir, spec, cfg, build_model(spec, Rng(0)), None)
+    return str(run_dir)
+
+
 @pytest.fixture(scope="module")
 def cfg_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("cfg") / "tiny.cfg"
@@ -264,23 +277,26 @@ class TestCli:
         run = json.loads((run_dir / "run.json").read_text())
         assert run["model_spec"]["name"] == "LSTM1-BN"
         assert (run_dir / "model.ckpt").exists()
-        assert (run_dir / "confusion.csv").exists()
+        assert (run_dir / "confusion.csv").read_text().splitlines()[0] == "0,1,2"
+        _assert_json_layout(run_dir / "run.json")
+        _assert_json_layout(run_dir / "timing.json")
 
         main(["eval", "--run", str(run_dir), "--data", data_dir, "--split", "val"])
         parsed = json.loads(capsys.readouterr().out)
         assert 0.0 <= parsed["test_accuracy"] <= 1.0
 
     def test_run_round_trips_every_model_spec_field(self, tmp_path):
-        # hidden_fc_dim differs from its default, so a hand copy that drops it
-        # rebuilds a model whose checkpoint no longer fits
+        # every field differs from its default, so a hand copy that drops the
+        # hidden width rebuilds a model whose checkpoint no longer fits
         spec = ModelSpec(name="BI-GRU2-BN-DP-H", input_dim=5, n_classes=3, hidden_dim=4,
-                         hidden_fc_dim=7, keep_prob=0.5, video_shape=(2, 8, 6, 6),
-                         cnn_filters=(3, 4), cnn_fc_dim=9)
+                         keep_prob=0.5, video_shape=(2, 8, 6, 6), cnn_filters=(3, 4), cnn_fc_dim=9)
+        assert [f.name for f in dataclasses.fields(ModelSpec)
+                if getattr(spec, f.name) == f.default] == []
         model = build_model(spec, Rng(0))
         _write_run(tmp_path, spec, default_config(), model, None)
         loaded_model, loaded_spec, _ = _load_run(tmp_path)
         assert loaded_spec == spec
-        assert loaded_model.hidden.W.shape[0] == 7
+        assert loaded_model.hidden.W.shape == (8, 8)  # two directions of 4
         for (name, a), (_, b) in zip(model.param_items(), loaded_model.param_items()):
             assert np.array_equal(a, b), name
 
@@ -356,7 +372,7 @@ class TestCli:
         model, result = harness.train_variant(model_name, dataset, splits, cfg)
         save_model(model, tmp_path / "direct.ckpt")
         assert (run_dir / "model.ckpt").read_bytes() == (tmp_path / "direct.ckpt").read_bytes()
-        assert json.loads((run_dir / "run.json").read_text())["result"] == json.loads(result.to_json())
+        assert json.loads((run_dir / "run.json").read_text())["result"] == result.canonical_dict()
 
     @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
     def test_fuse_checks_svm_c_when_parsing_arguments(self, value, tmp_path, capsys):
@@ -436,7 +452,8 @@ class TestCli:
         main(["ladder", "--config", cfg_file, "--data", data_dir, "--out", str(out_dir)])
         results = json.loads((out_dir / "ladder_results.json").read_text())
         assert set(results) == {"RNN1", "LSTM1-BN"}
-        assert (out_dir / "timing.json").exists()
+        _assert_json_layout(out_dir / "ladder_results.json")
+        _assert_json_layout(out_dir / "timing.json")
         assert (out_dir / "confusion_RNN1.csv").exists()
 
     def test_fusion_commands_from_saved_runs(self, data_dir, cfg_file, tmp_path, capsys):
@@ -461,6 +478,29 @@ class TestCli:
         assert rows["DECISION-FUSION"]["w_r"] == 1.0
         assert rows["FEATURE-FUSION"]["svm_c"] == 8.0
         assert json.loads((tmp_path / "fused.json").read_text()) == rows
+        _assert_json_layout(tmp_path / "fused.json")
+
+    @pytest.mark.parametrize("key, value", [("seed", 4), ("split_mode", "cross_view")])
+    def test_fuse_rejects_runs_on_another_split(self, cfg_file, tmp_path, capsys, key, value):
+        cfg = load_config(cfg_file)
+        rnn_dir = _untrained_run(tmp_path / "rnn", "BI-GRU2-BN-DP-H", cfg)
+        cnn_dir = _untrained_run(tmp_path / "cnn", "C3D-DESK", {**cfg, key: value})
+        message = (f"{os.path.join(rnn_dir, 'run.json')} and {os.path.join(cnn_dir, 'run.json')} "
+                   f"differ in {key!r}: {cfg[key]!r} vs {value!r}")
+        argv = ["fuse", "--run-rnn", rnn_dir, "--run-cnn", cnn_dir, "--data", str(tmp_path / "missing")]
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            main(argv)
+        assert cli.console_main(argv) == 2
+        assert capsys.readouterr().err == f"twostream: error: {message}\n"
+
+    def test_fuse_rejects_a_video_run_as_the_recurrent_side(self, data_dir, cfg_file, tmp_path, capsys):
+        cfg = load_config(cfg_file)
+        cnn_dir = _untrained_run(tmp_path / "cnn", "C3D-DESK", cfg)
+        argv = ["fuse", "--run-rnn", cnn_dir, "--run-cnn", cnn_dir, "--data", data_dir]
+        assert cli.console_main(argv) == 2
+        assert capsys.readouterr().err == (
+            "twostream: error: fusion's rnn_model must be a skeleton-stream model, got C3D-DESK\n"
+        )
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

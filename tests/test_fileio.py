@@ -8,7 +8,15 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from twostream import DataError, read_checkpoint, read_tensor, write_checkpoint, write_tensor
-from twostream.fileio import read_tensor_from
+from twostream.fileio import read_tensor_from, write_json
+
+
+def test_write_json_sorts_keys_indents_by_two_and_ends_in_one_newline(tmp_path):
+    path = tmp_path / "a.json"
+    write_json(path, {"b": [1, 2.5], "a": {"d": None, "c": "x"}})
+    assert path.read_bytes() == (
+        b'{\n  "a": {\n    "c": "x",\n    "d": null\n  },\n  "b": [\n    1,\n    2.5\n  ]\n}\n'
+    )
 
 
 def test_tensor_roundtrip_f64(tmp_path, rng):

@@ -13,6 +13,7 @@ import pytest
 from twostream import (
     ConfigError,
     ContractError,
+    DataError,
     DivergenceError,
     ModelSpec,
     Rng,
@@ -257,9 +258,37 @@ class TestEvaluateAndExtract:
             monkeypatch.setattr(m, "forward", _forward_spy(m))
         with pytest.raises(ContractError, match="LSTM1 has no hidden layer"):
             extract_features(model, dataset, splits.val, "rnn_fc")
-        with pytest.raises(ContractError, match="LSTM1 has no hidden layer"):
+        with pytest.raises(ConfigError, match="fusion's rnn_model LSTM1 has no hidden layer"):
             run_fusion(model, cnn_model, dataset, splits, svm_c=8.0)
         assert model.forward.rows == [] and cnn_model.forward.rows == []
+
+    @pytest.mark.parametrize(
+        "rnn_name, cnn_name, message",
+        [
+            ("C3D-DESK", "C3D-DESK", "fusion's rnn_model must be a skeleton-stream model, got C3D-DESK"),
+            ("C3D-DESK", "BI-GRU2-BN-DP-H", "fusion's rnn_model must be a skeleton-stream model, got C3D-DESK"),
+            ("BI-GRU2-BN-DP-H", "BI-GRU1-BN-DP", "fusion's cnn_model must be a video-stream model, got BI-GRU1-BN-DP"),
+        ],
+        ids=["two_video_models", "swapped", "two_skeleton_models"],
+    )
+    def test_fusion_of_the_wrong_streams_names_the_side_and_model(self, tiny, rnn_name, cnn_name, message):
+        dataset, splits = tiny
+        rnn_model = build_model(_tiny_model_spec(rnn_name, dataset), Rng(6))
+        cnn_model = build_model(_tiny_model_spec(cnn_name, dataset), Rng(6))
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            run_fusion(rnn_model, cnn_model, dataset, splits, svm_c=8.0)
+
+    @pytest.mark.parametrize("name, tap", [("BI-GRU2-BN-DP-H", "rnn_fc"), ("C3D-DESK", "cnn_fc6")])
+    @pytest.mark.parametrize("indices", [[], np.array([], dtype=int)], ids=["list", "array"])
+    def test_inference_on_no_samples_raises_data_error(self, tiny, name, tap, indices):
+        dataset, _ = tiny
+        model = build_model(_tiny_model_spec(name, dataset), Rng(6))
+        message = f"{name}: inference needs at least one sample"
+        for infer in (infer_dataset, predict_dataset, evaluate):
+            with pytest.raises(DataError, match=re.escape(message)):
+                infer(model, dataset, indices)
+        with pytest.raises(DataError, match=re.escape(message)):
+            extract_features(model, dataset, indices, tap)
 
     def test_wrong_tap_rejected(self, tiny):
         dataset, splits = tiny
@@ -270,9 +299,9 @@ class TestEvaluateAndExtract:
     def test_emit_confusion_layout(self, tmp_path):
         confusion = np.array([[3, 1], [0, 4]])
         path = tmp_path / "c.csv"
-        emit_confusion(confusion, ["walk", "run"], path)
+        emit_confusion(confusion, path)
         lines = path.read_text().splitlines()
-        assert lines[0] == "walk,run"
+        assert lines[0] == "0,1"
         assert lines[1] == "3,1"
         assert lines[2] == "0,4"
 
@@ -646,7 +675,7 @@ class TestStreamedRows:
             monkeypatch.setattr(harness, "_stream_rows", stream_rows)
             model = build_model(_two_clip_spec(name, two_clip), Rng(3))
             result = train(model, two_clip, splits, cfg)
-            runs.append((result.to_json(), model.param_items()))
+            runs.append((result.canonical_dict(), model.param_items()))
         (json_a, params_a), (json_b, params_b) = runs
         assert json_a == json_b
         assert [n for n, _ in params_a] == [n for n, _ in params_b]
@@ -703,7 +732,7 @@ class TestVideoInferenceOnTwoCores:
             shares = _spy_on_start(monkeypatch)
             preds, taps = infer_dataset(model, two_clip, indices)
             result = evaluate(model, two_clip, indices)
-            outputs.append((np.stack([p.probs for p in preds]), taps, [p.label for p in preds], result.to_json()))
+            outputs.append((np.stack([p.probs for p in preds]), taps, [p.label for p in preds], result.canonical_dict()))
         assert len(forks) == 2  # one helper per pass at 2, none at 1
         assert shares == [(False, 7)] * 7 + [(False, 1)] + [(False, 7)] * 7 + [(False, 1)]
         (probs_1, taps_1, labels_1, json_1), (probs_2, taps_2, labels_2, json_2) = outputs

@@ -129,21 +129,9 @@ SCHEMA = {
     "cnn_fc_dim": (_int_at_least(1), 64),
     # fusion
     "svm_c": (_positive_float, 8.0),
-    # which ladder rows to run
-    "ladder_models": (
-        _names,
-        [
-            "RNN1",
-            "LSTM1",
-            "LSTM1-BN",
-            "LSTM1-BN-DP",
-            "GRU1-BN-DP",
-            "BI-GRU1-BN-DP",
-            "BI-GRU2-BN-DP",
-            "BI-GRU2-BN-DP-H",
-            "C3D-DESK",
-        ],
-    ),
+    # which ladder rows to run: all but the full-scale C3D, which does not
+    # train at desk scale
+    "ladder_models": (_names, [n for n in LADDER_VARIANTS if n != "C3D"]),
 }
 
 

@@ -565,19 +565,6 @@ class C3dSpec:
         pooled = self.shape_chain()[-4][1]
         return int(np.prod(pooled))
 
-    def param_count(self):
-        kt, kh, kw = KERNEL_SIZE
-        total = 0
-        c = self.input_shape[0]
-        for group in self.conv_groups:
-            for filters in group:
-                total += filters * c * kt * kh * kw + filters
-                c = filters
-        dims = [self.flat_dim(), self.fc_dims[0], self.fc_dims[1], self.n_classes]
-        for d_in, d_out in zip(dims, dims[1:]):
-            total += d_out * d_in + d_out
-        return total
-
 
 def full_scale_c3d_spec(n_classes=60) -> C3dSpec:
     """The deep reference topology: 8 convs, 5 pools (first 1x2x2, rest 2x2x2),

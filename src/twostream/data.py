@@ -51,10 +51,9 @@ class SkeletonSequence:
 
 @dataclass
 class VideoVolume:
+    """A sample's video; its label, subject and view are the skeleton's."""
+
     pixels: np.ndarray  # [C, T, H, W] in [0, 1]
-    label: int
-    subject_id: int
-    view_id: int
 
     def __post_init__(self):
         if self.pixels.ndim != 4:
@@ -158,7 +157,7 @@ class Dataset:
                     Sample(
                         sample_id=sid,
                         skeleton=SkeletonSequence(coords, label, subject, view),
-                        video=VideoVolume(pixels, label, subject, view),
+                        video=VideoVolume(pixels),
                     )
                 )
         return cls(samples, n_classes)
@@ -522,7 +521,7 @@ def generate_synthetic(config: SynthConfig, rng: Rng) -> Dataset:
                 Sample(
                     sample_id=f"s{index:05d}",
                     skeleton=SkeletonSequence(coords, label, subject, view),
-                    video=VideoVolume(pixels, label, subject, view),
+                    video=VideoVolume(pixels),
                 )
             )
             index += 1

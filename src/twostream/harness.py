@@ -39,9 +39,9 @@ from .conv3d import (
     maxpool3d_backward,
 )
 from .heads import dense_backward, dense_forward, init_dense, softmax_xent
+from .heads import svm_objective, svm_predict, svm_subgradient, svm_train
 from .optim import RmspropState, SgdHalvingState, rmsprop_step, sgd_halving_step
 from .fusion import decision_fuse, feature_fuse, search_trust_weights
-from .heads import svm_objective, svm_predict, svm_train
 from .data import Dataset, Splits, SplitSpec, make_splits, pad_sequences
 from .models import ModelSpec, build_model, LADDER_VARIANTS
 from .parallel import ordered_map
@@ -143,7 +143,11 @@ def _stream_rows(model, dataset: Dataset, indices):
     batch or a chunk at a time, and, for each row, the position in `indices`
     of the sample it came from: one sequence per sample, or every clip of
     each video. Rows hold references, not data, so memory follows the batch,
-    not the split."""
+    not the split. A model built for another class count than the dataset's
+    raises DataError, so training and inference fail before any step."""
+    spec = model.spec
+    if spec.n_classes != dataset.n_classes:
+        raise DataError(f"{spec.name} is built for {spec.n_classes} classes, the dataset has {dataset.n_classes}")
     if model.stream == "skeleton":
         refs = [(pos, 0) for pos in range(len(indices))]
         rows = _Rows([dataset[i].skeleton for i in indices], refs)
@@ -221,7 +225,7 @@ def _inference_pass(model, dataset: Dataset, indices):
     that split both into per-sample groups (a sample's rows are consecutive:
     its clips for video, its one sequence for skeleton). A video pass splits
     each chunk through the clip helper (`_clip_helper`). No samples raise
-    DataError."""
+    DataError, as `_stream_rows` does for a model of another class count."""
     if len(indices) == 0:
         raise DataError(f"{model.spec.name}: inference needs at least one sample")
     rows, owners = _stream_rows(model, dataset, indices)
@@ -391,7 +395,6 @@ def finite_diff_grads(loss_fn, arrays, h=1e-5):
 @dataclass
 class CheckEntry:
     name: str
-    shapes: list
     max_rel_error: float
     worst: str
     passed: bool
@@ -431,7 +434,6 @@ def check_gradients(name, loss_fn, arrays, analytic, h=1e-5, threshold=1e-4, flo
             worst_desc = f"shape{arr.shape}[{','.join(map(str, idx))}]"
     return CheckEntry(
         name=name,
-        shapes=[a.shape for a in arrays],
         max_rel_error=worst_err,
         worst=worst_desc,
         passed=worst_err <= threshold,
@@ -561,14 +563,13 @@ def gradcheck_all(rng=None) -> GradcheckReport:
     if np.abs(1.0 - margins).min() < 1e-3:  # keep the checkpoint differentiable
         wf *= 1.1
 
-    def svm_loss():
-        return svm_objective(wf, bf[0], xf, yf, c_svm)
+    scale = c_svm * len(xf)  # svm_subgradient's objective is svm_objective / (C*n)
 
-    m = yf * (xf @ wf + bf[0])
-    viol = m < 1.0
-    gw = wf - c_svm * (yf[viol] @ xf[viol])
-    gb = np.array([-c_svm * yf[viol].sum()])
-    add(check_gradients("svm_hinge", svm_loss, [wf, bf], [gw, gb]))
+    def svm_loss():
+        return svm_objective(wf, bf[0], xf, yf, c_svm) / scale
+
+    gw, gb = svm_subgradient(wf, bf[0], xf, yf, 1.0 / scale)
+    add(check_gradients("svm_hinge", svm_loss, [wf, bf], [gw, np.array([gb])]))
 
     return report
 

@@ -82,18 +82,24 @@ class SvmModel:
 
     W: np.ndarray  # [K, d]
     b: np.ndarray  # [K]
-    C: float
     objective_history: np.ndarray = None  # [K, epochs] hinge objectives, for monitoring
-
-    @property
-    def n_classes(self):
-        return self.W.shape[0]
 
 
 def svm_objective(w, b, x, y, C):
     """Per-class objective 0.5*||w||^2 + C * sum(hinge) with labels y in {-1,+1}."""
     margins = y * (x @ w + b)
     return 0.5 * float(w @ w) + C * float(np.maximum(0.0, 1.0 - margins).sum())
+
+
+def svm_subgradient(w, b, x, y, lam):
+    """A subgradient (d/dw, d/db) of the sample-averaged objective
+    lam/2*||w||^2 + mean_i hinge(y_i, w.x_i + b), which is
+    svm_objective / (C*n) at lam = 1/(C*n): the direction `svm_train` steps."""
+    n = x.shape[0]
+    viol = y * (x @ w + b) < 1.0
+    grad_w = lam * w - (y[viol] @ x[viol]) / n
+    grad_b = -float(y[viol].sum()) / n
+    return grad_w, grad_b
 
 
 SVM_EPOCHS = 200  # full-batch subgradient steps per class
@@ -130,17 +136,13 @@ def svm_train(features, labels, C) -> SvmModel:
         b_c = 0.0
         for t in range(1, SVM_EPOCHS + 1):
             eta = 1.0 / (lam * (t + t0))
-            margins = y * (x @ w_c + b_c)
-            viol = margins < 1.0
-            # subgradient of the averaged objective: lam*w - mean(viol * y * x)
-            grad_w = lam * w_c - (y[viol] @ x[viol]) / n
-            grad_b = -float(y[viol].sum()) / n
+            grad_w, grad_b = svm_subgradient(w_c, b_c, x, y, lam)
             w_c = w_c - eta * grad_w
             b_c = b_c - eta * grad_b
             history[cls, t - 1] = svm_objective(w_c, b_c, x, y, C)
         W[cls] = w_c
         b[cls] = b_c
-    return SvmModel(W=W, b=b, C=float(C), objective_history=history)
+    return SvmModel(W=W, b=b, objective_history=history)
 
 
 def svm_predict(model: SvmModel, features):

@@ -139,9 +139,6 @@ class RecurrentClassifier:
                 grads[f"rec{li}.{n}"] = g
         return grads
 
-    def param_count(self):
-        return sum(a.size for _, a in self.param_items())
-
 
 class ConvClassifier:
     """Thin training wrapper around the conv/pool/fc stack; works on clips."""
@@ -168,9 +165,6 @@ class ConvClassifier:
 
     def backward(self, cache, grad_logits):
         return self.net.backward(cache, grad_logits)
-
-    def param_count(self):
-        return sum(a.size for _, a in self.param_items())
 
 
 def _recurrent_stack(name, spec, rng):

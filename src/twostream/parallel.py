@@ -37,11 +37,13 @@ lock is copied mid-use.
 
 The worker count never lets processes times BLAS threads exceed the usable
 CPUs. OpenBLAS starts one thread per CPU unless `OPENBLAS_NUM_THREADS` (or
-`GOTO_NUM_THREADS` / `OMP_NUM_THREADS`) says otherwise, so with none of them
-set every call runs serially; with `OPENBLAS_NUM_THREADS=1` a 2-CPU machine
-runs two processes. Forking onto CPUs that BLAS threads already use is slower
-than either alone: on a 2-vCPU VM the 14 acceptance trainings took 179 s on
-2 workers at 2 BLAS threads each, 130 s serially.
+`GOTO_NUM_THREADS` / `OMP_NUM_THREADS`) says otherwise. Importing the
+package before numpy sets `OPENBLAS_NUM_THREADS=1` where none of them is
+set, so a 2-CPU machine runs two processes; where numpy loaded first with
+none of them set, every call runs serially. Forking onto CPUs that BLAS
+threads already use is slower than either alone: on a 2-vCPU VM the 14
+acceptance trainings took 179 s on 2 workers at 2 BLAS threads each, 130 s
+serially.
 """
 
 from __future__ import annotations

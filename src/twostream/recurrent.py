@@ -95,9 +95,10 @@ def init_gru_cell(input_dim, hidden_dim, rng: Rng) -> GruCell:
     return GruCell(W_gates=W_gates, W_cand=W_cand, b_gates=zb, b_cand=cb)
 
 
-def param_count(cell) -> int:
-    """Total number of scalar parameters (weights and biases) in a cell."""
-    return sum(a.size for a in cell.param_arrays())
+def param_count(model) -> int:
+    """Total number of scalar parameters in anything with `param_items()`:
+    a cell, a BidirectionalLayer, a C3dModel or either classifier."""
+    return sum(a.size for _, a in model.param_items())
 
 
 class _Cell:

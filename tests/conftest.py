@@ -1,12 +1,10 @@
 import os
 
-# One BLAS thread per process, set before numpy loads: independent chunks and
-# trainings then run in forked workers on every usable core, which beats
-# BLAS threads on these small matrices (see twostream.parallel).
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
-import numpy as np  # noqa: E402
-import pytest  # noqa: E402
+# twostream before numpy: the package then sets its one-BLAS-thread default
+# (see twostream/__init__.py) for the whole suite.
+import twostream  # noqa: F401
+import numpy as np
+import pytest
 
 
 @pytest.fixture

@@ -23,7 +23,7 @@ from twostream import (
     read_tensor,
     save_model,
 )
-from twostream import cli, data, harness
+from twostream import cli, data, harness, parallel
 from twostream.config import SCHEMA, default_config, load_config, parse_config
 from twostream.cli import _load_run, _write_run, main
 
@@ -241,9 +241,9 @@ def _assert_json_layout(path):
     assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
 
 
-def _untrained_run(run_dir, name, cfg):
+def _untrained_run(run_dir, name, cfg, n_classes=3):
     """A run directory with an untrained model, as `twostream train` lays it out."""
-    spec = ModelSpec(name=name, input_dim=9, n_classes=3, hidden_dim=4, video_shape=(2, 8, 6, 6))
+    spec = ModelSpec(name=name, input_dim=9, n_classes=n_classes, hidden_dim=4, video_shape=(2, 8, 6, 6))
     _write_run(run_dir, spec, cfg, build_model(spec, Rng(0)), None)
     return str(run_dir)
 
@@ -502,8 +502,21 @@ class TestCli:
             "twostream: error: fusion's rnn_model must be a skeleton-stream model, got C3D-DESK\n"
         )
 
+    @pytest.mark.parametrize("name", ["RNN1", "C3D-DESK"])
+    def test_eval_rejects_a_run_for_another_class_count(self, data_dir, cfg_file, tmp_path, capsys, name):
+        run_dir = _untrained_run(tmp_path / "run", name, load_config(cfg_file), n_classes=6)
+        assert cli.console_main(["eval", "--run", run_dir, "--data", data_dir]) == 2
+        assert capsys.readouterr().err == f"twostream: error: {name} is built for 6 classes, the dataset has 3\n"
+
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _cli_env(**blas):
+    """This environment with src on the path, no BLAS thread variable, then `blas`."""
+    env = {k: v for k, v in os.environ.items() if k not in parallel.BLAS_THREAD_VARIABLES}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return {**env, **blas}
 
 
 class TestConsoleErrors:
@@ -520,10 +533,9 @@ class TestConsoleErrors:
     def test_package_error_exits_2_without_a_traceback(self, tmp_path, command, settings, message):
         cfg_path = tmp_path / "bad.cfg"
         cfg_path.write_text(settings + "\n")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(
             [sys.executable, "-m", "twostream.cli", command, "--config", str(cfg_path), "--out", str(tmp_path / "out")],
-            env=env, capture_output=True, text=True, timeout=120,
+            env=_cli_env(), capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 2
         assert proc.stderr.startswith("twostream: error: ")
@@ -542,3 +554,51 @@ class TestConsoleErrors:
         monkeypatch.setattr(cli, "main", boom)
         with pytest.raises(RuntimeError, match="not an input error"):
             cli.console_main([])
+
+
+# A small ladder on which two BLAS threads and one give different bits.
+BLAS_LADDER_CFG = """
+samples_per_class = 12
+n_subjects = 4
+epochs = 2
+cnn_epochs = 1
+ladder_models = RNN1, LSTM1-BN, GRU1-BN-DP, BI-GRU2-BN-DP-H, C3D-DESK
+"""
+
+
+class TestBlasDefault:
+    """Importing twostream before numpy gives each process one BLAS thread
+    unless the caller set a count."""
+
+    @pytest.mark.parametrize(
+        "blas, first, expected",
+        [
+            ({}, "twostream", "1"),
+            ({"OPENBLAS_NUM_THREADS": "2"}, "twostream", "2"),
+            ({"OMP_NUM_THREADS": "2"}, "twostream", None),
+            ({}, "numpy", None),
+        ],
+        ids=["unset", "explicit_openblas", "explicit_omp", "numpy_first"],
+    )
+    def test_default_fills_in_only_an_unset_count_before_numpy(self, blas, first, expected):
+        code = f"import os, {first}, twostream; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=_cli_env(**blas), capture_output=True, text=True, timeout=120, check=True
+        )
+        assert proc.stdout == f"{expected}\n"
+
+    def test_ladder_with_no_blas_variable_writes_the_one_thread_bytes(self, tmp_path):
+        cfg_path = tmp_path / "small.cfg"
+        cfg_path.write_text(BLAS_LADDER_CFG)
+        written = []
+        for label, blas in (("unset", {}), ("one_thread", {"OPENBLAS_NUM_THREADS": "1"})):
+            out = tmp_path / label
+            subprocess.run(
+                [sys.executable, "-m", "twostream.cli", "ladder", "--config", str(cfg_path), "--out", str(out)],
+                env=_cli_env(**blas), capture_output=True, timeout=600, check=True,
+            )
+            files = _dir_bytes(out)
+            del files["timing.json"]  # wall-clock times
+            written.append(files)
+        assert "ladder_results.json" in written[0] and len(written[0]) == 8
+        assert written[0] == written[1]

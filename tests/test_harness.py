@@ -101,6 +101,16 @@ class TestGradcheckAll:
         assert len(lines) == len(report.entries) + 1
         assert lines[-1].startswith("PASS")
 
+    def test_a_wrong_svm_subgradient_fails(self, monkeypatch):
+        def undivided(w, b, x, y, lam):  # the hinge sum not divided by n
+            viol = y * (x @ w + b) < 1.0
+            return lam * w - y[viol] @ x[viol], -float(y[viol].sum())
+
+        monkeypatch.setattr(harness, "svm_subgradient", undivided)
+        report = gradcheck_all()
+        assert [e.name for e in report.entries if not e.passed] == ["svm_hinge"]
+        assert not report.passed
+
     def test_corrupted_backward_is_reported(self, rng):
         x = rng.normal(size=(3, 3))
         r = rng.normal(size=(3, 3))
@@ -289,6 +299,18 @@ class TestEvaluateAndExtract:
                 infer(model, dataset, indices)
         with pytest.raises(DataError, match=re.escape(message)):
             extract_features(model, dataset, indices, tap)
+
+    @pytest.mark.parametrize("name", ["RNN1", "C3D-DESK"])
+    @pytest.mark.parametrize("init_seed", [0, 1])
+    def test_model_for_another_class_count_raises_data_error(self, tiny, name, init_seed):
+        dataset, splits = tiny
+        model = build_model(dataclasses.replace(_tiny_model_spec(name, dataset), n_classes=6), Rng(init_seed))
+        message = f"{name} is built for 6 classes, the dataset has 3"
+        for infer in (infer_dataset, predict_dataset, evaluate):
+            with pytest.raises(DataError, match=re.escape(message)):
+                infer(model, dataset, splits.test)
+        with pytest.raises(DataError, match=re.escape(message)):
+            train(model, dataset, splits, TrainConfig(epochs=1, batch_size=8))
 
     def test_wrong_tap_rejected(self, tiny):
         dataset, splits = tiny

@@ -15,7 +15,8 @@ from twostream import (
     svm_predict,
     svm_train,
 )
-from twostream.heads import svm_objective
+from twostream import heads
+from twostream.heads import SVM_EPOCHS, svm_objective, svm_subgradient
 
 from conftest import central_diff, max_rel_err
 
@@ -170,3 +171,32 @@ class TestSvm:
             assert np.all(np.diff(hist) <= 1e-9)
             yy = np.where(y == cls, 1.0, -1.0)
             assert hist[-1] == pytest.approx(svm_objective(model.W[cls], model.b[cls], x, yy, 8.0))
+
+    def test_subgradient_matches_finite_differences_of_the_averaged_objective(self):
+        rng = Rng(11)
+        x = rng.normal(size=(9, 3))
+        y = np.where(rng.uniform(size=9) < 0.5, 1.0, -1.0)
+        w = rng.normal(0.0, 0.5, size=3)
+        b = np.array([0.2])
+        C = 4.0
+        assert np.abs(1.0 - y * (x @ w + b[0])).min() > 1e-3  # away from the hinge's kink
+
+        def averaged():
+            return svm_objective(w, b[0], x, y, C) / (C * len(x))
+
+        gw, gb = svm_subgradient(w, b[0], x, y, 1.0 / (C * len(x)))
+        assert max_rel_err([gw, np.array([gb])], central_diff(averaged, [w, b])) <= 1e-6
+
+    def test_training_steps_along_the_subgradient(self, monkeypatch):
+        x, y = _separable_clouds(Rng(3), n_per=10)
+        expected = svm_train(x, y, C=8.0)
+        real, calls = heads.svm_subgradient, []
+
+        def spy(*args):
+            calls.append(args[-1])
+            return real(*args)
+
+        monkeypatch.setattr(heads, "svm_subgradient", spy)
+        got = svm_train(x, y, C=8.0)
+        assert calls == [1.0 / (8.0 * len(x))] * (2 * SVM_EPOCHS)
+        assert np.array_equal(got.W, expected.W) and np.array_equal(got.b, expected.b)

@@ -89,7 +89,7 @@ class TestLadderExpansion:
             if name == "C3D":
                 continue  # the deep reference net is exercised in the conv tests
             model = build_model(_spec(name), rng)
-            assert model.param_count() > 0
+            assert param_count(model) > 0
 
 
 class TestForwardBackward:

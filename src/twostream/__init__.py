@@ -56,7 +56,6 @@ from .normreg import (
 from .conv3d import (
     C3dSpec,
     Conv3dParams,
-    Pool3dSpec,
     build_c3d,
     clip_average,
     clip_split,

@@ -53,8 +53,11 @@ def _write_run(out_dir, spec: ModelSpec, cfg, model, result):
 
 def _load_run(run_dir):
     path = os.path.join(run_dir, "run.json")
-    with open(path) as fh:
-        run = json.load(fh)
+    try:
+        with open(path) as fh:
+            run = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
+        raise DataError(f"cannot read {path}: {exc}") from exc
     unknown = sorted(set(run["model_spec"]) - {f.name for f in dataclasses.fields(ModelSpec)})
     if unknown:
         raise DataError(f"{path}: unknown model_spec key(s) {unknown}")

@@ -200,8 +200,9 @@ def _checked_config(entries) -> dict:
             cfg[key] = parser(value)
         except ValueError as exc:  # ConfigError included
             raise ConfigError(f"{where}: bad value for {key!r}: {exc}") from exc
-        place.pop(key, None)
-        place[key] = where  # insertion order: the last entry set last
+        if key in place:
+            raise ConfigError(f"{where}: {key!r} is already set on {place[key]}")
+        place[key] = where  # insertion order: the order of the entries
     if cfg["t_max"] < cfg["t_min"]:
         _reject_later(
             cfg, place, ("t_max", f">= t_min ({cfg['t_min']})"), ("t_min", f"<= t_max ({cfg['t_max']})")
@@ -253,5 +254,11 @@ def _reject_later(cfg, place, *keys_and_rules):
 
 
 def load_config(path) -> dict:
-    with open(path) as fh:
-        return parse_config(fh.read())
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"{path}:{line}: not UTF-8 text") from None
+    return parse_config(text)

@@ -86,10 +86,10 @@ def init_conv3d(n_filters, in_channels, kernel_size, padding, rng: Rng) -> Conv3
 
 def conv3d_forward(p: Conv3dParams, x, pool=None, train=True):
     """Correlate x [n×c×t×h×w] with the kernels at stride 1 and add the bias;
-    with a Pool3dSpec, also max-pool the result. Returns (y, cache); each
-    conv output extent is padded extent - kernel extent + 1. y has the NCDHW
-    shape over channels-last memory, so a next layer's channels-last read of
-    it is a plain contiguous one.
+    with a pool window (pt, ph, pw), also max-pool the result. Returns
+    (y, cache); each conv output extent is padded extent - kernel extent + 1.
+    y has the NCDHW shape over channels-last memory, so a next layer's
+    channels-last read of it is a plain contiguous one.
 
     The correlation runs one sample at a time, from start to end while the
     sample's data is in cache (`_ConvForward`): the sample is folded into one
@@ -120,9 +120,9 @@ def conv3d_forward(p: Conv3dParams, x, pool=None, train=True):
     acc = np.empty((n if pool is None else 1, to, ho * wo, f), dtype=x.dtype)
     if pool is not None:
         y_shape = (n, f, to, ho, wo)
-        y, idx, pad, padded_shape = _pool_buffers(y_shape, pool.window, x.dtype, train)
+        y, idx, pad, padded_shape = _pool_buffers(y_shape, pool, x.dtype, train)
         vol = acc[0].reshape(to, ho, wo, f)
-        views = _pool_views(vol if pad is None else pad, pool.window)
+        views = _pool_views(vol if pad is None else pad, pool)
     xt = x.transpose(0, 2, 3, 4, 1)
     for s in range(n):
         conv.fold(xt[s])
@@ -425,14 +425,10 @@ def conv3d_backward(cache, grad_y, input_grad=True, sums=None):
     return (*sums.finished(), grad_x)
 
 
-@dataclass
-class Pool3dSpec:
-    window: tuple  # (pt, ph, pw); stride equals the window
-
-
-def maxpool3d(spec: Pool3dSpec, x):
-    """Non-overlapping window maxima over (t,h,w). Ties break toward the first
-    position in (t,h,w) scan order. Returns (y, cache).
+def maxpool3d(window, x):
+    """Non-overlapping maxima over (t,h,w) windows (pt, ph, pw), stride equal
+    to the window. Ties break toward the first position in (t,h,w) scan
+    order. Returns (y, cache).
 
     Each sample goes through `_pool_max`, the rule `conv3d_forward` also
     applies to a pooled layer's samples, on an -inf padded copy where the
@@ -442,7 +438,7 @@ def maxpool3d(spec: Pool3dSpec, x):
     """
     if x.ndim != 5:
         raise DimensionError(f"maxpool3d expects [n,c,t,h,w], got {x.shape}")
-    y, idx, pad, padded_shape = _pool_buffers(x.shape, spec.window, x.dtype, argmax=True)
+    y, idx, pad, padded_shape = _pool_buffers(x.shape, window, x.dtype, argmax=True)
     _, _, t, h, w = x.shape
     xt = x.transpose(0, 2, 3, 4, 1)
     for s in range(x.shape[0]):
@@ -450,8 +446,8 @@ def maxpool3d(spec: Pool3dSpec, x):
         if pad is not None:  # extents the window does not divide: -inf on the right
             pad[:t, :h, :w] = vol
             vol = pad
-        _pool_max(_pool_views(vol, spec.window), y[s], idx[s])
-    return y.transpose(0, 4, 1, 2, 3), (x.shape, padded_shape, idx.transpose(0, 4, 1, 2, 3), spec)
+        _pool_max(_pool_views(vol, window), y[s], idx[s])
+    return y.transpose(0, 4, 1, 2, 3), (x.shape, padded_shape, idx.transpose(0, 4, 1, 2, 3), window)
 
 
 def _pool_buffers(shape, window, dtype, argmax):
@@ -504,12 +500,12 @@ def maxpool3d_backward(cache, grad_y):
     """Route each window's upstream gradient to its first maximum: every view
     of the padded gradient is written once, as grad_y where idx selects that
     view and zero elsewhere."""
-    x_shape, xp_shape, idx, spec = cache
+    x_shape, xp_shape, idx, window = cache
     _, _, t, h, w = x_shape
     n, c, tp, hp, wp = xp_shape
     gx_pad = np.empty((n, tp, hp, wp, c), dtype=grad_y.dtype)
     gy, idx = grad_y.transpose(0, 2, 3, 4, 1), idx.transpose(0, 2, 3, 4, 1)
-    for k, v in enumerate(_pool_views(gx_pad, spec.window)):
+    for k, v in enumerate(_pool_views(gx_pad, window)):
         np.multiply(gy, idx == k, out=v)
     return gx_pad.transpose(0, 4, 1, 2, 3)[:, :, :t, :h, :w]
 
@@ -609,7 +605,6 @@ class C3dModel:
     def __init__(self, spec: C3dSpec, convs, fc6, fc7, out):
         self.spec = spec
         self.convs = convs  # list of Conv3dParams, in order
-        self.pools = [Pool3dSpec(w) for w in spec.pool_windows]
         self.fc6 = fc6
         self.fc7 = fc7
         self.out = out
@@ -663,7 +658,7 @@ class C3dModel:
         stages = []
         conv_iter = iter(self.convs)
         h = x
-        for group, pool in zip(self.spec.conv_groups, self.pools):
+        for group, pool in zip(self.spec.conv_groups, self.spec.pool_windows):
             for li in range(len(group)):
                 pooled = li == len(group) - 1
                 h, cache = conv3d_forward(next(conv_iter), h, pool if pooled else None, train)

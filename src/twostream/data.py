@@ -85,9 +85,8 @@ class Dataset:
     def __getitem__(self, i):
         return self.samples[i]
 
-    def labels(self, indices=None):
-        idx = range(len(self.samples)) if indices is None else indices
-        return np.array([self.samples[i].label for i in idx])
+    def labels(self, indices):
+        return np.array([self.samples[i].label for i in indices])
 
     def save(self, directory):
         os.makedirs(directory, exist_ok=True)
@@ -163,22 +162,16 @@ class Dataset:
         return cls(samples, n_classes)
 
 
-def pad_sequences(seqs, t_max=None) -> SequenceBatch:
-    """Flatten joint coordinates and zero-pad every sequence to t_max steps
-    (by default the longest sequence's), recording true lengths. Sequences
-    longer than t_max are an error, never silently truncated."""
+def pad_sequences(seqs) -> SequenceBatch:
+    """Flatten joint coordinates and zero-pad every sequence to the longest
+    one's length, recording true lengths."""
     if not seqs:
         raise DataError("cannot pad an empty sequence list")
-    if t_max is None:
-        t_max = max(seq.t_true for seq in seqs)
+    t_max = max(seq.t_true for seq in seqs)
     width = seqs[0].feature_width
     data = np.zeros((len(seqs), t_max, width), dtype=default_dtype())
     lengths = []
     for row, seq in enumerate(seqs):
-        if seq.t_true > t_max:
-            raise DataError(
-                f"sequence {row} has {seq.t_true} steps, longer than t_max={t_max}"
-            )
         if seq.feature_width != width:
             raise DimensionError(
                 f"sequence {row} width {seq.feature_width} != {width}"

@@ -42,14 +42,11 @@ def _tsr1_header(array: np.ndarray) -> bytes:
     return f"TSR1 {array.ndim} {dims} {tag}\n".encode("ascii")
 
 
-def write_tensor_to(fh, array: np.ndarray) -> int:
-    """Write one TSR1 record to an open binary file; returns bytes written."""
+def write_tensor_to(fh, array: np.ndarray) -> None:
+    """Write one TSR1 record to an open binary file."""
     array = np.asarray(array, order="C")  # ascontiguousarray would make a 0-d array 1-d
-    header = _tsr1_header(array)
-    payload = array.astype(array.dtype.newbyteorder("<"), copy=False).tobytes(order="C")
-    fh.write(header)
-    fh.write(payload)
-    return len(header) + len(payload)
+    fh.write(_tsr1_header(array))
+    fh.write(array.astype(array.dtype.newbyteorder("<"), copy=False).tobytes(order="C"))
 
 
 def write_tensor(path, array: np.ndarray) -> None:

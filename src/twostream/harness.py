@@ -27,7 +27,6 @@ from .recurrent import (
 )
 from .normreg import DropoutConfig, batchnorm_backward, batchnorm_forward, dropout, init_batchnorm
 from .conv3d import (
-    Pool3dSpec,
     clip_average,
     clip_count,
     clip_helper,
@@ -548,10 +547,9 @@ def gradcheck_all(rng=None) -> GradcheckReport:
     add(_check_layer("conv3d", lambda: conv3d_forward(conv, xc), conv3d_backward, [conv.kernels, conv.bias, xc], rc))
 
     # 3D max pooling (random values sit far from ties)
-    spec = Pool3dSpec((2, 2, 2))
     xpool = rng.normal(size=(1, 2, 4, 4, 4))
     rp = rng.normal(size=(1, 2, 2, 2, 2))
-    add(_check_layer("maxpool3d", lambda: maxpool3d(spec, xpool), lambda c, r: [maxpool3d_backward(c, r)], [xpool], rp))
+    add(_check_layer("maxpool3d", lambda: maxpool3d((2, 2, 2), xpool), lambda c, r: [maxpool3d_backward(c, r)], [xpool], rp))
 
     # linear SVM head: hinge objective at a point with no margin near the kink
     xf = rng.normal(size=(8, 3))

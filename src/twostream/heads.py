@@ -26,10 +26,6 @@ class DenseParams:
     def in_dim(self):
         return self.W.shape[1]
 
-    @property
-    def out_dim(self):
-        return self.W.shape[0]
-
 
 def init_dense(in_dim, out_dim, rng: Rng, activation="none") -> DenseParams:
     return DenseParams(

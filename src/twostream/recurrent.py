@@ -18,10 +18,10 @@ Conventions shared by every cell:
 
 Each cell kind writes its step math once, in the `_Cell` protocol: `recur`
 runs a step forward, `local_grads` and `recur_backward` run it backward.
-`_Cell.step` applies one step to a batch of input rows. `unroll` runs the
-same `recur` in a time-major loop (Appleyard et al., arXiv:1604.01946): the
-input half of every fused matmul, x_t W_x^T + b, is taken out of the loop as
-one GEMM over all valid (t, row) pairs, so each step only adds h_prev W_h^T.
+`unroll` runs `recur` in a time-major loop (Appleyard et al.,
+arXiv:1604.01946): the input half of every fused matmul, x_t W_x^T + b, is
+taken out of the loop as one GEMM over all valid (t, row) pairs, so each
+step only adds h_prev W_h^T.
 `unroll_backward` keeps each step's pre-activation gradients and forms dW, db
 and the input gradient with one GEMM each over the same valid pairs after the
 loop; the step-local derivative factors (gate slopes and the like) are
@@ -118,8 +118,7 @@ class _Cell:
       of `tape_widths`, into `slots`. Its weights are the ones
       `forward_weights` returns: the first `sigmoid_width` fused columns are
       halved there, so a sigmoid is tanh of the pre-activation as it comes,
-      plus one in-place affine ((tanh(p/2) + 1) / 2 without the p/2). `step`
-      projects one input row batch and calls it.
+      plus one in-place affine ((tanh(p/2) + 1) / 2 without the p/2).
     * `local_grads(*states, *tape)` takes the step-ordered state buffers
       [t_run+1, ...] (step k reads row k and writes row k+1) and the tape
       arrays [t_run, ...], and returns every block's recurrent inputs and the
@@ -133,7 +132,7 @@ class _Cell:
       that pass through a sigmoid.
 
     The three methods index only the last axis and broadcast over the ones
-    before it, so the same code runs `step`'s [n, .] states and [d, G]
+    before it, so the same code runs one cell's [n, .] states and [d, G]
     weights and `unroll`'s direction-stacked [k, n, .] states and [k, d, G]
     weights.
     """
@@ -183,26 +182,6 @@ class _Cell:
         scale[: self.sigmoid_width] = 0.5
         halved = [w * s for w, s in zip(wh, _column_blocks(scale, wh))]
         return w_x * scale[:, None], b * scale, halved
-
-    def step(self, x_t, state):
-        """One step over a row batch x_t [n, i] from `state` (h, or (h, c) for
-        the LSTM, each [n, d]). Returns (h_t, new_state). It makes the calls a
-        length-one `unroll` makes, so the two agree bit for bit."""
-        i, d = self.input_dim, self.hidden_dim
-        if x_t.ndim != 2 or x_t.shape[1] != i:
-            raise DimensionError(f"x_t shape {x_t.shape} does not match input_dim {i}")
-        h_prev = state[0]
-        n = x_t.shape[0]
-        if h_prev.shape != (n, d):
-            raise DimensionError(f"h_prev shape {h_prev.shape} does not match (n={n}, d={d})")
-        for s in state[1:]:
-            if s.shape != h_prev.shape:
-                raise DimensionError(f"c_prev shape {s.shape} != h_prev shape {h_prev.shape}")
-        w_x, b, wh = self.forward_weights(*self.split_weights())
-        new_state = self.zero_state(n)
-        slots = [np.empty((n, w), dtype=default_dtype()) for w in self.tape_widths()]
-        self.recur(_column_blocks(x_t @ w_x.T + b, wh), wh, state, new_state, slots)
-        return new_state[0], new_state
 
 
 def _column_blocks(a, wh):
@@ -423,31 +402,24 @@ class SequenceBatch:
     def __len__(self):
         return self.data.shape[0]
 
-    def __getitem__(self, rows):
-        """The rows a slice or an index array picks, each with its own length."""
-        return SequenceBatch(self.data[rows], np.asarray(self.lengths)[rows])
 
-
-def _directions(cell, direction="forward"):
+def _directions(cell):
     """The cells `unroll` runs and, for each, whether it reads time backwards."""
     if isinstance(cell, BidirectionalLayer):
         return (cell.cell_fwd, cell.cell_bwd), (False, True)
-    if direction not in ("forward", "backward"):
-        raise ValueError(f"direction must be forward|backward, got {direction!r}")
-    return (cell,), (direction == "backward",)
+    return (cell,), (False,)
 
 
-def unroll(cell, batch: SequenceBatch, direction="forward", train=True):
+def unroll(cell, batch: SequenceBatch, *, train=True):
     """Run a cell across time. Returns (outputs [n×T×d], last_valid [n×d], cache).
     With train=False the cache is None: no per-step tape is kept for BPTT.
 
-    Forward direction reads t = 1..L of each row, backward t = L..1, where L
-    is the row's true length; last_valid is the state after the row's final
-    true step (forward) or after step 1 (backward).
-
-    `cell` may also be a BidirectionalLayer (`direction` then does not
-    apply). Its two cells run in the same loop, and outputs and last_valid
-    hold the two directions side by side, forward first ([n×T×2d], [n×2d]).
+    A cell reads t = 1..L of each row, where L is the row's true length, and
+    last_valid is the state after the row's final true step. `cell` may also
+    be a BidirectionalLayer, whose backward cell reads t = L..1 and ends
+    after step 1. Its two cells run in the same loop, and outputs and
+    last_valid hold the two directions side by side, forward first
+    ([n×T×2d], [n×2d]).
 
     Every direction steps forward through its own reading order: step s reads
     true step t = s of a row in a forward cell and t = L-1-s in a backward
@@ -470,7 +442,7 @@ def unroll(cell, batch: SequenceBatch, direction="forward", train=True):
     the other way (a transposed view forward, a contiguous W_h backward)
     flips BLAS's transpose flag, and the products round differently.
     """
-    cells, reverse = _directions(cell, direction)
+    cells, reverse = _directions(cell)
     x = batch.data
     n, T, i = x.shape
     for c in cells:

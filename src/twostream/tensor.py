@@ -40,12 +40,10 @@ class Rng:
         return child
 
     def uniform(self, low=0.0, high=1.0, size=None):
-        out = self._gen.uniform(low, high, size)
-        return float(out) if size is None else out
+        return self._gen.uniform(low, high, size)
 
     def normal(self, loc=0.0, scale=1.0, size=None):
-        out = self._gen.normal(loc, scale, size)
-        return float(out) if size is None else out
+        return self._gen.normal(loc, scale, size)
 
     def integers(self, low, high=None, size=None):
         return self._gen.integers(low, high, size)

@@ -5,6 +5,7 @@ import os
 import twostream  # noqa: F401
 import numpy as np
 import pytest
+from twostream.recurrent import _column_blocks
 
 
 @pytest.fixture
@@ -40,6 +41,14 @@ def sigmoid(x):
     out += 1.0
     out *= 0.5
     return out
+
+
+def step(cell, x_t, state):
+    """One step of `cell` over rows x_t from `state` through its own `recur`: (h_t, new_state)."""
+    w_x, b, wh = cell.forward_weights(*cell.split_weights())
+    new_state, slots = cell.zero_state(len(x_t)), [np.empty((len(x_t), w)) for w in cell.tape_widths()]
+    cell.recur(_column_blocks(x_t @ w_x.T + b, wh), wh, state, new_state, slots)
+    return new_state[0], new_state
 
 
 def max_rel_err(analytic, numeric, floor=1e-4):

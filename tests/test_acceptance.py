@@ -13,7 +13,6 @@ import pytest
 
 from twostream import (
     Conv3dParams,
-    Pool3dSpec,
     Prediction,
     Rng,
     SplitSpec,
@@ -41,6 +40,7 @@ from twostream.harness import (
 from twostream.config import default_config
 from twostream.parallel import ordered_map
 
+from conftest import step
 from test_conv3d import naive_conv3d, naive_maxpool3d
 from test_recurrent import scalar_gru_step, scalar_lstm_step
 
@@ -121,7 +121,7 @@ def test_criterion_02_oracle_equivalence():
         window = tuple(int(rng.integers(1, 4)) for _ in range(3))
         pool_extents = tuple(int(rng.integers(w, w + 4)) for w in window)
         xp = rng.normal(size=(2, 2) + pool_extents)
-        yp, _ = maxpool3d(Pool3dSpec(window), xp)
+        yp, _ = maxpool3d(window, xp)
         worst_pool = max(worst_pool, float(np.abs(yp - naive_maxpool3d(window, xp)).max()))
 
     worst_cell = 0.0
@@ -132,7 +132,7 @@ def test_criterion_02_oracle_equivalence():
         lstm.b[...] = rng.normal(0.0, 0.5, size=lstm.b.shape)
         x = rng.normal(size=(2, 3))
         h0, c0 = rng.normal(size=(2, 4)), rng.normal(size=(2, 4))
-        h1, (_, c1) = lstm.step(x, (h0, c0))
+        h1, (_, c1) = step(lstm, x, (h0, c0))
         for row in range(2):
             hr, cr = scalar_lstm_step(
                 lstm.W.tolist(), lstm.b.tolist(), x[row].tolist(), h0[row].tolist(), c0[row].tolist()
@@ -141,7 +141,7 @@ def test_criterion_02_oracle_equivalence():
                              float(np.abs(c1[row] - cr).max()))
         gru = init_gru_cell(3, 4, rng)
         gru.b_gates[...] = rng.normal(0.0, 0.3, size=gru.b_gates.shape)
-        h1g, _ = gru.step(x, (h0,))
+        h1g, _ = step(gru, x, (h0,))
         for row in range(2):
             ref = scalar_gru_step(
                 gru.W_gates.tolist(), gru.W_cand.tolist(), gru.b_gates.tolist(),
@@ -163,7 +163,7 @@ def test_criterion_03_gate_identities():
         lstm.b[:d] = -50.0
         lstm.b[d : 2 * d] = 50.0
         c_prev = rng.normal(0.0, 2.0, size=(4, d))
-        _, (_, c_t) = lstm.step(rng.normal(size=(4, 3)), (rng.normal(size=(4, d)), c_prev))
+        _, (_, c_t) = step(lstm, rng.normal(size=(4, 3)), (rng.normal(size=(4, d)), c_prev))
         worst = max(worst, float(np.abs(c_t - c_prev).max()))
 
         gru = GruCell(
@@ -174,7 +174,7 @@ def test_criterion_03_gate_identities():
         )
         gru.b_gates[:d] = 50.0
         h_prev = rng.normal(0.0, 2.0, size=(4, d))
-        h_t, _ = gru.step(rng.normal(size=(4, 3)), (h_prev,))
+        h_t, _ = step(gru, rng.normal(size=(4, 3)), (h_prev,))
         worst = max(worst, float(np.abs(h_t - h_prev).max()))
     report(3, worst <= 1e-10, f"worst passthrough deviation {worst:.1e} over 25 random states")
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "twostream"
 
-MAX_CODE_LINES = 2975
+MAX_CODE_LINES = 2944
 
 _NOT_CODE = {
     tokenize.COMMENT,

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twostream import (
     ConfigError,
@@ -41,6 +42,37 @@ OUT_OF_RANGE_RULES = {
     "video_shape": "CxTxHxW with every extent >= 1",
     "split_mode": "cross_subject or cross_view",
 }
+
+
+# A config over every kind of value parser, which the property below mutates.
+MUTATED_CFG = b"""# desk run
+seed = 3
+n_classes = 3
+samples_per_class = 12
+t_min = 8
+t_max = 12
+video_shape = 2x8x6x6
+cnn_filters = 4 6
+learning_rate = 0.01
+keep_prob = 0.75
+shared_skeleton_pairs = 0-1
+xor_pair = none
+split_mode = cross_view
+ladder_models = RNN1, C3D-DESK
+"""
+
+# (kind, position, argument): flip a byte by an xor mask, truncate, or
+# inflate a digit run to a digit count
+_MUTATION = st.one_of(
+    st.tuples(st.just("flip"), st.integers(0, 400), st.integers(1, 255)),
+    st.tuples(st.just("truncate"), st.integers(0, 400), st.just(0)),
+    st.tuples(st.just("digits"), st.integers(0, 400), st.sampled_from([2, 20, 400, 5000])),
+)
+
+
+@pytest.fixture(scope="module")
+def mutated_cfg_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutated") / "mutated.cfg"
 
 
 class TestConfigParsing:
@@ -151,6 +183,36 @@ class TestConfigParsing:
         path = tmp_path / "run.cfg"
         path.write_text("seed = 9\n")
         assert load_config(path)["seed"] == 9
+
+    def test_repeated_key_rejected_naming_both_lines(self):
+        with pytest.raises(ConfigError, match=re.escape("line 3: 'epochs' is already set on line 1")):
+            parse_config("epochs = 3\n\nepochs = 3\n")
+
+    def test_non_utf8_file_rejected_naming_file_and_line(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"seed = 9\n# caf\xe9\n")
+        with pytest.raises(ConfigError, match=re.escape(f"{path}:2: not UTF-8 text")):
+            load_config(path)
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(mutations=st.lists(_MUTATION, min_size=1, max_size=4))
+    def test_mutated_config_text_raises_only_config_error(self, mutated_cfg_path, mutations):
+        text = MUTATED_CFG
+        for kind, at, arg in mutations:
+            at = at % len(text) if text else 0
+            if kind == "flip" and text:
+                text = text[:at] + bytes([text[at] ^ arg]) + text[at + 1 :]
+            elif kind == "truncate":
+                text = text[:at]
+            elif kind == "digits" and (run := re.compile(rb"[0-9]+").search(text, at)):
+                # the first digit run from `at` on, repeated to at least `arg` digits
+                digits = run.group() * -(-arg // len(run.group()))
+                text = text[: run.start()] + digits + text[run.end() :]
+        mutated_cfg_path.write_bytes(text)
+        try:
+            load_config(mutated_cfg_path)
+        except ConfigError:
+            pass
 
 
 TINY_CFG = """
@@ -507,6 +569,40 @@ class TestCli:
         run_dir = _untrained_run(tmp_path / "run", name, load_config(cfg_file), n_classes=6)
         assert cli.console_main(["eval", "--run", run_dir, "--data", data_dir]) == 2
         assert capsys.readouterr().err == f"twostream: error: {name} is built for 6 classes, the dataset has 3\n"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (b"epochs = 3\nepochs = 4\n", "line 2: 'epochs' is already set on line 1"),
+            (b"seed = 3\n\xff = 1\n", "{path}:2: not UTF-8 text"),
+        ],
+        ids=["repeated_key", "not_utf8"],
+    )
+    def test_bad_config_text_exits_2_with_one_line(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(text)
+        assert cli.console_main(["gen-data", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"twostream: error: {message.format(path=path)}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "run_json", [None, b'{"model_spec": {"name": ', b"\xff{}"], ids=["missing", "truncated", "not_utf8"]
+    )
+    @pytest.mark.parametrize("command", ["eval", "extract", "fuse"])
+    def test_unreadable_run_json_exits_2_naming_the_file(self, tmp_path, capsys, command, run_json):
+        run_dir = tmp_path / "run"
+        if run_json is not None:
+            run_dir.mkdir()
+            (run_dir / "run.json").write_bytes(run_json)
+        argv = {
+            "eval": ["eval", "--run", str(run_dir)],
+            "extract": ["extract", "--run", str(run_dir), "--tap", "rnn_fc", "--out", str(tmp_path / "f.tsr")],
+            "fuse": ["fuse", "--run-rnn", str(run_dir), "--run-cnn", str(run_dir)],
+        }[command]
+        assert cli.console_main([*argv, "--data", str(tmp_path / "data")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"twostream: error: cannot read {run_dir / 'run.json'}: ")
+        assert len(err.splitlines()) == 1
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

@@ -11,7 +11,6 @@ from twostream import (
     Conv3dParams,
     DataError,
     DimensionError,
-    Pool3dSpec,
     Rng,
     build_c3d,
     clip_average,
@@ -291,8 +290,8 @@ class TestConvPoolStage:
                          bias=rng.integers(-2, 2, size=f) * 0.5, padding=pad)
         x = rng.integers(0, 3, size=(int(rng.integers(1, 5)), c, t, h, w)) * 0.5
         z, ccache = conv3d_forward(p, x)
-        ref, pcache = maxpool3d(Pool3dSpec(window), z)
-        y, stage_cache = conv3d_forward(p, x, Pool3dSpec(window))
+        ref, pcache = maxpool3d(window, z)
+        y, stage_cache = conv3d_forward(p, x, window)
         stage_ccache, stage_pcache = stage_cache
         assert np.array_equal(y, ref)
         assert np.array_equal(stage_ccache[0], ccache[0])
@@ -303,7 +302,7 @@ class TestConvPoolStage:
         routed = conv3d_backward(ccache, maxpool3d_backward(pcache, gp))
         for got, want in zip(conv3d_backward(stage_cache, gp), routed):
             assert np.array_equal(got, want)
-        y_inf, cache_inf = conv3d_forward(p, x, Pool3dSpec(window), train=False)
+        y_inf, cache_inf = conv3d_forward(p, x, window, train=False)
         assert cache_inf is None and np.array_equal(y_inf, ref)
         z_inf, cache_inf = conv3d_forward(p, x, train=False)
         assert cache_inf is None and np.array_equal(z_inf, z)
@@ -374,7 +373,7 @@ class TestLayoutIndependence:
         for layout in (np.ascontiguousarray, channels_last):
             y, cache = conv3d_forward(p, layout(x))
             gk, gb, gx = conv3d_backward(cache, layout(gy))
-            z, pcache = maxpool3d(Pool3dSpec(window), layout(x))
+            z, pcache = maxpool3d(window, layout(x))
             gz = maxpool3d_backward(pcache, layout(gp))
             results.append((y, gk, gb, gx, z, gz))
         for a, b in zip(*results):
@@ -384,9 +383,8 @@ class TestLayoutIndependence:
 
 class TestMaxPool3d:
     def test_constant_input_routes_gradient_to_first_window_slot(self):
-        spec = Pool3dSpec((2, 2, 2))
         x = np.ones((1, 1, 2, 2, 2))
-        y, cache = maxpool3d(spec, x)
+        y, cache = maxpool3d((2, 2, 2), x)
         assert y[0, 0, 0, 0, 0] == 1.0
         gx = maxpool3d_backward(cache, np.ones_like(y))
         expected = np.zeros_like(x)
@@ -395,7 +393,7 @@ class TestMaxPool3d:
 
     def test_ascending_cube_takes_maximum(self):
         x = np.arange(1.0, 9.0).reshape(1, 1, 2, 2, 2)
-        y, _ = maxpool3d(Pool3dSpec((2, 2, 2)), x)
+        y, _ = maxpool3d((2, 2, 2), x)
         assert y[0, 0, 0, 0, 0] == 8.0
 
     @pytest.mark.parametrize("seed", range(20))
@@ -404,26 +402,25 @@ class TestMaxPool3d:
         window = tuple(int(rng.integers(1, 4)) for _ in range(3))
         t, h, w = (int(rng.integers(wd, wd + 4)) for wd in window)
         x = rng.normal(size=(2, 2, t, h, w))
-        y, _ = maxpool3d(Pool3dSpec(window), x)
+        y, _ = maxpool3d(window, x)
         assert np.array_equal(y, naive_maxpool3d(window, x))
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(pool_cases())
     def test_ties_and_padding_route_to_first_maximum(self, case):
         window, x, grad_y = case
-        y, cache = maxpool3d(Pool3dSpec(window), x)
+        y, cache = maxpool3d(window, x)
         assert np.array_equal(y, naive_maxpool3d(window, x))
         assert np.array_equal(maxpool3d_backward(cache, grad_y), naive_maxpool3d_backward(window, x, grad_y))
 
     def test_gradients_match_finite_differences(self):
         rng = Rng(31)
         x = rng.normal(size=(1, 2, 4, 4, 4))
-        spec = Pool3dSpec((2, 2, 2))
-        y, cache = maxpool3d(spec, x)
+        y, cache = maxpool3d((2, 2, 2), x)
         r = rng.normal(size=y.shape)
 
         def loss():
-            out, _ = maxpool3d(spec, x)
+            out, _ = maxpool3d((2, 2, 2), x)
             return float((out * r).sum())
 
         gx = maxpool3d_backward(cache, r)
@@ -435,7 +432,7 @@ class TestC3dSpec:
         model = build_c3d(full_scale_c3d_spec(), Rng(0))
         assert model.out.W.shape == (60, 4096)
         assert len(model.convs) == 8
-        assert len(model.pools) == 5
+        assert len(model.spec.pool_windows) == 5
         assert model.fc6.W.shape == (4096, 8192)
         # the parameter count, derived by hand
         k3 = 27
@@ -509,7 +506,7 @@ def relu_before_pool_reference(model, x, grad_logits):
     caches, pooled = [], []
     convs = iter(model.convs)
     h = x
-    for group, pool in zip(model.spec.conv_groups, model.pools):
+    for group, pool in zip(model.spec.conv_groups, model.spec.pool_windows):
         for _ in group:
             z, ccache = conv3d_forward(next(convs), h)
             caches.append(("conv", ccache, z > 0.0))

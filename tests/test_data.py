@@ -23,25 +23,21 @@ def _seq(t, j=2, label=0, subject=0, view=0, fill=1.0):
 
 class TestPadSequences:
     def test_exact_length_unchanged(self):
-        batch = pad_sequences([_seq(4)], 4)
+        batch = pad_sequences([_seq(4)])
         assert batch.data.shape == (1, 4, 6)
         assert batch.lengths == [4]
         assert np.all(batch.data == 1.0)
 
-    def test_short_sequence_zero_padded_with_length_recorded(self):
-        batch = pad_sequences([_seq(1)], 4)
-        assert batch.lengths == [1]
+    def test_short_sequence_zero_padded_to_the_longest_with_length_recorded(self):
+        batch = pad_sequences([_seq(1), _seq(4)])
+        assert batch.lengths == [1, 4]
         assert np.all(batch.data[0, 0] == 1.0)
         assert not batch.data[0, 1:].any()
 
     def test_full_scale_shape(self):
-        seqs = [SkeletonSequence(np.zeros((123, 50, 3)), 0, 0, 0)]
-        batch = pad_sequences(seqs, 300)
-        assert batch.data.shape == (1, 300, 150)
-
-    def test_too_long_sequence_raises_instead_of_truncating(self):
-        with pytest.raises(DataError, match="longer"):
-            pad_sequences([_seq(6)], 4)
+        seqs = [SkeletonSequence(np.zeros((t, 50, 3)), 0, 0, 0) for t in (123, 300)]
+        batch = pad_sequences(seqs)
+        assert batch.data.shape == (2, 300, 150)
 
 
 def _tiny_dataset(rng, **overrides):
@@ -179,7 +175,7 @@ class TestGenerator:
 
     def test_labels_subjects_views_are_balanced(self):
         dataset = _tiny_dataset(Rng(3))
-        labels = dataset.labels()
+        labels = dataset.labels(range(len(dataset)))
         assert [int((labels == k).sum()) for k in range(4)] == [12, 12, 12, 12]
         views = {v: 0 for v in range(3)}
         for s in dataset.samples:

@@ -17,6 +17,7 @@ from twostream import (
     DivergenceError,
     ModelSpec,
     Rng,
+    SequenceBatch,
     SplitSpec,
     SynthConfig,
     TrainConfig,
@@ -644,12 +645,21 @@ def _two_clip_spec(name, dataset):
     return dataclasses.replace(_tiny_model_spec(name, dataset), video_shape=(2, 16, 6, 6))
 
 
+class _PaddedUpFront(SequenceBatch):
+    """A padded batch that `_Rows`' callers can index, each row picked with its own length."""
+
+    def __getitem__(self, rows):
+        return SequenceBatch(self.data[rows], np.asarray(self.lengths)[rows])
+
+
 def _rows_stacked_up_front(model, dataset, indices):
     """Every row of the selected samples padded or stacked at once, with its
-    owner: the split-sized input that `_Rows` builds a batch at a time."""
+    owner: the split-sized input that `_Rows` builds a batch at a time.
+    Sequences are padded to the dataset's longest, past any batch's own."""
     if model.stream == "skeleton":
-        t_max = max(s.skeleton.t_true for s in dataset.samples)
-        return pad_sequences([dataset[i].skeleton for i in indices], t_max), np.arange(len(indices))
+        every = pad_sequences([s.skeleton for s in dataset.samples])
+        rows = _PaddedUpFront(every.data[indices], np.asarray(every.lengths)[indices])
+        return rows, np.arange(len(indices))
     clips = [clip_split(dataset[i].video.pixels, model.clip_len) for i in indices]
     owners = np.repeat(np.arange(len(indices)), [len(c) for c in clips])
     return np.stack([c for cs in clips for c in cs]), owners

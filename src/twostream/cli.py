@@ -42,7 +42,7 @@ def _write_run(out_dir, spec: ModelSpec, cfg, model, result):
     save_model(model, os.path.join(out_dir, "model.ckpt"))
     run = {
         "model_spec": dataclasses.asdict(spec),
-        "config": {k: (list(v) if isinstance(v, tuple) else v) for k, v in cfg.items()},
+        "config": cfg,
         "result": result.canonical_dict() if result else None,
     }
     write_json(os.path.join(out_dir, "run.json"), run)
@@ -58,6 +58,8 @@ def _load_run(run_dir):
             run = json.load(fh)
     except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
         raise DataError(f"cannot read {path}: {exc}") from exc
+    if not (isinstance(run, dict) and all(isinstance(run.get(k), dict) for k in ("model_spec", "config"))):
+        raise DataError(f"cannot read {path}: not a JSON object holding 'model_spec' and 'config' objects")
     unknown = sorted(set(run["model_spec"]) - {f.name for f in dataclasses.fields(ModelSpec)})
     if unknown:
         raise DataError(f"{path}: unknown model_spec key(s) {unknown}")

@@ -254,8 +254,11 @@ def _reject_later(cfg, place, *keys_and_rules):
 
 
 def load_config(path) -> dict:
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:  # missing, a directory, or not readable
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:

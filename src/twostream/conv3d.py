@@ -160,7 +160,6 @@ class _ConvSamples:
             )
         to, ho, wo = tp - kt + 1, hp - kh + 1, wp - kw + 1
         self.out_shape = (to, ho, wo)
-        self.p = p
         self.offsets = [(i, j) for i in range(kt) for j in range(kh)]
         self.xk = np.zeros((tp, hp, wo, kw * c), dtype=dtype)
         inner = self.xk[pt : pt + t, ph : ph + h]

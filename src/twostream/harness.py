@@ -22,8 +22,6 @@ from .recurrent import (
     init_rnn_cell,
     stack,
     stack_backward,
-    unroll,
-    unroll_backward,
 )
 from .normreg import DropoutConfig, batchnorm_backward, batchnorm_forward, dropout, init_batchnorm
 from .conv3d import (
@@ -313,10 +311,6 @@ def train(model, dataset: Dataset, splits: Splits, cfg: TrainConfig) -> RunResul
     n_train = len(rows)
 
     result = RunResult(model=model.spec.name, seed=cfg.seed, eval_every=cfg.eval_every)
-    steps_per_epoch = int(np.ceil(n_train / cfg.batch_size))
-    if n_train % cfg.batch_size == 1:  # single-row remainders are skipped
-        steps_per_epoch -= 1
-    result.steps_per_epoch = steps_per_epoch
     best_val = -1.0
     step_seconds = []
     improved = None
@@ -355,6 +349,7 @@ def train(model, dataset: Dataset, splits: Splits, cfg: TrainConfig) -> RunResul
         test = evaluate(model, dataset, splits.test)
     result.test_accuracy = test.test_accuracy
     result.confusion = test.confusion
+    result.steps_per_epoch = len(step_seconds) // cfg.epochs  # every epoch takes the same steps
     result.wall_clock_per_step = float(np.mean(step_seconds)) if step_seconds else 0.0
     return result
 
@@ -439,35 +434,37 @@ def check_gradients(name, loss_fn, arrays, analytic, h=1e-5, threshold=1e-4, flo
     )
 
 
-def _weighted_sum_loss(out, weights):
-    return float((out * weights).sum())
-
-
-def _check_layer(name, forward, backward, arrays, r):
-    """Gradcheck the loss sum(y * r) of `forward() -> (y, cache)` over
-    `arrays` against `backward(cache, r)`, one gradient per array in order."""
+def _check_layer(name, forward, backward, arrays, *rs, threshold=1e-4):
+    """Gradcheck the loss sum(y * r), summed over the outputs y of
+    `forward() -> (*outputs, cache)` with one r per output, over `arrays`
+    against `backward(cache, *rs)`, one gradient per array in order."""
 
     def loss_fn():
-        return _weighted_sum_loss(forward()[0], r)
+        return sum(float(np.sum(y * r)) for y, r in zip(forward()[:-1], rs))
 
-    return check_gradients(name, loss_fn, arrays, list(backward(forward()[1], r)))
+    return check_gradients(name, loss_fn, arrays, list(backward(forward()[-1], *rs)), threshold=threshold)
 
 
-def _check_unroll(name, layer, rng, n=2, t=4, i=3):
-    """Gradcheck a cell or BidirectionalLayer over a full unroll."""
+def _check_unroll(name, layers, rng, n=2, t=4, i=3):
+    """Gradcheck a stack of cells or BidirectionalLayers, masked lengths
+    included. A lone layer's loss reads its output sequence and its last
+    states; a deeper stack's reads only the top last states, as a
+    classifier's does."""
     x = rng.normal(0.0, 0.8, size=(n, t, i))
-    lengths = [t, t - 1]
-    r_out = rng.normal(size=(n, t, layer.out_dim))
-    r_last = rng.normal(size=(n, layer.out_dim))
-    arrays = layer.param_arrays() + [x]
+    lone = len(layers) == 1
+    top = layers[-1].out_dim
+    rs = ([rng.normal(size=(n, t, top))] if lone else []) + [rng.normal(size=(n, top))]
 
-    def loss_fn():
-        out, last, _ = unroll(layer, SequenceBatch(x, lengths))
-        return _weighted_sum_loss(out, r_out) + _weighted_sum_loss(last, r_last)
+    def forward():
+        outputs, last, caches = stack(layers, SequenceBatch(x, [t, t - 1]))
+        return (outputs[-1], last, caches) if lone else (last, caches)
 
-    _, _, cache = unroll(layer, SequenceBatch(x, lengths))
-    pgrads, grad_x = unroll_backward(layer, cache, r_out, r_last)
-    return check_gradients(name, loss_fn, arrays, pgrads + [grad_x])
+    def backward(caches, *rs):
+        grad_x, per_layer = stack_backward(layers, caches, *rs[:-1], grad_top_last=rs[-1])
+        return [g for grads in per_layer for g in grads] + [grad_x]
+
+    arrays = [a for layer in layers for a in layer.param_arrays()] + [x]
+    return _check_layer(name, forward, backward, arrays, *rs)
 
 
 def gradcheck_all(rng=None) -> GradcheckReport:
@@ -486,15 +483,11 @@ def gradcheck_all(rng=None) -> GradcheckReport:
     r = rng.normal(size=(5, 3))
     add(_check_layer("dense_relu", lambda: dense_forward(p, x), functools.partial(dense_backward, p), [p.W, p.b, x], r))
 
-    # softmax cross-entropy
+    # softmax cross-entropy: the loss is the output, its gradient the cache
     logits = rng.normal(0.0, 2.0, size=(6, 5))
     labels = rng.integers(0, 5, size=6)
-
-    def xent_loss():
-        return softmax_xent(logits, labels)[0]
-
-    _, grad = softmax_xent(logits, labels)
-    add(check_gradients("softmax_xent", xent_loss, [logits], [grad], threshold=1e-5))
+    xent = functools.partial(softmax_xent, logits, labels)
+    add(_check_layer("softmax_xent", xent, lambda grad, r: [grad * r], [logits], 1.0, threshold=1e-5))
 
     # batch normalization (train mode)
     bn = init_batchnorm(4)
@@ -515,28 +508,12 @@ def gradcheck_all(rng=None) -> GradcheckReport:
     drop_cfg = DropoutConfig(keep_prob=0.75)
     add(_check_layer("dropout", lambda: dropout(xd, drop_cfg, Rng(5)), lambda mask, r: [r * mask], [xd], rd))
 
-    # recurrent cells through full unrolls (masked lengths included)
-    add(_check_unroll("rnn_tanh", init_rnn_cell(3, 4, rng), rng))
-    add(_check_unroll("lstm", init_lstm_cell(3, 4, rng), rng))
-    add(_check_unroll("gru", init_gru_cell(3, 4, rng), rng))
-    bigru = BidirectionalLayer(init_gru_cell(3, 3, rng), init_gru_cell(3, 3, rng))
-    add(_check_unroll("bidirectional_gru", bigru, rng))
-
-    # two-layer stack feeding a classifier-style loss on the last state
-    layers = [init_gru_cell(3, 3, rng), init_gru_cell(3, 2, rng)]
-    xs = rng.normal(0.0, 0.8, size=(2, 4, 3))
-    rs = rng.normal(size=(2, 2))
-    stack_arrays = [a for L in layers for a in L.param_arrays()] + [xs]
-
-    def stack_loss():
-        batch = SequenceBatch(xs, [4, 3])
-        _, last, _ = stack(layers, batch)
-        return _weighted_sum_loss(last, rs)
-
-    _, last, caches = stack(layers, SequenceBatch(xs, [4, 3]))
-    gseq, per_layer = stack_backward(layers, caches, None, rs)
-    stack_analytic = [g for pgrads in per_layer for g in pgrads] + [gseq]
-    add(check_gradients("stacked_gru", stack_loss, stack_arrays, stack_analytic))
+    # recurrent cells through full unrolls, then a two-layer stack
+    add(_check_unroll("rnn_tanh", [init_rnn_cell(3, 4, rng)], rng))
+    add(_check_unroll("lstm", [init_lstm_cell(3, 4, rng)], rng))
+    add(_check_unroll("gru", [init_gru_cell(3, 4, rng)], rng))
+    add(_check_unroll("bidirectional_gru", [BidirectionalLayer(init_gru_cell(3, 3, rng), init_gru_cell(3, 3, rng))], rng))
+    add(_check_unroll("stacked_gru", [init_gru_cell(3, 3, rng), init_gru_cell(3, 2, rng)], rng))
 
     # 3D convolution
     conv = init_conv3d(2, 2, (3, 3, 3), (1, 1, 1), rng)
@@ -563,11 +540,14 @@ def gradcheck_all(rng=None) -> GradcheckReport:
 
     scale = c_svm * len(xf)  # svm_subgradient's objective is svm_objective / (C*n)
 
-    def svm_loss():
-        return svm_objective(wf, bf[0], xf, yf, c_svm) / scale
+    def svm_forward():
+        return svm_objective(wf, bf[0], xf, yf, c_svm) / scale, None
 
-    gw, gb = svm_subgradient(wf, bf[0], xf, yf, 1.0 / scale)
-    add(check_gradients("svm_hinge", svm_loss, [wf, bf], [gw, np.array([gb])]))
+    def svm_backward(_, r):
+        gw, gb = svm_subgradient(wf, bf[0], xf, yf, 1.0 / scale)
+        return [gw * r, np.array([gb * r])]
+
+    add(_check_layer("svm_hinge", svm_forward, svm_backward, [wf, bf], 1.0))
 
     return report
 

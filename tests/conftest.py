@@ -10,7 +10,7 @@ from twostream.recurrent import _column_blocks
 
 @pytest.fixture
 def rng():
-    from twostream import Rng
+    from twostream.tensor import Rng
 
     return Rng(7)
 

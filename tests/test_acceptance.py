@@ -11,27 +11,22 @@ import time
 import numpy as np
 import pytest
 
-from twostream import (
-    Conv3dParams,
-    Prediction,
-    Rng,
-    SplitSpec,
-    SynthConfig,
-    TrustWeights,
-    conv3d_forward,
-    decision_fuse,
-    generate_synthetic,
-    gradcheck_all,
-    init_gru_cell,
-    init_lstm_cell,
-    make_splits,
-    maxpool3d,
-    param_count,
-)
+from twostream.tensor import Rng
+from twostream.conv3d import Conv3dParams, conv3d_forward, maxpool3d
+from twostream.fusion import Prediction, TrustWeights, decision_fuse
+from twostream.data import SplitSpec, SynthConfig, generate_synthetic, make_splits
 from twostream.heads import init_dense
 from twostream.models import ModelSpec, build_model
-from twostream.recurrent import GruCell, LstmCell, SequenceBatch
+from twostream.recurrent import (
+    GruCell,
+    LstmCell,
+    SequenceBatch,
+    init_gru_cell,
+    init_lstm_cell,
+    param_count,
+)
 from twostream.harness import (
+    gradcheck_all,
     run_fusion,
     run_ladder,
     steps_to_threshold,

@@ -10,20 +10,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twostream import (
-    ConfigError,
-    DataError,
-    Dataset,
-    ModelSpec,
-    Rng,
-    SplitSpec,
-    SynthConfig,
-    build_model,
-    generate_synthetic,
-    make_splits,
-    read_tensor,
-    save_model,
-)
+from twostream.errors import ConfigError, DataError
+from twostream.tensor import Rng
+from twostream.fileio import read_tensor
+from twostream.data import Dataset, SplitSpec, SynthConfig, generate_synthetic, make_splits
+from twostream.models import ModelSpec, build_model, save_model
 from twostream import cli, data, harness, parallel
 from twostream.config import SCHEMA, default_config, load_config, parse_config
 from twostream.cli import _load_run, _write_run, main
@@ -585,8 +576,27 @@ class TestCli:
         assert capsys.readouterr().err == f"twostream: error: {message.format(path=path)}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["gen-data", "train", "ladder"])
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_config_exits_2_naming_the_file(self, tmp_path, capsys, command, kind):
+        path = tmp_path / "cfg"
+        if kind == "directory":
+            path.mkdir()
+        argv = {
+            "gen-data": ["gen-data", "--out", str(tmp_path / "out")],
+            "train": ["train", "--data", str(tmp_path / "data"), "--model", "RNN1", "--out", str(tmp_path / "out")],
+            "ladder": ["ladder", "--out", str(tmp_path / "out")],
+        }[command]
+        assert cli.console_main([*argv, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"twostream: error: cannot read {path}: ")
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
-        "run_json", [None, b'{"model_spec": {"name": ', b"\xff{}"], ids=["missing", "truncated", "not_utf8"]
+        "run_json",
+        [None, b'{"model_spec": {"name": ', b"\xff{}", b"{}", b"[1]", b'{"model_spec": 3, "config": {}}'],
+        ids=["missing", "truncated", "not_utf8", "empty_object", "list", "spec_not_object"],
     )
     @pytest.mark.parametrize("command", ["eval", "extract", "fuse"])
     def test_unreadable_run_json_exits_2_naming_the_file(self, tmp_path, capsys, command, run_json):
@@ -682,6 +692,14 @@ class TestBlasDefault:
             [sys.executable, "-c", code], env=_cli_env(**blas), capture_output=True, text=True, timeout=120, check=True
         )
         assert proc.stdout == f"{expected}\n"
+
+    def test_package_import_loads_no_numpy(self):
+        # the root only sets the default; re-exporting the modules would load numpy
+        code = "import sys, twostream; print('numpy' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=_cli_env(), capture_output=True, text=True, timeout=120, check=True
+        )
+        assert proc.stdout == "False\n"
 
     def test_ladder_with_no_blas_variable_writes_the_one_thread_bytes(self, tmp_path):
         cfg_path = tmp_path / "small.cfg"

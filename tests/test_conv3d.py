@@ -5,25 +5,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from twostream import (
-    ConfigError,
-    ContractError,
+from twostream.errors import ConfigError, ContractError, DataError, DimensionError
+from twostream.tensor import Rng
+from twostream.recurrent import param_count
+from twostream.conv3d import (
     Conv3dParams,
-    DataError,
-    DimensionError,
-    Rng,
     build_c3d,
     clip_average,
+    clip_count,
     clip_split,
     conv3d_backward,
     conv3d_forward,
     desk_scale_c3d_spec,
     full_scale_c3d_spec,
+    init_conv3d,
     maxpool3d,
     maxpool3d_backward,
-    param_count,
 )
-from twostream.conv3d import clip_count, init_conv3d
 from twostream.heads import dense_backward, dense_forward, softmax_xent
 from twostream.models import ConvClassifier, ModelSpec, build_model
 

@@ -1,19 +1,17 @@
 import numpy as np
 import pytest
 
-from twostream import (
-    ConfigError,
-    DataError,
+from twostream.errors import ConfigError, DataError
+from twostream.tensor import Rng
+from twostream.fileio import read_tensor, write_tensor
+from twostream.data import (
     Dataset,
-    Rng,
     SkeletonSequence,
     SplitSpec,
     SynthConfig,
     generate_synthetic,
     make_splits,
     pad_sequences,
-    read_tensor,
-    write_tensor,
 )
 
 

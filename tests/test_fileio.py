@@ -7,8 +7,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from twostream import DataError, read_checkpoint, read_tensor, write_checkpoint, write_tensor
-from twostream.fileio import read_tensor_from, write_json
+from twostream.errors import DataError
+from twostream.fileio import (
+    read_checkpoint,
+    read_tensor,
+    read_tensor_from,
+    write_checkpoint,
+    write_json,
+    write_tensor,
+)
 
 
 def test_write_json_sorts_keys_indents_by_two_and_ends_in_one_newline(tmp_path):

@@ -2,10 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from twostream import (
-    ConfigError,
-    DataError,
-    DimensionError,
+from twostream.errors import ConfigError, DataError, DimensionError
+from twostream.fusion import (
     Prediction,
     TrustWeights,
     decision_fuse,

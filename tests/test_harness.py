@@ -10,41 +10,37 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from twostream import (
-    ConfigError,
-    ContractError,
-    DataError,
-    DivergenceError,
-    ModelSpec,
-    Rng,
-    SequenceBatch,
-    SplitSpec,
-    SynthConfig,
-    TrainConfig,
-    build_model,
-    extract_features,
-    generate_synthetic,
-    gradcheck_all,
-    infer_dataset,
-    make_splits,
-    run_fusion,
-    softmax,
-    train,
-)
+from twostream.errors import ConfigError, ContractError, DataError, DivergenceError
+from twostream.tensor import Rng, softmax
+from twostream.recurrent import SequenceBatch
+from twostream.models import ModelSpec, build_model
 from twostream import conv3d, harness, parallel
 from twostream.conv3d import clip_split
-from twostream.data import SkeletonSequence, pad_sequences
+from twostream.data import (
+    SkeletonSequence,
+    SplitSpec,
+    SynthConfig,
+    generate_synthetic,
+    make_splits,
+    pad_sequences,
+)
 from twostream.harness import (
     RunResult,
+    TrainConfig,
     _Rows,
     _chunked,
     _stream_rows,
     check_gradients,
     emit_confusion,
     evaluate,
+    extract_features,
+    gradcheck_all,
+    infer_dataset,
     predict_dataset,
+    run_fusion,
     run_ladder,
     steps_to_threshold,
+    train,
     train_variant,
 )
 from twostream.config import default_config
@@ -209,10 +205,26 @@ class TestTrainLoop:
         assert steps_to_threshold(result, 0.6) == 3 * 2 * 5
         assert steps_to_threshold(result, 0.9) is None
 
+    @pytest.mark.parametrize("optimizer", ["rmsprop", "sgd_halving"])
+    @pytest.mark.parametrize("batch_size, steps", [(6, 3), (8, 3), (17, 1)], ids=["even", "remainder_2", "remainder_1"])
+    def test_steps_per_epoch_counts_the_optimizer_steps_taken(self, tiny, monkeypatch, optimizer, batch_size, steps):
+        dataset, splits = tiny
+        assert len(splits.train) == 18  # 18 = 3*6 = 2*8 + 2 = 17 + 1: a one-row remainder is skipped
+        taken, at_epoch_end = [], []
+        step_fn = getattr(harness, f"{optimizer}_step")
+        monkeypatch.setattr(harness, f"{optimizer}_step", lambda *a: taken.append(1) or step_fn(*a))
+        evaluate_fn = harness.evaluate
+        monkeypatch.setattr(harness, "evaluate", lambda *a: at_epoch_end.append(len(taken)) or evaluate_fn(*a))
+        model = build_model(_tiny_model_spec("RNN1", dataset), Rng(5))
+        cfg = TrainConfig(epochs=2, batch_size=batch_size, optimizer=optimizer, eval_every=1, seed=5)
+        result = train(model, dataset, splits, cfg)
+        assert at_epoch_end == [steps, 2 * steps, 2 * steps]  # two validations, then the test pass
+        assert result.steps_per_epoch == steps
+
     def test_desk_run_beats_chance_by_thirty_points(self):
         # frozen fixture: 30 epochs at seed 42 on the default synthetic task
         # first verified at 0.821 test accuracy; the asserted floor is 1/K + 0.30
-        from twostream import SynthConfig, generate_synthetic
+        from twostream.data import SynthConfig, generate_synthetic
         from twostream.config import default_config
 
         dataset = generate_synthetic(SynthConfig(), Rng(0))
@@ -243,7 +255,7 @@ class TestEvaluateAndExtract:
         feats = extract_features(model, dataset, splits.val[:3], "cnn_fc6")
         assert feats.shape == (3, 64)
         probs = softmax(model.forward(Rng(1).uniform(size=(4, 2, 8, 6, 6)))[0])
-        from twostream import clip_average
+        from twostream.conv3d import clip_average
         a = clip_average(probs)
         b = clip_average(probs[::-1])
         assert np.allclose(a.probs, b.probs, atol=1e-15)

@@ -3,20 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from twostream import (
-    ConfigError,
-    DataError,
+from twostream.errors import ConfigError, DataError
+from twostream.tensor import Rng
+from twostream import heads
+from twostream.heads import (
     DenseParams,
-    Rng,
+    SVM_EPOCHS,
     dense_backward,
     dense_forward,
     init_dense,
     softmax_xent,
+    svm_objective,
     svm_predict,
+    svm_subgradient,
     svm_train,
 )
-from twostream import heads
-from twostream.heads import SVM_EPOCHS, svm_objective, svm_subgradient
 
 from conftest import central_diff, max_rel_err
 

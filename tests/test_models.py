@@ -1,21 +1,19 @@
 import numpy as np
 import pytest
 
-from twostream import (
-    ConfigError,
-    ContractError,
+from twostream.errors import ConfigError, ContractError
+from twostream.tensor import Rng, softmax
+from twostream.fileio import write_checkpoint
+from twostream.models import (
+    ConvClassifier,
     LADDER_VARIANTS,
     ModelSpec,
-    Rng,
-    SequenceBatch,
+    RecurrentClassifier,
     build_model,
     load_model,
     save_model,
-    softmax,
-    write_checkpoint,
 )
-from twostream.models import ConvClassifier, RecurrentClassifier
-from twostream.recurrent import param_count
+from twostream.recurrent import SequenceBatch, param_count
 
 from conftest import central_diff, max_rel_err
 

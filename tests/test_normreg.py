@@ -1,17 +1,17 @@
 import numpy as np
 import pytest
 
-from twostream import (
-    ContractError,
-    DataError,
+from twostream.errors import ContractError, DataError
+from twostream.tensor import Rng
+from twostream.normreg import (
+    BN_EPSILON,
+    BN_MOMENTUM,
     DropoutConfig,
-    Rng,
     batchnorm_backward,
     batchnorm_forward,
     dropout,
     init_batchnorm,
 )
-from twostream.normreg import BN_EPSILON, BN_MOMENTUM
 
 from conftest import central_diff, max_rel_err
 

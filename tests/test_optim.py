@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
-from twostream import (
-    ConfigError,
-    DimensionError,
+from twostream.errors import ConfigError, DimensionError
+from twostream.optim import (
+    HALVING_PATIENCE,
     RmspropState,
     SgdHalvingState,
     rmsprop_step,
     sgd_halving_step,
 )
-from twostream.optim import HALVING_PATIENCE
 
 
 class TestRmsprop:

@@ -4,24 +4,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twostream import (
+from twostream.errors import ConfigError, ContractError, DimensionError
+from twostream.tensor import Rng
+from twostream.recurrent import (
     BidirectionalLayer,
-    ConfigError,
-    ContractError,
-    DimensionError,
     GruCell,
     LstmCell,
     RnnCell,
-    Rng,
     SequenceBatch,
     init_gru_cell,
     init_lstm_cell,
     init_rnn_cell,
     param_count,
     stack,
+    stack_backward,
     unroll,
+    unroll_backward,
 )
-from twostream.recurrent import stack_backward, unroll_backward
 
 from conftest import central_diff, max_rel_err, sigmoid, step
 

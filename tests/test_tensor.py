@@ -3,14 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from twostream import (
-    ConfigError,
-    DimensionError,
-    Rng,
-    concat_last,
-    l2_normalize,
-    softmax,
-)
+from twostream.errors import ConfigError, DimensionError
+from twostream.tensor import Rng, concat_last, l2_normalize, softmax
 
 from conftest import sigmoid
 

@@ -60,10 +60,22 @@ def _load_run(run_dir):
         raise DataError(f"cannot read {path}: {exc}") from exc
     if not (isinstance(run, dict) and all(isinstance(run.get(k), dict) for k in ("model_spec", "config"))):
         raise DataError(f"cannot read {path}: not a JSON object holding 'model_spec' and 'config' objects")
-    unknown = sorted(set(run["model_spec"]) - {f.name for f in dataclasses.fields(ModelSpec)})
+    values = run["model_spec"]
+    unknown = sorted(set(values) - {f.name for f in dataclasses.fields(ModelSpec)})
     if unknown:
         raise DataError(f"{path}: unknown model_spec key(s) {unknown}")
-    spec = ModelSpec(**{k: tuple(v) if isinstance(v, list) else v for k, v in run["model_spec"].items()})
+    where = f"{path}: model_spec"
+    if "name" not in values:
+        raise DataError(f"{where}: missing key 'name'")
+    dim = values.get("input_dim", ModelSpec.input_dim)
+    if type(dim) is not int or dim < 1:
+        raise ConfigError(f"{where}: bad value for 'input_dim': must be an integer >= 1, got {dim!r}")
+    # The keys a config also has are checked under the config's rules.
+    shared = config_from_values({k: v for k, v in values.items() if k in SCHEMA}, where)
+    try:
+        spec = ModelSpec(**{**values, **{k: shared[k] for k in values if k in SCHEMA}})
+    except ConfigError as exc:  # a name that is no ladder variant
+        raise ConfigError(f"{where}: bad value for 'name': {exc}") from None
     cfg = config_from_values(run["config"], path)  # checked before the model loads
     return load_model(spec, os.path.join(run_dir, "model.ckpt")), spec, cfg
 
@@ -136,7 +148,7 @@ def cmd_ladder(args):
         dataset = Dataset.load(args.data)
     else:
         dataset = generate_synthetic(_dataset_config(cfg), Rng(cfg["seed"]))
-    results, timing, _, _ = harness.run_ladder(dataset, cfg, out_dir=args.out)
+    results = harness.run_ladder(dataset, cfg, out_dir=args.out)
     rows = {k: v.get("test_accuracy") for k, v in results.items()}
     print(json.dumps(rows, sort_keys=True, indent=2))
 

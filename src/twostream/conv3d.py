@@ -21,16 +21,18 @@ instead of one with K = c per (kt, kh, kw) offset. The desk layers' matmuls
 are tiny (K = 9, N = 8 on conv1), so memory traffic, not arithmetic, bounds
 them, and each sample's work is done while its data is in cache:
 - forward (`_ConvForward`): fold, write the first offset's product straight
-  into the sample's accumulator, add the others and then the bias, and, for
-  a layer followed by a pool, reduce the accumulator through the pool window
-  into the sample's slice of the pooled output;
-- backward (`_ConvBackward`): for a pooled layer, route the sample's pooled
-  gradient through its first-max index (`maxpool3d_backward` on the one
-  sample); fold the sample again from the cached input, add its share of
-  the bias and kernel gradients, and scatter and unfold its input gradient.
-So no layer makes a whole-batch pass for zero-filling, the bias or the pool,
-and a pooled layer's full-resolution output and output gradient never exist
-for the whole batch. The gradients sum in a fixed order, whatever the batch
+  into one reused accumulator, add the others and then the bias, and reduce
+  the accumulator through the pool window into the sample's slice of the
+  pooled output;
+- backward (`_ConvBackward`): route the sample's pooled gradient through its
+  first-max index (`maxpool3d_backward` on the one sample); fold the sample
+  again from the cached input, add its share of the bias and kernel
+  gradients, and scatter and unfold its input gradient.
+A conv that no pool follows is a stage pooled over a (1, 1, 1) window, so
+every conv has one forward, one backward and one cache form. No layer makes
+a whole-batch pass for zero-filling, the bias or the pool, and a pooled
+layer's full-resolution output and output gradient never exist for the
+whole batch. The gradients sum in a fixed order, whatever the batch
 or the pool: the kernel gradient in (n, t) order and the bias gradient in
 NCDHW order. `maxpool3d` applies the same pooling rule as a pooled conv,
 `_pool_max`, to a given volume; both take the maximum over the window's
@@ -85,60 +87,56 @@ def init_conv3d(n_filters, in_channels, kernel_size, padding, rng: Rng) -> Conv3
 
 
 def conv3d_forward(p: Conv3dParams, x, pool=None, train=True):
-    """Correlate x [n×c×t×h×w] with the kernels at stride 1 and add the bias;
-    with a pool window (pt, ph, pw), also max-pool the result. Returns
-    (y, cache); each conv output extent is padded extent - kernel extent + 1.
-    y has the NCDHW shape over channels-last memory, so a next layer's
-    channels-last read of it is a plain contiguous one.
+    """Correlate x [n×c×t×h×w] with the kernels at stride 1, add the bias and
+    max-pool the result over the window `pool` (pt, ph, pw). A conv without
+    a pool is a stage pooled over a (1, 1, 1) window: its max over one view
+    is a copy, and its backward routes every gradient through index 0.
+    Returns (y, cache); each conv output extent is padded extent - kernel
+    extent + 1. y has the NCDHW shape over channels-last memory, so a next
+    layer's channels-last read of it is a plain contiguous one.
 
     The correlation runs one sample at a time, from start to end while the
     sample's data is in cache (`_ConvForward`): the sample is folded into one
-    reused slot, its kt·kh offset products are summed in its accumulator
-    [to, ho·wo, f], the first written straight into it, and the bias is
-    added. With a pool, the accumulator is then reduced through the pool
-    window into the sample's slice of the pooled y by `_pool_max`, the rule
-    `maxpool3d` applies (through an -inf padded copy where the window does
-    not divide an extent), so one accumulator serves every sample and the
-    full-resolution output is never stored for the whole batch.
+    reused slot, its kt·kh offset products are summed in one reused
+    accumulator [to, ho·wo, f], the first written straight into it, and the
+    bias is added. The accumulator is then reduced through the pool window
+    into the sample's slice of y by `_pool_max`, the rule `maxpool3d`
+    applies (through an -inf padded copy where the window does not divide an
+    extent), so the full-resolution output of a pooled conv is never stored
+    for the whole batch.
 
     Every output element sums the same products in the same order whatever
-    the batch, the mode or the pool. With train=True the cache is (x, p)
-    without a pool and the pair of that and `maxpool3d`'s cache with one,
-    which `conv3d_backward` takes whole; it holds x itself, which the
-    backward folds again sample by sample, so x must not change before the
-    backward. With train=False it is None, and no first-max index is
-    recorded either. The brute-force oracles in the test suite pin the
-    semantics.
+    the batch, the mode or the pool. With train=True the cache is the pair
+    of (x, p) and `maxpool3d`'s cache, which `conv3d_backward` takes whole;
+    it holds x itself, which the backward folds again sample by sample, so
+    x must not change before the backward. With train=False it is None, and
+    no first-max index is recorded either. The brute-force oracles in the
+    test suite pin the semantics.
     """
     if x.ndim != 5 or x.shape[1] != p.kernels.shape[1]:
         raise DimensionError(
             f"conv3d expects [n,{p.kernels.shape[1]},t,h,w], got {x.shape}"
         )
     n, f = x.shape[0], p.n_filters
+    pool = pool or (1, 1, 1)
     conv = _ConvForward(p, x.shape, x.dtype)
     to, ho, wo = conv.out_shape
-    acc = np.empty((n if pool is None else 1, to, ho * wo, f), dtype=x.dtype)
-    if pool is not None:
-        y_shape = (n, f, to, ho, wo)
-        y, idx, pad, padded_shape = _pool_buffers(y_shape, pool, x.dtype, train)
-        vol = acc[0].reshape(to, ho, wo, f)
-        views = _pool_views(vol if pad is None else pad, pool)
+    acc = np.empty((to, ho * wo, f), dtype=x.dtype)
+    y_shape = (n, f, to, ho, wo)
+    y, idx, pad, padded_shape = _pool_buffers(y_shape, pool, x.dtype, train)
+    vol = acc.reshape(to, ho, wo, f)
+    views = _pool_views(vol if pad is None else pad, pool)
     xt = x.transpose(0, 2, 3, 4, 1)
     for s in range(n):
         conv.fold(xt[s])
-        a = acc[s] if pool is None else acc[0]
-        conv.correlate(a)
-        if pool is not None:
-            if pad is not None:
-                pad[:to, :ho, :wo] = vol
-            _pool_max(views, y[s], None if idx is None else idx[s])
-    ccache = (x, p) if train else None
-    if pool is None:
-        return acc.reshape(n, to, ho, wo, f).transpose(0, 4, 1, 2, 3), ccache
+        conv.correlate(acc)
+        if pad is not None:
+            pad[:to, :ho, :wo] = vol
+        _pool_max(views, y[s], None if idx is None else idx[s])
     y = y.transpose(0, 4, 1, 2, 3)
     if not train:
         return y, None
-    return y, (ccache, (y_shape, padded_shape, idx.transpose(0, 4, 1, 2, 3), pool))
+    return y, ((x, p), (y_shape, padded_shape, idx.transpose(0, 4, 1, 2, 3), pool))
 
 
 class _ConvSamples:
@@ -387,33 +385,28 @@ def conv3d_backward(cache, grad_y, input_grad=True, sums=None):
     two processes (`C3dModel`).
 
     The backward runs one sample at a time, like the forward, through one
-    reused folded slot (`_ConvBackward`). Given the cache of a pooled
-    forward, grad_y is the gradient of the pooled y: `maxpool3d_backward`
-    routes each sample's share through the first-max index just before the
-    sample's conv steps, so the full-resolution gradient exists for one
-    sample at a time. Each sample is then folded again from the cached
-    input; it adds its share to the bias gradient and to the kernel
-    gradient, and, with input_grad, its input gradient is scattered and
-    unfolded. grad_x, like the forward's y, is an NCDHW view of
+    reused folded slot (`_ConvBackward`). grad_y is the gradient of the
+    pooled y: `maxpool3d_backward` routes each sample's share through the
+    first-max index just before the sample's conv steps, so the
+    full-resolution gradient exists for one sample at a time. Each sample
+    is then folded again from the cached input; it adds its share to the
+    bias gradient and to the kernel gradient, and, with input_grad, its
+    input gradient is scattered and unfolded. grad_x, like the forward's y, is an NCDHW view of
     channels-last memory.
 
     The sums keep a fixed order, whatever the batch or the pool: the kernel
     gradient in (n, t) order and the bias gradient in NCDHW order.
     """
-    (x, p), pcache = cache if isinstance(cache[0], tuple) else (cache, None)
+    (x, p), (y_shape, padded_shape, idx, pool) = cache
     n, c, t, h, w = x.shape
     given = sums is not None
     sums = sums if given else GradSums()
     conv = _ConvBackward(p, x.shape, x.dtype, input_grad, sums)
-    xt, gyt = x.transpose(0, 2, 3, 4, 1), grad_y.transpose(0, 2, 3, 4, 1)
+    xt = x.transpose(0, 2, 3, 4, 1)
     gx_t = np.empty((n, t, h, w, c), dtype=x.dtype) if input_grad else None
     for s in range(n):
-        if pcache is None:
-            g = gyt[s]
-        else:
-            y_shape, padded_shape, idx, pool = pcache
-            sample = ((1, *y_shape[1:]), (1, *padded_shape[1:]), idx[s : s + 1], pool)
-            g = maxpool3d_backward(sample, grad_y[s : s + 1])[0].transpose(1, 2, 3, 0)
+        sample = ((1, *y_shape[1:]), (1, *padded_shape[1:]), idx[s : s + 1], pool)
+        g = maxpool3d_backward(sample, grad_y[s : s + 1])[0].transpose(1, 2, 3, 0)
         conv.fold(xt[s])
         gy = conv.add_param_grads(s, g)
         if input_grad:
@@ -631,7 +624,8 @@ class C3dModel:
         so the outputs are those of ReLU-then-pool, and the ReLU and its mask
         run at pooled resolution. A train-mode cache keeps, per conv, its
         input (the clip batch, or the ReLU output of the stage below, which
-        exists anyway), its first-max index if it pools, and its ReLU mask.
+        exists anyway), its first-max index (all zero for a conv pooled over
+        (1, 1, 1), the earlier convs of a group) and its ReLU mask.
         With train=False the cache is None.
 
         After `ClipHelper.start`, x holds the first clips of the batch or

@@ -146,12 +146,14 @@ class Dataset:
                 frames = (coords.shape[1:], pixels.shape[:1] + pixels.shape[2:])
                 if not samples:
                     first = frames
-                for name, got, want in zip((sk_name, vd_name), frames, first):
+                for name, tensor, got, want in zip((sk_name, vd_name), (coords, pixels), frames, first):
                     if got != want:
                         raise DataError(
                             f"{manifest}:{lineno}: {name} has frame shape {got}, "
                             f"line 2's sample has {want}"
                         )
+                    if not np.isfinite(tensor).all():
+                        raise DataError(f"{manifest}:{lineno}: {name} holds NaN or inf")
                 samples.append(
                     Sample(
                         sample_id=sid,

@@ -162,17 +162,14 @@ def _chunked(model, rows, chunk, split=None):
     built inside the process that forwards them, so no process holds more
     than one chunk's input at a time.
 
-    Skeleton chunks are independent, so `ordered_map` spreads them over the
-    usable cores, as `run_ladder` spreads the ladder's variants. C3D clips
-    run on two cores through the clip helper instead, in training and in
-    inference, and never through `ordered_map`: video chunks run here one
-    after another, and when `split` is given, `split(row ids)` hands the
-    helper each chunk's later clips and returns the ids of those this
-    process forwards (`conv3d.ClipHelper.start`). The next chunk is split
-    before this one is forwarded, so the helper goes on while this process
-    runs the dense layers. Only the last chunk can be shorter than the
-    rest, so a chunk too short to split is never forwarded while a later
-    one waits at the helper.
+    The chunks run here one after another, in row order. C3D clips run on
+    two cores through the clip helper, in training and in inference: when
+    `split` is given, `split(row ids)` hands the helper each chunk's later
+    clips and returns the ids of those this process forwards
+    (`conv3d.ClipHelper.start`). The next chunk is split before this one is
+    forwarded, so the helper goes on while this process runs the dense
+    layers. Only the last chunk can be shorter than the rest, so a chunk too
+    short to split is never forwarded while a later one waits at the helper.
     Every chunk runs; then the first whose output is not finite, in row
     order, raises DivergenceError naming the model and its rows."""
 
@@ -182,16 +179,11 @@ def _chunked(model, rows, chunk, split=None):
 
     n = len(rows)
     chunks = [range(s, min(s + chunk, n)) for s in range(0, n, chunk)]
-    if model.stream == "skeleton":
-        outs = ordered_map(forward, chunks)
-    else:
-        split = split or (lambda ids: ids)
-        outs, own = [], split(chunks[0])
-        for k in range(len(chunks)):
-            here = own
-            if k + 1 < len(chunks):
-                own = split(chunks[k + 1])
-            outs.append(forward(here))
+    split = split or (lambda ids: ids)
+    outs, own = [], split(chunks[0])
+    for after in [*chunks[1:], None]:
+        here, own = own, None if after is None else split(after)
+        outs.append(forward(here))
     for ids, (probs, tap) in zip(chunks, outs):
         if not (np.isfinite(probs).all() and (tap is None or np.isfinite(tap).all())):
             raise DivergenceError(
@@ -207,11 +199,9 @@ def _clip_helper(model, dataset: Dataset, n_rows=2):
     (the one `train` holds), else a new one for the block
     (`conv3d.clip_helper`, which may start none), and none for fewer than
     two rows. Yields the ClipHelper or None."""
-    if model.stream == "skeleton":
-        return contextlib.nullcontext()
-    if model.net.helper is not None:
+    if model.stream == "video" and model.net.helper is not None:
         return contextlib.nullcontext(model.net.helper)
-    if n_rows < 2:
+    if model.stream == "skeleton" or n_rows < 2:
         return contextlib.nullcontext()
     return clip_helper(model.net, lambda indices: _stream_rows(model, dataset, indices)[0])
 
@@ -662,31 +652,26 @@ def splits_for(cfg: dict, dataset: Dataset) -> Splits:
 
 def run_ladder(dataset: Dataset, cfg: dict, out_dir=None):
     """Train every configured ladder variant on one split, then add the two
-    fusion rows when both streams are present. Returns (results, timing,
-    models, splits); results are canonical dicts, timing stays separate so the
-    results file is bit-stable across reruns.
+    fusion rows when both streams are present. Returns the results, one
+    canonical dict per row; the per-step times go to `timing.json`, apart
+    from the results, so the results file is bit-stable across reruns.
 
     The variants train independently, so `ordered_map` spreads them over the
     usable cores. Each variant's seeds come from the config seed and its
     name, so the results are the same bytes however many processes ran."""
     splits = splits_for(cfg, dataset)
-    results, timing, trained = {}, {}, {}
     names = cfg["ladder_models"]
-    runs = ordered_map(lambda name: train_variant(name, dataset, splits, cfg), names)
-    for name, (model, res) in zip(names, runs):
-        results[name] = res.canonical_dict()
-        timing[name] = res.wall_clock_per_step
-        trained[name] = model
-    cnn_name = next((n for n in ("C3D-DESK", "C3D") if n in trained), None)
-    if "BI-GRU2-BN-DP-H" in trained and cnn_name:
-        results.update(
-            run_fusion(trained["BI-GRU2-BN-DP-H"], trained[cnn_name], dataset, splits, cfg["svm_c"])
-        )
+    runs = dict(zip(names, ordered_map(lambda name: train_variant(name, dataset, splits, cfg), names)))
+    results = {name: res.canonical_dict() for name, (_, res) in runs.items()}
+    cnn_name = next((n for n in ("C3D-DESK", "C3D") if n in runs), None)
+    if "BI-GRU2-BN-DP-H" in runs and cnn_name:
+        results.update(run_fusion(runs["BI-GRU2-BN-DP-H"][0], runs[cnn_name][0], dataset, splits, cfg["svm_c"]))
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         write_json(os.path.join(out_dir, "ladder_results.json"), results)
+        timing = {name: res.wall_clock_per_step for name, (_, res) in runs.items()}
         write_json(os.path.join(out_dir, "timing.json"), timing)
         for name, res in results.items():
             if res.get("confusion") is not None:
                 emit_confusion(res["confusion"], os.path.join(out_dir, f"confusion_{name}.csv"))
-    return results, timing, trained, splits
+    return results

@@ -9,9 +9,10 @@ has cores to spare it uses w processes: the caller opens w−1 helpers, sends
 helper k its share number k, runs items 0::w itself, and helper k runs items
 k::w and replies with their results (or its first failure).
 
-The package's two-core paths: skeleton inference chunks and ladder variants
-go through `ordered_map`; C3D clips, in training and in inference, go
-through `conv3d.clip_helper`.
+The package's two-core paths: the ladder's variants go through
+`ordered_map`; C3D clips, in training and in inference, go through
+`conv3d.clip_helper`. Skeleton inference chunks run in the calling process,
+one after another (`harness._chunked`).
 
 `start_helper(serve)` opens one helper that lives across calls. Work that
 keeps state from one request to the next then needs one fork per run instead

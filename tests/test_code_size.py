@@ -14,7 +14,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "twostream"
 
-MAX_CODE_LINES = 2845
+MAX_CODE_LINES = 2837
 
 _NOT_CODE = {
     tokenize.COMMENT,

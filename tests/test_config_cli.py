@@ -373,21 +373,29 @@ class TestCli:
         _write_run(tmp_path, spec, cfg, build_model(spec, Rng(0)), None)
         assert _load_run(tmp_path)[2] == cfg
 
-    @pytest.mark.parametrize("key, value, rule", [
-        ("svm_c", -1.0, "must be > 0 and finite, got -1.0"),
-        ("cnn_filters", [8, 0], "must be one or more integers >= 1, got (8, 0)"),
-        ("split_mode", "bogus", "must be cross_subject or cross_view, got bogus"),
-        ("xor_pair", 5, "expected pairs like 0-1, got '5'"),
+    @pytest.mark.parametrize("section, key, value, rule", [
+        ("config", "svm_c", -1.0, "must be > 0 and finite, got -1.0"),
+        ("config", "cnn_filters", [8, 0], "must be one or more integers >= 1, got (8, 0)"),
+        ("config", "split_mode", "bogus", "must be cross_subject or cross_view, got bogus"),
+        ("config", "xor_pair", 5, "expected pairs like 0-1, got '5'"),
+        # model_spec keys that a config also has are checked under the config's rules
+        ("model_spec", "keep_prob", 2.0, "must be in (0, 1], got 2.0"),
+        ("model_spec", "hidden_dim", 0, "must be >= 1, got 0"),
+        ("model_spec", "video_shape", [3, 16, 16], "expected CxTxHxW, got '3x16x16'"),
+        ("model_spec", "input_dim", "x", "must be an integer >= 1, got 'x'"),
+        ("model_spec", "input_dim", 2.0, "must be an integer >= 1, got 2.0"),
+        ("model_spec", "name", "RNN9", "unknown model variant 'RNN9'"),
     ])
-    def test_bad_run_config_value_names_file_and_key_before_loading(self, tmp_path, key, value, rule):
+    def test_bad_run_value_names_file_and_key_before_loading(self, tmp_path, section, key, value, rule):
         spec = ModelSpec(name="RNN1", input_dim=5, n_classes=3, hidden_dim=4)
         _write_run(tmp_path, spec, default_config(), build_model(spec, Rng(0)), None)
         (tmp_path / "model.ckpt").unlink()  # the check must come before the model loads
         run_json = tmp_path / "run.json"
         run = json.loads(run_json.read_text())
-        run["config"][key] = value
+        run[section][key] = value
         run_json.write_text(json.dumps(run))
-        with pytest.raises(ConfigError, match=re.escape(f"{run_json}: bad value for {key!r}: {rule}")):
+        where = f"{run_json}: model_spec" if section == "model_spec" else str(run_json)
+        with pytest.raises(ConfigError, match=re.escape(f"{where}: bad value for {key!r}: {rule}")):
             _load_run(tmp_path)
 
     def test_unknown_run_config_key_names_file_and_key(self, tmp_path):
@@ -612,6 +620,24 @@ class TestCli:
         assert cli.console_main([*argv, "--data", str(tmp_path / "data")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"twostream: error: cannot read {run_dir / 'run.json'}: ")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "changes, key",
+        [(None, "name"), ({"input_dim": "x"}, "input_dim"), ({"keep_prob": 2.0}, "keep_prob")],
+        ids=["empty", "input_dim_not_int", "keep_prob_above_1"],
+    )
+    def test_bad_model_spec_exits_2_naming_the_file_and_key(self, tmp_path, capsys, changes, key):
+        run_dir = tmp_path / "run"
+        spec = ModelSpec(name="RNN1", input_dim=5, n_classes=3, hidden_dim=4)
+        _write_run(run_dir, spec, default_config(), build_model(spec, Rng(0)), None)
+        run = json.loads((run_dir / "run.json").read_text())
+        run["model_spec"] = {} if changes is None else {**run["model_spec"], **changes}
+        (run_dir / "run.json").write_text(json.dumps(run))
+        assert cli.console_main(["eval", "--run", str(run_dir), "--data", str(tmp_path / "data")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"twostream: error: {run_dir / 'run.json'}: model_spec: ")
+        assert repr(key) in err
         assert len(err.splitlines()) == 1
 
 

@@ -272,9 +272,10 @@ class TestConv3dBatchInvariance:
 
 
 class TestConvPoolStage:
-    """A conv stage given a pool equals maxpool3d of the unpooled conv output,
-    in both modes, down to the first-max index the backward reads; its
-    backward equals the conv backward of the routed gradient."""
+    """A conv stage given a pool equals maxpool3d of the output of the conv
+    without one (a (1, 1, 1) stage), in both modes, down to the first-max
+    index the backward reads; its backward equals the conv backward of the
+    routed gradient."""
 
     @pytest.mark.parametrize("seed", range(8))
     def test_equals_maxpool_of_conv_output(self, seed):
@@ -292,7 +293,7 @@ class TestConvPoolStage:
         y, stage_cache = conv3d_forward(p, x, window)
         stage_ccache, stage_pcache = stage_cache
         assert np.array_equal(y, ref)
-        assert np.array_equal(stage_ccache[0], ccache[0])
+        assert np.array_equal(stage_ccache[0], ccache[0][0])
         for got, want in zip(stage_pcache, pcache):
             assert np.array_equal(got, want) if isinstance(got, np.ndarray) else got == want
         # given the stage's cache, the backward takes the pooled gradient

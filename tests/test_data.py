@@ -256,3 +256,14 @@ class TestDatasetRoundtrip:
         write_tensor(path, cut(read_tensor(path)))
         with pytest.raises(DataError, match=rf"manifest\.tsv:3: s00001_{suffix}\.tsr has frame shape {shapes}"):
             Dataset.load(tmp_path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("suffix", ["sk", "vd"], ids=["skeleton", "video"])
+    def test_non_finite_sample_names_line_and_file(self, tmp_path, suffix, value):
+        _tiny_dataset(Rng(11)).save(tmp_path)
+        path = tmp_path / f"s00001_{suffix}.tsr"
+        tensor = read_tensor(path)
+        tensor.flat[-1] = value
+        write_tensor(path, tensor)
+        with pytest.raises(DataError, match=rf"manifest\.tsv:3: s00001_{suffix}\.tsr holds NaN or inf$"):
+            Dataset.load(tmp_path)
